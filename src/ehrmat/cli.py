@@ -84,7 +84,10 @@ def parse_document(doc):
         ok, why = check_matroid_axioms(f)
     if not ok:
         raise ValidationError(f"axiom check failed for {name}: {why}")
-    return name, PolytopeSpec(family, f)
+    try:
+        return name, PolytopeSpec(family, f)
+    except ValueError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def pipeline_ehrhart(spec):

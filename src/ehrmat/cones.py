@@ -1,12 +1,10 @@
-"""Tangent cones, placing triangulation with an exact visibility LP,
-boundary-join cone triangulation, and half-open decomposition into
-unimodular simplicial cones.
+"""Tangent cones, placing triangulation with an exact barycentric
+visibility test, boundary-join cone triangulation, and half-open
+decomposition into unimodular simplicial cones.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
-from . import lp
 from .exactmath import (
     det, mat_inverse_unimodular, mat_rank, solve_linear, vec_dot,
     vec_primitive, vec_sub,
@@ -44,37 +42,6 @@ def tangent_cone(vs, i):
     return TangentCone(v, rays)
 
 
-def visible(points, facet_vertices, query):
-    """Is the facet spanned by `facet_vertices` visible from `query`?
-
-    Builds the centroid z of the facet and maximizes lam subject to
-    lam*query + (1-lam)*z in conv(points), 0 <= lam <= 1. The program is
-    always feasible (lam = 0 puts the point on the facet); the facet is
-    visible exactly when no positive step toward the query stays inside.
-    """
-    facet = [points[i] for i in facet_vertices]
-    if not facet:
-        raise ValueError("empty facet")
-    dim = len(points[0])
-    f = Fraction(1, len(facet))
-    z = [f * sum(p[i] for p in facet) for i in range(dim)]
-    m = len(points)
-    # variables: y_1..y_m, lam, slack  (lam + slack = 1)
-    a = []
-    b = []
-    for i in range(dim):
-        a.append([p[i] for p in points] + [z[i] - query[i], 0])
-        b.append(z[i])
-    a.append([1] * m + [0, 0])
-    b.append(1)
-    a.append([0] * m + [1, 1])
-    b.append(1)
-    c = [0] * m + [1, 0]
-    status, value, _ = lp.simplex_max(a, b, c)
-    assert status == lp.OPTIMAL
-    return value == 0
-
-
 def _affinely_independent(points, idx, new_point):
     base = points[idx[0]] if idx else new_point
     rows = [vec_sub(points[i], base) for i in idx[1:]]
@@ -86,10 +53,9 @@ def placing_triangulation(points):
 
     Points are inserted in the given order. A point outside the current
     affine hull cones every maximal simplex to itself; a point inside it
-    is attached to every visible boundary facet. Visibility here is the
-    exact hyperplane criterion (query strictly beyond the facet's affine
-    hull), decided by the sign of a barycentric coordinate; this agrees
-    with the `visible` LP on boundary facets of a triangulation.
+    is attached to every visible boundary facet. Visibility is the exact
+    hyperplane criterion (query strictly beyond the facet's affine
+    hull), decided by the sign of a barycentric coordinate.
     Returns the set of maximal simplices as tuples of point indices.
     """
     simplices = set()
@@ -127,7 +93,8 @@ def _barycentric(points, simplex, p):
     rows = [[points[i][c] for i in simplex] for c in range(len(p))]
     rows.append([1] * len(simplex))
     sol = solve_linear(rows, list(p) + [1])
-    assert sol is not None, "point is outside the affine hull"
+    if sol is None:
+        raise ValueError("point is outside the simplex's affine hull")
     return sol
 
 
@@ -213,14 +180,14 @@ def half_open_decompose(cones, y):
     """Half-open decomposition of a list of full-dimensional unimodular
     simplicial cones sharing an apex.
 
-    Each cone is (apex, rays); y must pair nonzero with every facet
-    normal and lie in the cone the pieces are meant to partition. Facet
-    j of a piece is flagged open when its inward normal pairs positively
-    with y, i.e. when y lies on the outside of that facet.
+    Each cone is (apex, rays, normals) with normals as returned by
+    `facet_normals_unimodular(rays)`; y must pair nonzero with every
+    facet normal and lie in the cone the pieces are meant to partition.
+    Facet j of a piece is flagged open when its inward normal pairs
+    positively with y, i.e. when y lies on the outside of that facet.
     """
     out = []
-    for apex, rays in cones:
-        normals = facet_normals_unimodular(rays)
+    for apex, rays, normals in cones:
         flags = []
         for nrm in normals:
             pairing = vec_dot(nrm, y)

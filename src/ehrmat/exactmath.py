@@ -24,16 +24,8 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
 def vec_dot(u, v):
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def vec_is_zero(v):
-    return all(a == 0 for a in v)
 
 
 def vec_primitive(v):
@@ -56,14 +48,6 @@ def mat_identity(n):
 def mat_mul(a, b):
     bt = list(zip(*b))
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
-def mat_vec(a, v):
-    return tuple(vec_dot(row, v) for row in a)
-
-
-def mat_transpose(a):
-    return tuple(zip(*a))
 
 
 def det(m):
@@ -92,74 +76,20 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-def mat_rank(rows):
-    """Rank of a matrix with integer or rational entries, by exact
-    Gaussian elimination."""
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Q of the first `ncols` columns of
+    `rows`; any further columns ride along through the row operations.
+    Pivots are taken column by column from the first nonzero row, and
+    elimination stops once every row holds a pivot. Returns the reduced
+    rows (lists of Fractions) and the list of pivot columns, so pivot
+    column pivots[i] is 1 in row i and 0 in every other row."""
     a = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    cols = len(a[0]) if a else 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == len(a):
-            break
-    return r
-
-
-def solve_unimodular(m, v):
-    """Solve m x = v exactly for a square matrix with |det m| = 1 in the
-    integers; returns an integer vector."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(v[i])] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = []
-    for i in range(n):
-        x = a[i][n]
-        if x.denominator != 1:
-            raise ValueError("non-integral solution; matrix not unimodular")
-        out.append(int(x))
-    return tuple(out)
-
-
-def mat_inverse_unimodular(m):
-    """Inverse of a square integer matrix with determinant +-1; the
-    inverse is integral."""
-    n = len(m)
-    cols = [solve_unimodular(m, tuple(1 if i == j else 0 for i in range(n)))
-            for j in range(n)]
-    return mat_transpose(cols)
-
-
-def solve_linear(rows, rhs):
-    """One exact solution of a consistent linear system (possibly
-    overdetermined); returns a list of Fractions, or None if the system
-    is inconsistent. Free variables are set to zero."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(rows)]
+    m = len(a)
     pivots = []
-    r = 0
-    for c in range(n):
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if a[i][c] != 0), None)
         if piv is None:
             continue
@@ -171,12 +101,50 @@ def solve_linear(rows, rhs):
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    return a, pivots
+
+
+def mat_rank(rows):
+    """Rank of a matrix with integer or rational entries, by exact
+    Gaussian elimination."""
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _integral_unimodular(m, rhs_rows):
+    """Rows of the solution X of m X = R, R given by rows; ValueError
+    when m is singular or X is not integral."""
+    n = len(m)
+    a, pivots = _gauss_jordan(
+        [list(row) + list(rhs) for row, rhs in zip(m, rhs_rows, strict=True)],
+        n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    if any(x.denominator != 1 for row in a for x in row[n:]):
+        raise ValueError("non-integral solution; matrix not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in a)
+
+
+def solve_unimodular(m, v):
+    """Solve m x = v exactly for a square matrix with |det m| = 1 in the
+    integers; returns an integer vector."""
+    return tuple(row[0] for row in _integral_unimodular(m, [(x,) for x in v]))
+
+
+def mat_inverse_unimodular(m):
+    """Inverse of a square integer matrix with determinant +-1; the
+    inverse is integral. One elimination of [m | I]."""
+    return _integral_unimodular(m, mat_identity(len(m)))
+
+
+def solve_linear(rows, rhs):
+    """One exact solution of a consistent linear system (possibly
+    overdetermined); returns a list of Fractions, or None if the system
+    is inconsistent. Free variables are set to zero."""
+    n = len(rows[0]) if rows else 0
+    a, pivots = _gauss_jordan(
+        [list(row) + [rhs[i]] for i, row in enumerate(rows)], n)
+    if any(row[n] != 0 for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         x[c] = a[i][n]
@@ -186,28 +154,9 @@ def solve_linear(rows, rhs):
 def rational_nullspace(rows, n):
     """Basis of {x in Q^n : rows . x = 0}, denominators cleared so every
     basis vector is integral and primitive."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    m = len(a)
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    a, pivots = _gauss_jordan(rows, n)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         x = [Fraction(0)] * n
         x[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -302,10 +251,6 @@ def poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly_trim(tuple(out))
-
-
-def poly_scale(c, p):
-    return poly_trim(tuple(c * a for a in p))
 
 
 def series_mul_trunc(a, b, m):

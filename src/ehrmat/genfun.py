@@ -72,12 +72,11 @@ def to_working(basis, vec):
     lattice basis; integral by saturation."""
     rows = [[b[c] for b in basis] for c in range(len(vec))]
     sol = solve_linear(rows, vec)
-    assert sol is not None, "vector outside the affine hull"
-    out = []
-    for x in sol:
-        assert x.denominator == 1, "lattice basis is not saturated"
-        out.append(int(x))
-    return tuple(out)
+    if sol is None:
+        raise ValueError("vector outside the affine hull")
+    if any(x.denominator != 1 for x in sol):
+        raise ValueError("lattice basis is not saturated")
+    return tuple(int(x) for x in sol)
 
 
 def build_genfun(spec):
@@ -104,12 +103,13 @@ def _vertex_terms(vs, i, basis):
     dim = len(rays_work[0])
     work_cone = TangentCone(tuple([0] * dim), rays_work)
     pieces = triangulate_cone(work_cone)
-    cones_work = [(None, [rays_work[j] for j in piece]) for piece in pieces]
-    normals = []
-    for _, rays in cones_work:
+    cones_work = []
+    for piece in pieces:
+        rays = [rays_work[j] for j in piece]
         assert_unimodular(rays)
-        normals.extend(facet_normals_unimodular(rays))
-    y = pick_generic_y(normals, rays=rays_work)
+        cones_work.append((None, rays, facet_normals_unimodular(rays)))
+    y = pick_generic_y([nrm for _, _, nrms in cones_work for nrm in nrms],
+                       rays=rays_work)
     decomposed = half_open_decompose(cones_work, y)
     out = []
     for piece, hoc in zip(pieces, decomposed):

@@ -108,8 +108,8 @@ def count(g):
             acc += w[l] * power
             power *= la
         total += t.sign * acc
-    assert total.denominator == 1, "specialized count is not an integer"
-    assert total >= 0, "negative lattice-point count"
+    if total.denominator != 1 or total < 0:
+        raise AssertionError(f"count {total} is not a non-negative integer")
     return int(total)
 
 
@@ -128,7 +128,8 @@ def ehrhart_polynomial(g):
                 inner += binomial(l, m) * w[l] * _ipow(lav, l - m)
             coeffs[m] += t.sign * _ipow(lv, m) * inner
     for m in range(g.dim + 1, max_s + 1):
-        assert coeffs[m] == 0, f"coefficient of k^{m} should vanish"
+        if coeffs[m] != 0:
+            raise AssertionError(f"coefficient of k^{m} should vanish")
     return poly_trim(tuple(coeffs[:g.dim + 1]))
 
 

@@ -5,7 +5,6 @@ the polymatroid {x >= 0 : sum_{i in A} x_i <= psi(A) for all A}.
 
 from itertools import combinations, permutations
 
-from . import lp
 from .exactmath import mat_rank, vec_sub
 from .matroid import guard_n
 
@@ -172,12 +171,6 @@ def all_generated_vertices(f):
     return out
 
 
-def is_extreme_direction(d, others):
-    """Is d an extreme ray of cone(others + [d]), i.e. NOT a
-    non-negative combination of the other directions?"""
-    return not lp.in_cone(d, others)
-
-
 def _compute_adjacency(spec, vertices):
     m = len(vertices)
     adj = [set() for _ in range(m)]
@@ -227,21 +220,3 @@ def _compute_adjacency(spec, vertices):
                 adj[j].add(i)
     return [sorted(s) for s in adj]
 
-
-def adjacency_by_lp(spec, vertices):
-    """Adjacency via the extreme-ray LP for every pair; used to validate
-    the combinatorial shortcut for the bases family."""
-    m = len(vertices)
-    adj = [set() for _ in range(m)]
-    for i in range(m):
-        diffs = [vec_sub(vertices[j], vertices[i]) for j in range(m)]
-        for j in range(m):
-            if j == i:
-                continue
-            others = [diffs[t] for t in range(m) if t not in (i, j)]
-            if is_extreme_direction(diffs[j], others):
-                adj[i].add(j)
-    for i in range(m):
-        for j in adj[i]:
-            assert i in adj[j], "adjacency must be symmetric"
-    return [sorted(s) for s in adj]

@@ -1,0 +1,222 @@
+"""Independent reference oracles used only by the tests.
+
+- An exact rational linear program: two-phase simplex with Bland's rule
+  on Fraction scalars, so termination is guaranteed and every result is
+  exact.
+- Facet visibility and polytope adjacency decided by that LP, the
+  references for the barycentric visibility test in
+  `cones.placing_triangulation` and for `vertices._compute_adjacency`.
+- The pairwise O(4^n) rank-axiom checks, the reference for the local
+  checks in `matroid`.
+"""
+
+from fractions import Fraction
+
+from ehrmat.exactmath import vec_sub
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+def simplex_max(a_eq, b_eq, c):
+    """Maximize c.x subject to a_eq x = b_eq, x >= 0.
+
+    Returns (status, value, x) where status is OPTIMAL, INFEASIBLE or
+    UNBOUNDED; value and x are None unless OPTIMAL.
+    """
+    m = len(a_eq)
+    n = len(c)
+    a = [[Fraction(x) for x in row] for row in a_eq]
+    b = [Fraction(x) for x in b_eq]
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+
+    # phase 1: artificial variables, minimize their sum
+    tab = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+           + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    obj = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        obj[n + i] = Fraction(1)  # artificials cost 1 in the minimization
+    for i in range(m):
+        for j in range(n + m + 1):
+            obj[j] -= tab[i][j]
+    status = _iterate(tab, basis, obj, n + m)
+    assert status == OPTIMAL  # phase 1 is always bounded
+    if -obj[-1] != 0:
+        return INFEASIBLE, None, None
+
+    # drive remaining artificials out of the basis, then drop them
+    for i in range(m):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j] != 0), None)
+            if piv is None:
+                continue  # redundant row
+            _pivot(tab, basis, None, i, piv)
+    keep = [i for i in range(m) if basis[i] < n]
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # phase 2
+    obj = [-Fraction(x) for x in c] + [Fraction(0)]
+    for i, bi in enumerate(basis):
+        if obj[bi] != 0:
+            f = obj[bi]
+            for j in range(n + 1):
+                obj[j] -= f * tab[i][j]
+    status = _iterate(tab, basis, obj, n)
+    if status != OPTIMAL:
+        return status, None, None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i][-1]
+    return OPTIMAL, obj[-1], x
+
+
+def _iterate(tab, basis, obj, n):
+    while True:
+        enter = next((j for j in range(n) if obj[j] < 0), None)  # Bland
+        if enter is None:
+            return OPTIMAL
+        leave = None
+        best = None
+        for i in range(len(tab)):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return UNBOUNDED
+        _pivot(tab, basis, obj, leave, enter)
+
+
+def _pivot(tab, basis, obj, row, col):
+    piv = tab[row][col]
+    tab[row] = [x / piv for x in tab[row]]
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+    if obj is not None and obj[col] != 0:
+        f = obj[col]
+        for j in range(len(obj)):
+            obj[j] -= f * tab[row][j]
+    basis[row] = col
+
+
+def feasible(a_eq, b_eq, n_vars):
+    """Is {x >= 0 : a_eq x = b_eq} non-empty?"""
+    status, _, _ = simplex_max(a_eq, b_eq, [0] * n_vars)
+    return status == OPTIMAL
+
+
+def in_cone(target, generators):
+    """Is `target` a non-negative combination of `generators`?
+
+    Vectors are integer/rational sequences of equal length.
+    """
+    if not generators:
+        return all(x == 0 for x in target)
+    a = [[g[i] for g in generators] for i in range(len(target))]
+    return feasible(a, list(target), len(generators))
+
+
+def visible(points, facet_vertices, query):
+    """Is the facet spanned by `facet_vertices` visible from `query`?
+
+    Builds the centroid z of the facet and maximizes lam subject to
+    lam*query + (1-lam)*z in conv(points), 0 <= lam <= 1. The program is
+    always feasible (lam = 0 puts the point on the facet); the facet is
+    visible exactly when no positive step toward the query stays inside.
+    """
+    facet = [points[i] for i in facet_vertices]
+    if not facet:
+        raise ValueError("empty facet")
+    dim = len(points[0])
+    f = Fraction(1, len(facet))
+    z = [f * sum(p[i] for p in facet) for i in range(dim)]
+    m = len(points)
+    # variables: y_1..y_m, lam, slack  (lam + slack = 1)
+    a = []
+    b = []
+    for i in range(dim):
+        a.append([p[i] for p in points] + [z[i] - query[i], 0])
+        b.append(z[i])
+    a.append([1] * m + [0, 0])
+    b.append(1)
+    a.append([0] * m + [1, 1])
+    b.append(1)
+    c = [0] * m + [1, 0]
+    status, value, _ = simplex_max(a, b, c)
+    assert status == OPTIMAL
+    return value == 0
+
+
+def is_extreme_direction(d, others):
+    """Is d an extreme ray of cone(others + [d]), i.e. NOT a
+    non-negative combination of the other directions?"""
+    return not in_cone(d, others)
+
+
+def adjacency_by_lp(spec, vertices):
+    """Adjacency via the extreme-ray LP for every pair."""
+    m = len(vertices)
+    adj = [set() for _ in range(m)]
+    for i in range(m):
+        diffs = [vec_sub(vertices[j], vertices[i]) for j in range(m)]
+        for j in range(m):
+            if j == i:
+                continue
+            others = [diffs[t] for t in range(m) if t not in (i, j)]
+            if is_extreme_direction(diffs[j], others):
+                adj[i].add(j)
+    for i in range(m):
+        for j in adj[i]:
+            assert i in adj[j], "adjacency must be symmetric"
+    return [sorted(s) for s in adj]
+
+
+def _all_subsets(n):
+    ground = list(range(1, n + 1))
+    for mask in range(1 << n):
+        yield frozenset(ground[i] for i in range(n) if mask >> i & 1)
+
+
+def pairwise_matroid_axioms(f):
+    """0 <= rank(X) <= |X|, monotonicity, and submodularity checked over
+    all pairs of subsets. Returns (True, None) or (False, description)."""
+    subs = list(_all_subsets(f.n))
+    ranks = {a: f.rank(a) for a in subs}
+    for a in subs:
+        if not (0 <= ranks[a] <= len(a)):
+            return False, f"cardinality axiom fails on {sorted(a)}"
+    return _pairwise_monotone_submodular(subs, ranks)
+
+
+def pairwise_polymatroid_axioms(f):
+    """Value 0 on the empty set, non-negativity, monotonicity and
+    submodularity checked over all pairs of subsets."""
+    subs = list(_all_subsets(f.n))
+    ranks = {a: f.rank(a) for a in subs}
+    if ranks[frozenset()] != 0:
+        return False, "value on the empty set is nonzero"
+    if any(ranks[a] < 0 for a in subs):
+        return False, "negative value"
+    return _pairwise_monotone_submodular(subs, ranks)
+
+
+def _pairwise_monotone_submodular(subs, ranks):
+    for x in subs:
+        for y in subs:
+            if x <= y and ranks[x] > ranks[y]:
+                return False, (f"monotonicity fails on {sorted(x)} subset of"
+                               f" {sorted(y)}")
+            if ranks[x | y] + ranks[x & y] > ranks[x] + ranks[y]:
+                return False, (f"submodularity fails on {sorted(x)},"
+                               f" {sorted(y)}")
+    return True, None

@@ -129,6 +129,18 @@ def test_validation_incomplete_table(tmp_path, capsys):
     assert code == 2
 
 
+def test_validation_table_for_matroid_family(tmp_path, capsys):
+    # a rank table is a polymatroid oracle, which the bases family rejects
+    doc = {"name": "table_bases", "family": "bases", "kind": "table",
+           "n": 2, "values": [{"subset": [1], "value": 1},
+                              {"subset": [2], "value": 1},
+                              {"subset": [1, 2], "value": 1}]}
+    path = tmp_path / "table_bases.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["ehrhart", str(path)]) == 2
+    assert "matroid rank function required" in capsys.readouterr().err
+
+
 def test_validation_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,12 +1,13 @@
 from itertools import product
 
 import pytest
+from oracles import visible
 
 from ehrmat import corpus
 from ehrmat.cones import (
     TangentCone, assert_unimodular,
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
-    placing_triangulation, tangent_cone, triangulate_cone, visible,
+    placing_triangulation, tangent_cone, triangulate_cone,
 )
 from ehrmat.exactmath import vec_dot, vec_sub
 from ehrmat.genfun import half_open_contains
@@ -164,20 +165,20 @@ def test_pick_generic_y_interior_to_rays():
         assert vec_dot(nrm, y) != 0
 
 
+def _cone(apex, rays):
+    return apex, rays, facet_normals_unimodular(rays)
+
+
 def test_half_open_single_cone_interior_y_all_closed():
-    rays = [(1, 0), (0, 1)]
-    pieces = half_open_decompose([((0, 0), rays)], (1, 1))
+    pieces = half_open_decompose([_cone((0, 0), [(1, 0), (0, 1)])], (1, 1))
     assert pieces[0].open_flags == [False, False]
 
 
 def test_half_open_two_cones_share_one_open_facet():
     # 2D quadrant split by the middle ray (1, 1)
-    left = ((0, 0), [(0, 1), (1, 1)])
-    right = ((0, 0), [(1, 1), (1, 0)])
-    y = pick_generic_y(
-        facet_normals_unimodular(left[1])
-        + facet_normals_unimodular(right[1]),
-        rays=[(0, 1), (1, 0)])
+    left = _cone((0, 0), [(0, 1), (1, 1)])
+    right = _cone((0, 0), [(1, 1), (1, 0)])
+    y = pick_generic_y(left[2] + right[2], rays=[(0, 1), (1, 0)])
     pieces = half_open_decompose([left, right], y)
     opened = sum(sum(p.open_flags) for p in pieces)
     assert opened == 1
@@ -185,7 +186,7 @@ def test_half_open_two_cones_share_one_open_facet():
 
 def test_half_open_rejects_non_generic_y():
     with pytest.raises(ValueError):
-        half_open_decompose([((0, 0), [(1, 0), (0, 1)])], (0, 1))
+        half_open_decompose([_cone((0, 0), [(1, 0), (0, 1)])], (0, 1))
 
 
 def _box_points(apex, radius, dim):
@@ -195,8 +196,8 @@ def _box_points(apex, radius, dim):
 
 def test_half_open_partition_in_box():
     # pieces of a split quadrant partition its lattice points exactly
-    left = ((0, 0), [(0, 1), (1, 1)])
-    right = ((0, 0), [(1, 1), (1, 0)])
+    left = _cone((0, 0), [(0, 1), (1, 1)])
+    right = _cone((0, 0), [(1, 1), (1, 0)])
     y = (2, 1)
     pieces = half_open_decompose([left, right], y)
     for pt in _box_points((0, 0), 3, 2):

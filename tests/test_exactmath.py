@@ -123,3 +123,46 @@ def test_unimodular_inverse():
     m = ((1, 2), (1, 3))
     inv = mat_inverse_unimodular(m)
     assert mat_mul(m, inv) == mat_identity(2)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """I transformed by random integer row operations: adding a multiple
+    of one row to another, swapping two rows, negating a row."""
+    n = draw(st.integers(1, 6))
+    m = [list(row) for row in mat_identity(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            c = draw(st.integers(-3, 3))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "negate":
+            m[i] = [-x for x in m[i]]
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=100)
+@given(unimodular_matrices())
+def test_unimodular_inverse_random(m):
+    assert det(m) in (1, -1)
+    assert mat_mul(m, mat_inverse_unimodular(m)) == mat_identity(len(m))
+
+
+def test_unimodular_inverse_rejects_det_2_and_singular():
+    import pytest
+    with pytest.raises(ValueError, match="not unimodular"):
+        mat_inverse_unimodular(((1, 1), (-1, 1)))
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse_unimodular(((1, 2), (2, 4)))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_full_rank_iff_nonzero_det(m):
+    m = tuple(map(tuple, m))
+    assert (mat_rank(m) == len(m)) == (det(m) != 0)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import ehrmat
 from ehrmat import corpus, specialize
 from ehrmat.cones import HalfOpenSimplicialCone
 from ehrmat.genfun import (
@@ -175,3 +180,25 @@ def test_term_count_bound():
     n, r = 6, 3
     bound = 16 * (2 ** r) * n * (n - 1) * (n - 2)
     assert len(g.terms) <= bound
+
+
+def test_to_working_rejects_unsaturated_basis_under_optimize():
+    # the saturation check must be a real exception, not a bare assert
+    # that `python -O` strips
+    code = (
+        "import sys\n"
+        "from ehrmat.genfun import to_working\n"
+        "if __debug__:\n"
+        "    sys.exit(2)\n"
+        "try:\n"
+        "    to_working([(2, 0)], (1, 0))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    src = str(Path(ehrmat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "not saturated" in proc.stdout

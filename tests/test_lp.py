@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from ehrmat import lp
+import oracles as lp
 
 
 def test_simple_maximization():

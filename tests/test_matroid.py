@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import pairwise_matroid_axioms, pairwise_polymatroid_axioms
 
 from ehrmat import corpus
 from ehrmat.matroid import (
@@ -83,6 +84,36 @@ def test_polymatroid_axioms_reject_supermodular():
     table = {frozenset({1}): 1, frozenset({2}): 1, frozenset({1, 2}): 3}
     ok, why = check_polymatroid_axioms(RankFunction.from_table(2, table))
     assert not ok and "submodularity" in why
+
+
+@st.composite
+def rank_tables(draw):
+    """Tables on n <= 5 elements: either uniformly random values, or a
+    truncated weighted count min(w(A), c) (a polymatroid, and a matroid
+    when every w_i is 1) with a few entries moved by +-1."""
+    n = draw(st.integers(1, 5))
+    subsets = [frozenset(i + 1 for i in range(n) if mask >> i & 1)
+               for mask in range(1, 1 << n)]
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-1, 3), min_size=len(subsets),
+                               max_size=len(subsets)))
+    else:
+        w = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        c = draw(st.integers(0, sum(w)))
+        values = [min(c, sum(w[i - 1] for i in a)) for a in subsets]
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, len(subsets) - 1))
+            values[k] += draw(st.sampled_from([-1, 1]))
+    return RankFunction.from_table(n, dict(zip(subsets, values)))
+
+
+@settings(max_examples=300)
+@given(rank_tables())
+def test_local_axiom_checks_match_pairwise_reference(f):
+    assert (check_matroid_axioms(f)[0]
+            == pairwise_matroid_axioms(f)[0])
+    assert (check_polymatroid_axioms(f)[0]
+            == pairwise_polymatroid_axioms(f)[0])
 
 
 @settings(max_examples=30)

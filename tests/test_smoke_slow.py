@@ -52,12 +52,14 @@ def test_u3_20_smoke():
     basis = affine_lattice_basis(vertices)
     rays_work = [to_working(basis, r) for r in rays0]
     pieces = triangulate_cone(TangentCone((0,) * (N - 1), rays_work))
+    cones_work = []
+    for piece in pieces:
+        rays = [rays_work[j] for j in piece]
+        cones_work.append((None, rays, facet_normals_unimodular(rays)))
     y = pick_generic_y(
-        [nrm for piece in pieces
-         for nrm in facet_normals_unimodular([rays_work[j] for j in piece])],
+        [nrm for _, _, normals in cones_work for nrm in normals],
         rays=rays_work)
-    decomposed = half_open_decompose(
-        [(None, [rays_work[j] for j in piece]) for piece in pieces], y)
+    decomposed = half_open_decompose(cones_work, y)
 
     # intern the 380 possible swap directions so transported terms share
     # ray tuples

@@ -1,14 +1,15 @@
 from itertools import combinations
 
 import pytest
+from oracles import adjacency_by_lp
 
 from ehrmat import corpus
 from ehrmat.exactmath import binomial, vec_sub
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,
-    adjacency_by_lp, all_generated_vertices, edmonds_generate,
-    enumerate_bases, enumerate_vertices,
+    all_generated_vertices, edmonds_generate, enumerate_bases,
+    enumerate_vertices,
 )
 
 
