@@ -45,6 +45,25 @@ def load_document(path):
     return parse_document(doc)
 
 
+def _int(x, what):
+    # a JSON integer: no float, string or bool is coerced
+    if type(x) is not int:
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _int_list(x, what):
+    if not isinstance(x, list) or any(type(v) is not int for v in x):
+        raise ValidationError(f"{what} must be a list of integers, got {x!r}")
+    return x
+
+
+def _subset(x, what):
+    if len(set(_int_list(x, what))) != len(x):
+        raise ValidationError(f"{what} {x!r} repeats an element")
+    return frozenset(x)
+
+
 def parse_document(doc):
     """Parse and validate a matroid document into a PolytopeSpec."""
     try:
@@ -57,20 +76,25 @@ def parse_document(doc):
         raise ValidationError(f"unknown family {family!r}")
     try:
         if kind == "uniform":
-            f = RankFunction.uniform(int(doc["n"]), int(doc["r"]))
+            f = RankFunction.uniform(_int(doc["n"], "n"), _int(doc["r"], "r"))
         elif kind == "graphic":
-            edges = [tuple(e) for e in doc["edges"]]
+            edges = [tuple(_int_list(e, "edge")) for e in doc["edges"]]
+            if any(len(e) != 2 for e in edges):
+                raise ValidationError("every edge must be a pair")
             f = RankFunction.graphic(len(edges), edges)
         elif kind == "bases":
-            f = RankFunction.from_bases(int(doc["n"]), doc["bases"])
+            f = RankFunction.from_bases(
+                _int(doc["n"], "n"),
+                [_subset(b, "basis") for b in doc["bases"]])
         elif kind == "table":
-            table = {frozenset(entry["subset"]): entry["value"]
-                     for entry in doc["values"]}
-            n = int(doc["n"])
-            expected = (1 << n) - 1
-            if len([a for a in table if a]) != expected:
-                raise ValidationError(
-                    "table must list every non-empty subset")
+            n = _int(doc["n"], "n")
+            table = {_subset(entry["subset"], "subset"):
+                     _int(entry["value"], "value") for entry in doc["values"]}
+            if (len([a for a in table if a]) != (1 << n) - 1
+                    or any(not 1 <= x <= n for a in table for x in a)
+                    or table.get(frozenset(), 0) != 0):
+                raise ValidationError("table must list every non-empty subset"
+                                      " of 1..n, and the empty set only as 0")
             f = RankFunction.from_table(n, table)
         else:
             raise ValidationError(f"unknown kind {kind!r}")

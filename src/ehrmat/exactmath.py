@@ -2,12 +2,15 @@
 matrices, univariate rational polynomials, truncated power series.
 
 Everything here is exact; no floating point is used anywhere in the
-pipeline. Scalars are Python ints and fractions.Fraction; vectors and
+pipeline. Matrices come in with integer entries and are eliminated
+fraction-free on Python ints; fractions.Fraction appears only in results
+(solutions of linear systems, polynomial coefficients). Vectors and
 matrices are tuples, so all values are immutable and safe to share.
 """
 
 from fractions import Fraction
 from math import comb, gcd
+from operator import index
 
 IntVec = tuple  # dense integer vector, fixed length
 Poly = tuple    # coefficients by ascending degree, trailing zeros trimmed
@@ -77,15 +80,19 @@ def det(m):
 
 
 def _gauss_jordan(rows, ncols):
-    """Reduced row echelon form over Q of the first `ncols` columns of
-    `rows`; any further columns ride along through the row operations.
-    Pivots are taken column by column from the first nonzero row, and
-    elimination stops once every row holds a pivot. Returns the reduced
-    rows (lists of Fractions) and the list of pivot columns, so pivot
-    column pivots[i] is 1 in row i and 0 in every other row."""
-    a = [[Fraction(x) for x in row] for row in rows]
+    """Fraction-free (Bareiss-Jordan) reduction over the integers of the
+    first `ncols` columns of the integer matrix `rows`; any further
+    columns ride along through the row operations. Pivots are taken
+    column by column from the first nonzero row, and elimination stops
+    once every row holds a pivot. Returns (rows, pivots, d): the reduced
+    integer rows, the list of pivot columns and the last pivot d (1 when
+    there is none). Pivot column pivots[i] is d in row i and 0 in every
+    other row, so the rows divided by d are the reduced row echelon
+    form. A non-integer entry raises TypeError."""
+    a = [[index(x) for x in row] for row in rows]
     m = len(a)
     pivots = []
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == m:
@@ -94,19 +101,20 @@ def _gauss_jordan(rows, ncols):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        p = a[r][c]
         for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i == r or (f == 0 and p == prev):
+                continue
+            # exact: every entry stays a minor of the input (Sylvester)
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[r])]
+        prev = p
         pivots.append(c)
-    return a, pivots
+    return a, pivots, prev
 
 
 def mat_rank(rows):
-    """Rank of a matrix with integer or rational entries, by exact
-    Gaussian elimination."""
+    """Rank of an integer matrix, by fraction-free elimination."""
     return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
@@ -114,14 +122,14 @@ def _integral_unimodular(m, rhs_rows):
     """Rows of the solution X of m X = R, R given by rows; ValueError
     when m is singular or X is not integral."""
     n = len(m)
-    a, pivots = _gauss_jordan(
+    a, pivots, d = _gauss_jordan(
         [list(row) + list(rhs) for row, rhs in zip(m, rhs_rows, strict=True)],
         n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    if any(x.denominator != 1 for row in a for x in row[n:]):
+    if any(x % d for row in a for x in row[n:]):
         raise ValueError("non-integral solution; matrix not unimodular")
-    return tuple(tuple(int(x) for x in row[n:]) for row in a)
+    return tuple(tuple(x // d for x in row[n:]) for row in a)
 
 
 def solve_unimodular(m, v):
@@ -137,34 +145,33 @@ def mat_inverse_unimodular(m):
 
 
 def solve_linear(rows, rhs):
-    """One exact solution of a consistent linear system (possibly
+    """One exact solution of a consistent integer linear system (possibly
     overdetermined); returns a list of Fractions, or None if the system
     is inconsistent. Free variables are set to zero."""
     n = len(rows[0]) if rows else 0
-    a, pivots = _gauss_jordan(
+    a, pivots, d = _gauss_jordan(
         [list(row) + [rhs[i]] for i, row in enumerate(rows)], n)
     if any(row[n] != 0 for row in a[len(pivots):]):
         return None
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = a[i][n]
+        x[c] = Fraction(a[i][n], d)
     return x
 
 
 def rational_nullspace(rows, n):
-    """Basis of {x in Q^n : rows . x = 0}, denominators cleared so every
-    basis vector is integral and primitive."""
-    a, pivots = _gauss_jordan(rows, n)
+    """Basis of {x in Q^n : rows . x = 0} for an integer matrix, as
+    integral primitive vectors, one per free column, each positive in
+    its free column."""
+    a, pivots, d = _gauss_jordan(rows, n)
+    sign = 1 if d > 0 else -1
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
+        x = [0] * n
+        x[fc] = d * sign
         for i, pc in enumerate(pivots):
-            x[pc] = -a[i][fc]
-        lcm = 1
-        for v in x:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        basis.append(vec_primitive(tuple(int(v * lcm) for v in x)))
+            x[pc] = -a[i][fc] * sign
+        basis.append(vec_primitive(tuple(x)))
     return basis
 
 
@@ -254,8 +261,9 @@ def poly_mul(p, q):
 
 
 def series_mul_trunc(a, b, m):
-    """Product of two polynomials with every term of degree > m dropped."""
-    out = [Fraction(0)] * (m + 1)
+    """Product of two polynomials with every term of degree > m dropped;
+    integer inputs give integer coefficients."""
+    out = [0] * (m + 1)
     for i, ca in enumerate(a):
         if i > m or ca == 0:
             continue

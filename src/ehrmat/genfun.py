@@ -132,32 +132,3 @@ def dilate(g, k):
                         t.bs)
              for t in g.terms]
     return GenFun(terms, g.n, g.dim)
-
-
-def half_open_contains(apex, rays, open_flags, point):
-    """Does the half-open cone contain the point? Decided by the exact
-    sign pattern of the (unique) ray coordinates of point - apex."""
-    rows = [[r[c] for r in rays] for c in range(len(point))]
-    sol = solve_linear(rows, vec_sub(point, apex))
-    if sol is None:
-        return False
-    for lam, is_open in zip(sol, open_flags):
-        if is_open and lam <= 0:
-            return False
-        if not is_open and lam < 0:
-            return False
-    return True
-
-
-def term_lattice_points_in_box(term, lo, hi):
-    """Lattice points of the term's half-open cone (at k = 1) inside the
-    box lo <= x <= hi, by direct scan; test oracle only."""
-    from itertools import product
-
-    n = len(term.a)
-    flags_folded = [False] * len(term.bs)  # openness already folded into a
-    pts = []
-    for x in product(*(range(lo[i], hi[i] + 1) for i in range(n))):
-        if half_open_contains(term.a, term.bs, flags_folded, x):
-            pts.append(x)
-    return pts

@@ -9,7 +9,7 @@ the c_n.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .exactmath import binomial, poly_trim, series_mul_trunc, vec_dot
 
@@ -29,22 +29,22 @@ def todd_c(m):
     return c
 
 
-def h_series(xi, m):
-    """Taylor polynomial of h(x*xi) through order m."""
-    c = todd_c(m)
-    return poly_trim(tuple(
-        Fraction(c[n] * xi ** n, factorial(n) * factorial(n + 1))
-        for n in range(m + 1)))
-
-
 def todd_series(xis, m):
     """All Todd coefficients td_0..td_m of prod_j h(x xi_j), by
-    successive truncated multiplications."""
-    acc = (Fraction(1),)
+    successive truncated multiplications. Each factor's coefficients
+    are scaled by L = m! (m+1)!, which makes them integers for integer
+    xi; the product is divided by L^s once at the end."""
+    c = todd_c(m)
+    scale = factorial(m) * factorial(m + 1)
+    b = [c[n] * scale // (factorial(n) * factorial(n + 1))
+         for n in range(m + 1)]
+    acc = (1,)
     for xi in xis:
-        acc = series_mul_trunc(acc, h_series(xi, m), m)
-    out = list(acc) + [Fraction(0)] * (m + 1 - len(acc))
-    return out[:m + 1]
+        acc = series_mul_trunc(
+            acc, tuple(bn * xi ** n for n, bn in enumerate(b)), m)
+    total = scale ** len(xis)
+    return ([Fraction(x, total) for x in acc]
+            + [Fraction(0)] * (m + 1 - len(acc)))
 
 
 def todd_eval(xis, m):
@@ -79,12 +79,8 @@ def weights(betas):
     if any(b == 0 for b in betas):
         raise ValueError("zero pairing")
     td = todd_series([-b for b in betas], s)
-    denom = Fraction(1)
-    for b in betas:
-        denom *= b
-    sign = (-1) ** s
-    return [sign * td[s - l] / (Fraction(factorial(l)) * denom)
-            for l in range(s + 1)]
+    denom = (-1) ** s * prod(betas)
+    return [td[s - l] / (factorial(l) * denom) for l in range(s + 1)]
 
 
 def _plan(g):

@@ -8,11 +8,19 @@
   `cones.placing_triangulation` and for `vertices._compute_adjacency`.
 - The pairwise O(4^n) rank-axiom checks, the reference for the local
   checks in `matroid`.
+- Half-open cone membership by exact ray coordinates, and the lattice
+  points of a generating-function term in a box, the references for
+  the half-open decomposition in `genfun`.
+- A Gauss-Jordan elimination on Fraction scalars with its rank, solve,
+  nullspace and unimodular-inverse adapters, the reference for the
+  fraction-free integer kernel in `exactmath`.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
-from ehrmat.exactmath import vec_sub
+from ehrmat.exactmath import mat_identity, solve_linear, vec_primitive, vec_sub
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -220,3 +228,107 @@ def _pairwise_monotone_submodular(subs, ranks):
                 return False, (f"submodularity fails on {sorted(x)},"
                                f" {sorted(y)}")
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# half-open cones
+
+def half_open_contains(apex, rays, open_flags, point):
+    """Does the half-open cone contain the point? Decided by the exact
+    sign pattern of the (unique) ray coordinates of point - apex."""
+    rows = [[r[c] for r in rays] for c in range(len(point))]
+    sol = solve_linear(rows, vec_sub(point, apex))
+    if sol is None:
+        return False
+    for lam, is_open in zip(sol, open_flags):
+        if is_open and lam <= 0:
+            return False
+        if not is_open and lam < 0:
+            return False
+    return True
+
+
+def term_lattice_points_in_box(term, lo, hi):
+    """Lattice points of the term's half-open cone (at k = 1) inside the
+    box lo <= x <= hi, by direct scan."""
+    n = len(term.a)
+    flags_folded = [False] * len(term.bs)  # openness already folded into a
+    pts = []
+    for x in product(*(range(lo[i], hi[i] + 1) for i in range(n))):
+        if half_open_contains(term.a, term.bs, flags_folded, x):
+            pts.append(x)
+    return pts
+
+
+# ---------------------------------------------------------------------------
+# Fraction Gauss-Jordan elimination
+
+def fraction_gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Q of the first `ncols` columns of
+    `rows`; any further columns ride along through the row operations.
+    Pivots are taken column by column from the first nonzero row, and
+    elimination stops once every row holds a pivot. Returns the reduced
+    rows (lists of Fractions) and the list of pivot columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    m = len(a)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def fraction_mat_rank(rows):
+    return len(fraction_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+
+
+def fraction_solve_linear(rows, rhs):
+    n = len(rows[0]) if rows else 0
+    a, pivots = fraction_gauss_jordan(
+        [list(row) + [rhs[i]] for i, row in enumerate(rows)], n)
+    if any(row[n] != 0 for row in a[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = a[i][n]
+    return x
+
+
+def fraction_rational_nullspace(rows, n):
+    a, pivots = fraction_gauss_jordan(rows, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        x = [Fraction(0)] * n
+        x[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            x[pc] = -a[i][fc]
+        lcm = 1
+        for v in x:
+            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        basis.append(vec_primitive(tuple(int(v * lcm) for v in x)))
+    return basis
+
+
+def fraction_mat_inverse_unimodular(m):
+    """Integral inverse of m; ValueError when m is singular or the
+    inverse is not integral."""
+    n = len(m)
+    a, pivots = fraction_gauss_jordan(
+        [list(row) + list(e) for row, e in zip(m, mat_identity(n))], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    if any(x.denominator != 1 for row in a for x in row[n:]):
+        raise ValueError("non-integral solution; matrix not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in a)

@@ -14,11 +14,11 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
+from oracles import half_open_contains
+
 from ehrmat import bruteforce, corpus, hstar, specialize
 from ehrmat.exactmath import det, poly_mul, series_mul_trunc
-from ehrmat.genfun import (
-    affine_lattice_basis, build_genfun, half_open_contains, to_working,
-)
+from ehrmat.genfun import affine_lattice_basis, build_genfun, to_working
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,

@@ -1,6 +1,8 @@
 import json
 from importlib.resources import files
 
+import pytest
+
 from ehrmat import bruteforce, cli
 
 
@@ -167,3 +169,30 @@ def test_all_bundled_documents_validate():
         parsed_name, spec = cli.load_document(str(data_dir.joinpath(name)))
         assert parsed_name == name[:-5]
         assert spec.n >= 1
+
+
+@pytest.mark.parametrize("doc", [
+    # an edge must be a pair of vertices
+    {"family": "bases", "kind": "graphic", "edges": [[1, 2, 3], [2, 3]]},
+    # no silent coercion of JSON numbers or strings
+    {"family": "bases", "kind": "uniform", "n": 6.7, "r": 3},
+    {"family": "bases", "kind": "uniform", "n": 6, "r": "3"},
+    {"family": "polymatroid", "kind": "table", "n": 2,
+     "values": [{"subset": [1], "value": 1}, {"subset": [2], "value": 1},
+                {"subset": [1, 2], "value": 2.9}]},
+    # a basis with a repeated element is not a set
+    {"family": "bases", "kind": "bases", "n": 3, "bases": [[1, 1, 2], [2, 3]]},
+    # a table subset outside the ground set
+    {"family": "polymatroid", "kind": "table", "n": 1,
+     "values": [{"subset": [2], "value": 1}]},
+    # a nonzero value on the empty set is not overwritten with 0
+    {"family": "polymatroid", "kind": "table", "n": 1,
+     "values": [{"subset": [], "value": 5}, {"subset": [1], "value": 1}]},
+], ids=["edge_triple", "float_n", "string_r", "float_value",
+        "repeated_basis_element", "table_subset_out_of_range",
+        "table_empty_set_nonzero"])
+def test_validation_rejects_malformed_values(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["ehrhart", str(path)]) == 2
+    assert "validation error" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from oracles import visible
+from oracles import half_open_contains, visible
 
 from ehrmat import corpus
 from ehrmat.cones import (
@@ -10,7 +10,6 @@ from ehrmat.cones import (
     placing_triangulation, tangent_cone, triangulate_cone,
 )
 from ehrmat.exactmath import vec_dot, vec_sub
-from ehrmat.genfun import half_open_contains
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, PolytopeSpec, enumerate_vertices,
@@ -93,15 +92,19 @@ def test_placing_interior_point_coverage():
     # random rational interior points land in at least one simplex, and
     # simplex interiors are disjoint
     from fractions import Fraction
+    from math import lcm
 
     from ehrmat.exactmath import solve_linear
     points = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
     tri = placing_triangulation(points)
 
     def bary(simplex, p):
+        # barycentrics times the common denominator of p: same signs,
+        # and an integer system for the integer kernel
+        den = lcm(*(x.denominator for x in p))
         rows = [[points[i][c] for i in simplex] for c in range(2)]
         rows.append([1] * len(simplex))
-        return solve_linear(rows, list(p) + [1])
+        return solve_linear(rows, [int(x * den) for x in p] + [den])
 
     queries = [(Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 2), Fraction(1)),
                (Fraction(1, 2), Fraction(7, 5)), (Fraction(1), Fraction(1, 7))]

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import oracles
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,7 +151,9 @@ def unimodular_matrices(draw):
 @given(unimodular_matrices())
 def test_unimodular_inverse_random(m):
     assert det(m) in (1, -1)
-    assert mat_mul(m, mat_inverse_unimodular(m)) == mat_identity(len(m))
+    inv = mat_inverse_unimodular(m)
+    assert mat_mul(m, inv) == mat_identity(len(m))
+    assert inv == oracles.fraction_mat_inverse_unimodular(m)
 
 
 def test_unimodular_inverse_rejects_det_2_and_singular():
@@ -166,3 +170,58 @@ def test_unimodular_inverse_rejects_det_2_and_singular():
 def test_full_rank_iff_nonzero_det(m):
     m = tuple(map(tuple, m))
     assert (mat_rank(m) == len(m)) == (det(m) != 0)
+
+
+@st.composite
+def integer_systems(draw):
+    """An m x n integer matrix (m, n <= 7) with some rows forced to be
+    integer combinations of earlier rows and some large entries, plus a
+    right-hand side, random or in the column space."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            row = [0] * n
+            for r in rows:
+                c = draw(st.integers(-2, 2))
+                row = [x + c * y for x, y in zip(row, r)]
+        else:
+            row = draw(st.lists(entries, min_size=n, max_size=n))
+        rows.append(row)
+    order = draw(st.permutations(range(m)))
+    rows = [tuple(rows[i]) for i in order]
+    if draw(st.booleans()):
+        rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    else:  # consistent by construction
+        x = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rhs = [vec_dot(row, x) for row in rows]
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_integer_kernel_matches_fraction_reference(system):
+    rows, rhs = system
+    n = len(rows[0])
+    assert mat_rank(rows) == oracles.fraction_mat_rank(rows)
+    assert solve_linear(rows, rhs) == oracles.fraction_solve_linear(rows, rhs)
+    assert (rational_nullspace(rows, n)
+            == oracles.fraction_rational_nullspace(rows, n))
+    k = min(len(rows), n)
+    square = tuple(row[:k] for row in rows[:k])
+    try:
+        want = oracles.fraction_mat_inverse_unimodular(square)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            mat_inverse_unimodular(square)
+    else:
+        assert mat_inverse_unimodular(square) == want
+
+
+def test_kernel_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        mat_rank([[1, Fraction(1, 2)], [0, 1]])
+    with pytest.raises(TypeError):
+        solve_linear([[1, 0], [0, 1]], [2.0, 1])

@@ -6,13 +6,14 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from oracles import half_open_contains, term_lattice_points_in_box
 
 import ehrmat
 from ehrmat import corpus, specialize
 from ehrmat.cones import HalfOpenSimplicialCone
 from ehrmat.genfun import (
-    GenFunTerm, affine_lattice_basis, build_genfun, dilate,
-    term_lattice_points_in_box, to_working, unimodular_term,
+    GenFunTerm, affine_lattice_basis, build_genfun, dilate, to_working,
+    unimodular_term,
 )
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec
@@ -94,7 +95,6 @@ def test_dilate_identity_and_composition():
 def test_k4_vertex_pieces_partition_tangent_cone():
     # the half-open pieces at one vertex cover each lattice point of
     # that vertex's tangent cone exactly once (box radius 2)
-    from ehrmat.genfun import half_open_contains
     spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
     g = build_genfun(spec)
     apex = tuple(1 if i in {1, 2, 3} else 0 for i in range(1, 7))

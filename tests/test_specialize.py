@@ -66,11 +66,14 @@ def test_todd_matches_series_division_oracle_fixed():
     assert todd_eval(xis, 2) == oracle[2]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 6), st.data())
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.data())
 def test_todd_matches_series_division_oracle(s, data):
-    xis = [data.draw(small_rats) for _ in range(s)]
-    m = data.draw(st.integers(0, 6))
+    # integer xi up to 128 in size: the pipeline's pairings beta reach
+    # 127 on 8-element matroids such as AG32
+    xi_values = st.one_of(small_rats, st.integers(-128, 128))
+    xis = [data.draw(xi_values) for _ in range(s)]
+    m = data.draw(st.integers(0, 8))
     oracle = (Fraction(1),)
     for xi in xis:
         oracle = series_mul_trunc(oracle, _h_oracle(xi, m), m)
