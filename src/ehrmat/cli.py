@@ -10,13 +10,15 @@ Commands:
 
 Input files are UTF-8 JSON matroid documents; subsets are sorted
 1-based integer arrays. Exit codes: 0 ok, 1 conjecture violation or
-verification mismatch, 2 validation error, 3 enumeration budget.
+verification mismatch, 2 validation error, 3 enumeration budget,
+4 internal error (a broken pipeline invariant).
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import bruteforce, genfun, hstar, specialize
 from .matroid import (
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONJECTURE = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 SCAN_GUARD_NMAX = 100
 
@@ -127,10 +130,14 @@ def cmd_ehrhart(args):
     name, spec = load_document(args.file)
     _, poly = pipeline_ehrhart(spec)
     dim = len(poly) - 1
+    volume = factorial(dim) * Fraction(poly[-1])
+    if volume.denominator != 1:
+        raise AssertionError(f"normalized volume {volume} is not an integer")
     out = {
         "name": name,
         "coefficients": [_frac_str(c) for c in poly],
         "volumeNormalized": _frac_str(poly[-1]),
+        "normalizedVolume": volume.numerator,
         "dim": dim,
     }
     print(json.dumps(out))
@@ -272,6 +279,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -154,23 +154,17 @@ def facet_normals_unimodular(rays):
     return [tuple(-x for x in row) for row in inv]
 
 
-def pick_generic_y(normals, rays=None):
-    """A rational vector pairing nonzero with every normal.
-
-    Scans the moment curve (1, xi, ..., xi^(N-1)) for xi = 1, 2, ...
-    With `rays` given, scans positive combinations sum xi^(i-1) * r_i
-    instead, which stays interior to the cone spanned by the rays.
+def pick_generic_y(normals, rays):
+    """A vector pairing nonzero with every normal: the first positive
+    combination sum xi^(i-1) * r_i of the rays, xi = 1, 2, ..., that
+    does so; it stays interior to the cone spanned by the rays.
     """
     if any(all(x == 0 for x in nrm) for nrm in normals):
         raise ValueError("zero normal")
     xi = 1
     while True:
-        if rays is None:
-            dim = len(normals[0])
-            y = tuple(xi ** i for i in range(dim))
-        else:
-            y = tuple(sum(xi ** i * r[c] for i, r in enumerate(rays))
-                      for c in range(len(rays[0])))
+        y = tuple(sum(xi ** i * r[c] for i, r in enumerate(rays))
+                  for c in range(len(rays[0])))
         if all(vec_dot(nrm, y) != 0 for nrm in normals):
             return y
         xi += 1

@@ -159,73 +159,6 @@ def solve_linear(rows, rhs):
     return x
 
 
-def rational_nullspace(rows, n):
-    """Basis of {x in Q^n : rows . x = 0} for an integer matrix, as
-    integral primitive vectors, one per free column, each positive in
-    its free column."""
-    a, pivots, d = _gauss_jordan(rows, n)
-    sign = 1 if d > 0 else -1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        x = [0] * n
-        x[fc] = d * sign
-        for i, pc in enumerate(pivots):
-            x[pc] = -a[i][fc] * sign
-        basis.append(vec_primitive(tuple(x)))
-    return basis
-
-
-def integer_kernel(rows, n):
-    """Basis of the saturated integer kernel {x in Z^n : A x = 0} for an
-    integer matrix given by `rows`, via column-style Hermite reduction
-    with a tracked unimodular transform. Returns a list of integer
-    vectors forming a lattice basis of the kernel."""
-    a = [list(row) for row in rows]
-    u = [list(r) for r in mat_identity(n)]  # columns of U track column ops on A
-    m = len(a)
-    # column elimination: bring A*U to column echelon form
-    row = 0
-    col = 0
-    while row < m and col < n:
-        # find a column >= col with nonzero entry in this row
-        piv = next((j for j in range(col, n) if a[row][j] != 0), None)
-        if piv is None:
-            row += 1
-            continue
-        _swap_cols(a, u, col, piv)
-        # gcd-reduce the remaining columns against column `col`
-        for j in range(col + 1, n):
-            while a[row][j] != 0:
-                q = a[row][j] // a[row][col]
-                _add_col(a, u, j, col, -q)
-                if a[row][j] != 0:
-                    _swap_cols(a, u, col, j)
-        row += 1
-        col += 1
-    # kernel basis: columns of U where the reduced A column is zero
-    basis = []
-    for j in range(n):
-        if all(a[i][j] == 0 for i in range(m)):
-            basis.append(tuple(u[i][j] for i in range(n)))
-    return basis
-
-
-def _swap_cols(a, u, j1, j2):
-    if j1 == j2:
-        return
-    for r in a:
-        r[j1], r[j2] = r[j2], r[j1]
-    for r in u:
-        r[j1], r[j2] = r[j2], r[j1]
-
-
-def _add_col(a, u, j, src, c):
-    for r in a:
-        r[j] += c * r[src]
-    for r in u:
-        r[j] += c * r[src]
-
-
 # ---------------------------------------------------------------------------
 # polynomials (ascending coefficient tuples)
 

@@ -6,7 +6,11 @@ tangent cones, and the parametric dilation form
 
 Exponent vectors live in the ambient Z^n; the number of denominator
 factors per term is the polytope dimension N, because all cone work is
-done in a lattice basis of the polytope's affine hull.
+done in a lattice basis of the polytope's affine hull. That basis is
+the reduced row echelon form of the vertex differences: for matroid and
+polymatroid polytopes every edge direction is +-(e_a - e_b) or +-e_a, so
+the echelon rows are integral, and a lattice vector's working
+coordinates are simply its entries in the pivot columns.
 """
 
 from .cones import (
@@ -14,10 +18,7 @@ from .cones import (
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
     tangent_cone, triangulate_cone,
 )
-from .exactmath import (
-    integer_kernel, mat_identity, rational_nullspace, solve_linear, vec_add,
-    vec_sub,
-)
+from .exactmath import _gauss_jordan, vec_add, vec_sub
 from .vertices import enumerate_vertices
 
 
@@ -54,29 +55,29 @@ def unimodular_term(cone):
 
 
 def affine_lattice_basis(vertices):
-    """Basis of the saturated lattice span{v_i - v_0} intersect Z^n,
-    as a list of integer vectors."""
-    n = len(vertices[0])
+    """Basis of the saturated lattice span{v_i - v_0} intersect Z^n: the
+    reduced row echelon rows of the differences, as integer vectors.
+    ValueError when an echelon row is not integral, i.e. when reading
+    the pivot coordinates is not a lattice isomorphism."""
     diffs = [vec_sub(v, vertices[0]) for v in vertices[1:]]
-    diffs = [d for d in diffs if any(x != 0 for x in d)]
-    if not diffs:
-        return []
-    normals = rational_nullspace(diffs, n)
-    if not normals:
-        return list(mat_identity(n))
-    return integer_kernel(normals, n)
+    a, pivots, d = _gauss_jordan(diffs, len(vertices[0]))
+    rows = a[:len(pivots)]
+    if any(x % d for row in rows for x in row):
+        raise ValueError("affine hull has a non-integral echelon basis")
+    return [tuple(x // d for x in row) for row in rows]
 
 
 def to_working(basis, vec):
-    """Coordinates of an ambient lattice vector in the affine-hull
-    lattice basis; integral by saturation."""
-    rows = [[b[c] for b in basis] for c in range(len(vec))]
-    sol = solve_linear(rows, vec)
-    if sol is None:
-        raise ValueError("vector outside the affine hull")
-    if any(x.denominator != 1 for x in sol):
-        raise ValueError("lattice basis is not saturated")
-    return tuple(int(x) for x in sol)
+    """Coordinates of an ambient lattice vector in an echelon lattice
+    basis: its entries in the pivot columns (each row's first nonzero
+    entry), checked by rebuilding the vector."""
+    x = tuple(vec[next(c for c, y in enumerate(b) if y)] for b in basis)
+    rebuilt = tuple(sum(xi * b[c] for xi, b in zip(x, basis))
+                    for c in range(len(vec)))
+    if rebuilt != tuple(vec):
+        raise ValueError("vector outside the affine hull, or lattice basis"
+                         " is not saturated")
+    return x
 
 
 def build_genfun(spec):

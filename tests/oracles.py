@@ -11,16 +11,16 @@
 - Half-open cone membership by exact ray coordinates, and the lattice
   points of a generating-function term in a box, the references for
   the half-open decomposition in `genfun`.
-- A Gauss-Jordan elimination on Fraction scalars with its rank, solve,
-  nullspace and unimodular-inverse adapters, the reference for the
-  fraction-free integer kernel in `exactmath`.
+- A Gauss-Jordan elimination on Fraction scalars with its rank, solve
+  and unimodular-inverse adapters, the reference for the fraction-free
+  integer kernel in `exactmath` and for the echelon lattice basis in
+  `genfun`.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
-from ehrmat.exactmath import mat_identity, solve_linear, vec_primitive, vec_sub
+from ehrmat.exactmath import mat_identity, solve_linear, vec_sub
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -304,21 +304,6 @@ def fraction_solve_linear(rows, rhs):
     for i, c in enumerate(pivots):
         x[c] = a[i][n]
     return x
-
-
-def fraction_rational_nullspace(rows, n):
-    a, pivots = fraction_gauss_jordan(rows, n)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            x[pc] = -a[i][fc]
-        lcm = 1
-        for v in x:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        basis.append(vec_primitive(tuple(int(v * lcm) for v in x)))
-    return basis
 
 
 def fraction_mat_inverse_unimodular(m):

@@ -1,9 +1,10 @@
+import hashlib
 import json
 from importlib.resources import files
 
 import pytest
 
-from ehrmat import bruteforce, cli
+from ehrmat import bruteforce, cli, specialize
 
 
 def data_path(name):
@@ -22,6 +23,8 @@ def test_ehrhart_k4(capsys):
     assert doc["coefficients"] == ["1", "107/30", "21/4", "49/12",
                                    "7/4", "7/20"]
     assert doc["volumeNormalized"] == "7/20"
+    # 5! * 7/20, the sum of the h*-vector (1, 10, 20, 10, 1)
+    assert doc["normalizedVolume"] == 42
     assert doc["dim"] == 5
 
 
@@ -83,6 +86,51 @@ def test_genfun_segment_and_k4(capsys):
     assert doc["termCount"] == len(doc["terms"])
     assert all(any(x != 0 for x in b) for t in doc["terms"] for b in t["b"])
     assert doc["dim"] == 5 and doc["n"] == 6
+
+
+# SHA-256 of `ehrmat genfun` stdout, trailing newline included. The
+# working lattice basis is internal: the terms, their order and their
+# open flags are invariant under a unimodular change of that basis, so
+# no choice of basis may change a byte of this output.
+GENFUN_SHA256 = {
+    "K4": "7d01696136e742e1dbdbe875440d8cbe151bd711d2f7be74dc6959ac243c20b3",
+    "W3_whirl":
+        "f7797a39693b06e0dc31efc8fa02acbff960c816fad7116022d1e24161abdcb3",
+    "U24_independence":
+        "3b9185251d51dd9f66823d3cf15466bb1bcf000f60b0db623f785a0ebf8804b8",
+    "double_rank_table":
+        "186a06219a470df6087c551e19889fecea15478147ec9c6bdc4535f23ce2b00e",
+    "U21_plus_U31":
+        "218aa452cf58303ff29aabb633e4383a4a0eb7d0ac94cbae79178d605160f774",
+    "loop_table":
+        "acfacfe9b258e3b687ad5322d1ce84895e6b50c64d66a77dfb3b45aeca7a0d97",
+}
+
+INLINE_DOCS = {
+    # disconnected, so the polytope has dimension n - 2
+    "U21_plus_U31": {
+        "name": "U21_plus_U31", "family": "bases", "kind": "bases", "n": 5,
+        "bases": [[1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [2, 5]]},
+    # element 1 is a loop
+    "loop_table": {
+        "name": "loop_table", "family": "polymatroid", "kind": "table",
+        "n": 3, "values": [
+            {"subset": s, "value": v} for s, v in [
+                ([1], 0), ([2], 2), ([3], 1), ([1, 2], 2), ([1, 3], 1),
+                ([2, 3], 2), ([1, 2, 3], 2)]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENFUN_SHA256))
+def test_genfun_output_pinned(name, tmp_path, capsys):
+    if name in INLINE_DOCS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(INLINE_DOCS[name]))
+    else:
+        path = data_path(name)
+    code, out = run(capsys, "genfun", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENFUN_SHA256[name]
 
 
 def test_scan_uniform_grid(capsys):
@@ -158,6 +206,19 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(doc))
     code, _ = run(capsys, "ehrhart", str(path))
     assert code == 3
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a broken pipeline invariant is neither a verdict (1) nor bad input
+    def broken(g):
+        raise AssertionError("constant term is not 1")
+
+    monkeypatch.setattr(specialize, "ehrhart_polynomial", broken)
+    code = cli.main(["ehrhart", data_path("K4")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: constant term is not 1\n"
 
 
 def test_all_bundled_documents_validate():

@@ -154,11 +154,13 @@ def test_facet_normals():
 
 
 def test_pick_generic_y_examples():
-    assert pick_generic_y([(1, 0)]) == (1, 1)
+    # y = e1 + xi e2 over the unit rays
+    units = [(1, 0), (0, 1)]
+    assert pick_generic_y([(1, 0)], rays=units) == (1, 1)
     # e1 - e2 kills xi = 1; xi = 2 works
-    assert pick_generic_y([(1, -1)]) == (1, 2)
+    assert pick_generic_y([(1, -1)], rays=units) == (1, 2)
     with pytest.raises(ValueError):
-        pick_generic_y([(0, 0)])
+        pick_generic_y([(0, 0)], rays=units)
 
 
 def test_pick_generic_y_interior_to_rays():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrmat.exactmath import (
-    binomial, det, integer_kernel, mat_identity, mat_inverse_unimodular,
-    mat_mul, mat_rank, poly_eval, poly_interpolate, poly_trim,
-    rational_nullspace, series_mul_trunc, solve_linear, vec_dot,
+    binomial, det, mat_identity, mat_inverse_unimodular, mat_mul, mat_rank,
+    poly_eval, poly_interpolate, poly_trim, series_mul_trunc, solve_linear,
+    vec_dot,
 )
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -102,25 +102,6 @@ def test_solve_linear_consistent_overdetermined():
     assert solve_linear(rows, [2, 3, 6]) is None
 
 
-def test_integer_kernel_is_saturated():
-    # kernel of x + y + z = 0 inside Z^3
-    basis = integer_kernel([(1, 1, 1)], 3)
-    assert len(basis) == 2
-    for v in basis:
-        assert sum(v) == 0
-    # (1,-1,0) must be an integer combination of the basis
-    sol = solve_linear([[b[c] for b in basis] for c in range(3)], (1, -1, 0))
-    assert sol is not None and all(x.denominator == 1 for x in sol)
-
-
-def test_rational_nullspace_orthogonal():
-    rows = [(1, 2, 3), (0, 1, 1)]
-    for v in rational_nullspace(rows, 3):
-        assert vec_dot(rows[0], v) == 0
-        assert vec_dot(rows[1], v) == 0
-    assert mat_rank(rows + rational_nullspace(rows, 3)) == 3
-
-
 def test_unimodular_inverse():
     m = ((1, 2), (1, 3))
     inv = mat_inverse_unimodular(m)
@@ -204,12 +185,9 @@ def integer_systems(draw):
 @given(integer_systems())
 def test_integer_kernel_matches_fraction_reference(system):
     rows, rhs = system
-    n = len(rows[0])
     assert mat_rank(rows) == oracles.fraction_mat_rank(rows)
     assert solve_linear(rows, rhs) == oracles.fraction_solve_linear(rows, rhs)
-    assert (rational_nullspace(rows, n)
-            == oracles.fraction_rational_nullspace(rows, n))
-    k = min(len(rows), n)
+    k = min(len(rows), len(rows[0]))
     square = tuple(row[:k] for row in rows[:k])
     try:
         want = oracles.fraction_mat_inverse_unimodular(square)

@@ -6,11 +6,16 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from oracles import half_open_contains, term_lattice_points_in_box
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    fraction_gauss_jordan, half_open_contains, term_lattice_points_in_box,
+)
 
 import ehrmat
 from ehrmat import corpus, specialize
 from ehrmat.cones import HalfOpenSimplicialCone
+from ehrmat.exactmath import mat_rank, vec_sub
 from ehrmat.genfun import (
     GenFunTerm, affine_lattice_basis, build_genfun, dilate, to_working,
     unimodular_term,
@@ -61,6 +66,35 @@ def test_affine_lattice_basis_full_dim():
 
 def test_affine_lattice_basis_point():
     assert affine_lattice_basis([(1, 1)]) == []
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 7 points in Z^n, n <= 5: 0/1 points or small entries."""
+    n = draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([st.integers(0, 1), st.integers(-2, 2)]))
+    return draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_affine_lattice_basis_matches_fraction_echelon(points):
+    diffs = [vec_sub(p, points[0]) for p in points[1:]]
+    rref, pivots = fraction_gauss_jordan(diffs, len(points[0]))
+    rref = rref[:len(pivots)]
+    if any(x.denominator != 1 for row in rref for x in row):
+        with pytest.raises(ValueError, match="non-integral"):
+            affine_lattice_basis(points)
+        return
+    basis = affine_lattice_basis(points)
+    assert basis == [tuple(int(x) for x in row) for row in rref]
+    assert len(basis) == mat_rank(diffs)
+    for i, c in enumerate(pivots):
+        assert [b[c] for b in basis] == [int(j == i) for j in range(len(basis))]
+    for d in diffs:
+        x = to_working(basis, d)
+        assert tuple(sum(xi * b[c] for xi, b in zip(x, basis))
+                     for c in range(len(d))) == d
 
 
 def test_segment_genfun():
