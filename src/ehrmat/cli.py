@@ -159,8 +159,10 @@ def cmd_hstar(args):
 
 
 def cmd_verify(args):
+    if args.kmax < 0:
+        raise ValidationError(f"--kmax must be >= 0, got {args.kmax}")
     name, spec = load_document(args.file)
-    _, poly = pipeline_ehrhart(spec)
+    g, poly = pipeline_ehrhart(spec)
     oracle = bruteforce.ehrhart_by_interpolation(spec)
     match = poly == oracle
     first_diff = None
@@ -172,7 +174,6 @@ def cmd_verify(args):
                 first_diff = i
                 break
     counts = []
-    g = genfun.build_genfun(spec)
     for k in range(1, args.kmax + 1):
         pk = specialize.count(genfun.dilate(g, k))
         bk = bruteforce.count_direct(spec, k)
@@ -211,6 +212,9 @@ def cmd_genfun(args):
 
 
 def cmd_scan_uniform(args):
+    if args.nmax < 2 or args.rmax < 1:
+        raise ValidationError(f"need --nmax >= 2 and --rmax >= 1, got"
+                              f" --nmax {args.nmax} --rmax {args.rmax}")
     if args.nmax > SCAN_GUARD_NMAX:
         raise BudgetExceeded(f"scan guard: nmax={args.nmax} exceeds 100")
     rows = []

@@ -4,11 +4,18 @@ conjecture predicates (h*-unimodality, Ehrhart coefficient positivity).
 The Katzman coefficients A_i^{n,r} are the coefficients of
 (1 + T + ... + T^(r-1))^n; they admit a dimension recurrence, a rank
 recurrence and a multinomial formula, implemented separately so the
-three routes can cross-check each other.
+three routes can cross-check each other. The dimension recurrence is
+the polynomial identity A^{n} = A^{n-1} (1 - T^r) / (1 - T), one
+difference pass and one running sum per row.
+
+The uniform h*-vector is Katzman's closed triple sum. Its innermost
+sum is multiplication by (1 - x)^j, so `uniform_hstar` evaluates it by
+Horner's rule in (1 - x) over strided Katzman rows, in O(r^2 n)
+integer operations per (n, r).
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, zip_longest
 from math import factorial
 
 from .exactmath import binomial, poly_eval, poly_mul, poly_trim
@@ -48,8 +55,9 @@ def katzman(n, r):
     """A^{n,r} by the dimension recurrence
     A_i^{n,r} = sum_{k=i-r+1}^{i} A_k^{n-1,r}, out-of-range terms 0.
 
-    The window sums are taken from running prefix sums, and every
-    intermediate row is cached, so grid scans pay for each row once.
+    As polynomials in T this is A^{n} = A^{n-1} (1 - T^r) / (1 - T): each
+    row is the running sum of the differences A_i^{n-1} - A_{i-r}^{n-1}.
+    Every intermediate row is cached, so grid scans pay for each row once.
     """
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
@@ -62,16 +70,9 @@ def katzman(n, r):
         start -= 1
     row = _KATZMAN_CACHE[(start, r)]
     for nn in range(start + 1, n + 1):
-        prefix = [0]
-        for x in row:
-            prefix.append(prefix[-1] + x)
-        prev_top = len(row) - 1
-        new = []
-        for i in range(nn * (r - 1) + 1):
-            lo = max(0, i - r + 1)
-            hi = min(i, prev_top)
-            new.append(prefix[hi + 1] - prefix[lo])
-        row = tuple(new)
+        padded = row + (0,) * (r - 1)
+        row = tuple(accumulate(
+            a - b for a, b in zip(padded, (0,) * r + padded)))
         _KATZMAN_CACHE[(nn, r)] = row
     return row
 
@@ -157,25 +158,32 @@ def uniform_ehrhart(n, r):
 
 def uniform_hstar(n, r):
     """h*-vector of the uniform bases polytope by the closed triple sum
-    over Katzman coefficients; entries l = 0..n-1 (dimension n-1)."""
+    over Katzman coefficients; entries l = 0..n-1 (dimension n-1).
+
+    The innermost sum, over k with weight (-1)^k C(j,k), is the
+    multiplication by (1 - x)^j, so the triple sum reads
+
+        h*(x) = sum_{s<r} (-1)^s C(n,s)
+                sum_{j<=s} (-1)^j C(s,j) (1 - x)^j a_{n-j,r-s}(x)  mod x^n
+
+    with the strided Katzman row a_{nn,rr}(x) = sum_m A_{m rr}^{nn,rr} x^m.
+    For each s the sum over j is taken by Horner's rule in (1 - x): one
+    difference pass and one row addition per j, O(r^2 n) per (n, r).
+    """
     if not (1 <= r <= n):
         raise ValueError("need 1 <= r <= n")
     out = [0] * n
     for s in range(r):
+        rr = r - s
+        acc = []
+        for j in range(s, -1, -1):
+            # acc <- (1 - x) acc + (-1)^j C(s,j) a_{n-j,rr}, mod x^n
+            acc = [a - b for a, b in zip(acc + [0], [0] + acc)][:n]
+            c = (-1) ** j * binomial(s, j)
+            acc = [a + c * v for a, v in zip_longest(
+                acc, katzman(n - j, rr)[::rr], fillvalue=0)]
         cs = (-1) ** s * binomial(n, s)
-        for j in range(s + 1):
-            nn, rr = n - j, r - s
-            if nn < 1 or rr < 1:
-                continue
-            vec = katzman(nn, rr)
-            cj = cs * (-1) ** j * binomial(s, j)
-            for k in range(j + 1):
-                c = cj * (-1) ** k * binomial(j, k)
-                for l in range(k, n):
-                    idx = (l - k) * rr
-                    if idx >= len(vec):
-                        break
-                    out[l] += c * vec[idx]
+        out = [o + cs * a for o, a in zip_longest(out, acc, fillvalue=0)]
     return tuple(out)
 
 

@@ -9,6 +9,7 @@ the c_n.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 
 from .exactmath import binomial, poly_trim, series_mul_trunc, vec_dot
@@ -29,15 +30,22 @@ def todd_c(m):
     return c
 
 
+@cache
+def _todd_scaled(m):
+    """L = m! (m+1)! and the integers L b_0, ..., L b_m; each order is
+    computed once, because weights asks for only a few orders per run."""
+    c = todd_c(m)
+    scale = factorial(m) * factorial(m + 1)
+    return scale, tuple(c[n] * scale // (factorial(n) * factorial(n + 1))
+                        for n in range(m + 1))
+
+
 def todd_series(xis, m):
     """All Todd coefficients td_0..td_m of prod_j h(x xi_j), by
     successive truncated multiplications. Each factor's coefficients
     are scaled by L = m! (m+1)!, which makes them integers for integer
     xi; the product is divided by L^s once at the end."""
-    c = todd_c(m)
-    scale = factorial(m) * factorial(m + 1)
-    b = [c[n] * scale // (factorial(n) * factorial(n + 1))
-         for n in range(m + 1)]
+    scale, b = _todd_scaled(m)
     acc = (1,)
     for xi in xis:
         acc = series_mul_trunc(

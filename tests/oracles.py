@@ -15,12 +15,15 @@
   and unimodular-inverse adapters, the reference for the fraction-free
   integer kernel in `exactmath` and for the echelon lattice basis in
   `genfun`.
+- The uniform h*-vector as the four-deep loop over the Katzman triple
+  sum, the reference for the Horner evaluation in `hstar.uniform_hstar`.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from ehrmat.exactmath import mat_identity, solve_linear, vec_sub
+from ehrmat.exactmath import binomial, mat_identity, solve_linear, vec_sub
+from ehrmat.hstar import katzman
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -317,3 +320,31 @@ def fraction_mat_inverse_unimodular(m):
     if any(x.denominator != 1 for row in a for x in row[n:]):
         raise ValueError("non-integral solution; matrix not unimodular")
     return tuple(tuple(int(x) for x in row[n:]) for row in a)
+
+
+# ---------------------------------------------------------------------------
+# uniform h*-vector by the literal triple sum
+
+def uniform_hstar_triple_sum(n, r):
+    """h*-vector of the uniform bases polytope, term by term:
+    h*_l = sum_s sum_j sum_k (-1)^(s+j+k) C(n,s) C(s,j) C(j,k)
+           A^{n-j,r-s}_{(l-k)(r-s)}, entries l = 0..n-1."""
+    if not (1 <= r <= n):
+        raise ValueError("need 1 <= r <= n")
+    out = [0] * n
+    for s in range(r):
+        cs = (-1) ** s * binomial(n, s)
+        for j in range(s + 1):
+            nn, rr = n - j, r - s
+            if nn < 1 or rr < 1:
+                continue
+            vec = katzman(nn, rr)
+            cj = cs * (-1) ** j * binomial(s, j)
+            for k in range(j + 1):
+                c = cj * (-1) ** k * binomial(j, k)
+                for l in range(k, n):
+                    idx = (l - k) * rr
+                    if idx >= len(vec):
+                        break
+                    out[l] += c * vec[idx]
+    return tuple(out)

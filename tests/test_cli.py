@@ -4,7 +4,7 @@ from importlib.resources import files
 
 import pytest
 
-from ehrmat import bruteforce, cli, specialize
+from ehrmat import bruteforce, cli, genfun, specialize
 
 
 def data_path(name):
@@ -71,6 +71,22 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["match"] is False
     assert doc["firstDifferingCoefficient"] == 1
+
+
+def test_verify_builds_genfun_once(capsys, monkeypatch):
+    # the dilation counts reuse the pipeline's generating function
+    real = genfun.build_genfun
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(genfun, "build_genfun", counted)
+    code, _ = run(capsys, "verify", data_path("U24_independence"),
+                  "--kmax", "2")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_polymatroid_table(capsys):
@@ -249,11 +265,24 @@ def test_all_bundled_documents_validate():
     # a nonzero value on the empty set is not overwritten with 0
     {"family": "polymatroid", "kind": "table", "n": 1,
      "values": [{"subset": [], "value": 5}, {"subset": [1], "value": 1}]},
+    # a command line (not a document) whose range would make the scan or
+    # the check vacuous
+    ["scan-uniform", "--nmax", "-3"],
+    ["scan-uniform", "--nmax", "1"],
+    ["scan-uniform", "--nmax", "4", "--rmax", "0"],
+    ["verify", data_path("K4"), "--kmax", "-1"],
 ], ids=["edge_triple", "float_n", "string_r", "float_value",
         "repeated_basis_element", "table_subset_out_of_range",
-        "table_empty_set_nonzero"])
+        "table_empty_set_nonzero", "scan_nmax_negative", "scan_nmax_one",
+        "scan_rmax_zero", "verify_kmax_negative"])
 def test_validation_rejects_malformed_values(tmp_path, capsys, doc):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["ehrhart", str(path)]) == 2
-    assert "validation error" in capsys.readouterr().err
+    if isinstance(doc, dict):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["ehrhart", str(path)]
+    else:
+        argv = doc
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error" in captured.err

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ehrmat.exactmath import binomial, poly_eval
+from ehrmat import hstar
+from ehrmat.exactmath import binomial, poly_eval, poly_mul
 from ehrmat.hstar import (
     conjecture_report, ehrhart_to_hstar, hstar_rank2, hstar_rank3,
     hstar_sum_identity, is_symmetric, is_unimodal, katzman,
@@ -10,6 +11,7 @@ from ehrmat.hstar import (
     trim_trailing_zeros, uniform_conjecture_report, uniform_ehrhart,
     uniform_hstar,
 )
+from oracles import uniform_hstar_triple_sum
 
 K4_EHRHART = tuple(Fraction(x) for x in
                    ("1", "107/30", "21/4", "49/12", "7/4", "7/20"))
@@ -50,6 +52,16 @@ def test_katzman_rank2_is_binomials():
 def test_katzman_small_cases():
     assert katzman(2, 3) == (1, 2, 3, 2, 1)
     assert katzman(5, 1) == (1,)
+
+
+def test_katzman_equals_power_of_geometric_sum(monkeypatch):
+    # an empty cache makes every row come from the recurrence
+    monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
+    for r in range(1, 9):
+        power = (1,)
+        for n in range(1, 16):
+            power = poly_mul(power, (1,) * r)
+            assert katzman(n, r) == power, (n, r)
 
 
 def test_katzman_three_routes_agree_small():
@@ -104,6 +116,12 @@ def test_uniform_hstar_matches_transform_small():
         for r in range(1, n):
             p = uniform_ehrhart(n, r)
             assert uniform_hstar(n, r) == ehrhart_to_hstar(p, n - 1)
+
+
+def test_uniform_hstar_equals_literal_triple_sum():
+    for n in range(1, 31):
+        for r in range(1, n + 1):
+            assert uniform_hstar(n, r) == uniform_hstar_triple_sum(n, r), (n, r)
 
 
 def test_rank2_closed_form_matches_triple_sum():
