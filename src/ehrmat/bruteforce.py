@@ -27,16 +27,10 @@ def count_direct(spec, k):
         return 1
     if k < 0:
         raise ValueError("dilation must be >= 0")
-    f = spec.f
-    bound = [None] * (n + 1)
     # bound[d] holds k*f(A u {d+1}) for every subset A of {1..d},
-    # indexed by bitmask of A
-    for d in range(n):
-        vals = np.empty(1 << d, dtype=np.int64)
-        for mask in range(1 << d):
-            a = frozenset([d + 1] + [i + 1 for i in range(d) if mask >> i & 1])
-            vals[mask] = k * f.rank(a)
-        bound[d] = vals
+    # indexed by bitmask of A: the masks 2^d..2^(d+1)-1 of f's table
+    bound = [k * np.array(spec.f.values[1 << d:2 << d], dtype=np.int64)
+             for d in range(n)]
     is_bases = spec.family == BASES_POLYTOPE
     target = k * spec.r if is_bases else None
     # largest possible contribution of coordinates d+1..n

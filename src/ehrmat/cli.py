@@ -22,7 +22,7 @@ from math import factorial
 
 from . import bruteforce, genfun, hstar, specialize
 from .matroid import (
-    BudgetExceeded, RankFunction, check_matroid_axioms,
+    BudgetExceeded, RankFunction, ValidationError, check_matroid_axioms,
     check_polymatroid_axioms,
 )
 from .vertices import (
@@ -36,10 +36,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 SCAN_GUARD_NMAX = 100
-
-
-class ValidationError(Exception):
-    pass
 
 
 def load_document(path):
@@ -101,7 +97,7 @@ def parse_document(doc):
             f = RankFunction.from_table(n, table)
         else:
             raise ValidationError(f"unknown kind {kind!r}")
-    except ValidationError:
+    except (ValidationError, BudgetExceeded):
         raise
     except Exception as exc:
         raise ValidationError(f"malformed document: {exc}") from exc

@@ -39,6 +39,8 @@ class GenFun:
         self.terms = terms
         self.n = n
         self.dim = dim
+        # lambda and the per-term weights, filled in by specialize
+        self.plan = None
 
 
 def unimodular_term(cone):
@@ -122,7 +124,8 @@ def _vertex_terms(vs, i, basis):
 
 def dilate(g, k):
     """Generating function of the k-th dilation: numerator exponent
-    a + (k-1)v per term, denominators unchanged."""
+    a + (k-1)v per term, denominators unchanged, so g's specialization
+    plan, if made, is shared."""
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
     if k == 1:
@@ -132,4 +135,6 @@ def dilate(g, k):
                         tuple(k * x for x in t.v),
                         t.bs)
              for t in g.terms]
-    return GenFun(terms, g.n, g.dim)
+    out = GenFun(terms, g.n, g.dim)
+    out.plan = g.plan
+    return out

@@ -1,18 +1,19 @@
 """Rank-function oracles: uniform, graphic, explicit-bases, and
 tabulated polymatroid, plus axiom validation, duality and direct sums.
 
-Ground sets are [n] = {1, ..., n}; subsets are passed around as
-frozensets of 1-based labels.
+Ground sets are [n] = {1, ..., n}. A rank function is held as the table
+`values` of its 2^n values, indexed by bitmask: bit i-1 of a mask stands
+for element i, so values[0] is f(empty) and values[-1] is f([n]). Each
+constructor fills the table once; every consumer indexes it by mask.
 """
 
 import os
 
-UNIFORM = "uniform"
-GRAPHIC = "graphic"
-BASES = "bases"
-TABLE = "table"
+TABLE_GUARD_N = 20
 
-AXIOM_GUARD_N = 20
+
+class ValidationError(Exception):
+    """Input from outside the program is malformed."""
 
 
 class BudgetExceeded(Exception):
@@ -22,20 +23,36 @@ class BudgetExceeded(Exception):
 def guard_n(n, default_limit, what):
     """Raise BudgetExceeded when n exceeds the guard. EHRMAT_BUDGET, if
     set, overrides the default limit (it is the largest ground-set size
-    the enumeration guards accept)."""
+    the enumeration guards accept); a value that is not an integer is a
+    ValidationError."""
     override = os.environ.get("EHRMAT_BUDGET")
-    limit = int(override) if override else default_limit
+    try:
+        limit = int(override) if override else default_limit
+    except ValueError:
+        raise ValidationError(f"EHRMAT_BUDGET must be an integer,"
+                              f" got {override!r}") from None
     if n > limit:
         raise BudgetExceeded(f"{what} guard: n={n} exceeds limit {limit}")
 
 
-class RankFunction:
-    """Immutable rank oracle over subsets of {1, ..., n}."""
+def _mask(subset, n):
+    mask = 0
+    for e in subset:
+        if e not in range(1, n + 1):
+            raise ValueError("element out of range")
+        mask |= 1 << (e - 1)
+    return mask
 
-    def __init__(self, n, kind, data, is_matroid):
+
+class RankFunction:
+    """Immutable rank oracle over subsets of {1, ..., n}: `values[mask]`
+    is the rank of the subset with bitmask `mask`, computed at
+    construction by `rank_of(mask)` for every mask."""
+
+    def __init__(self, n, rank_of, is_matroid):
+        guard_n(n, TABLE_GUARD_N, "rank table")
         self.n = n
-        self.kind = kind
-        self.data = data
+        self.values = tuple(map(rank_of, range(1 << n)))
         self.is_matroid = is_matroid
 
     # -- constructors -------------------------------------------------
@@ -44,78 +61,68 @@ class RankFunction:
     def uniform(n, r):
         if not (0 <= r <= n):
             raise ValueError("need 0 <= r <= n")
-        return RankFunction(n, UNIFORM, r, True)
+        return RankFunction(n, lambda m: min(m.bit_count(), r), True)
 
     @staticmethod
     def graphic(n_edges, edges):
-        """Cycle matroid of a graph; edges[i] = (u, v) is element i+1."""
+        """Cycle matroid of a graph; edges[i] = (u, v) is element i+1.
+        The rank of an edge set is the size of a spanning forest of it,
+        grown by union-find."""
         if len(edges) != n_edges:
             raise ValueError("edge count mismatch")
-        return RankFunction(n_edges, GRAPHIC, tuple(tuple(e) for e in edges), True)
+        edges = [tuple(e) for e in edges]
+
+        def forest_size(mask):
+            parent = {}
+
+            def find(x):
+                parent.setdefault(x, x)
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            r = 0
+            for i, (u, v) in enumerate(edges):
+                if mask >> i & 1:
+                    ru, rv = find(u), find(v)
+                    if ru != rv:
+                        parent[ru] = rv
+                        r += 1
+            return r
+
+        return RankFunction(n_edges, forest_size, True)
 
     @staticmethod
     def from_bases(n, bases):
+        """Matroid given by its bases: the rank of A is the largest
+        |A & B| over the bases B, since an independent subset of A
+        extends to a basis."""
         bases = [frozenset(b) for b in bases]
         if not bases:
             raise ValueError("need at least one basis")
         r = len(bases[0])
         if any(len(b) != r for b in bases):
             raise ValueError("bases must share cardinality")
-        if any(not b <= set(range(1, n + 1)) for b in bases):
-            raise ValueError("basis element out of range")
-        return RankFunction(n, BASES, frozenset(bases), True)
+        masks = {_mask(b, n) for b in bases}
+        return RankFunction(
+            n, lambda m: max((m & b).bit_count() for b in masks), True)
 
     @staticmethod
-    def from_table(n, table, is_matroid=False):
-        """Tabulated rank function; `table` maps frozensets to values,
-        with the empty set implied to be 0."""
-        t = {frozenset(k): int(v) for k, v in table.items()}
-        t[frozenset()] = 0
-        return RankFunction(n, TABLE, t, is_matroid)
+    def from_table(n, table):
+        """Tabulated rank function; `table` maps every non-empty subset
+        to its value, with the empty set implied to be 0."""
+        t = {_mask(a, n): int(v) for a, v in table.items()}
+        t[0] = 0
+        if len(t) != 1 << n:
+            raise ValueError("table must list every non-empty subset")
+        return RankFunction(n, t.__getitem__, False)
 
     # -- evaluation ---------------------------------------------------
 
     def rank(self, subset):
-        a = frozenset(subset)
-        if not a <= set(range(1, self.n + 1)):
-            raise ValueError("element out of range")
-        if self.kind == UNIFORM:
-            return min(len(a), self.data)
-        if self.kind == GRAPHIC:
-            return self._graphic_rank(a)
-        if self.kind == BASES:
-            return self._bases_rank(a)
-        return self.data[a]
-
-    __call__ = rank
-
-    def _graphic_rank(self, a):
-        parent = {}
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        r = 0
-        for e in a:
-            u, v = self.data[e - 1]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        return r
-
-    def _bases_rank(self, a):
-        # greedy works because independent sets of a matroid extend to
-        # a maximum independent subset of any superset
-        best = max(len(a & b) for b in self.data)
-        return best
+        """The rank of a subset of {1, ..., n}; ValueError for an
+        element out of range."""
+        return self.values[_mask(subset, self.n)]
 
     def is_independent(self, subset):
         a = frozenset(subset)
@@ -127,42 +134,20 @@ class RankFunction:
         """Dual matroid: rank*(A) = |A| + rank([n] - A) - rank([n])."""
         if not self.is_matroid:
             raise ValueError("dual is defined for matroids only")
-        ground = frozenset(range(1, self.n + 1))
-        total = self.rank(ground)
-        outer = self
-
-        class _Dual(RankFunction):
-            def rank(self, subset):
-                a = frozenset(subset)
-                if not a <= ground:
-                    raise ValueError("element out of range")
-                return len(a) + outer.rank(ground - a) - total
-
-            __call__ = rank
-
-        return _Dual(self.n, "dual", self, True)
+        v, full = self.values, (1 << self.n) - 1
+        return RankFunction(
+            self.n, lambda m: m.bit_count() + v[full ^ m] - v[full], True)
 
     def direct_sum(self, other):
         """Direct sum on the concatenated ground set: the second
-        summand's elements are shifted by self.n."""
+        summand's elements are shifted by self.n, so a mask's low self.n
+        bits index the first table and its high bits the second."""
         if not (self.is_matroid and other.is_matroid):
             raise ValueError("direct_sum is defined for matroids only")
-        n1 = self.n
-        f1, f2 = self, other
-        n_total = n1 + other.n
-
-        class _Sum(RankFunction):
-            def rank(self, subset):
-                a = frozenset(subset)
-                if not a <= set(range(1, n_total + 1)):
-                    raise ValueError("element out of range")
-                left = frozenset(e for e in a if e <= n1)
-                right = frozenset(e - n1 for e in a if e > n1)
-                return f1.rank(left) + f2.rank(right)
-
-            __call__ = rank
-
-        return _Sum(n_total, "direct_sum", (self, other), True)
+        v1, v2, n1 = self.values, other.values, self.n
+        low = (1 << n1) - 1
+        return RankFunction(
+            n1 + other.n, lambda m: v1[m & low] + v2[m >> n1], True)
 
 
 def check_matroid_axioms(f):
@@ -183,13 +168,12 @@ def _check_local_axioms(f, unit_increase):
     A. Summed along chains these give non-negativity, monotonicity,
     rank(X) <= |X| and submodularity for every pair of subsets, so the
     verdict equals the pairwise O(4^n) check's at O(2^n n^2) cost."""
-    guard_n(f.n, AXIOM_GUARD_N, "axiom check")
     n = f.n
+    ranks = f.values
 
     def labels(mask):
         return [i + 1 for i in range(n) if mask >> i & 1]
 
-    ranks = [f.rank(frozenset(labels(mask))) for mask in range(1 << n)]
     if ranks[0] != 0:
         return False, "value on the empty set is nonzero"
     for mask in range(1 << n):

@@ -60,7 +60,7 @@ def todd_eval(xis, m):
     return todd_series(xis, m)[m]
 
 
-def find_lambda(bs, n, s=None, nterms=None):
+def find_lambda(bs, n):
     """Integer vector on the moment curve (1, xi, ..., xi^(n-1)) pairing
     nonzero with every denominator exponent in `bs`. Each exponent rules
     out at most n-1 integer values of xi, so the scan terminates within
@@ -92,19 +92,21 @@ def weights(betas):
 
 
 def _plan(g):
-    lam = find_lambda([b for t in g.terms for b in t.bs], g.n)
-    rows = []
-    for t in g.terms:
-        betas = [vec_dot(lam, b) for b in t.bs]
-        rows.append((t, betas, weights(betas)))
-    return lam, rows
+    """lambda and the weights of every term, in term order. Both depend
+    only on the denominators, which `dilate` leaves unchanged and which
+    carries the plan over, so a family of dilations is planned once."""
+    if g.plan is None:
+        lam = find_lambda([b for t in g.terms for b in t.bs], g.n)
+        g.plan = lam, [weights([vec_dot(lam, b) for b in t.bs])
+                       for t in g.terms]
+    return g.plan
 
 
 def count(g):
     """Exact number of lattice points of the polytope behind g."""
-    lam, rows = _plan(g)
+    lam, ws = _plan(g)
     total = Fraction(0)
-    for t, _, w in rows:
+    for t, w in zip(g.terms, ws):
         la = vec_dot(lam, t.a)
         acc = Fraction(0)
         power = Fraction(1)
@@ -120,10 +122,10 @@ def count(g):
 def ehrhart_polynomial(g):
     """Exact Ehrhart polynomial of the polytope behind the parametric
     generating function g, as coefficients of k^0..k^dim."""
-    lam, rows = _plan(g)
+    lam, ws = _plan(g)
     max_s = max((len(t.bs) for t in g.terms), default=0)
     coeffs = [Fraction(0)] * (max_s + 1)
-    for t, _, w in rows:
+    for t, w in zip(g.terms, ws):
         lv = vec_dot(lam, t.v)
         lav = vec_dot(lam, t.a) - lv
         for m in range(len(w)):

@@ -1,9 +1,15 @@
 """Vertex and adjacency enumeration for the three polytope families:
 the bases polytope conv{e_B}, the independence polytope conv{e_I}, and
 the polymatroid {x >= 0 : sum_{i in A} x_i <= psi(A) for all A}.
+
+Everything reads the rank function's table `f.values` by bitmask (bit
+i-1 stands for element i). Bases and independent sets are the masks
+whose rank equals their size. The polymatroid's vertices are Edmonds'
+greedy vectors: walking a chain of subsets, adding element e to S sets
+x_e = psi(S + e) - psi(S), and every other coordinate stays 0.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .exactmath import mat_rank, vec_sub
 from .matroid import guard_n
@@ -18,7 +24,7 @@ ENUMERATION_GUARD_N = 20
 class PolytopeSpec:
     """A polytope given by a rank function and a family tag."""
 
-    def __init__(self, family, f, r=None):
+    def __init__(self, family, f):
         if family not in (BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID):
             raise ValueError(f"unknown family {family!r}")
         if family in (BASES_POLYTOPE, INDEPENDENCE_POLYTOPE) and not f.is_matroid:
@@ -26,19 +32,15 @@ class PolytopeSpec:
         self.family = family
         self.f = f
         self.n = f.n
-        ground = frozenset(range(1, f.n + 1))
-        self.r = f.rank(ground) if r is None else r
+        self.r = f.values[-1]
 
     def contains_scaled(self, x, k):
         """Is the integer point x in the k-th dilation? Checks all 2^n
         subset inequalities (and the equality for the bases family)."""
         if any(xi < 0 for xi in x):
             return False
-        n = self.n
-        for mask in range(1, 1 << n):
-            a = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-            if sum(x[i - 1] for i in a) > k * self.f.rank(a):
-                return False
+        if any(s > k * v for s, v in zip(_subset_sums(x), self.f.values)):
+            return False
         if self.family == BASES_POLYTOPE and sum(x) != k * self.r:
             return False
         return True
@@ -65,110 +67,76 @@ class VertexSet:
         return self.adjacency[i]
 
 
-def enumerate_bases(f, n=None, r=None):
-    """All bases of a matroid oracle by exhaustive scan of r-subsets."""
-    n = f.n if n is None else n
-    ground = list(range(1, n + 1))
-    if r is None:
-        r = f.rank(frozenset(ground))
+def _subset_sums(x):
+    """sums[mask] = the sum of x over the subset with bitmask `mask`."""
+    sums = [0] * (1 << len(x))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
+    return sums
+
+
+def _independent_masks(f, size):
+    """Masks of the independent sets of `size` elements, in the
+    lexicographic order of their sorted elements."""
+    for combo in combinations(range(f.n), size):
+        mask = sum(1 << i for i in combo)
+        if f.values[mask] == size:
+            yield mask
+
+
+def _indicator(mask, n):
+    return tuple(mask >> i & 1 for i in range(n))
+
+
+def enumerate_bases(f):
+    """All bases of a matroid oracle, as frozensets, by a scan of the
+    r-subsets."""
+    n, r = f.n, f.values[-1]
     if r > n:
         raise ValueError("rank exceeds ground set size")
-    return [frozenset(b) for b in combinations(ground, r)
-            if f.rank(frozenset(b)) == r]
-
-
-def _indicator(subset, n):
-    return tuple(1 if i in subset else 0 for i in range(1, n + 1))
+    return [frozenset(i + 1 for i in range(n) if mask >> i & 1)
+            for mask in _independent_masks(f, r)]
 
 
 def enumerate_vertices(spec):
     """Vertices of the polytope described by `spec`.
 
     Bases and independence families list incidence vectors directly;
-    the polymatroid family scans all candidate integer points x >= 0
-    with sum <= r, keeping those that satisfy every subset inequality
-    and whose tight constraints span the ambient space.
+    the polymatroid family lists its greedy vectors in sorted order.
     """
     n = spec.n
     guard_n(n, ENUMERATION_GUARD_N, "vertex enumeration")
     if spec.family == BASES_POLYTOPE:
-        verts = [_indicator(b, n) for b in enumerate_bases(spec.f, n, spec.r)]
+        verts = [_indicator(m, n) for m in _independent_masks(spec.f, spec.r)]
     elif spec.family == INDEPENDENCE_POLYTOPE:
-        verts = []
-        for size in range(spec.r + 1):
-            for sub in combinations(range(1, n + 1), size):
-                if spec.f.rank(frozenset(sub)) == size:
-                    verts.append(_indicator(frozenset(sub), n))
+        verts = [_indicator(m, n) for size in range(spec.r + 1)
+                 for m in _independent_masks(spec.f, size)]
     else:
-        verts = _polymatroid_vertices(spec)
+        verts = _greedy_vertices(spec.f)
     return VertexSet(spec, verts)
 
 
-def _polymatroid_vertices(spec):
-    n, r, f = spec.n, spec.r, spec.f
-    subsets = []
-    for mask in range(1, 1 << n):
-        a = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        subsets.append((a, f.rank(a)))
-    verts = []
-    for x in _bounded_points(n, r, subsets):
-        tight = [_indicator(a, n) for a, val in subsets
-                 if sum(x[i - 1] for i in a) == val]
-        tight += [tuple(1 if j == i else 0 for j in range(n))
-                  for i in range(n) if x[i] == 0]
-        if mat_rank(tight) == n:
-            verts.append(x)
-    return verts
-
-
-def _bounded_points(n, r, subsets):
-    """Integer points x >= 0 with coordinate sum <= r satisfying all
-    subset inequalities."""
-    caps = {a: v for a, v in subsets}
-
-    def rec(prefix, total):
-        i = len(prefix) + 1
-        if i > n:
-            yield tuple(prefix)
-            return
-        hi = min(caps[frozenset([i])], r - total)
-        for xi in range(hi + 1):
-            prefix.append(xi)
-            if all(sum(prefix[j - 1] for j in a if j <= i) <= v
-                   for a, v in subsets if i in a and max(a) == i):
-                yield from rec(prefix, total + xi)
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
-def edmonds_generate(f, ordered_subset):
-    """Greedy vertex of the polymatroid: walk the ordered subset and set
-    each coordinate to the rank increment it contributes."""
-    seq = list(ordered_subset)
-    if len(set(seq)) != len(seq):
-        raise ValueError("ordered subset has duplicates")
-    x = [0] * f.n
-    prev = 0
-    seen = set()
-    for e in seq:
-        seen.add(e)
-        cur = f.rank(frozenset(seen))
-        x[e - 1] = cur - prev
-        prev = cur
-    return tuple(x)
-
-
-def all_generated_vertices(f):
-    """Every point produced by edmonds_generate over all ordered subsets
-    (exhaustive; intended for small n test oracles)."""
-    out = set()
-    ground = list(range(1, f.n + 1))
-    for size in range(f.n + 1):
-        for sub in combinations(ground, size):
-            for perm in permutations(sub):
-                out.add(edmonds_generate(f, perm))
-    return out
+def _greedy_vertices(f):
+    """Every vertex of the polymatroid is the greedy vector of a chain
+    (Edmonds), and every greedy vector is a vertex: it is tight on the
+    chain's sets and on x_e >= 0 off the chain, n independent
+    constraints. A depth-first search over distinct (chain top, vector)
+    states reaches them all."""
+    n, values = f.n, f.values
+    start = (0, (0,) * n)
+    seen, stack = {start}, [start]
+    while stack:
+        mask, x = stack.pop()
+        for i in range(n):
+            top = mask | 1 << i
+            if top != mask:
+                step = values[top] - values[mask]
+                state = (top, x[:i] + (step,) + x[i + 1:])
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+    return sorted({x for _, x in seen})
 
 
 def _compute_adjacency(spec, vertices):
@@ -188,20 +156,13 @@ def _compute_adjacency(spec, vertices):
     # is the affine solution set of its tight constraints, so rank
     # n - 1 means that face is a segment, i.e. an edge
     n = spec.n
-    normals = {}
-    fval = {}
-    for mask in range(1, 1 << n):
-        a = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        normals[mask] = tuple(mask >> i & 1 for i in range(n))
-        fval[mask] = spec.f.rank(a)
+    fval = spec.f.values
+    normals = {mask: _indicator(mask, n) for mask in range(1, 1 << n)}
     for i in range(n):
-        normals[-(i + 1)] = tuple(1 if j == i else 0 for j in range(n))
+        normals[-(i + 1)] = _indicator(1 << i, n)
     tight = []
     for x in vertices:
-        sums = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
+        sums = _subset_sums(x)
         ids = {mask for mask in range(1, 1 << n) if sums[mask] == fval[mask]}
         ids.update(-(c + 1) for c in range(n) if x[c] == 0)
         tight.append(ids)

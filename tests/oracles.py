@@ -17,12 +17,20 @@
   `genfun`.
 - The uniform h*-vector as the four-deep loop over the Katzman triple
   sum, the reference for the Horner evaluation in `hstar.uniform_hstar`.
+- Rank functions as formulas on frozensets (uniform, graphic, bases,
+  table, dual, direct sum), the references for the bitmask tables that
+  `matroid.RankFunction` builds.
+- Polymatroid vertices by a scan of the bounded integer points with a
+  tight-constraint rank test, and by Edmonds' greedy rule over every
+  ordered subset, the references for the greedy search in `vertices`.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
-from ehrmat.exactmath import binomial, mat_identity, solve_linear, vec_sub
+from ehrmat.exactmath import (
+    binomial, mat_identity, mat_rank, solve_linear, vec_sub,
+)
 from ehrmat.hstar import katzman
 
 OPTIMAL = "optimal"
@@ -348,3 +356,121 @@ def uniform_hstar_triple_sum(n, r):
                         break
                     out[l] += c * vec[idx]
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# rank functions on frozensets
+
+def uniform_rank(r):
+    return lambda a: min(len(a), r)
+
+
+def graphic_rank(edges):
+    """Size of a spanning forest of the edge set, by union-find."""
+    def rank(a):
+        parent = {}
+
+        def find(x):
+            root = x
+            while parent[root] != root:
+                root = parent[root]
+            return root
+
+        r = 0
+        for e in a:
+            u, v = edges[e - 1]
+            parent.setdefault(u, u)
+            parent.setdefault(v, v)
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                r += 1
+        return r
+    return rank
+
+
+def bases_rank(bases):
+    bases = [frozenset(b) for b in bases]
+    return lambda a: max(len(a & b) for b in bases)
+
+
+def table_rank(table):
+    t = {frozenset(k): v for k, v in table.items()}
+    t[frozenset()] = 0
+    return t.__getitem__
+
+
+def dual_rank(rank, n):
+    ground = frozenset(range(1, n + 1))
+    return lambda a: len(a) + rank(ground - a) - rank(ground)
+
+
+def direct_sum_rank(rank1, n1, rank2):
+    return lambda a: (rank1(frozenset(e for e in a if e <= n1))
+                      + rank2(frozenset(e - n1 for e in a if e > n1)))
+
+
+# ---------------------------------------------------------------------------
+# polymatroid vertices
+
+def polymatroid_vertices_by_scan(f):
+    """The integer points x >= 0 with coordinate sum <= f([n]) that meet
+    every subset inequality and whose tight constraints have rank n, in
+    lexicographic order."""
+    n = f.n
+    subsets = [(a, f.rank(a)) for a in _all_subsets(n) if a]
+    caps = dict(subsets)
+    r = f.rank(frozenset(range(1, n + 1)))
+
+    def indicator(a):
+        return tuple(1 if i in a else 0 for i in range(1, n + 1))
+
+    def bounded_points(prefix, total):
+        i = len(prefix) + 1
+        if i > n:
+            yield tuple(prefix)
+            return
+        for xi in range(min(caps[frozenset([i])], r - total) + 1):
+            prefix.append(xi)
+            if all(sum(prefix[j - 1] for j in a if j <= i) <= v
+                   for a, v in subsets if i in a and max(a) == i):
+                yield from bounded_points(prefix, total + xi)
+            prefix.pop()
+
+    verts = []
+    for x in bounded_points([], 0):
+        tight = [indicator(a) for a, v in subsets
+                 if sum(x[i - 1] for i in a) == v]
+        tight += [indicator({i + 1}) for i in range(n) if x[i] == 0]
+        if mat_rank(tight) == n:
+            verts.append(x)
+    return verts
+
+
+def edmonds_generate(f, ordered_subset):
+    """Greedy vertex of the polymatroid: walk the ordered subset and set
+    each coordinate to the rank increment it contributes."""
+    seq = list(ordered_subset)
+    if len(set(seq)) != len(seq):
+        raise ValueError("ordered subset has duplicates")
+    x = [0] * f.n
+    prev = 0
+    seen = set()
+    for e in seq:
+        seen.add(e)
+        cur = f.rank(frozenset(seen))
+        x[e - 1] = cur - prev
+        prev = cur
+    return tuple(x)
+
+
+def all_generated_vertices(f):
+    """Every point produced by edmonds_generate over all ordered
+    subsets."""
+    out = set()
+    ground = list(range(1, f.n + 1))
+    for size in range(f.n + 1):
+        for sub in combinations(ground, size):
+            for perm in permutations(sub):
+                out.add(edmonds_generate(f, perm))
+    return out

@@ -89,6 +89,25 @@ def test_verify_builds_genfun_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_plans_weights_once(capsys, monkeypatch):
+    # dilation keeps every denominator, so the dilation counts reuse the
+    # weights computed for the Ehrhart polynomial
+    real = specialize.weights
+    calls = []
+
+    def counted(betas):
+        calls.append(betas)
+        return real(betas)
+
+    monkeypatch.setattr(specialize, "weights", counted)
+    path = data_path("U24_independence")
+    assert run(capsys, "ehrhart", path)[0] == 0
+    per_ehrhart = len(calls)
+    calls.clear()
+    assert run(capsys, "verify", path, "--kmax", "3")[0] == 0
+    assert len(calls) == per_ehrhart > 0
+
+
 def test_verify_polymatroid_table(capsys):
     code, out = run(capsys, "verify", data_path("double_rank_table"),
                     "--kmax", "2")
@@ -222,6 +241,15 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(doc))
     code, _ = run(capsys, "ehrhart", str(path))
     assert code == 3
+
+
+def test_malformed_budget_is_a_validation_error(capsys, monkeypatch):
+    monkeypatch.setenv("EHRMAT_BUDGET", "abc")
+    code = cli.main(["ehrhart", data_path("K4")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION == 2
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: EHRMAT_BUDGET")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

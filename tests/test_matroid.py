@@ -1,7 +1,11 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pairwise_matroid_axioms, pairwise_polymatroid_axioms
+from oracles import (
+    bases_rank, direct_sum_rank, dual_rank, graphic_rank,
+    pairwise_matroid_axioms, pairwise_polymatroid_axioms, table_rank,
+    uniform_rank,
+)
 
 from ehrmat import corpus
 from ehrmat.matroid import (
@@ -185,3 +189,60 @@ def test_budget_guard(monkeypatch):
     guard_n(25, 20, "test")  # override lifts the limit
     with pytest.raises(BudgetExceeded):
         guard_n(31, 20, "test")
+
+
+def test_rank_table_guard(monkeypatch):
+    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded):
+        RankFunction.uniform(21, 2)
+
+
+def _draw_matroid(draw, n_max):
+    """A matroid-flagged RankFunction from the uniform, graphic or bases
+    constructor, paired with its frozenset formula."""
+    kind = draw(st.sampled_from(["uniform", "graphic", "bases"]))
+    if kind == "uniform":
+        n = draw(st.integers(0, n_max))
+        r = draw(st.integers(0, n))
+        return n, RankFunction.uniform(n, r), uniform_rank(r)
+    if kind == "graphic":
+        n = draw(st.integers(0, n_max))
+        vertex = st.integers(1, 4)
+        edges = draw(st.lists(st.tuples(vertex, vertex),
+                              min_size=n, max_size=n))
+        return n, RankFunction.graphic(n, edges), graphic_rank(edges)
+    n = draw(st.integers(1, n_max))
+    r = draw(st.integers(0, n))
+    bases = draw(st.lists(st.frozensets(st.integers(1, n), min_size=r,
+                                        max_size=r), min_size=1, max_size=5))
+    return n, RankFunction.from_bases(n, bases), bases_rank(bases)
+
+
+@st.composite
+def rank_constructions(draw):
+    """(n, RankFunction, frozenset formula) for n <= 6 from every
+    constructor: uniform, graphic, bases, table, dual and direct sum."""
+    kind = draw(st.sampled_from(["matroid", "table", "dual", "direct_sum"]))
+    if kind == "matroid":
+        return _draw_matroid(draw, 6)
+    if kind == "table":
+        n = draw(st.integers(1, 6))
+        table = {frozenset(i + 1 for i in range(n) if mask >> i & 1):
+                 draw(st.integers(-1, 4)) for mask in range(1, 1 << n)}
+        return n, RankFunction.from_table(n, table), table_rank(table)
+    if kind == "dual":
+        n, f, ref = _draw_matroid(draw, 6)
+        return n, f.dual(), dual_rank(ref, n)
+    n1, f1, ref1 = _draw_matroid(draw, 3)
+    n2, f2, ref2 = _draw_matroid(draw, 3)
+    return n1 + n2, f1.direct_sum(f2), direct_sum_rank(ref1, n1, ref2)
+
+
+@settings(max_examples=300)
+@given(rank_constructions())
+def test_rank_table_matches_frozenset_formulas(case):
+    n, f, ref = case
+    assert f.n == n and len(f.values) == 1 << n
+    for mask in range(1 << n):
+        a = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        assert f.values[mask] == f.rank(a) == ref(a)

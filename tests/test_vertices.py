@@ -1,15 +1,19 @@
 from itertools import combinations
 
 import pytest
-from oracles import adjacency_by_lp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    adjacency_by_lp, all_generated_vertices, edmonds_generate,
+    polymatroid_vertices_by_scan,
+)
 
 from ehrmat import corpus
 from ehrmat.exactmath import binomial, vec_sub
-from ehrmat.matroid import RankFunction
+from ehrmat.matroid import RankFunction, check_polymatroid_axioms
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,
-    all_generated_vertices, edmonds_generate, enumerate_bases,
-    enumerate_vertices,
+    enumerate_bases, enumerate_vertices,
 )
 
 
@@ -36,8 +40,11 @@ def test_enumerate_bases_uniform():
 
 
 def test_enumerate_bases_rejects_r_gt_n():
+    # a polymatroid table whose value on the ground set exceeds n
+    table = {frozenset(c): 4 for k in range(1, 4)
+             for c in combinations(range(1, 4), k)}
     with pytest.raises(ValueError):
-        enumerate_bases(RankFunction.uniform(3, 2), n=3, r=4)
+        enumerate_bases(RankFunction.from_table(3, table))
 
 
 def test_vertices_bases_k4():
@@ -81,6 +88,31 @@ def test_edmonds_generates_exactly_the_vertices():
             enumerate_vertices(PolytopeSpec(POLYMATROID, f)).vertices)
         generated = all_generated_vertices(f)
         assert enumerated == generated
+
+
+@st.composite
+def polymatroid_tables(draw):
+    """Polymatroids on n <= 6 elements: a weighted coverage function
+    A -> sum of w_j over the blocks T_j that meet A, truncated at c."""
+    n = draw(st.integers(1, 6))
+    blocks = draw(st.lists(st.tuples(st.integers(1, (1 << n) - 1),
+                                     st.integers(1, 3)),
+                           min_size=1, max_size=6))
+    full = sum(w for _, w in blocks)
+    cap = draw(st.integers(0, full))
+    table = {}
+    for mask in range(1, 1 << n):
+        a = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        table[a] = min(cap, sum(w for t, w in blocks if t & mask))
+    return RankFunction.from_table(n, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polymatroid_tables())
+def test_greedy_vertices_equal_scan(f):
+    assert check_polymatroid_axioms(f)[0]
+    got = enumerate_vertices(PolytopeSpec(POLYMATROID, f)).vertices
+    assert got == polymatroid_vertices_by_scan(f)
 
 
 def test_adjacency_k4_at_123():
