@@ -75,7 +75,8 @@ def _relaxation_bases(base_bases, n, r, circuit_hyperplanes):
     out = set(base_bases)
     for ch in circuit_hyperplanes:
         ch = frozenset(ch)
-        assert len(ch) == r and ch not in out, "not a circuit-hyperplane"
+        if len(ch) != r or ch in out:
+            raise ValueError(f"not a circuit-hyperplane: {sorted(ch)}")
         out.add(ch)
     return sorted(out, key=sorted)
 

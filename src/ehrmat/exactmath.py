@@ -48,11 +48,6 @@ def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
 def det(m):
     """Exact determinant of a square integer matrix by fraction-free
     (Bareiss) elimination."""

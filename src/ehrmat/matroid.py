@@ -110,9 +110,9 @@ class RankFunction:
     @staticmethod
     def from_table(n, table):
         """Tabulated rank function; `table` maps every non-empty subset
-        to its value, with the empty set implied to be 0."""
+        to its value, and the empty set to its value if listed, else 0."""
         t = {_mask(a, n): int(v) for a, v in table.items()}
-        t[0] = 0
+        t.setdefault(0, 0)
         if len(t) != 1 << n:
             raise ValueError("table must list every non-empty subset")
         return RankFunction(n, t.__getitem__, False)

@@ -55,11 +55,6 @@ def todd_series(xis, m):
             + [Fraction(0)] * (m + 1 - len(acc)))
 
 
-def todd_eval(xis, m):
-    """Coefficient of x^m in prod_j h(x xi_j)."""
-    return todd_series(xis, m)[m]
-
-
 def find_lambda(bs, n):
     """Integer vector on the moment curve (1, xi, ..., xi^(n-1)) pairing
     nonzero with every denominator exponent in `bs`. Each exponent rules

@@ -23,15 +23,21 @@
 - Polymatroid vertices by a scan of the bounded integer points with a
   tight-constraint rank test, and by Edmonds' greedy rule over every
   ordered subset, the references for the greedy search in `vertices`.
+- The lattice points of a dilation counted by a scan of the box of
+  singleton caps, the reference for the memoized recursion in
+  `bruteforce.count_direct`.
+- The integer matrix product and a single Todd coefficient, used to
+  check inverses and the Todd series.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from ehrmat.exactmath import (
-    binomial, mat_identity, mat_rank, solve_linear, vec_sub,
+    binomial, mat_identity, mat_rank, solve_linear, vec_dot, vec_sub,
 )
 from ehrmat.hstar import katzman
+from ehrmat.specialize import todd_series
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -474,3 +480,21 @@ def all_generated_vertices(f):
             for perm in permutations(sub):
                 out.add(edmonds_generate(f, perm))
     return out
+
+
+def count_by_scan(spec, k):
+    """#(kP intersect Z^n) by scanning the box of singleton caps and
+    keeping the points that `contains_scaled` accepts."""
+    caps = [k * spec.f.rank(frozenset({i + 1})) for i in range(spec.n)]
+    return sum(1 for pt in product(*(range(c + 1) for c in caps))
+               if spec.contains_scaled(pt, k))
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
+
+
+def todd_eval(xis, m):
+    """Coefficient of x^m in prod_j h(x xi_j)."""
+    return todd_series(xis, m)[m]

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import count_by_scan
 
 from ehrmat import corpus
 from ehrmat.bruteforce import count_direct, ehrhart_by_interpolation
@@ -14,12 +16,6 @@ from ehrmat.vertices import (
 
 K4_EHRHART = tuple(Fraction(x) for x in
                    ("1", "107/30", "21/4", "49/12", "7/4", "7/20"))
-
-
-def _count_naive(spec, k):
-    caps = [k * spec.f.rank(frozenset({i + 1})) for i in range(spec.n)]
-    return sum(1 for pt in product(*(range(c + 1) for c in caps))
-               if spec.contains_scaled(pt, k))
 
 
 def test_count_k4():
@@ -56,7 +52,7 @@ def test_count_matches_naive_scan():
         family = rng.choice([BASES_POLYTOPE, INDEPENDENCE_POLYTOPE])
         spec = PolytopeSpec(family, RankFunction.uniform(n, r))
         k = rng.randint(1, 3)
-        assert count_direct(spec, k) == _count_naive(spec, k)
+        assert count_direct(spec, k) == count_by_scan(spec, k)
 
 
 def test_count_matches_naive_scan_polymatroid():
@@ -72,7 +68,44 @@ def test_count_matches_naive_scan_polymatroid():
             table[a] = min(cap, sum(weights[i - 1] for i in a))
         spec = PolytopeSpec(POLYMATROID, RankFunction.from_table(n, table))
         k = rng.randint(1, 3)
-        assert count_direct(spec, k) == _count_naive(spec, k)
+        assert count_direct(spec, k) == count_by_scan(spec, k)
+
+
+def _graphic(draw, n):
+    """Cycle matroid of a random multigraph with n edges on 4 vertices:
+    loops and parallel edges allowed."""
+    vertex = st.integers(1, 4)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=n))
+    return RankFunction.graphic(n, edges)
+
+
+@st.composite
+def matroid_specs(draw):
+    """Bases or independence polytope of a graphic matroid on <= 6
+    edges."""
+    family = draw(st.sampled_from([BASES_POLYTOPE, INDEPENDENCE_POLYTOPE]))
+    return PolytopeSpec(family, _graphic(draw, draw(st.integers(1, 6))))
+
+
+@st.composite
+def polymatroid_specs(draw):
+    """Polymatroid a f1 + b f2 of two graphic matroid ranks on the same
+    n <= 5 elements, with a, b >= 0 and a + b <= 2 to keep the scan's
+    box small."""
+    n = draw(st.integers(1, 5))
+    f1, f2 = _graphic(draw, n), _graphic(draw, n)
+    a = draw(st.integers(0, 2))
+    b = draw(st.integers(0, 2 - a))
+    table = {frozenset(i + 1 for i in range(n) if mask >> i & 1):
+             a * f1.values[mask] + b * f2.values[mask]
+             for mask in range(1, 1 << n)}
+    return PolytopeSpec(POLYMATROID, RankFunction.from_table(n, table))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matroid_specs(), polymatroid_specs()), st.integers(0, 3))
+def test_count_matches_scan_random(spec, k):
+    assert count_direct(spec, k) == count_by_scan(spec, k)
 
 
 def test_interpolation_k4():

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -314,3 +318,19 @@ def test_validation_rejects_malformed_values(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "validation error" in captured.err
+
+
+def test_verify_imports_no_numpy():
+    # the package has no runtime dependency: a full verify run, brute
+    # force included, must not pull numpy in
+    code = (
+        "import sys\n"
+        "from ehrmat import cli\n"
+        f"code = cli.main(['verify', {data_path('K4')!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +87,35 @@ def test_polymatroid_axioms_accept_modular():
         table[a] = 2 * len(a)
     ok, _ = check_polymatroid_axioms(RankFunction.from_table(3, table))
     assert ok
+
+
+def test_from_table_keeps_a_listed_empty_set_value():
+    f = RankFunction.from_table(1, {frozenset(): 5, frozenset({1}): 1})
+    assert f.values == (5, 1)
+    ok, why = check_polymatroid_axioms(f)
+    assert not ok and "empty set" in why
+
+
+def test_relaxation_rejects_non_circuit_hyperplane_under_optimize():
+    # relaxing a set that is already a basis must be a real exception,
+    # not a bare assert that `python -O` strips
+    code = (
+        "import sys\n"
+        "from ehrmat.corpus import _relaxation_bases\n"
+        "if __debug__:\n"
+        "    sys.exit(2)\n"
+        "try:\n"
+        "    _relaxation_bases([frozenset({1, 2})], 3, 2, [{1, 2}])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    src = str(Path(corpus.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "not a circuit-hyperplane" in proc.stdout
 
 
 def test_polymatroid_axioms_reject_supermodular():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from ehrmat.exactmath import poly_eval, series_mul_trunc
 from ehrmat.genfun import GenFun, GenFunTerm, build_genfun, dilate
 from ehrmat.matroid import RankFunction
+from oracles import todd_eval
+
 from ehrmat.specialize import (
-    count, ehrhart_polynomial, find_lambda, todd_c, todd_eval, todd_series,
-    weights,
+    count, ehrhart_polynomial, find_lambda, todd_c, todd_series, weights,
 )
 from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec
 
