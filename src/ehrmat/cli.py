@@ -11,7 +11,7 @@ Commands:
 Input files are UTF-8 JSON matroid documents; subsets are sorted
 1-based integer arrays. Exit codes: 0 ok, 1 conjecture violation or
 verification mismatch, 2 validation error, 3 enumeration budget,
-4 internal error (a broken pipeline invariant).
+4 internal error (a broken pipeline invariant or any other crash).
 """
 
 import argparse
@@ -273,7 +273,8 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # the document could not be read as JSON
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetExceeded as exc:
@@ -281,6 +282,13 @@ def main(argv=None):
         return EXIT_BUDGET
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # any other crash after validation is a pipeline fault too; left
+        # uncaught, Python would exit 1, the code of a verdict
+        where = getattr(args, "file", args.command)
+        print(f"internal error: {where}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -39,7 +39,8 @@ class GenFun:
         self.terms = terms
         self.n = n
         self.dim = dim
-        # lambda and the per-term weights, filled in by specialize
+        # lambda = (1, ..., n) and, per term, its (s, prod beta) class
+        # and integer weight numerators, filled in by specialize
         self.plan = None
 
 

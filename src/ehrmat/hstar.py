@@ -2,11 +2,10 @@
 conjecture predicates (h*-unimodality, Ehrhart coefficient positivity).
 
 The Katzman coefficients A_i^{n,r} are the coefficients of
-(1 + T + ... + T^(r-1))^n; they admit a dimension recurrence, a rank
-recurrence and a multinomial formula, implemented separately so the
-three routes can cross-check each other. The dimension recurrence is
-the polynomial identity A^{n} = A^{n-1} (1 - T^r) / (1 - T), one
-difference pass and one running sum per row.
+(1 + T + ... + T^(r-1))^n. They are computed by the dimension
+recurrence, the polynomial identity A^{n} = A^{n-1} (1 - T^r) / (1 - T):
+one difference pass and one running sum per row. The rank recurrence
+and the multinomial formula live with the tests, as references.
 
 The uniform h*-vector is Katzman's closed triple sum. Its innermost
 sum is multiplication by (1 - x)^j, so `uniform_hstar` evaluates it by
@@ -15,7 +14,7 @@ integer operations per (n, r).
 """
 
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, zip_longest
+from itertools import accumulate, zip_longest
 from math import factorial
 
 from .exactmath import binomial, poly_eval, poly_mul, poly_trim
@@ -75,44 +74,6 @@ def katzman(n, r):
             a - b for a, b in zip(padded, (0,) * r + padded)))
         _KATZMAN_CACHE[(nn, r)] = row
     return row
-
-
-def katzman_multinomial(n, r):
-    """A^{n,r} by the multinomial sum over exponent patterns
-    (a_0, ..., a_{r-1}) with sum a_j = n, contributing to T^(sum j a_j).
-    """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
-    out = [0] * (n * (r - 1) + 1)
-    for pattern in combinations_with_replacement(range(r), n):
-        i = sum(pattern)
-        mult = factorial(n)
-        for j in range(r):
-            mult //= factorial(pattern.count(j))
-        out[i] += mult
-    return tuple(out)
-
-
-def katzman_rankrel(n, r):
-    """A^{n,r} by the rank recurrence
-    A_i^{n,r} = sum_{k+l=i, 0 <= l <= k(r-2)} C(n,k) A_l^{k,r-1}."""
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
-    if r == 1:
-        return (1,)
-    inner = {k: katzman(k, r - 1) for k in range(1, n + 1)}
-    out = []
-    for i in range(n * (r - 1) + 1):
-        acc = 0
-        for k in range(n + 1):
-            l = i - k
-            if l < 0 or l > k * (r - 2):
-                continue
-            a = 1 if (k == 0 and l == 0) else (
-                inner[k][l] if k >= 1 and l < len(inner[k]) else 0)
-            acc += binomial(n, k) * a
-        out.append(acc)
-    return tuple(out)
 
 
 def is_symmetric(v):

@@ -6,6 +6,19 @@ The m-th Todd polynomial td_m(xi_1..xi_s) is the coefficient of x^m in
 prod_j h(x xi_j) with h(x) = x / (1 - exp(-x)). The Taylor coefficients
 b_n of h are b_n = c_n / (n! (n+1)!) with an all-integer recursion for
 the c_n.
+
+Every exponent is paired with lambda = (1, 2, ..., n). A denominator
+exponent is a tangent-cone ray of a matroid or polymatroid polytope,
++-(e_a - e_b) or +-e_a, so its pairing beta is a nonzero integer with
+|beta| <= n. A term with s denominator pairings beta_1..beta_s and
+numerator pairing x contributes sum_l w_l x^l, with
+
+    w_l = (-1)^s td_{s-l}(-beta_1, ..., -beta_s) / (l! beta_1 ... beta_s)
+        = W_l / D,   D = L^s s! (-1)^s beta_1 ... beta_s,  L = s! (s+1)!,
+
+where the numerators W_l are integers. D depends only on s and the
+product of the betas, so counts and Ehrhart polynomials are summed on
+integers per (s, prod beta) class and divided once per class.
 """
 
 from fractions import Fraction
@@ -40,75 +53,68 @@ def _todd_scaled(m):
                         for n in range(m + 1))
 
 
-def todd_series(xis, m):
-    """All Todd coefficients td_0..td_m of prod_j h(x xi_j), by
-    successive truncated multiplications. Each factor's coefficients
-    are scaled by L = m! (m+1)!, which makes them integers for integer
-    xi; the product is divided by L^s once at the end."""
-    scale, b = _todd_scaled(m)
-    acc = (1,)
-    for xi in xis:
-        acc = series_mul_trunc(
-            acc, tuple(bn * xi ** n for n, bn in enumerate(b)), m)
-    total = scale ** len(xis)
-    return ([Fraction(x, total) for x in acc]
-            + [Fraction(0)] * (m + 1 - len(acc)))
-
-
 def find_lambda(bs, n):
-    """Integer vector on the moment curve (1, xi, ..., xi^(n-1)) pairing
-    nonzero with every denominator exponent in `bs`. Each exponent rules
-    out at most n-1 integer values of xi, so the scan terminates within
-    the stated bound."""
-    bs = [b for b in bs]
-    if any(all(x == 0 for x in b) for b in bs):
-        raise ValueError("zero denominator exponent")
-    bound = (n - 1) * len(bs) + 1
-    for xi in range(bound + 1):
-        lam = tuple(xi ** i for i in range(n))
-        if all(vec_dot(lam, b) != 0 for b in bs):
-            return lam
-    raise AssertionError("moment-curve scan failed; bound violated")
+    """lambda = (1, 2, ..., n), which pairs nonzero with every ray of a
+    matroid or polymatroid tangent cone. ValueError if some exponent in
+    `bs` pairs to zero with it."""
+    lam = tuple(range(1, n + 1))
+    for b in bs:
+        if vec_dot(lam, b) == 0:
+            raise ValueError(f"denominator exponent {tuple(b)} pairs to zero"
+                             f" with lambda = (1, ..., {n})")
+    return lam
 
 
+@cache
 def weights(betas):
-    """Exact weights w_0..w_s of one term, from its denominator pairings
-    beta_j = <lambda, b_j>:
-
-        w_l = (-1)^s td_{s-l}(-beta_1, ..., -beta_s)
-              / (l! * beta_1 * ... * beta_s).
-    """
+    """Integer weight numerators W_0..W_s of one term, from its sorted
+    tuple of pairings beta_j = <lambda, b_j>: W_l = (s!/l!) acc_{s-l},
+    where acc is the product of the L-scaled factors h(-x beta_j)
+    truncated at order s. The Todd product is symmetric in the betas, so
+    a run computes each sorted tuple once."""
     s = len(betas)
-    if any(b == 0 for b in betas):
-        raise ValueError("zero pairing")
-    td = todd_series([-b for b in betas], s)
-    denom = (-1) ** s * prod(betas)
-    return [td[s - l] / (factorial(l) * denom) for l in range(s + 1)]
+    b = _todd_scaled(s)[1]
+    acc = (1,)
+    for beta in betas:
+        acc = series_mul_trunc(
+            acc, tuple(bn * (-beta) ** n for n, bn in enumerate(b)), s)
+    acc += (0,) * (s + 1 - len(acc))
+    return tuple(factorial(s) // factorial(l) * acc[s - l]
+                 for l in range(s + 1))
+
+
+def _denominator(s, beta_prod):
+    # the common denominator D of a class's weights
+    return _todd_scaled(s)[0] ** s * factorial(s) * (-1) ** s * beta_prod
 
 
 def _plan(g):
-    """lambda and the weights of every term, in term order. Both depend
-    only on the denominators, which `dilate` leaves unchanged and which
-    carries the plan over, so a family of dilations is planned once."""
+    """lambda and, per term, its class (s, prod beta) and weight
+    numerators. Both depend only on the denominators, which `dilate`
+    leaves unchanged and which carries the plan over, so a family of
+    dilations is planned once."""
     if g.plan is None:
         lam = find_lambda([b for t in g.terms for b in t.bs], g.n)
-        g.plan = lam, [weights([vec_dot(lam, b) for b in t.bs])
-                       for t in g.terms]
+        plan = []
+        for t in g.terms:
+            betas = tuple(sorted(vec_dot(lam, b) for b in t.bs))
+            plan.append(((len(betas), prod(betas)), weights(betas)))
+        g.plan = lam, plan
     return g.plan
 
 
 def count(g):
     """Exact number of lattice points of the polytope behind g."""
-    lam, ws = _plan(g)
-    total = Fraction(0)
-    for t, w in zip(g.terms, ws):
-        la = vec_dot(lam, t.a)
-        acc = Fraction(0)
-        power = Fraction(1)
-        for l in range(len(w)):
-            acc += w[l] * power
-            power *= la
-        total += t.sign * acc
+    lam, plan = _plan(g)
+    sums = {}
+    for t, (cls, w) in zip(g.terms, plan):
+        x = vec_dot(lam, t.a)
+        acc = 0
+        for wl in reversed(w):
+            acc = acc * x + wl
+        sums[cls] = sums.get(cls, 0) + t.sign * acc
+    total = sum((Fraction(v, _denominator(*cls)) for cls, v in sums.items()),
+                Fraction(0))
     if total.denominator != 1 or total < 0:
         raise AssertionError(f"count {total} is not a non-negative integer")
     return int(total)
@@ -116,26 +122,29 @@ def count(g):
 
 def ehrhart_polynomial(g):
     """Exact Ehrhart polynomial of the polytope behind the parametric
-    generating function g, as coefficients of k^0..k^dim."""
-    lam, ws = _plan(g)
-    max_s = max((len(t.bs) for t in g.terms), default=0)
-    coeffs = [Fraction(0)] * (max_s + 1)
-    for t, w in zip(g.terms, ws):
+    generating function g, as coefficients of k^0..k^dim. A term's
+    numerator pairing at dilation k is lav + lv k, so it contributes
+    P_W(lav + lv k) with P_W(x) = sum_l W_l x^l, expanded in k by
+    Horner's rule on integer polynomials."""
+    lam, plan = _plan(g)
+    sums = {}
+    for t, (cls, w) in zip(g.terms, plan):
         lv = vec_dot(lam, t.v)
         lav = vec_dot(lam, t.a) - lv
-        for m in range(len(w)):
-            inner = Fraction(0)
-            for l in range(m, len(w)):
-                inner += binomial(l, m) * w[l] * _ipow(lav, l - m)
-            coeffs[m] += t.sign * _ipow(lv, m) * inner
+        p = [w[-1]]
+        for wl in w[-2::-1]:
+            p = [lav * c + lv * d for c, d in zip(p + [0], [0] + p)]
+            p[0] += wl
+        acc = sums.setdefault(cls, [0] * len(p))
+        for m, c in enumerate(p):
+            acc[m] += t.sign * c
+    max_s = max((s for s, _ in sums), default=0)
+    coeffs = [Fraction(0)] * (max_s + 1)
+    for cls, acc in sums.items():
+        d = _denominator(*cls)
+        for m, c in enumerate(acc):
+            coeffs[m] += Fraction(c, d)
     for m in range(g.dim + 1, max_s + 1):
         if coeffs[m] != 0:
             raise AssertionError(f"coefficient of k^{m} should vanish")
     return poly_trim(tuple(coeffs[:g.dim + 1]))
-
-
-def _ipow(base, e):
-    # integer power with the 0^0 = 1 convention
-    if e == 0:
-        return 1
-    return base ** e

@@ -26,18 +26,29 @@
 - The lattice points of a dilation counted by a scan of the box of
   singleton caps, the reference for the memoized recursion in
   `bruteforce.count_direct`.
-- The integer matrix product and a single Todd coefficient, used to
-  check inverses and the Todd series.
+- The integer matrix product, used to check inverses.
+- The Fraction specialization: lambda on the moment curve, the Todd
+  series and per-term Fraction weights, and per-term Fraction sums for
+  counts and Ehrhart polynomials, the reference for the integer
+  per-class sums along lambda = (1, ..., n) in `specialize`; a single
+  Todd coefficient read off that series.
+- The Katzman coefficients by the multinomial sum and by the rank
+  recurrence, the references for the dimension recurrence in
+  `hstar.katzman`.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import (
+    combinations, combinations_with_replacement, permutations, product,
+)
+from math import factorial, prod
 
 from ehrmat.exactmath import (
-    binomial, mat_identity, mat_rank, solve_linear, vec_dot, vec_sub,
+    binomial, mat_identity, mat_rank, poly_trim, series_mul_trunc,
+    solve_linear, vec_dot, vec_sub,
 )
 from ehrmat.hstar import katzman
-from ehrmat.specialize import todd_series
+from ehrmat.specialize import todd_c
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -495,6 +506,119 @@ def mat_mul(a, b):
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
+# ---------------------------------------------------------------------------
+# specialization on Fractions, term by term
+
+def todd_series(xis, m):
+    """All Todd coefficients td_0..td_m of prod_j h(x xi_j), by
+    successive truncated multiplications of the factors' Taylor
+    polynomials b_n xi^n, b_n = c_n / (n! (n+1)!); any rational xi."""
+    c = todd_c(m)
+    b = [Fraction(c[n], factorial(n) * factorial(n + 1)) for n in range(m + 1)]
+    acc = (Fraction(1),)
+    for xi in xis:
+        acc = series_mul_trunc(
+            acc, tuple(bn * xi ** n for n, bn in enumerate(b)), m)
+    return list(acc) + [Fraction(0)] * (m + 1 - len(acc))
+
+
 def todd_eval(xis, m):
     """Coefficient of x^m in prod_j h(x xi_j)."""
     return todd_series(xis, m)[m]
+
+
+def moment_curve_lambda(bs, n):
+    """The first integer vector (1, xi, ..., xi^(n-1)) on the moment
+    curve pairing nonzero with every exponent in `bs`; each nonzero
+    exponent rules out at most n-1 values of xi."""
+    if any(all(x == 0 for x in b) for b in bs):
+        raise ValueError("zero denominator exponent")
+    for xi in range((n - 1) * len(bs) + 2):
+        lam = tuple(xi ** i for i in range(n))
+        if all(vec_dot(lam, b) != 0 for b in bs):
+            return lam
+    raise AssertionError("moment-curve scan failed; bound violated")
+
+
+def fraction_weights(betas):
+    """w_l = (-1)^s td_{s-l}(-beta_1, ..., -beta_s)
+             / (l! beta_1 ... beta_s), l = 0..s."""
+    s = len(betas)
+    td = todd_series([-x for x in betas], s)
+    denom = (-1) ** s * prod(betas)
+    return [td[s - l] / (factorial(l) * denom) for l in range(s + 1)]
+
+
+def _term_weights(g):
+    lam = moment_curve_lambda([b for t in g.terms for b in t.bs], g.n)
+    return lam, [fraction_weights([vec_dot(lam, b) for b in t.bs])
+                 for t in g.terms]
+
+
+def reference_count(g):
+    """#lattice points behind g: sum over terms of sign * sum_l w_l
+    <lambda, a>^l, one Fraction per term and l."""
+    lam, ws = _term_weights(g)
+    return sum((t.sign * w[l] * vec_dot(lam, t.a) ** l
+                for t, w in zip(g.terms, ws) for l in range(len(w))),
+               Fraction(0))
+
+
+def reference_ehrhart_polynomial(g):
+    """Ehrhart coefficients of k^0..k^dim: each term's sum_l w_l
+    (lav + lv k)^l expanded by the binomial theorem, one Fraction per
+    term, degree and l."""
+    lam, ws = _term_weights(g)
+    max_s = max((len(t.bs) for t in g.terms), default=0)
+    coeffs = [Fraction(0)] * (max_s + 1)
+    for t, w in zip(g.terms, ws):
+        lv = vec_dot(lam, t.v)
+        lav = vec_dot(lam, t.a) - lv
+        for l in range(len(w)):
+            for m in range(l + 1):
+                coeffs[m] += (t.sign * w[l] * binomial(l, m)
+                              * lav ** (l - m) * lv ** m)
+    if any(coeffs[g.dim + 1:]):
+        raise AssertionError("coefficients above the dimension should vanish")
+    return poly_trim(tuple(coeffs[:g.dim + 1]))
+
+
+# ---------------------------------------------------------------------------
+# Katzman coefficients by two more routes
+
+def katzman_multinomial(n, r):
+    """A^{n,r} by the multinomial sum over exponent patterns
+    (a_0, ..., a_{r-1}) with sum a_j = n, contributing to T^(sum j a_j).
+    """
+    if n < 1 or r < 1:
+        raise ValueError("need n >= 1 and r >= 1")
+    out = [0] * (n * (r - 1) + 1)
+    for pattern in combinations_with_replacement(range(r), n):
+        i = sum(pattern)
+        mult = factorial(n)
+        for j in range(r):
+            mult //= factorial(pattern.count(j))
+        out[i] += mult
+    return tuple(out)
+
+
+def katzman_rankrel(n, r):
+    """A^{n,r} by the rank recurrence
+    A_i^{n,r} = sum_{k+l=i, 0 <= l <= k(r-2)} C(n,k) A_l^{k,r-1}."""
+    if n < 1 or r < 1:
+        raise ValueError("need n >= 1 and r >= 1")
+    if r == 1:
+        return (1,)
+    inner = {k: katzman(k, r - 1) for k in range(1, n + 1)}
+    out = []
+    for i in range(n * (r - 1) + 1):
+        acc = 0
+        for k in range(n + 1):
+            l = i - k
+            if l < 0 or l > k * (r - 2):
+                continue
+            a = 1 if (k == 0 and l == 0) else (
+                inner[k][l] if k >= 1 and l < len(inner[k]) else 0)
+            acc += binomial(n, k) * a
+        out.append(acc)
+    return tuple(out)

@@ -269,6 +269,36 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert captured.err == "internal error: constant term is not 1\n"
 
 
+def test_crash_exits_internal_not_conjecture(capsys, monkeypatch):
+    # an exception other than AssertionError must not escape main, where
+    # Python would exit 1 and read as a verdict
+    def broken(g):
+        raise ValueError("zero pairing")
+
+    monkeypatch.setattr(specialize, "ehrhart_polynomial", broken)
+    path = data_path("K4")
+    code = cli.main(["ehrhart", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err == f"internal error: {path}: ValueError: zero pairing\n"
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{"])
+def test_unreadable_document_is_a_validation_error(tmp_path, capsys,
+                                                   content):
+    # a directory, or bytes that are not UTF-8
+    path = tmp_path / "doc.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = cli.main(["ehrhart", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION == 2
+    assert captured.err.startswith("validation error: ")
+
+
 def test_all_bundled_documents_validate():
     data_dir = files("ehrmat").joinpath("data")
     names = sorted(p.name for p in data_dir.iterdir()

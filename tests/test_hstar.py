@@ -7,11 +7,12 @@ from ehrmat.exactmath import binomial, poly_eval, poly_mul
 from ehrmat.hstar import (
     conjecture_report, ehrhart_to_hstar, hstar_rank2, hstar_rank3,
     hstar_sum_identity, is_symmetric, is_unimodal, katzman,
-    katzman_multinomial, katzman_rankrel, partial_unimodality_scan,
-    trim_trailing_zeros, uniform_conjecture_report, uniform_ehrhart,
-    uniform_hstar,
+    partial_unimodality_scan, trim_trailing_zeros,
+    uniform_conjecture_report, uniform_ehrhart, uniform_hstar,
 )
-from oracles import uniform_hstar_triple_sum
+from oracles import (
+    katzman_multinomial, katzman_rankrel, uniform_hstar_triple_sum,
+)
 
 K4_EHRHART = tuple(Fraction(x) for x in
                    ("1", "107/30", "21/4", "49/12", "7/4", "7/20"))

@@ -1,17 +1,25 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    fraction_weights, reference_count, reference_ehrhart_polynomial,
+    todd_eval, todd_series,
+)
+from test_bruteforce import matroid_specs, polymatroid_specs
 
+import ehrmat
 from ehrmat.exactmath import poly_eval, series_mul_trunc
 from ehrmat.genfun import GenFun, GenFunTerm, build_genfun, dilate
 from ehrmat.matroid import RankFunction
-from oracles import todd_eval
-
 from ehrmat.specialize import (
-    count, ehrhart_polynomial, find_lambda, todd_c, todd_series, weights,
+    _denominator, count, ehrhart_polynomial, find_lambda, todd_c, weights,
 )
 from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec
 
@@ -84,13 +92,12 @@ def test_todd_matches_series_division_oracle(s, data):
 
 
 def test_find_lambda_examples():
-    assert find_lambda([(1, 0)], 2) == (1, 0)
-    assert find_lambda([(1, -1)], 2) == (1, 0)
-    assert find_lambda([(1, -1), (-1, 1)], 2) == (1, 0)
-    # (1, -1) and (0, 1) both nonzero against lambda(1) = (1, 1)? pairing
-    # of (1,-1) with (1,1) is 0, so the scan must move past xi = 1
-    lam = find_lambda([(1, -1), (0, 1)], 2)
-    assert lam[0] * 1 + lam[1] * (-1) != 0 and lam[1] != 0
+    # lambda = (1, ..., n), whatever the exponents, as long as none pairs
+    # to zero with it
+    assert find_lambda([(1, 0)], 2) == (1, 2)
+    assert find_lambda([(1, -1), (-1, 1)], 2) == (1, 2)
+    assert find_lambda([(1, -1), (0, 1)], 2) == (1, 2)
+    assert find_lambda([], 4) == (1, 2, 3, 4)
 
 
 def test_find_lambda_rejects_zero_exponent():
@@ -98,15 +105,63 @@ def test_find_lambda_rejects_zero_exponent():
         find_lambda([(0, 0)], 2)
 
 
+def test_find_lambda_rejects_zero_pairing_under_optimize():
+    # (2, -1) is no tangent-cone ray; it pairs to 2 - 2 = 0. The check
+    # must be a real exception, not a bare assert that `python -O` strips
+    code = (
+        "import sys\n"
+        "from ehrmat.specialize import find_lambda\n"
+        "if __debug__:\n"
+        "    sys.exit(2)\n"
+        "try:\n"
+        "    find_lambda([(2, -1)], 2)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    src = str(Path(ehrmat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "pairs to zero" in proc.stdout
+
+
+def _fractions(betas):
+    # the weights w_l = W_l / D of one term
+    w = weights(tuple(sorted(betas)))
+    d = _denominator(len(betas), prod(betas))
+    return [Fraction(x, d) for x in w]
+
+
 def test_weights_empty_denominator():
-    assert weights([]) == [Fraction(1)]
+    assert weights(()) == (1,)
+    assert _fractions([]) == fraction_weights([]) == [Fraction(1)]
 
 
 def test_weights_one_dimensional():
-    beta = Fraction(3)
-    w = weights([beta])
-    assert w[1] == -1 / beta
+    w = _fractions([3])
+    assert w == fraction_weights([3])
+    assert w[1] == Fraction(-1, 3)
     assert w[0] == Fraction(1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-8, 8).filter(bool), max_size=8))
+def test_weights_match_fraction_reference(betas):
+    assert _fractions(betas) == fraction_weights(betas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matroid_specs(), polymatroid_specs()))
+def test_specialization_matches_fraction_reference(spec):
+    # lambda = (1, ..., n) with per-class integer sums against the
+    # moment-curve lambda with per-term Fraction sums
+    g = build_genfun(spec)
+    assert ehrhart_polynomial(g) == reference_ehrhart_polynomial(g)
+    for k in range(1, 4):
+        gk = dilate(g, k)
+        assert count(gk) == reference_count(gk)
 
 
 def test_segment_count_by_hand_terms():
@@ -114,6 +169,15 @@ def test_segment_count_by_hand_terms():
     g = GenFun([GenFunTerm(1, (0,), (0,), [(1,)]),
                 GenFunTerm(1, (1,), (1,), [(-1,)])], 1, 1)
     assert count(g) == 2
+
+
+def test_signed_terms_by_hand():
+    # [0, 3k - 1]: the cone at 0 with ray +1 minus the cone at 3k
+    g = GenFun([GenFunTerm(1, (0,), (0,), [(1,)]),
+                GenFunTerm(-1, (3,), (3,), [(1,)])], 1, 1)
+    assert count(g) == reference_count(g) == 3
+    assert count(dilate(g, 2)) == 6
+    assert ehrhart_polynomial(g) == reference_ehrhart_polynomial(g) == (0, 3)
 
 
 def test_count_examples():
