@@ -1,14 +1,20 @@
-"""Tangent cones, placing triangulation with an exact barycentric
-visibility test, boundary-join cone triangulation, and half-open
+"""Tangent cones, placing triangulation on carried integer inverses,
+boundary-join cone triangulation with facet normals, and half-open
 decomposition into unimodular simplicial cones.
+
+Every simplex of the placing triangulation carries (t, d): d times the
+inverse of its homogenized vertex matrix, restricted to a chart of
+coordinates, with d = +-det, so t = +-adj. Coning a facet to a new
+point is a rank-one update of the owner's inverse and growing the affine
+hull is a bordered (Schur) update; both divide exactly, so no simplex
+is ever eliminated. Visibility signs, the hull test and the facet
+normals of the cone pieces are all read off these inverses.
 """
 
 from itertools import combinations
+from operator import mul
 
-from .exactmath import (
-    det, mat_inverse_unimodular, mat_rank, solve_linear, vec_dot,
-    vec_primitive, vec_sub,
-)
+from .exactmath import det, vec_dot, vec_primitive, vec_sub
 
 
 class TangentCone:
@@ -42,10 +48,34 @@ def tangent_cone(vs, i):
     return TangentCone(v, rays)
 
 
-def _affinely_independent(points, idx, new_point):
-    base = points[idx[0]] if idx else new_point
-    rows = [vec_sub(points[i], base) for i in idx[1:]]
-    return mat_rank(rows + [vec_sub(new_point, base)]) == len(rows) + 1
+def _apply(t, b):
+    """u = t b."""
+    return [sum(map(mul, row, b)) for row in t]
+
+
+def _coned(t, d, j, u):
+    """Carried inverse after vertex j is replaced by a point b with
+    u = t b (a rank-one update): d' = u_j, row i is
+    (u_j t_i - u_i t_j) / d, exact because t is +-adj. The rows come
+    in vertex order with j dropped and the new vertex's row t_j last."""
+    uj, tj = u[j], t[j]
+    rows = [tuple((uj * x - ui * y) // d for x, y in zip(ti, tj))
+            for i, (ti, ui) in enumerate(zip(t, u)) if i != j]
+    rows.append(tj)
+    return rows, uj
+
+
+def _bordered(t, d, u, e, f):
+    """Carried inverse after a vertex b (u = t b) and a chart coordinate
+    are appended, the vertices reading e and b reading f there (a Schur
+    update): with g = e^T t and D = d f - e u,
+    t' = [[(D t + u g^T) / d, -u], [-g, d]] and d' = D."""
+    g = [sum(map(mul, e, col)) for col in zip(*t)]
+    big = d * f - sum(map(mul, e, u))
+    rows = [tuple((big * x + ui * gc) // d for x, gc in zip(ti, g)) + (-ui,)
+            for ti, ui in zip(t, u)]
+    rows.append(tuple(-gc for gc in g) + (d,))
+    return rows, big
 
 
 def placing_triangulation(points):
@@ -53,12 +83,31 @@ def placing_triangulation(points):
 
     Points are inserted in the given order. A point outside the current
     affine hull cones every maximal simplex to itself; a point inside it
-    is attached to every visible boundary facet. Visibility is the exact
-    hyperplane criterion (query strictly beyond the facet's affine
-    hull), decided by the sign of a barycentric coordinate.
+    is attached to every visible boundary facet: one it lies strictly
+    beyond, i.e. where its barycentric coordinate at the owner's vertex
+    opposite the facet is negative.
     Returns the set of maximal simplices as tuples of point indices.
     """
+    return _place(points)[0]
+
+
+def _place(points):
+    """The placing triangulation with every simplex's carried inverse.
+
+    A simplex s (a sorted tuple) carries (t, d): d times the inverse of
+    its homogenized vertex matrix restricted to the chart, rows in the
+    order of s, with d = +-det. The chart lists coordinates of the
+    homogenized points (0 is the homogenizing 1) on which the current
+    affine hull projects bijectively; each hull growth appends the first
+    coordinate where the new point leaves the hull. So u = t b is d
+    times the barycentric coordinates of a point b of the hull, and no
+    simplex is ever eliminated.
+    Returns (simplices, inverses by simplex, chart).
+    """
+    hom = [(1,) + tuple(p) for p in points]
+    chart = [0]
     simplices = set()
+    inverse = {}
     placed = []
     for idx in range(len(points)):
         p = points[idx]
@@ -66,78 +115,102 @@ def placing_triangulation(points):
             continue
         if not placed:
             simplices = {(idx,)}
+            inverse[(idx,)] = ([(1,)], 1)
             placed.append(idx)
             continue
+        b = hom[idx]
+        bc = [b[c] for c in chart]
         hull = next(iter(simplices))
-        if _affinely_independent(points, hull, p):
+        t, d = inverse[hull]
+        u = _apply(t, bc)
+        off = next((c for c in range(len(b)) if c not in chart
+                    and sum(uv * hom[v][c] for uv, v in zip(u, hull))
+                    != d * b[c]), None)
+        if off is not None:
+            chart.append(off)
+            for s in simplices:
+                t, d = inverse.pop(s)
+                inverse[s + (idx,)] = _bordered(
+                    t, d, _apply(t, bc), [hom[v][off] for v in s], b[off])
             simplices = {s + (idx,) for s in simplices}
             placed.append(idx)
             continue
         new = []
-        bary_cache = {}
-        for fac, owner in _boundary_facets_with_owner(simplices):
-            if owner not in bary_cache:
-                bary_cache[owner] = _barycentric(points, owner, p)
-            bary = bary_cache[owner]
-            j = owner.index(next(v for v in owner if v not in fac))
-            if bary[j] < 0:
-                new.append(tuple(sorted(fac + (idx,))))
+        for fac, owner, j in _boundary_facets_with_owner(simplices):
+            t, d = inverse[owner]
+            # u_j = t_j b is d times b's barycentric coordinate at j
+            if sum(map(mul, t[j], bc)) * d < 0:
+                s = tuple(sorted(fac + (idx,)))
+                new.append(s)
+                inverse[s] = _coned(t, d, j, _apply(t, bc))
         simplices.update(new)
         placed.append(idx)
-    return {tuple(sorted(s)) for s in simplices}
-
-
-def _barycentric(points, simplex, p):
-    """Affine coordinates of p with respect to an affinely independent
-    simplex whose affine hull contains p."""
-    rows = [[points[i][c] for i in simplex] for c in range(len(p))]
-    rows.append([1] * len(simplex))
-    sol = solve_linear(rows, list(p) + [1])
-    if sol is None:
-        raise ValueError("point is outside the simplex's affine hull")
-    return sol
+    return {tuple(sorted(s)) for s in simplices}, inverse, chart
 
 
 def _boundary_facets_with_owner(simplices):
-    """Facets belonging to exactly one maximal simplex, with that
-    simplex."""
+    """Facets belonging to exactly one maximal simplex, as (facet,
+    that simplex, position in it of the vertex the facet omits)."""
     seen = {}
     for s in simplices:
         if len(s) == 1:
             continue
-        for fac in combinations(s, len(s) - 1):
+        # combinations omits the last position first
+        for j, fac in zip(range(len(s) - 1, -1, -1),
+                          combinations(s, len(s) - 1)):
             if fac in seen:
                 seen[fac] = None
             else:
-                seen[fac] = s
-    return [(fac, owner) for fac, owner in seen.items() if owner is not None]
-
-
-def _boundary_facets(simplices):
-    return [fac for fac, _ in _boundary_facets_with_owner(simplices)]
+                seen[fac] = (s, j)
+    return [(fac, *owner) for fac, owner in seen.items() if owner is not None]
 
 
 def triangulate_cone(cone):
     """Triangulate a pointed cone into simplicial cones, returned as
-    lists of ray indices.
+    (piece, normals) pairs: the piece a list of ray indices, and one
+    inward facet normal per ray of the piece.
 
     Stage 1 places {0} union rays; stage 2 joins the apex to every
-    boundary facet not containing it. Rays must be extremal.
+    boundary facet not containing it. The carried inverse of apex union
+    piece is the facet's owner's, or one rank-one update of it when the
+    owner does not contain the apex. Normal j is read off it on the
+    chart coordinates and is 0 elsewhere: it pairs -|det| with ray j
+    and 0 with the other rays of the piece, det being the ray
+    determinant on the chart, so for a unimodular piece it is
+    `facet_normals_unimodular` of the piece's rays. A facet in a
+    hyperplane through the apex spans a flat cone and is dropped: the
+    placing triangulation makes one when a ray is not extremal, and
+    also from some sets of extremal rays.
     """
-    nrays = len(cone.rays)
-    if nrays == 0:
+    if not cone.rays:
         raise ValueError("trivial cone")
-    dim_cone = mat_rank(cone.rays)
-    if nrays == dim_cone:
-        return [list(range(nrays))]
-    zero = tuple(0 for _ in cone.rays[0])
-    points = [zero] + list(cone.rays)
-    tri = placing_triangulation(points)
+    dim = len(cone.rays[0])
+    tri, inverse, chart = _place([(0,) * dim] + list(cone.rays))
     out = []
-    for fac in _boundary_facets(tri):
+    for fac, owner, j in _boundary_facets_with_owner(tri):
         if 0 in fac:
             continue
-        out.append([i - 1 for i in fac])
+        piece = [i - 1 for i in fac]
+        t, d = inverse[owner]
+        if owner[0] == 0:
+            rows = t[1:]
+        else:
+            # the apex homogenizes to e_0 on the chart, so u = t e_0
+            u = [row[0] for row in t]
+            if u[j] == 0:
+                # the facet lies in a hyperplane through the apex, so
+                # its cone is flat, on the boundary of the cone
+                continue
+            rows, d = _coned(t, d, j, u)
+            rows = rows[:-1]
+        sign = -1 if d > 0 else 1
+        normals = []
+        for row in rows:
+            nrm = [0] * dim
+            for c, x in zip(chart[1:], row[1:]):
+                nrm[c - 1] = sign * x
+            normals.append(tuple(nrm))
+        out.append((piece, normals))
     return out
 
 
@@ -149,9 +222,18 @@ def cone_ray_matrix(rays):
 def facet_normals_unimodular(rays):
     """Inward facet normals of a unimodular simplicial cone, one per
     ray: the normal opposite ray j pairs to -1 with ray j and to 0 with
-    the others. Integral because the ray matrix is unimodular."""
-    inv = mat_inverse_unimodular(cone_ray_matrix(rays))
-    return [tuple(-x for x in row) for row in inv]
+    the others. They are minus the inverse of the ray matrix, taken here
+    by cofactors: the reference for the normals that `triangulate_cone`
+    reads off its carried inverses. ValueError unless the determinant
+    is +-1."""
+    d = det(cone_ray_matrix(rays))
+    if d not in (1, -1):
+        raise ValueError(f"ray matrix determinant {d}, not unimodular")
+    n = len(rays)
+    return [tuple(-d * (-1) ** (j + c) * det(
+        [[r[k] for k in range(n) if k != c]
+         for i, r in enumerate(rays) if i != j]) for c in range(n))
+        for j in range(n)]
 
 
 def pick_generic_y(normals, rays):
@@ -174,8 +256,9 @@ def half_open_decompose(cones, y):
     """Half-open decomposition of a list of full-dimensional unimodular
     simplicial cones sharing an apex.
 
-    Each cone is (apex, rays, normals) with normals as returned by
-    `facet_normals_unimodular(rays)`; y must pair nonzero with every
+    Each cone is (apex, rays, normals) with the normals that
+    `triangulate_cone` returns with the piece (for a unimodular piece,
+    `facet_normals_unimodular(rays)`); y must pair nonzero with every
     facet normal and lie in the cone the pieces are meant to partition.
     Facet j of a piece is flagged open when its inward normal pairs
     positively with y, i.e. when y lies on the outside of that facet.

@@ -15,8 +15,7 @@ coordinates are simply its entries in the pivot columns.
 
 from .cones import (
     HalfOpenSimplicialCone, TangentCone, assert_unimodular,
-    facet_normals_unimodular, half_open_decompose, pick_generic_y,
-    tangent_cone, triangulate_cone,
+    half_open_decompose, pick_generic_y, tangent_cone, triangulate_cone,
 )
 from .exactmath import _gauss_jordan, vec_add, vec_sub
 from .vertices import enumerate_vertices
@@ -108,15 +107,15 @@ def _vertex_terms(vs, i, basis):
     work_cone = TangentCone(tuple([0] * dim), rays_work)
     pieces = triangulate_cone(work_cone)
     cones_work = []
-    for piece in pieces:
+    for piece, normals in pieces:
         rays = [rays_work[j] for j in piece]
         assert_unimodular(rays)
-        cones_work.append((None, rays, facet_normals_unimodular(rays)))
+        cones_work.append((None, rays, normals))
     y = pick_generic_y([nrm for _, _, nrms in cones_work for nrm in nrms],
                        rays=rays_work)
     decomposed = half_open_decompose(cones_work, y)
     out = []
-    for piece, hoc in zip(pieces, decomposed):
+    for (piece, _), hoc in zip(pieces, decomposed):
         ambient = HalfOpenSimplicialCone(
             cone.apex, [cone.rays[j] for j in piece], hoc.open_flags)
         out.append(unimodular_term(ambient))

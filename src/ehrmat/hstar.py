@@ -148,52 +148,8 @@ def uniform_hstar(n, r):
     return tuple(out)
 
 
-def hstar_rank2(n):
-    """Closed form for rank 2: coefficients of
-    (sum_l C(n,2l) T^l) - n T, padded to length n."""
-    out = [binomial(n, 2 * l) for l in range(n)]
-    if n >= 2:
-        out[1] -= n
-    return tuple(out)
-
-
-def hstar_rank3(n):
-    """Closed form for rank 3:
-    h*_l = A_{3l}^{n,3} - n C(n, 2l-1) + [l == 2] C(n,2)."""
-    kat = katzman(n, 3)
-    out = []
-    for l in range(n):
-        a = kat[3 * l] if 3 * l < len(kat) else 0
-        val = a - n * binomial(n, 2 * l - 1)
-        if l == 2:
-            val += binomial(n, 2)
-        out.append(val)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # conjecture predicates
-
-def conjecture_report(ehrhart, hstar):
-    """Verdicts for the two conjectured properties, with a witness index
-    for any violation."""
-    uni = is_unimodal(hstar)
-    witness_u = None
-    if not uni:
-        for i in range(1, len(hstar) - 1):
-            if hstar[i] < hstar[i - 1] and any(
-                    hstar[j] > hstar[i] for j in range(i + 1, len(hstar))):
-                witness_u = i
-                break
-    pos = all(c > 0 for c in ehrhart)
-    witness_p = next((i for i, c in enumerate(ehrhart) if c <= 0), None)
-    return {
-        "hstarUnimodal": uni,
-        "ehrhartCoeffsPositive": pos,
-        "witnessUnimodal": witness_u,
-        "witnessPositivity": witness_p,
-    }
-
 
 def uniform_conjecture_report(n, r):
     """Conjecture verdicts for a uniform matroid from the closed forms
@@ -211,25 +167,3 @@ def trim_trailing_zeros(v):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def partial_unimodality_scan(indices, n_max, r=3):
-    """Smallest n (if any, up to n_max) such that the rank-r uniform
-    h*-vector is non-decreasing from entry 0 through entry I, for each I
-    in `indices`; empirical table only."""
-    rows = {}
-    for n in range(r, n_max + 1):
-        rows[n] = uniform_hstar(n, r)
-    out = {}
-    for bound in indices:
-        threshold = None
-        for n in range(r, n_max + 1):
-            h = rows[n]
-            ok = bound < len(h) and all(
-                h[i] <= h[i + 1] for i in range(bound))
-            if ok and threshold is None:
-                threshold = n
-            elif not ok:
-                threshold = None  # must hold for every larger n in range
-        out[bound] = threshold
-    return out

@@ -4,8 +4,12 @@
   on Fraction scalars, so termination is guaranteed and every result is
   exact.
 - Facet visibility and polytope adjacency decided by that LP, the
-  references for the barycentric visibility test in
-  `cones.placing_triangulation` and for `vertices._compute_adjacency`.
+  references for the visibility test of the placing triangulation and
+  for `vertices._compute_adjacency`.
+- The placing triangulation with a `mat_rank` hull test and
+  `solve_linear` barycentrics, and the cone triangulation over it with
+  `cones.facet_normals_unimodular` normals, the references for the
+  carried integer inverses in `cones.triangulate_cone`.
 - The pairwise O(4^n) rank-axiom checks, the reference for the local
   checks in `matroid`.
 - Half-open cone membership by exact ray coordinates, and the lattice
@@ -35,6 +39,9 @@
 - The Katzman coefficients by the multinomial sum and by the rank
   recurrence, the references for the dimension recurrence in
   `hstar.katzman`.
+- The rank-2 and rank-3 uniform h* closed forms, a partial
+  unimodality scan over the uniform h*-vectors, and a conjecture report
+  with witnesses, the test-side checks on `hstar`.
 """
 
 from fractions import Fraction
@@ -43,11 +50,12 @@ from itertools import (
 )
 from math import factorial, prod
 
+from ehrmat.cones import facet_normals_unimodular
 from ehrmat.exactmath import (
-    binomial, mat_identity, mat_rank, poly_trim, series_mul_trunc,
+    binomial, det, mat_identity, mat_rank, poly_trim, series_mul_trunc,
     solve_linear, vec_dot, vec_sub,
 )
-from ehrmat.hstar import katzman
+from ehrmat.hstar import is_unimodal, katzman, uniform_hstar
 from ehrmat.specialize import todd_c
 
 OPTIMAL = "optimal"
@@ -191,6 +199,83 @@ def visible(points, facet_vertices, query):
     status, value, _ = simplex_max(a, b, c)
     assert status == OPTIMAL
     return value == 0
+
+
+def reference_placing_triangulation(points):
+    """Placing triangulation of conv(points), in the given order: a
+    point off the affine hull (by `mat_rank`) cones every simplex, one
+    on it is attached to every boundary facet where its barycentric
+    coordinate (by `solve_linear`) of the owner's opposite vertex is
+    negative. The set updates are the library's, so the set of maximal
+    simplices iterates in the same order."""
+    simplices = set()
+    placed = []
+    for idx in range(len(points)):
+        p = points[idx]
+        if any(points[i] == p for i in placed):
+            continue
+        if not placed:
+            simplices = {(idx,)}
+            placed.append(idx)
+            continue
+        hull = next(iter(simplices))
+        base = points[hull[0]]
+        rows = [vec_sub(points[i], base) for i in hull[1:]]
+        if mat_rank(rows + [vec_sub(p, base)]) == len(rows) + 1:
+            simplices = {s + (idx,) for s in simplices}
+            placed.append(idx)
+            continue
+        new = []
+        bary_cache = {}
+        for fac, owner in _boundary_facets_with_owner(simplices):
+            if owner not in bary_cache:
+                rows = [[points[i][c] for i in owner] for c in range(len(p))]
+                rows.append([1] * len(owner))
+                bary_cache[owner] = solve_linear(rows, list(p) + [1])
+            j = owner.index(next(v for v in owner if v not in fac))
+            if bary_cache[owner][j] < 0:
+                new.append(tuple(sorted(fac + (idx,))))
+        simplices.update(new)
+        placed.append(idx)
+    return {tuple(sorted(s)) for s in simplices}
+
+
+def _boundary_facets_with_owner(simplices):
+    seen = {}
+    for s in simplices:
+        if len(s) == 1:
+            continue
+        for fac in combinations(s, len(s) - 1):
+            seen[fac] = None if fac in seen else s
+    return [(fac, owner) for fac, owner in seen.items() if owner is not None]
+
+
+def reference_triangulate_cone(cone):
+    """(piece, normals) pairs of a cone: one piece when the rays are
+    linearly independent, else every boundary facet of the placing
+    triangulation of {0} union rays that misses 0 and whose rays are
+    independent (by `mat_rank`). The normals are
+    `facet_normals_unimodular` of the piece's rays, None when those
+    are not a square matrix of determinant +-1."""
+    rays = cone.rays
+    if mat_rank(rays) == len(rays):
+        pieces = [list(range(len(rays)))]
+    else:
+        tri = reference_placing_triangulation(
+            [tuple(0 for _ in rays[0])] + list(rays))
+        pieces = [[i - 1 for i in fac]
+                  for fac, _ in _boundary_facets_with_owner(tri)
+                  if 0 not in fac]
+    out = []
+    for piece in pieces:
+        prays = [rays[j] for j in piece]
+        if mat_rank(prays) < len(prays):
+            continue
+        square = len(prays) == len(prays[0])
+        unimodular = square and det(tuple(zip(*prays))) in (1, -1)
+        out.append((piece, facet_normals_unimodular(prays)
+                    if unimodular else None))
+    return out
 
 
 def is_extreme_direction(d, others):
@@ -622,3 +707,69 @@ def katzman_rankrel(n, r):
             acc += binomial(n, k) * a
         out.append(acc)
     return tuple(out)
+
+
+def hstar_rank2(n):
+    """Uniform h* closed form for rank 2: coefficients of
+    (sum_l C(n,2l) T^l) - n T, padded to length n."""
+    out = [binomial(n, 2 * l) for l in range(n)]
+    if n >= 2:
+        out[1] -= n
+    return tuple(out)
+
+
+def hstar_rank3(n):
+    """Uniform h* closed form for rank 3:
+    h*_l = A_{3l}^{n,3} - n C(n, 2l-1) + [l == 2] C(n,2)."""
+    kat = katzman(n, 3)
+    out = []
+    for l in range(n):
+        a = kat[3 * l] if 3 * l < len(kat) else 0
+        val = a - n * binomial(n, 2 * l - 1)
+        if l == 2:
+            val += binomial(n, 2)
+        out.append(val)
+    return tuple(out)
+
+
+def conjecture_report(ehrhart, hstar):
+    """Verdicts for the two conjectured properties, with a witness index
+    for any violation."""
+    uni = is_unimodal(hstar)
+    witness_u = None
+    if not uni:
+        for i in range(1, len(hstar) - 1):
+            if hstar[i] < hstar[i - 1] and any(
+                    hstar[j] > hstar[i] for j in range(i + 1, len(hstar))):
+                witness_u = i
+                break
+    pos = all(c > 0 for c in ehrhart)
+    witness_p = next((i for i, c in enumerate(ehrhart) if c <= 0), None)
+    return {
+        "hstarUnimodal": uni,
+        "ehrhartCoeffsPositive": pos,
+        "witnessUnimodal": witness_u,
+        "witnessPositivity": witness_p,
+    }
+
+
+def partial_unimodality_scan(indices, n_max, r=3):
+    """Smallest n (if any, up to n_max) such that the rank-r uniform
+    h*-vector is non-decreasing from entry 0 through entry I, for each I
+    in `indices`; empirical table only."""
+    rows = {}
+    for n in range(r, n_max + 1):
+        rows[n] = uniform_hstar(n, r)
+    out = {}
+    for bound in indices:
+        threshold = None
+        for n in range(r, n_max + 1):
+            h = rows[n]
+            ok = bound < len(h) and all(
+                h[i] <= h[i + 1] for i in range(bound))
+            if ok and threshold is None:
+                threshold = n
+            elif not ok:
+                threshold = None  # must hold for every larger n in range
+        out[bound] = threshold
+    return out

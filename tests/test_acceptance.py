@@ -15,7 +15,8 @@ from itertools import product
 from math import factorial
 
 from oracles import (
-    half_open_contains, katzman_multinomial, katzman_rankrel, todd_eval,
+    half_open_contains, hstar_rank2, katzman_multinomial, katzman_rankrel,
+    todd_eval,
 )
 
 from ehrmat import bruteforce, corpus, hstar, specialize
@@ -158,7 +159,7 @@ def test_criterion_4_uniform_closed_forms(pipelines):
             assert (hstar.trim_trailing_zeros(hstar.uniform_hstar(n, r))
                     == hstar.trim_trailing_zeros(transform)), (n, r)
     for n in range(2, 31):
-        assert hstar.hstar_rank2(n) == hstar.uniform_hstar(n, 2), n
+        assert hstar_rank2(n) == hstar.uniform_hstar(n, 2), n
     print("CRITERION 4: PASS - uniform closed form == pipeline == brute "
           "force (n<=8); triple sum == transform (n<=12); rank-2 closed "
           "form (n<=30)")

@@ -133,6 +133,10 @@ def test_genfun_segment_and_k4(capsys):
 # no choice of basis may change a byte of this output.
 GENFUN_SHA256 = {
     "K4": "7d01696136e742e1dbdbe875440d8cbe151bd711d2f7be74dc6959ac243c20b3",
+    # AG32 and P8 pin the larger cone stages: 8 elements, rank 4
+    "AG32":
+        "b9f711c80d89a683ce7304d355b07dcb78a50f5778b09f37892984e3d9155195",
+    "P8": "392e9c23e39490ed829116e093940bbb08fcb0ff70815c5fa48637bd7b9a5697",
     "W3_whirl":
         "f7797a39693b06e0dc31efc8fa02acbff960c816fad7116022d1e24161abdcb3",
     "U24_independence":

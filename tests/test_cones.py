@@ -1,15 +1,22 @@
 from itertools import product
 
 import pytest
-from oracles import half_open_contains, visible
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    half_open_contains, is_extreme_direction,
+    reference_placing_triangulation, reference_triangulate_cone, visible,
+)
+from test_bruteforce import matroid_specs, polymatroid_specs
 
 from ehrmat import corpus
 from ehrmat.cones import (
-    TangentCone, assert_unimodular,
+    TangentCone, assert_unimodular, cone_ray_matrix,
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
     placing_triangulation, tangent_cone, triangulate_cone,
 )
-from ehrmat.exactmath import vec_dot, vec_sub
+from ehrmat.exactmath import det, vec_dot, vec_sub
+from ehrmat.genfun import affine_lattice_basis, to_working
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, PolytopeSpec, enumerate_vertices,
@@ -119,15 +126,15 @@ def test_placing_interior_point_coverage():
 
 def test_triangulate_simplicial_cone_unchanged():
     cone = TangentCone((0, 0), [(1, 0), (0, 1)])
-    assert triangulate_cone(cone) == [[0, 1]]
+    assert [p for p, _ in triangulate_cone(cone)] == [[0, 1]]
     single = TangentCone((0,), [(2,)])
-    assert triangulate_cone(single) == [[0]]
+    assert [p for p, _ in triangulate_cone(single)] == [[0]]
 
 
 def test_triangulate_k4_cone_golden():
     apex, rays = _k4_rays()
     pieces = triangulate_cone(TangentCone(apex, rays))
-    got = {frozenset(p) for p in pieces}
+    got = {frozenset(p) for p, _ in pieces}
     assert got == {frozenset({0, 1, 2, 3, 4}),
                    frozenset({0, 2, 3, 4, 5}),
                    frozenset({0, 1, 3, 4, 5})}
@@ -135,13 +142,113 @@ def test_triangulate_k4_cone_golden():
 
 def test_k4_cone_pieces_unimodular():
     # maximal-cone ray determinants are +-1 in the working lattice
-    from ehrmat.genfun import affine_lattice_basis, to_working
     apex, rays = _k4_rays()
     spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
     basis = affine_lattice_basis(enumerate_vertices(spec).vertices)
     rays_work = [to_working(basis, r) for r in rays]
-    for piece in triangulate_cone(TangentCone(apex, rays)):
+    for piece, _ in triangulate_cone(TangentCone(apex, rays)):
         assert_unimodular([rays_work[j] for j in piece]) in (1, -1)
+
+
+def _check_normals(rays, piece, normals):
+    # normal j pairs -|det| with ray j and 0 with the other rays; det is
+    # the ray determinant on the chart, the full one in full dimension
+    pairings = [[vec_dot(nrm, rays[k]) for k in piece] for nrm in normals]
+    delta = -pairings[0][0]
+    assert delta > 0
+    assert pairings == [[-delta if j == k else 0 for k in range(len(piece))]
+                        for j in range(len(piece))]
+    if len(piece) == len(rays[0]):
+        assert delta == abs(det(cone_ray_matrix([rays[k] for k in piece])))
+
+
+def _working_tangent_cones(spec):
+    vs = enumerate_vertices(spec)
+    basis = affine_lattice_basis(vs.vertices)
+    if not basis:
+        return []
+    cones = []
+    for i in range(len(vs)):
+        rays = [to_working(basis, r) for r in tangent_cone(vs, i).rays]
+        cones.append(TangentCone((0,) * len(basis), rays))
+    return cones
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matroid_specs(), polymatroid_specs()))
+def test_triangulate_tangent_cones_match_reference(spec):
+    # same pieces in the same order as the elimination-based placing,
+    # and the normals of facet_normals_unimodular (every piece of a
+    # matroid or polymatroid tangent cone is unimodular)
+    for cone in _working_tangent_cones(spec):
+        got = triangulate_cone(cone)
+        want = reference_triangulate_cone(cone)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        for (piece, normals), (_, ref) in zip(got, want):
+            assert normals == ref
+            _check_normals(cone.rays, piece, normals)
+
+
+@st.composite
+def pointed_cones(draw):
+    """Up to 6 small integer rays in dimension <= 4, pointed because
+    every first coordinate is positive; not necessarily extremal, full
+    dimensional or unimodular."""
+    dim = draw(st.integers(1, 4))
+    ray = st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * (dim - 1))
+    return TangentCone((0,) * dim,
+                       draw(st.lists(ray, min_size=1, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pointed_cones())
+def test_triangulate_random_cones_match_reference(cone):
+    points = [cone.apex] + cone.rays
+    assert (list(placing_triangulation(points))
+            == list(reference_placing_triangulation(points)))
+    want = reference_triangulate_cone(cone)
+    got = triangulate_cone(cone)
+    assert [p for p, _ in got] == [p for p, _ in want]
+    for (piece, normals), (_, ref) in zip(got, want):
+        if ref is not None:
+            assert normals == ref
+        _check_normals(cone.rays, piece, normals)
+
+
+def test_triangulate_owner_without_apex_by_hand():
+    # (2, 1, -1) lies beyond the facet e1 e2 e3, so both pieces come
+    # from the simplex e1 e2 e3 (2, 1, -1), which misses the apex, and
+    # their inverses take one rank-one update each
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1)]
+    got = triangulate_cone(TangentCone((0, 0, 0), rays))
+    assert got == [([0, 2, 3], [(-1, 2, 0), (0, -1, -1), (0, -1, 0)]),
+                   ([1, 2, 3], [(1, -2, 0), (-1, 0, -2), (-1, 0, 0)])]
+    for piece, normals in got:
+        _check_normals(rays, piece, normals)
+    # |det| is 1 for the first piece and 2 for the second
+    assert got[0][1] == facet_normals_unimodular([rays[j] for j in got[0][0]])
+    assert vec_dot(got[1][1][0], rays[1]) == -2
+
+
+def test_flat_facets_dropped():
+    # the placing triangulation has a boundary facet in a hyperplane
+    # through the apex, which spans a flat cone. With e1 + e2, which is
+    # not extremal, it is e1 e2 (e1 + e2) in the plane z = 0
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
+    assert (placing_triangulation([(0, 0, 0)] + rays)
+            == {(0, 1, 2, 3), (1, 2, 3, 4)})
+    pieces = [p for p, _ in triangulate_cone(TangentCone((0, 0, 0), rays))]
+    assert pieces == [[0, 2, 3], [1, 2, 3]]
+    # a polymatroid tangent cone, every ray extremal, has one too
+    rays = [(0, -1, 0, 0, 0), (0, -1, 1, 0, 0), (0, 0, 0, -1, 1),
+            (0, 0, 0, 0, -1), (0, 0, 1, -1, 0), (1, -1, 0, 0, 0)]
+    assert all(is_extreme_direction(r, [q for q in rays if q != r])
+               for r in rays)
+    got = triangulate_cone(TangentCone((0,) * 5, rays))
+    assert [p for p, _ in got] == [[0, 1, 2, 4, 5], [0, 1, 3, 4, 5],
+                                   [0, 2, 3, 4, 5]]
+    for piece, normals in got:
+        _check_normals(rays, piece, normals)
 
 
 def test_facet_normals():

@@ -14,6 +14,7 @@ from oracles import (
 
 import ehrmat
 from ehrmat import corpus, specialize
+from ehrmat.bruteforce import ehrhart_by_interpolation
 from ehrmat.cones import HalfOpenSimplicialCone
 from ehrmat.exactmath import mat_rank, vec_sub
 from ehrmat.genfun import (
@@ -21,7 +22,7 @@ from ehrmat.genfun import (
     unimodular_term,
 )
 from ehrmat.matroid import RankFunction
-from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec
+from ehrmat.vertices import BASES_POLYTOPE, POLYMATROID, PolytopeSpec
 
 
 def test_unimodular_term_closed_1d():
@@ -112,6 +113,19 @@ def test_point_polytope():
     assert g.dim == 0 and len(g.terms) == 1
     assert specialize.count(g) == 1
     assert specialize.ehrhart_polynomial(g) == (Fraction(1),)
+
+
+def test_polymatroid_with_flat_cone_facet():
+    # a tangent cone of this polymatroid (a table by bitmask of the
+    # element set) has a placing facet in a hyperplane through its apex,
+    # which no piece may use
+    values = (0, 1, 1, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2,
+              2, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 3)
+    table = {frozenset(i + 1 for i in range(5) if mask >> i & 1): v
+             for mask, v in enumerate(values) if mask}
+    spec = PolytopeSpec(POLYMATROID, RankFunction.from_table(5, table))
+    g = build_genfun(spec)
+    assert specialize.ehrhart_polynomial(g) == ehrhart_by_interpolation(spec)
 
 
 def test_dilate_identity_and_composition():

@@ -5,13 +5,13 @@ import pytest
 from ehrmat import hstar
 from ehrmat.exactmath import binomial, poly_eval, poly_mul
 from ehrmat.hstar import (
-    conjecture_report, ehrhart_to_hstar, hstar_rank2, hstar_rank3,
-    hstar_sum_identity, is_symmetric, is_unimodal, katzman,
-    partial_unimodality_scan, trim_trailing_zeros,
-    uniform_conjecture_report, uniform_ehrhart, uniform_hstar,
+    ehrhart_to_hstar, hstar_sum_identity, is_symmetric, is_unimodal,
+    katzman, trim_trailing_zeros, uniform_conjecture_report,
+    uniform_ehrhart, uniform_hstar,
 )
 from oracles import (
-    katzman_multinomial, katzman_rankrel, uniform_hstar_triple_sum,
+    conjecture_report, hstar_rank2, hstar_rank3, katzman_multinomial,
+    katzman_rankrel, partial_unimodality_scan, uniform_hstar_triple_sum,
 )
 
 K4_EHRHART = tuple(Fraction(x) for x in

@@ -16,8 +16,8 @@ from itertools import combinations
 import pytest
 
 from ehrmat.cones import (
-    HalfOpenSimplicialCone, TangentCone, facet_normals_unimodular,
-    half_open_decompose, pick_generic_y, triangulate_cone,
+    HalfOpenSimplicialCone, TangentCone, half_open_decompose,
+    pick_generic_y, triangulate_cone,
 )
 from ehrmat.exactmath import vec_sub
 from ehrmat.genfun import (
@@ -53,9 +53,8 @@ def test_u3_20_smoke():
     rays_work = [to_working(basis, r) for r in rays0]
     pieces = triangulate_cone(TangentCone((0,) * (N - 1), rays_work))
     cones_work = []
-    for piece in pieces:
-        rays = [rays_work[j] for j in piece]
-        cones_work.append((None, rays, facet_normals_unimodular(rays)))
+    for piece, normals in pieces:
+        cones_work.append((None, [rays_work[j] for j in piece], normals))
     y = pick_generic_y(
         [nrm for _, _, normals in cones_work for nrm in normals],
         rays=rays_work)
@@ -69,7 +68,7 @@ def test_u3_20_smoke():
         return ray_pool.setdefault(ray, ray)
 
     base_templates = []
-    for piece, hoc in zip(pieces, decomposed):
+    for (piece, _), hoc in zip(pieces, decomposed):
         base_templates.append(([rays0[j] for j in piece], hoc.open_flags))
 
     terms = []
