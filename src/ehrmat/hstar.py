@@ -4,20 +4,36 @@ conjecture predicates (h*-unimodality, Ehrhart coefficient positivity).
 The Katzman coefficients A_i^{n,r} are the coefficients of
 (1 + T + ... + T^(r-1))^n. They are computed by the dimension
 recurrence, the polynomial identity A^{n} = A^{n-1} (1 - T^r) / (1 - T):
-one difference pass and one running sum per row. The rank recurrence
-and the multinomial formula live with the tests, as references.
+one difference pass and one running sum per row. The cache keeps only
+the newest row per r. The rank recurrence and the multinomial formula
+live with the tests, as references.
 
-The uniform h*-vector is Katzman's closed triple sum. Its innermost
-sum is multiplication by (1 - x)^j, so `uniform_hstar` evaluates it by
-Horner's rule in (1 - x) over strided Katzman rows, in O(r^2 n)
-integer operations per (n, r).
+An h*-vector is (1 - x)^(d+1) sum_k L(k) x^k modulo x^(d+1), for the
+Ehrhart values L(0..d) of a d-dimensional polytope; `ehrhart_to_hstar`
+and `uniform_hstar` share that one transform. The k-th dilate of the
+bases polytope of U(n, r) is {x in {0..k}^n : sum x = kr}, so its
+Ehrhart values L(k) = A_{kr}^{n,k+1} are read off Katzman rows, and
+the uniform h*-vector costs O(n^2) integer operations per (n, r) once
+the rows are built. Katzman's closed triple sum and its Horner
+evaluation live with the tests, as references.
 """
 
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from math import factorial
+from operator import sub
 
-from .exactmath import binomial, poly_eval, poly_mul, poly_trim
+from .exactmath import binomial, poly_eval, poly_trim
+
+
+def _times_one_minus_x_power(values, e):
+    """Coefficients of (1 - x)^e * sum_k values[k] x^k, modulo
+    x^len(values), so entry j is sum_{i<=j} (-1)^i C(e, i) values[j-i]:
+    e difference passes, each a multiplication by (1 - x)."""
+    out = list(values)
+    for _ in range(e):
+        out[1:] = map(sub, out[1:], out)
+    return out
 
 
 def ehrhart_to_hstar(p, d):
@@ -27,9 +43,7 @@ def ehrhart_to_hstar(p, d):
         raise ValueError("polynomial degree exceeds dimension")
     out = []
     values = [poly_eval(p, k) for k in range(d + 1)]
-    for j in range(d + 1):
-        h = sum((-1) ** i * binomial(d + 1, i) * values[j - i]
-                for i in range(j + 1))
+    for j, h in enumerate(_times_one_minus_x_power(values, d + 1)):
         if h.denominator != 1:
             raise ValueError(f"non-integral h* entry at index {j}")
         if h < 0:
@@ -56,23 +70,19 @@ def katzman(n, r):
 
     As polynomials in T this is A^{n} = A^{n-1} (1 - T^r) / (1 - T): each
     row is the running sum of the differences A_i^{n-1} - A_{i-r}^{n-1}.
-    Every intermediate row is cached, so grid scans pay for each row once.
+    The cache keeps the newest row per r, as r -> (n, row): a request at
+    or above the cached n extends it, one below restarts from n = 1. A
+    scan in increasing n so builds each row once and holds one n's rows.
     """
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    if (n, r) in _KATZMAN_CACHE:
-        return _KATZMAN_CACHE[(n, r)]
-    row = (1,) * r  # n = 1: coefficients of 1 + T + ... + T^(r-1)
-    _KATZMAN_CACHE.setdefault((1, r), row)
-    start = n
-    while start > 1 and (start, r) not in _KATZMAN_CACHE:
-        start -= 1
-    row = _KATZMAN_CACHE[(start, r)]
-    for nn in range(start + 1, n + 1):
+    cached = _KATZMAN_CACHE.get(r)
+    # n = 1: the coefficients of 1 + T + ... + T^(r-1)
+    start, row = cached if cached and cached[0] <= n else (1, (1,) * r)
+    for _ in range(start, n):
         padded = row + (0,) * (r - 1)
-        row = tuple(accumulate(
-            a - b for a, b in zip(padded, (0,) * r + padded)))
-        _KATZMAN_CACHE[(nn, r)] = row
+        row = tuple(accumulate(map(sub, padded, (0,) * r + padded)))
+    _KATZMAN_CACHE[r] = (n, row)
     return row
 
 
@@ -99,53 +109,43 @@ def is_unimodal(v):
 def uniform_ehrhart(n, r):
     """Ehrhart polynomial of the bases polytope of the uniform matroid
     with n elements and rank r:
-    sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1)."""
+    sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1).
+
+    The sum is taken on integers, scaled by (n-1)!, and divided once per
+    coefficient at the end."""
     if not (1 <= r <= n):
         raise ValueError("need 1 <= r <= n")
-    total = (Fraction(0),)
+    total = [0] * n
     for s in range(r):
-        # C(k(r-s) - s + n - 1, n-1) as a polynomial in k
-        term = (Fraction(1, factorial(n - 1)),)
+        # (n-1)! C(k(r-s) - s + n - 1, n-1) as a polynomial in k
+        term = [1]
         for j in range(n - 1):
-            # factor (k(r-s) - s + n - 1 - j)
-            term = poly_mul(term, (Fraction(n - 1 - j - s), Fraction(r - s)))
+            # times the factor (n - 1 - j - s) + (r - s) k
+            c0, c1 = n - 1 - j - s, r - s
+            term = [c0 * a + c1 * b
+                    for a, b in zip(term + [0], [0] + term)]
         sign = (-1) ** s * binomial(n, s)
-        total = poly_trim(tuple(
-            (total[i] if i < len(total) else 0)
-            + sign * (term[i] if i < len(term) else 0)
-            for i in range(max(len(total), len(term)))))
-    return total
+        total = [t + sign * c for t, c in zip(total, term)]
+    scale = factorial(n - 1)
+    return poly_trim(tuple(Fraction(c, scale) for c in total))
 
 
 def uniform_hstar(n, r):
-    """h*-vector of the uniform bases polytope by the closed triple sum
-    over Katzman coefficients; entries l = 0..n-1 (dimension n-1).
+    """h*-vector of the uniform bases polytope, entries l = 0..n-1
+    (dimension n-1), from its Ehrhart values.
 
-    The innermost sum, over k with weight (-1)^k C(j,k), is the
-    multiplication by (1 - x)^j, so the triple sum reads
-
-        h*(x) = sum_{s<r} (-1)^s C(n,s)
-                sum_{j<=s} (-1)^j C(s,j) (1 - x)^j a_{n-j,r-s}(x)  mod x^n
-
-    with the strided Katzman row a_{nn,rr}(x) = sum_m A_{m rr}^{nn,rr} x^m.
-    For each s the sum over j is taken by Horner's rule in (1 - x): one
-    difference pass and one row addition per j, O(r^2 n) per (n, r).
+    The k-th dilate has L(k) = #{x in {0..k}^n : sum x = kr} lattice
+    points, the coefficient of T^(kr) in (1 + ... + T^k)^n, which is
+    katzman(n, k+1)[k*r]. Then h*(x) = (1 - x)^n sum_{k<n} L(k) x^k
+    modulo x^n: O(n^2) integer operations per (n, r), after the rows
+    katzman(n, 1..n). A scan in increasing n extends each of them by one
+    step per n, O(n^3) shared by the n - 1 values of r; a lone call at a
+    new n builds them from n = 1, O(n^4).
     """
     if not (1 <= r <= n):
         raise ValueError("need 1 <= r <= n")
-    out = [0] * n
-    for s in range(r):
-        rr = r - s
-        acc = []
-        for j in range(s, -1, -1):
-            # acc <- (1 - x) acc + (-1)^j C(s,j) a_{n-j,rr}, mod x^n
-            acc = [a - b for a, b in zip(acc + [0], [0] + acc)][:n]
-            c = (-1) ** j * binomial(s, j)
-            acc = [a + c * v for a, v in zip_longest(
-                acc, katzman(n - j, rr)[::rr], fillvalue=0)]
-        cs = (-1) ** s * binomial(n, s)
-        out = [o + cs * a for o, a in zip_longest(out, acc, fillvalue=0)]
-    return tuple(out)
+    values = [katzman(n, k + 1)[k * r] for k in range(n)]
+    return tuple(_times_one_minus_x_power(values, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Rank-function oracles: uniform, graphic, explicit-bases, and
-tabulated polymatroid, plus axiom validation, duality and direct sums.
+tabulated polymatroid, plus axiom validation.
 
 Ground sets are [n] = {1, ..., n}. A rank function is held as the table
 `values` of its 2^n values, indexed by bitmask: bit i-1 of a mask stands
@@ -123,31 +123,6 @@ class RankFunction:
         """The rank of a subset of {1, ..., n}; ValueError for an
         element out of range."""
         return self.values[_mask(subset, self.n)]
-
-    def is_independent(self, subset):
-        a = frozenset(subset)
-        return self.rank(a) == len(a)
-
-    # -- derived oracles ----------------------------------------------
-
-    def dual(self):
-        """Dual matroid: rank*(A) = |A| + rank([n] - A) - rank([n])."""
-        if not self.is_matroid:
-            raise ValueError("dual is defined for matroids only")
-        v, full = self.values, (1 << self.n) - 1
-        return RankFunction(
-            self.n, lambda m: m.bit_count() + v[full ^ m] - v[full], True)
-
-    def direct_sum(self, other):
-        """Direct sum on the concatenated ground set: the second
-        summand's elements are shifted by self.n, so a mask's low self.n
-        bits index the first table and its high bits the second."""
-        if not (self.is_matroid and other.is_matroid):
-            raise ValueError("direct_sum is defined for matroids only")
-        v1, v2, n1 = self.values, other.values, self.n
-        low = (1 << n1) - 1
-        return RankFunction(
-            n1 + other.n, lambda m: v1[m & low] + v2[m >> n1], True)
 
 
 def check_matroid_axioms(f):

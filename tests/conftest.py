@@ -1,10 +1,16 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from ehrmat import corpus, genfun, hstar, specialize
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import BASES_POLYTOPE, POLYMATROID, PolytopeSpec
+
+# Draws stay random; a failing draw prints its @reproduce_failure blob,
+# so it can be replayed from the log of the run that found it.
+settings.register_profile("ehrmat", print_blob=True)
+settings.load_profile("ehrmat")
 
 _CACHE = {}
 

@@ -20,10 +20,14 @@
   integer kernel in `exactmath` and for the echelon lattice basis in
   `genfun`.
 - The uniform h*-vector as the four-deep loop over the Katzman triple
-  sum, the reference for the Horner evaluation in `hstar.uniform_hstar`.
+  sum and as its Horner evaluation in (1 - x) over strided Katzman rows,
+  and the uniform Ehrhart polynomial summed on Fraction scalars, the
+  references for the Ehrhart values that `hstar.uniform_hstar` reads off
+  Katzman rows and for the integer sum in `hstar.uniform_ehrhart`.
 - Rank functions as formulas on frozensets (uniform, graphic, bases,
   table, dual, direct sum), the references for the bitmask tables that
-  `matroid.RankFunction` builds.
+  `matroid.RankFunction` builds; the independence test, the dual and the
+  direct sum of `RankFunction` tables, which only the tests use.
 - Polymatroid vertices by a scan of the bounded integer points with a
   tight-constraint rank test, and by Edmonds' greedy rule over every
   ordered subset, the references for the greedy search in `vertices`.
@@ -45,17 +49,20 @@
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import (
     combinations, combinations_with_replacement, permutations, product,
+    zip_longest,
 )
 from math import factorial, prod
 
 from ehrmat.cones import facet_normals_unimodular
 from ehrmat.exactmath import (
-    binomial, det, mat_identity, mat_rank, poly_trim, series_mul_trunc,
-    solve_linear, vec_dot, vec_sub,
+    binomial, det, mat_identity, mat_rank, poly_mul, poly_trim,
+    series_mul_trunc, solve_linear, vec_dot, vec_sub,
 )
 from ehrmat.hstar import is_unimodal, katzman, uniform_hstar
+from ehrmat.matroid import RankFunction
 from ehrmat.specialize import todd_c
 
 OPTIMAL = "optimal"
@@ -433,7 +440,13 @@ def fraction_mat_inverse_unimodular(m):
 
 
 # ---------------------------------------------------------------------------
-# uniform h*-vector by the literal triple sum
+# uniform closed forms: the literal triple sum, its Horner evaluation and
+# the Fraction Ehrhart polynomial
+
+# every row the references ask for, kept: `hstar.katzman` holds only the
+# newest row per r and restarts when asked for a smaller n
+_katzman_row = lru_cache(maxsize=None)(katzman)
+
 
 def uniform_hstar_triple_sum(n, r):
     """h*-vector of the uniform bases polytope, term by term:
@@ -448,7 +461,7 @@ def uniform_hstar_triple_sum(n, r):
             nn, rr = n - j, r - s
             if nn < 1 or rr < 1:
                 continue
-            vec = katzman(nn, rr)
+            vec = _katzman_row(nn, rr)
             cj = cs * (-1) ** j * binomial(s, j)
             for k in range(j + 1):
                 c = cj * (-1) ** k * binomial(j, k)
@@ -458,6 +471,52 @@ def uniform_hstar_triple_sum(n, r):
                         break
                     out[l] += c * vec[idx]
     return tuple(out)
+
+
+def uniform_hstar_horner(n, r):
+    """The triple sum with its innermost sum, over k with weight
+    (-1)^k C(j,k), taken as the multiplication by (1 - x)^j:
+
+        h*(x) = sum_{s<r} (-1)^s C(n,s)
+                sum_{j<=s} (-1)^j C(s,j) (1 - x)^j a_{n-j,r-s}(x)  mod x^n
+
+    with the strided Katzman row a_{nn,rr}(x) = sum_m A_{m rr}^{nn,rr} x^m,
+    by Horner's rule in (1 - x) for each s: O(r^2 n) per (n, r)."""
+    if not (1 <= r <= n):
+        raise ValueError("need 1 <= r <= n")
+    out = [0] * n
+    for s in range(r):
+        rr = r - s
+        acc = []
+        for j in range(s, -1, -1):
+            # acc <- (1 - x) acc + (-1)^j C(s,j) a_{n-j,rr}, mod x^n
+            acc = [a - b for a, b in zip(acc + [0], [0] + acc)][:n]
+            c = (-1) ** j * binomial(s, j)
+            acc = [a + c * v for a, v in zip_longest(
+                acc, _katzman_row(n - j, rr)[::rr], fillvalue=0)]
+        cs = (-1) ** s * binomial(n, s)
+        out = [o + cs * a for o, a in zip_longest(out, acc, fillvalue=0)]
+    return tuple(out)
+
+
+def uniform_ehrhart_fraction(n, r):
+    """The uniform Ehrhart polynomial
+    sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1),
+    each binomial expanded as a product of Fraction polynomials in k."""
+    if not (1 <= r <= n):
+        raise ValueError("need 1 <= r <= n")
+    total = (Fraction(0),)
+    for s in range(r):
+        term = (Fraction(1, factorial(n - 1)),)
+        for j in range(n - 1):
+            # factor (k(r-s) - s + n - 1 - j)
+            term = poly_mul(term, (Fraction(n - 1 - j - s), Fraction(r - s)))
+        sign = (-1) ** s * binomial(n, s)
+        total = poly_trim(tuple(
+            (total[i] if i < len(total) else 0)
+            + sign * (term[i] if i < len(term) else 0)
+            for i in range(max(len(total), len(term)))))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +569,33 @@ def dual_rank(rank, n):
 def direct_sum_rank(rank1, n1, rank2):
     return lambda a: (rank1(frozenset(e for e in a if e <= n1))
                       + rank2(frozenset(e - n1 for e in a if e > n1)))
+
+
+def is_independent(f, subset):
+    a = frozenset(subset)
+    return f.rank(a) == len(a)
+
+
+def dual(f):
+    """Dual matroid of a RankFunction table:
+    rank*(A) = |A| + rank([n] - A) - rank([n])."""
+    if not f.is_matroid:
+        raise ValueError("dual is defined for matroids only")
+    v, full = f.values, (1 << f.n) - 1
+    return RankFunction(
+        f.n, lambda m: m.bit_count() + v[full ^ m] - v[full], True)
+
+
+def direct_sum(f1, f2):
+    """Direct sum of two RankFunction tables on the concatenated ground
+    set: the second summand's elements are shifted by f1.n, so a mask's
+    low f1.n bits index the first table and its high bits the second."""
+    if not (f1.is_matroid and f2.is_matroid):
+        raise ValueError("direct_sum is defined for matroids only")
+    v1, v2, n1 = f1.values, f2.values, f1.n
+    low = (1 << n1) - 1
+    return RankFunction(
+        n1 + f2.n, lambda m: v1[m & low] + v2[m >> n1], True)
 
 
 # ---------------------------------------------------------------------------

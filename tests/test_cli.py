@@ -192,6 +192,25 @@ def test_scan_uniform_csv(capsys):
     assert len(lines) == 4
 
 
+# SHA-256 of `ehrmat scan-uniform --nmax 42` stdout, as the Horner
+# evaluation of Katzman's triple sum (tests/oracles.py) produced it.
+SCAN_UNIFORM_SHA256 = {
+    "json":
+        "d1a30b0beeaf5bca4ce327a2fdafe767413159c33b48834f097c3e51527f22a9",
+    "csv":
+        "1bb4c2136d1f8cf7be80df7690dbeafe9f324724e92727a664f69c3d5257bd18",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SCAN_UNIFORM_SHA256))
+def test_scan_uniform_output_pinned(fmt, capsys):
+    extra = ["--csv"] if fmt == "csv" else []
+    code, out = run(capsys, "scan-uniform", "--nmax", "42", *extra)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SCAN_UNIFORM_SHA256[fmt]
+
+
 def test_scan_guard(capsys):
     code, _ = run(capsys, "scan-uniform", "--nmax", "101")
     assert code == 3

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ehrmat import hstar
+from ehrmat import cli, hstar
 from ehrmat.exactmath import binomial, poly_eval, poly_mul
 from ehrmat.hstar import (
     ehrhart_to_hstar, hstar_sum_identity, is_symmetric, is_unimodal,
@@ -11,7 +11,8 @@ from ehrmat.hstar import (
 )
 from oracles import (
     conjecture_report, hstar_rank2, hstar_rank3, katzman_multinomial,
-    katzman_rankrel, partial_unimodality_scan, uniform_hstar_triple_sum,
+    katzman_rankrel, partial_unimodality_scan, uniform_ehrhart_fraction,
+    uniform_hstar_horner, uniform_hstar_triple_sum,
 )
 
 K4_EHRHART = tuple(Fraction(x) for x in
@@ -63,6 +64,33 @@ def test_katzman_equals_power_of_geometric_sum(monkeypatch):
         for n in range(1, 16):
             power = poly_mul(power, (1,) * r)
             assert katzman(n, r) == power, (n, r)
+
+
+def _geometric_power(n, r):
+    """(1 + T + ... + T^(r-1))^n by repeated multiplication: each
+    factor makes coefficient i the sum of coefficients i-r+1..i."""
+    power = [1]
+    for _ in range(n):
+        power = [sum(power[max(0, i - r + 1):i + 1])
+                 for i in range(len(power) + r - 1)]
+    return tuple(power)
+
+
+def test_katzman_cache_order_does_not_matter(monkeypatch, capsys):
+    # descending n, interleaved r and r > n: each request below the
+    # cached n restarts from n = 1, so the call order never shows
+    monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
+    calls = [(n, r) for n in range(12, 0, -1) for r in (3, 1, 7, 2, 15)]
+    calls += [(5, 3), (9, 3), (2, 3), (9, 15), (1, 15), (14, 2)]
+    for n, r in calls:
+        assert katzman(n, r) == _geometric_power(n, r), (n, r)
+    # a scan holds at most one row per r: the newest, at the largest n
+    hstar._KATZMAN_CACHE.clear()
+    assert cli.main(["scan-uniform", "--nmax", "20"]) == 0
+    capsys.readouterr()
+    assert sorted(hstar._KATZMAN_CACHE) == list(range(1, 21))
+    for r, (n, row) in hstar._KATZMAN_CACHE.items():
+        assert n == 20 and row == _geometric_power(n, r), r
 
 
 def test_katzman_three_routes_agree_small():
@@ -123,6 +151,21 @@ def test_uniform_hstar_equals_literal_triple_sum():
     for n in range(1, 31):
         for r in range(1, n + 1):
             assert uniform_hstar(n, r) == uniform_hstar_triple_sum(n, r), (n, r)
+
+
+def test_uniform_hstar_equals_horner_reference():
+    for n in range(1, 31):
+        for r in range(1, n + 1):
+            assert uniform_hstar(n, r) == uniform_hstar_horner(n, r), (n, r)
+
+
+def test_uniform_ehrhart_equals_fraction_reference():
+    for n in range(1, 31):
+        for r in range(1, n + 1):
+            p = uniform_ehrhart(n, r)
+            # tuple equality also pins the length, trailing zeros trimmed
+            assert p == uniform_ehrhart_fraction(n, r), (n, r)
+            assert all(type(c) is Fraction for c in p), (n, r)
 
 
 def test_rank2_closed_form_matches_triple_sum():
