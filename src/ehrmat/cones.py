@@ -17,35 +17,13 @@ from operator import mul
 from .exactmath import det, vec_dot, vec_primitive, vec_sub
 
 
-class TangentCone:
-    """Cone of feasible directions at a vertex, translated to it."""
-
-    def __init__(self, apex, rays):
-        self.apex = apex
-        self.rays = rays
-
-
-class HalfOpenSimplicialCone:
-    """Unimodular simplicial cone with per-ray strictness flags.
-
-    `rays` is a lattice basis of the cone's span; `open_flags[j]` means
-    the facet opposite ray j is excluded (the ray-j coordinate must be
-    strictly positive).
-    """
-
-    def __init__(self, apex, rays, open_flags):
-        self.apex = apex
-        self.rays = rays
-        self.open_flags = open_flags
-
-
 def tangent_cone(vs, i):
-    """Tangent cone of the polytope at vertex i: apex plus primitive
-    directions toward the adjacent vertices."""
+    """Rays of the tangent cone of the polytope at vertex i, whose apex
+    is that vertex: the primitive directions toward the adjacent
+    vertices."""
     v = vs.vertices[i]
-    rays = [vec_primitive(vec_sub(vs.vertices[j], v))
+    return [vec_primitive(vec_sub(vs.vertices[j], v))
             for j in vs.adjacent_vertices(i)]
-    return TangentCone(v, rays)
 
 
 def _apply(t, b):
@@ -78,21 +56,15 @@ def _bordered(t, d, u, e, f):
     return rows, big
 
 
-def placing_triangulation(points):
-    """Incremental (placing) triangulation of conv(points).
+def _place(points):
+    """Incremental (placing) triangulation of conv(points), with every
+    simplex's carried inverse.
 
     Points are inserted in the given order. A point outside the current
     affine hull cones every maximal simplex to itself; a point inside it
     is attached to every visible boundary facet: one it lies strictly
     beyond, i.e. where its barycentric coordinate at the owner's vertex
     opposite the facet is negative.
-    Returns the set of maximal simplices as tuples of point indices.
-    """
-    return _place(points)[0]
-
-
-def _place(points):
-    """The placing triangulation with every simplex's carried inverse.
 
     A simplex s (a sorted tuple) carries (t, d): d times the inverse of
     its homogenized vertex matrix restricted to the chart, rows in the
@@ -102,7 +74,8 @@ def _place(points):
     coordinate where the new point leaves the hull. So u = t b is d
     times the barycentric coordinates of a point b of the hull, and no
     simplex is ever eliminated.
-    Returns (simplices, inverses by simplex, chart).
+    Returns (maximal simplices as sorted tuples of point indices,
+    inverses by simplex, chart).
     """
     hom = [(1,) + tuple(p) for p in points]
     chart = [0]
@@ -165,10 +138,11 @@ def _boundary_facets_with_owner(simplices):
     return [(fac, *owner) for fac, owner in seen.items() if owner is not None]
 
 
-def triangulate_cone(cone):
-    """Triangulate a pointed cone into simplicial cones, returned as
-    (piece, normals) pairs: the piece a list of ray indices, and one
-    inward facet normal per ray of the piece.
+def triangulate_cone(rays):
+    """Triangulate the pointed cone spanned by `rays`, apex at the
+    origin, into simplicial cones, returned as (piece, normals) pairs:
+    the piece a list of ray indices, and one inward facet normal per ray
+    of the piece.
 
     Stage 1 places {0} union rays; stage 2 joins the apex to every
     boundary facet not containing it. The carried inverse of apex union
@@ -182,10 +156,10 @@ def triangulate_cone(cone):
     placing triangulation makes one when a ray is not extremal, and
     also from some sets of extremal rays.
     """
-    if not cone.rays:
+    if not rays:
         raise ValueError("trivial cone")
-    dim = len(cone.rays[0])
-    tri, inverse, chart = _place([(0,) * dim] + list(cone.rays))
+    dim = len(rays[0])
+    tri, inverse, chart = _place([(0,) * dim] + list(rays))
     out = []
     for fac, owner, j in _boundary_facets_with_owner(tri):
         if 0 in fac:
@@ -252,26 +226,28 @@ def pick_generic_y(normals, rays):
         xi += 1
 
 
-def half_open_decompose(cones, y):
-    """Half-open decomposition of a list of full-dimensional unimodular
-    simplicial cones sharing an apex.
+def half_open_decompose(normal_lists, y):
+    """Half-open decomposition of the full-dimensional unimodular
+    simplicial cones of one triangulated cone: per piece, the list of
+    open flags, one per ray.
 
-    Each cone is (apex, rays, normals) with the normals that
-    `triangulate_cone` returns with the piece (for a unimodular piece,
-    `facet_normals_unimodular(rays)`); y must pair nonzero with every
-    facet normal and lie in the cone the pieces are meant to partition.
-    Facet j of a piece is flagged open when its inward normal pairs
-    positively with y, i.e. when y lies on the outside of that facet.
+    `normal_lists` holds each piece's normals as `triangulate_cone`
+    returns them (for a unimodular piece, `facet_normals_unimodular` of
+    its rays); y must pair nonzero with every facet normal and lie in
+    the cone the pieces are meant to partition. Flag j of a piece is set
+    (the facet opposite ray j is excluded, so the ray-j coordinate must
+    be strictly positive) when its inward normal pairs positively with
+    y, i.e. when y lies on the outside of that facet.
     """
     out = []
-    for apex, rays, normals in cones:
+    for normals in normal_lists:
         flags = []
         for nrm in normals:
             pairing = vec_dot(nrm, y)
             if pairing == 0:
                 raise ValueError("y is not generic for these cones")
             flags.append(pairing > 0)
-        out.append(HalfOpenSimplicialCone(apex, list(rays), flags))
+        out.append(flags)
     return out
 
 

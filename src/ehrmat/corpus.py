@@ -211,10 +211,6 @@ def bases(name):
     return REGISTRY[name][2]
 
 
-def ground_size(name):
-    return REGISTRY[name][0]
-
-
 def rank(name):
     return REGISTRY[name][1]
 

@@ -44,10 +44,6 @@ def vec_primitive(v):
 # ---------------------------------------------------------------------------
 # matrices (tuple of row tuples)
 
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def det(m):
     """Exact determinant of a square integer matrix by fraction-free
     (Bareiss) elimination."""
@@ -131,12 +127,6 @@ def solve_unimodular(m, v):
     """Solve m x = v exactly for a square matrix with |det m| = 1 in the
     integers; returns an integer vector."""
     return tuple(row[0] for row in _integral_unimodular(m, [(x,) for x in v]))
-
-
-def mat_inverse_unimodular(m):
-    """Inverse of a square integer matrix with determinant +-1; the
-    inverse is integral. One elimination of [m | I]."""
-    return _integral_unimodular(m, mat_identity(len(m)))
 
 
 def solve_linear(rows, rhs):

@@ -1,8 +1,11 @@
 """Multivariate rational generating functions of lattice polytopes:
-per-cone terms from half-open unimodular cones, summation over vertex
-tangent cones, and the parametric dilation form
+per-cone terms from half-open unimodular cones, summed over vertex
+tangent cones. A term carries its vertex v, so the k-th dilation is the
+parametric form
 
-    g_kP(z) = sum_i eps_i z^(a_i + (k-1) v_i) / prod_j (1 - z^(b_ij)).
+    g_kP(z) = sum_i eps_i z^(a_i + (k-1) v_i) / prod_j (1 - z^(b_ij)),
+
+which `specialize.ehrhart_polynomial` reads as a polynomial in k.
 
 Exponent vectors live in the ambient Z^n; the number of denominator
 factors per term is the polytope dimension N, because all cone work is
@@ -14,8 +17,8 @@ coordinates are simply its entries in the pivot columns.
 """
 
 from .cones import (
-    HalfOpenSimplicialCone, TangentCone, assert_unimodular,
-    half_open_decompose, pick_generic_y, tangent_cone, triangulate_cone,
+    assert_unimodular, half_open_decompose, pick_generic_y, tangent_cone,
+    triangulate_cone,
 )
 from .exactmath import _gauss_jordan, vec_add, vec_sub
 from .vertices import enumerate_vertices
@@ -38,22 +41,6 @@ class GenFun:
         self.terms = terms
         self.n = n
         self.dim = dim
-        # lambda = (1, ..., n) and, per term, its (s, prod beta) class
-        # and integer weight numerators, filled in by specialize
-        self.plan = None
-
-
-def unimodular_term(cone):
-    """Generating-function term of a half-open unimodular simplicial
-    cone: sign +1, numerator exponent apex plus the open rays, one
-    denominator factor per ray."""
-    if any(not isinstance(x, int) for x in cone.apex):
-        raise ValueError("apex must be integral")
-    a = cone.apex
-    for ray, is_open in zip(cone.rays, cone.open_flags):
-        if is_open:
-            a = vec_add(a, ray)
-    return GenFunTerm(1, a, cone.apex, list(cone.rays))
 
 
 def affine_lattice_basis(vertices):
@@ -101,40 +88,24 @@ def build_genfun(spec):
 
 
 def _vertex_terms(vs, i, basis):
-    cone = tangent_cone(vs, i)
-    rays_work = [to_working(basis, r) for r in cone.rays]
-    dim = len(rays_work[0])
-    work_cone = TangentCone(tuple([0] * dim), rays_work)
-    pieces = triangulate_cone(work_cone)
-    cones_work = []
-    for piece, normals in pieces:
-        rays = [rays_work[j] for j in piece]
-        assert_unimodular(rays)
-        cones_work.append((None, rays, normals))
-    y = pick_generic_y([nrm for _, _, nrms in cones_work for nrm in nrms],
+    """The terms of vertex i's tangent cone: the cone is triangulated in
+    working coordinates, and each half-open piece is the term with sign
+    +1, numerator exponent the vertex plus the piece's open rays, and
+    the piece's ambient rays as denominator exponents."""
+    v = vs.vertices[i]
+    rays = tangent_cone(vs, i)
+    rays_work = [to_working(basis, r) for r in rays]
+    pieces = triangulate_cone(rays_work)
+    for piece, _ in pieces:
+        assert_unimodular([rays_work[j] for j in piece])
+    normal_lists = [normals for _, normals in pieces]
+    y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
                        rays=rays_work)
-    decomposed = half_open_decompose(cones_work, y)
     out = []
-    for (piece, _), hoc in zip(pieces, decomposed):
-        ambient = HalfOpenSimplicialCone(
-            cone.apex, [cone.rays[j] for j in piece], hoc.open_flags)
-        out.append(unimodular_term(ambient))
-    return out
-
-
-def dilate(g, k):
-    """Generating function of the k-th dilation: numerator exponent
-    a + (k-1)v per term, denominators unchanged, so g's specialization
-    plan, if made, is shared."""
-    if k < 1:
-        raise ValueError("dilation factor must be >= 1")
-    if k == 1:
-        return g
-    terms = [GenFunTerm(t.sign,
-                        vec_add(t.a, tuple((k - 1) * x for x in t.v)),
-                        tuple(k * x for x in t.v),
-                        t.bs)
-             for t in g.terms]
-    out = GenFun(terms, g.n, g.dim)
-    out.plan = g.plan
+    for (piece, _), flags in zip(pieces, half_open_decompose(normal_lists, y)):
+        a = v
+        for j, is_open in zip(piece, flags):
+            if is_open:
+                a = vec_add(a, rays[j])
+        out.append(GenFunTerm(1, a, v, [rays[j] for j in piece]))
     return out

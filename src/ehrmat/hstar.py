@@ -52,12 +52,6 @@ def ehrhart_to_hstar(p, d):
     return tuple(out)
 
 
-def hstar_sum_identity(hstar, p, d):
-    """sum h* = d! * (leading coefficient)."""
-    lead = p[d] if len(p) > d else Fraction(0)
-    return sum(hstar) == factorial(d) * lead
-
-
 # ---------------------------------------------------------------------------
 # Katzman coefficients
 
@@ -84,10 +78,6 @@ def katzman(n, r):
         row = tuple(accumulate(map(sub, padded, (0,) * r + padded)))
     _KATZMAN_CACHE[r] = (n, row)
     return row
-
-
-def is_symmetric(v):
-    return list(v) == list(reversed(v))
 
 
 def is_unimodal(v):
@@ -154,16 +144,10 @@ def uniform_hstar(n, r):
 def uniform_conjecture_report(n, r):
     """Conjecture verdicts for a uniform matroid from the closed forms
     (no geometric pipeline involved)."""
-    h = trim_trailing_zeros(uniform_hstar(n, r))
+    h = poly_trim(uniform_hstar(n, r))
     report = {"n": n, "r": r, "hstarUnimodal": is_unimodal(h)}
     if r == 2:
         report["ehrhartCoeffsPositive"] = all(
             c > 0 for c in uniform_ehrhart(n, 2))
     return report
 
-
-def trim_trailing_zeros(v):
-    out = list(v)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)

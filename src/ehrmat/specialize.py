@@ -17,15 +17,18 @@ numerator pairing x contributes sum_l w_l x^l, with
         = W_l / D,   D = L^s s! (-1)^s beta_1 ... beta_s,  L = s! (s+1)!,
 
 where the numerators W_l are integers. D depends only on s and the
-product of the betas, so counts and Ehrhart polynomials are summed on
-integers per (s, prod beta) class and divided once per class.
+product of the betas, so Ehrhart polynomials are summed on integers per
+(s, prod beta) class and divided once per class. The count of the k-th
+dilation is the polynomial's value at k.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 
-from .exactmath import binomial, poly_trim, series_mul_trunc, vec_dot
+from .exactmath import (
+    binomial, poly_eval, poly_trim, series_mul_trunc, vec_dot,
+)
 
 
 def todd_c(m):
@@ -90,31 +93,23 @@ def _denominator(s, beta_prod):
 
 def _plan(g):
     """lambda and, per term, its class (s, prod beta) and weight
-    numerators. Both depend only on the denominators, which `dilate`
-    leaves unchanged and which carries the plan over, so a family of
-    dilations is planned once."""
-    if g.plan is None:
-        lam = find_lambda([b for t in g.terms for b in t.bs], g.n)
-        plan = []
-        for t in g.terms:
-            betas = tuple(sorted(vec_dot(lam, b) for b in t.bs))
-            plan.append(((len(betas), prod(betas)), weights(betas)))
-        g.plan = lam, plan
-    return g.plan
+    numerators."""
+    lam = find_lambda([b for t in g.terms for b in t.bs], g.n)
+    plan = []
+    for t in g.terms:
+        betas = tuple(sorted(vec_dot(lam, b) for b in t.bs))
+        plan.append(((len(betas), prod(betas)), weights(betas)))
+    return lam, plan
 
 
-def count(g):
-    """Exact number of lattice points of the polytope behind g."""
-    lam, plan = _plan(g)
-    sums = {}
-    for t, (cls, w) in zip(g.terms, plan):
-        x = vec_dot(lam, t.a)
-        acc = 0
-        for wl in reversed(w):
-            acc = acc * x + wl
-        sums[cls] = sums.get(cls, 0) + t.sign * acc
-    total = sum((Fraction(v, _denominator(*cls)) for cls, v in sums.items()),
-                Fraction(0))
+def count(p, k):
+    """Exact number of lattice points of the k-th dilation of the
+    polytope whose Ehrhart polynomial is p: p(k), checked to be a
+    non-negative integer. p(k) is the specialization of the k-th dilated
+    generating function, whose terms, weights and (s, prod beta)
+    classes are those of `ehrhart_polynomial`, numerator pairing
+    lav + lv k."""
+    total = poly_eval(p, k)
     if total.denominator != 1 or total < 0:
         raise AssertionError(f"count {total} is not a non-negative integer")
     return int(total)

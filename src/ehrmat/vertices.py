@@ -34,17 +34,6 @@ class PolytopeSpec:
         self.n = f.n
         self.r = f.values[-1]
 
-    def contains_scaled(self, x, k):
-        """Is the integer point x in the k-th dilation? Checks all 2^n
-        subset inequalities (and the equality for the bases family)."""
-        if any(xi < 0 for xi in x):
-            return False
-        if any(s > k * v for s, v in zip(_subset_sums(x), self.f.values)):
-            return False
-        if self.family == BASES_POLYTOPE and sum(x) != k * self.r:
-            return False
-        return True
-
 
 class VertexSet:
     """Distinct vertices with symmetric adjacency lists."""
@@ -87,16 +76,6 @@ def _independent_masks(f, size):
 
 def _indicator(mask, n):
     return tuple(mask >> i & 1 for i in range(n))
-
-
-def enumerate_bases(f):
-    """All bases of a matroid oracle, as frozensets, by a scan of the
-    r-subsets."""
-    n, r = f.n, f.values[-1]
-    if r > n:
-        raise ValueError("rank exceeds ground set size")
-    return [frozenset(i + 1 for i in range(n) if mask >> i & 1)
-            for mask in _independent_masks(f, r)]
 
 
 def enumerate_vertices(spec):

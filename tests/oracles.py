@@ -9,21 +9,23 @@
 - The placing triangulation with a `mat_rank` hull test and
   `solve_linear` barycentrics, and the cone triangulation over it with
   `cones.facet_normals_unimodular` normals, the references for the
-  carried integer inverses in `cones.triangulate_cone`.
+  carried integer inverses in `cones.triangulate_cone`; the placing
+  triangulation read off those carried inverses, which the library uses
+  only inside `triangulate_cone`.
 - The pairwise O(4^n) rank-axiom checks, the reference for the local
   checks in `matroid`.
-- Half-open cone membership by exact ray coordinates, and the lattice
-  points of a generating-function term in a box, the references for
-  the half-open decomposition in `genfun`.
+- Half-open cone membership by exact ray coordinates, the reference
+  for the half-open decomposition in `genfun`.
 - A Gauss-Jordan elimination on Fraction scalars with its rank, solve
   and unimodular-inverse adapters, the reference for the fraction-free
   integer kernel in `exactmath` and for the echelon lattice basis in
-  `genfun`.
+  `genfun`; the integer unimodular inverse on that kernel.
 - The uniform h*-vector as the four-deep loop over the Katzman triple
   sum and as its Horner evaluation in (1 - x) over strided Katzman rows,
-  and the uniform Ehrhart polynomial summed on Fraction scalars, the
-  references for the Ehrhart values that `hstar.uniform_hstar` reads off
-  Katzman rows and for the integer sum in `hstar.uniform_ehrhart`.
+  and the uniform Ehrhart values as the closed-form sum of binomials,
+  the references for the Ehrhart values that `hstar.uniform_hstar`
+  reads off Katzman rows and for the integer sum in
+  `hstar.uniform_ehrhart`; the h* sum identity and the symmetry test.
 - Rank functions as formulas on frozensets (uniform, graphic, bases,
   table, dual, direct sum), the references for the bitmask tables that
   `matroid.RankFunction` builds; the independence test, the dual and the
@@ -31,15 +33,19 @@
 - Polymatroid vertices by a scan of the bounded integer points with a
   tight-constraint rank test, and by Edmonds' greedy rule over every
   ordered subset, the references for the greedy search in `vertices`.
-- The lattice points of a dilation counted by a scan of the box of
-  singleton caps, the reference for the memoized recursion in
-  `bruteforce.count_direct`.
+- Membership in a dilation by all 2^n subset inequalities, and the
+  lattice points of a dilation counted by a scan of the box of
+  singleton caps with it, the reference for the memoized recursion in
+  `bruteforce.count_direct`; the bases of a matroid by a scan of the
+  r-subsets, and the ground-set size of a corpus row.
 - The integer matrix product, used to check inverses.
 - The Fraction specialization: lambda on the moment curve, the Todd
   series and per-term Fraction weights, and per-term Fraction sums for
   counts and Ehrhart polynomials, the reference for the integer
   per-class sums along lambda = (1, ..., n) in `specialize`; a single
-  Todd coefficient read off that series.
+  Todd coefficient read off that series; the generating function of a
+  dilation, whose count the reference takes term by term, against the
+  value of the library's Ehrhart polynomial.
 - The Katzman coefficients by the multinomial sum and by the rank
   recurrence, the references for the dimension recurrence in
   `hstar.katzman`.
@@ -54,16 +60,19 @@ from itertools import (
     combinations, combinations_with_replacement, permutations, product,
     zip_longest,
 )
-from math import factorial, prod
+from math import comb, factorial, prod
 
-from ehrmat.cones import facet_normals_unimodular
+from ehrmat import corpus
+from ehrmat.cones import _place, facet_normals_unimodular
 from ehrmat.exactmath import (
-    binomial, det, mat_identity, mat_rank, poly_mul, poly_trim,
-    series_mul_trunc, solve_linear, vec_dot, vec_sub,
+    _integral_unimodular, binomial, det, mat_rank, poly_trim,
+    series_mul_trunc, solve_linear, vec_add, vec_dot, vec_sub,
 )
+from ehrmat.genfun import GenFun, GenFunTerm
 from ehrmat.hstar import is_unimodal, katzman, uniform_hstar
 from ehrmat.matroid import RankFunction
 from ehrmat.specialize import todd_c
+from ehrmat.vertices import BASES_POLYTOPE, _subset_sums
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -208,6 +217,12 @@ def visible(points, facet_vertices, query):
     return value == 0
 
 
+def placing_triangulation(points):
+    """The maximal simplices of the placing triangulation that
+    `cones.triangulate_cone` builds on carried integer inverses."""
+    return _place(points)[0]
+
+
 def reference_placing_triangulation(points):
     """Placing triangulation of conv(points), in the given order: a
     point off the affine hull (by `mat_rank`) cones every simplex, one
@@ -257,14 +272,13 @@ def _boundary_facets_with_owner(simplices):
     return [(fac, owner) for fac, owner in seen.items() if owner is not None]
 
 
-def reference_triangulate_cone(cone):
-    """(piece, normals) pairs of a cone: one piece when the rays are
-    linearly independent, else every boundary facet of the placing
-    triangulation of {0} union rays that misses 0 and whose rays are
-    independent (by `mat_rank`). The normals are
+def reference_triangulate_cone(rays):
+    """(piece, normals) pairs of the cone spanned by `rays`: one piece
+    when the rays are linearly independent, else every boundary facet of
+    the placing triangulation of {0} union rays that misses 0 and whose
+    rays are independent (by `mat_rank`). The normals are
     `facet_normals_unimodular` of the piece's rays, None when those
     are not a square matrix of determinant +-1."""
-    rays = cone.rays
     if mat_rank(rays) == len(rays):
         pieces = [list(range(len(rays)))]
     else:
@@ -368,18 +382,6 @@ def half_open_contains(apex, rays, open_flags, point):
     return True
 
 
-def term_lattice_points_in_box(term, lo, hi):
-    """Lattice points of the term's half-open cone (at k = 1) inside the
-    box lo <= x <= hi, by direct scan."""
-    n = len(term.a)
-    flags_folded = [False] * len(term.bs)  # openness already folded into a
-    pts = []
-    for x in product(*(range(lo[i], hi[i] + 1) for i in range(n))):
-        if half_open_contains(term.a, term.bs, flags_folded, x):
-            pts.append(x)
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # Fraction Gauss-Jordan elimination
 
@@ -424,6 +426,16 @@ def fraction_solve_linear(rows, rhs):
     for i, c in enumerate(pivots):
         x[c] = a[i][n]
     return x
+
+
+def mat_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_inverse_unimodular(m):
+    """Inverse of a square integer matrix with determinant +-1 on the
+    integer kernel of `exactmath`: one elimination of [m | I]."""
+    return _integral_unimodular(m, mat_identity(len(m)))
 
 
 def fraction_mat_inverse_unimodular(m):
@@ -499,24 +511,26 @@ def uniform_hstar_horner(n, r):
     return tuple(out)
 
 
-def uniform_ehrhart_fraction(n, r):
-    """The uniform Ehrhart polynomial
+def uniform_ehrhart_value(n, r, k):
+    """The number of lattice points of the k-th dilate of the uniform
+    bases polytope, k >= 0, by the closed form
     sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1),
-    each binomial expanded as a product of Fraction polynomials in k."""
+    each binomial an integer `math.comb`: its top is at least 0, and
+    the binomial polynomial in k vanishes where `comb` returns 0."""
     if not (1 <= r <= n):
         raise ValueError("need 1 <= r <= n")
-    total = (Fraction(0),)
-    for s in range(r):
-        term = (Fraction(1, factorial(n - 1)),)
-        for j in range(n - 1):
-            # factor (k(r-s) - s + n - 1 - j)
-            term = poly_mul(term, (Fraction(n - 1 - j - s), Fraction(r - s)))
-        sign = (-1) ** s * binomial(n, s)
-        total = poly_trim(tuple(
-            (total[i] if i < len(total) else 0)
-            + sign * (term[i] if i < len(term) else 0)
-            for i in range(max(len(total), len(term)))))
-    return total
+    return sum((-1) ** s * comb(n, s) * comb(k * (r - s) - s + n - 1, n - 1)
+               for s in range(r))
+
+
+def hstar_sum_identity(hstar, p, d):
+    """sum h* = d! * (leading coefficient)."""
+    lead = p[d] if len(p) > d else Fraction(0)
+    return sum(hstar) == factorial(d) * lead
+
+
+def is_symmetric(v):
+    return list(v) == list(reversed(v))
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +678,40 @@ def all_generated_vertices(f):
     return out
 
 
+def contains_scaled(spec, x, k):
+    """Is the integer point x in the k-th dilation of spec's polytope?
+    Checks all 2^n subset inequalities (and the equality for the bases
+    family)."""
+    if any(xi < 0 for xi in x):
+        return False
+    if any(s > k * v for s, v in zip(_subset_sums(x), spec.f.values)):
+        return False
+    if spec.family == BASES_POLYTOPE and sum(x) != k * spec.r:
+        return False
+    return True
+
+
+def enumerate_bases(f):
+    """All bases of a matroid oracle, as frozensets, by a scan of the
+    r-subsets in lexicographic order."""
+    n, r = f.n, f.values[-1]
+    if r > n:
+        raise ValueError("rank exceeds ground set size")
+    return [frozenset(c) for c in combinations(range(1, n + 1), r)
+            if f.rank(frozenset(c)) == r]
+
+
+def ground_size(name):
+    """Ground-set size of a bundled corpus row."""
+    return corpus.REGISTRY[name][0]
+
+
 def count_by_scan(spec, k):
     """#(kP intersect Z^n) by scanning the box of singleton caps and
     keeping the points that `contains_scaled` accepts."""
     caps = [k * spec.f.rank(frozenset({i + 1})) for i in range(spec.n)]
     return sum(1 for pt in product(*(range(c + 1) for c in caps))
-               if spec.contains_scaled(pt, k))
+               if contains_scaled(spec, pt, k))
 
 
 def mat_mul(a, b):
@@ -718,6 +760,22 @@ def fraction_weights(betas):
     td = todd_series([-x for x in betas], s)
     denom = (-1) ** s * prod(betas)
     return [td[s - l] / (factorial(l) * denom) for l in range(s + 1)]
+
+
+def dilate(g, k):
+    """Generating function of the k-th dilation, k >= 1: numerator
+    exponent a + (k-1)v and vertex k v per term, denominators
+    unchanged."""
+    if k < 1:
+        raise ValueError("dilation factor must be >= 1")
+    if k == 1:
+        return g
+    terms = [GenFunTerm(t.sign,
+                        vec_add(t.a, tuple((k - 1) * x for x in t.v)),
+                        tuple(k * x for x in t.v),
+                        t.bs)
+             for t in g.terms]
+    return GenFun(terms, g.n, g.dim)
 
 
 def _term_weights(g):

@@ -78,7 +78,8 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
 
 
 def test_verify_builds_genfun_once(capsys, monkeypatch):
-    # the dilation counts reuse the pipeline's generating function
+    # the dilation counts are values of the Ehrhart polynomial, so the
+    # generating function is built once, for that polynomial
     real = genfun.build_genfun
     calls = []
 
@@ -94,8 +95,8 @@ def test_verify_builds_genfun_once(capsys, monkeypatch):
 
 
 def test_verify_plans_weights_once(capsys, monkeypatch):
-    # dilation keeps every denominator, so the dilation counts reuse the
-    # weights computed for the Ehrhart polynomial
+    # the dilation counts are read off the Ehrhart polynomial, so verify
+    # asks for each term's weights once, exactly as ehrhart does
     real = specialize.weights
     calls = []
 
@@ -110,6 +111,22 @@ def test_verify_plans_weights_once(capsys, monkeypatch):
     calls.clear()
     assert run(capsys, "verify", path, "--kmax", "3")[0] == 0
     assert len(calls) == per_ehrhart > 0
+
+
+def test_verify_guard_fires_before_pipeline(tmp_path, capsys, monkeypatch):
+    # n = 13 is beyond the brute-force guard: exit 3 without building the
+    # generating function
+    def fail(spec):
+        raise AssertionError("build_genfun called")
+
+    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
+    monkeypatch.setattr(genfun, "build_genfun", fail)
+    path = tmp_path / "u13.json"
+    path.write_text(json.dumps({"name": "U13", "family": "bases",
+                                "kind": "uniform", "n": 13, "r": 3}))
+    code, out = run(capsys, "verify", str(path))
+    assert code == cli.EXIT_BUDGET == 3
+    assert out == ""
 
 
 def test_verify_polymatroid_table(capsys):
@@ -164,16 +181,41 @@ INLINE_DOCS = {
 }
 
 
+# SHA-256 of `ehrmat verify --kmax 3` stdout, trailing newline included,
+# as `verify` printed it when each count specialized the k-th dilated
+# generating function: the counts column is pinned byte for byte.
+VERIFY_SHA256 = {
+    "K4": "38c0b87e53492d0819d15240a83eacb316fcc6a3e1d647ea580950f79285124b",
+    "U24_independence":
+        "e68d0fa9bd74abf0446a26481631d64ab4ed93289ad3a55790aed59fb5b1b77a",
+    "double_rank_table":
+        "295877aa436c13c828f8aba7076f3a97e35559142a16c67e25f7078c1a30fcb8",
+    "loop_table":
+        "d8d2a640b1810cd514849d1d515b0854d727ab3313281c521bc6b671c90d7895",
+}
+
+
+def _doc_path(name, tmp_path):
+    if name not in INLINE_DOCS:
+        return data_path(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(INLINE_DOCS[name]))
+    return str(path)
+
+
 @pytest.mark.parametrize("name", sorted(GENFUN_SHA256))
 def test_genfun_output_pinned(name, tmp_path, capsys):
-    if name in INLINE_DOCS:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(INLINE_DOCS[name]))
-    else:
-        path = data_path(name)
-    code, out = run(capsys, "genfun", str(path))
+    code, out = run(capsys, "genfun", _doc_path(name, tmp_path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GENFUN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
+def test_verify_output_pinned(name, tmp_path, capsys):
+    code, out = run(capsys, "verify", _doc_path(name, tmp_path),
+                    "--kmax", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[name]
 
 
 def test_scan_uniform_grid(capsys):
@@ -350,6 +392,10 @@ def test_all_bundled_documents_validate():
     # a nonzero value on the empty set is not overwritten with 0
     {"family": "polymatroid", "kind": "table", "n": 1,
      "values": [{"subset": [], "value": 5}, {"subset": [1], "value": 1}]},
+    # a subset listed twice: no value silently wins
+    {"family": "polymatroid", "kind": "table", "n": 2,
+     "values": [{"subset": [1], "value": 1}, {"subset": [2], "value": 1},
+                {"subset": [1, 2], "value": 2}, {"subset": [1], "value": 2}]},
     # a command line (not a document) whose range would make the scan or
     # the check vacuous
     ["scan-uniform", "--nmax", "-3"],
@@ -358,8 +404,9 @@ def test_all_bundled_documents_validate():
     ["verify", data_path("K4"), "--kmax", "-1"],
 ], ids=["edge_triple", "float_n", "string_r", "float_value",
         "repeated_basis_element", "table_subset_out_of_range",
-        "table_empty_set_nonzero", "scan_nmax_negative", "scan_nmax_one",
-        "scan_rmax_zero", "verify_kmax_negative"])
+        "table_empty_set_nonzero", "table_subset_twice",
+        "scan_nmax_negative", "scan_nmax_one", "scan_rmax_zero",
+        "verify_kmax_negative"])
 def test_validation_rejects_malformed_values(tmp_path, capsys, doc):
     if isinstance(doc, dict):
         path = tmp_path / "doc.json"

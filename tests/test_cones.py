@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    half_open_contains, is_extreme_direction,
+    half_open_contains, is_extreme_direction, placing_triangulation,
     reference_placing_triangulation, reference_triangulate_cone, visible,
 )
 from test_bruteforce import matroid_specs, polymatroid_specs
 
 from ehrmat import corpus
 from ehrmat.cones import (
-    TangentCone, assert_unimodular, cone_ray_matrix,
-    facet_normals_unimodular, half_open_decompose, pick_generic_y,
-    placing_triangulation, tangent_cone, triangulate_cone,
+    assert_unimodular, cone_ray_matrix, facet_normals_unimodular,
+    half_open_decompose, pick_generic_y, tangent_cone, triangulate_cone,
 )
 from ehrmat.exactmath import det, vec_dot, vec_sub
 from ehrmat.genfun import affine_lattice_basis, to_working
@@ -33,24 +32,21 @@ def _indicator(subset, n=6):
 
 def _k4_rays():
     apex = _indicator(K4_APEX_BASIS)
-    return apex, [vec_sub(_indicator(b), apex) for b in K4_RAY_BASES]
+    return [vec_sub(_indicator(b), apex) for b in K4_RAY_BASES]
 
 
 def test_tangent_cone_k4_rays():
     spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
     vs = enumerate_vertices(spec)
     i = vs.vertices.index(_indicator(K4_APEX_BASIS))
-    cone = tangent_cone(vs, i)
-    _, expected = _k4_rays()
-    assert sorted(cone.rays) == sorted(expected)
+    assert sorted(tangent_cone(vs, i)) == sorted(_k4_rays())
 
 
 def test_tangent_cone_segment():
     spec = PolytopeSpec(BASES_POLYTOPE, RankFunction.uniform(2, 1))
     vs = enumerate_vertices(spec)
     i = vs.vertices.index((1, 0))
-    cone = tangent_cone(vs, i)
-    assert cone.rays == [(-1, 1)]
+    assert tangent_cone(vs, i) == [(-1, 1)]
 
 
 def test_tangent_cone_rays_in_elementary_set():
@@ -60,7 +56,7 @@ def test_tangent_cone_rays_in_elementary_set():
     vs = enumerate_vertices(spec)
     for i in range(len(vs)):
         support = {c + 1 for c, x in enumerate(vs.vertices[i]) if x}
-        for ray in tangent_cone(vs, i).rays:
+        for ray in tangent_cone(vs, i):
             pos = [c + 1 for c, x in enumerate(ray) if x == 1]
             neg = [c + 1 for c, x in enumerate(ray) if x == -1]
             assert set(ray) <= {-1, 0, 1}
@@ -125,15 +121,13 @@ def test_placing_interior_point_coverage():
 
 
 def test_triangulate_simplicial_cone_unchanged():
-    cone = TangentCone((0, 0), [(1, 0), (0, 1)])
-    assert [p for p, _ in triangulate_cone(cone)] == [[0, 1]]
-    single = TangentCone((0,), [(2,)])
-    assert [p for p, _ in triangulate_cone(single)] == [[0]]
+    assert [p for p, _ in triangulate_cone([(1, 0), (0, 1)])] == [[0, 1]]
+    assert [p for p, _ in triangulate_cone([(2,)])] == [[0]]
 
 
 def test_triangulate_k4_cone_golden():
-    apex, rays = _k4_rays()
-    pieces = triangulate_cone(TangentCone(apex, rays))
+    rays = _k4_rays()
+    pieces = triangulate_cone(rays)
     got = {frozenset(p) for p, _ in pieces}
     assert got == {frozenset({0, 1, 2, 3, 4}),
                    frozenset({0, 2, 3, 4, 5}),
@@ -142,11 +136,11 @@ def test_triangulate_k4_cone_golden():
 
 def test_k4_cone_pieces_unimodular():
     # maximal-cone ray determinants are +-1 in the working lattice
-    apex, rays = _k4_rays()
+    rays = _k4_rays()
     spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
     basis = affine_lattice_basis(enumerate_vertices(spec).vertices)
     rays_work = [to_working(basis, r) for r in rays]
-    for piece, _ in triangulate_cone(TangentCone(apex, rays)):
+    for piece, _ in triangulate_cone(rays):
         assert_unimodular([rays_work[j] for j in piece]) in (1, -1)
 
 
@@ -167,11 +161,8 @@ def _working_tangent_cones(spec):
     basis = affine_lattice_basis(vs.vertices)
     if not basis:
         return []
-    cones = []
-    for i in range(len(vs)):
-        rays = [to_working(basis, r) for r in tangent_cone(vs, i).rays]
-        cones.append(TangentCone((0,) * len(basis), rays))
-    return cones
+    return [[to_working(basis, r) for r in tangent_cone(vs, i)]
+            for i in range(len(vs))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,13 +171,13 @@ def test_triangulate_tangent_cones_match_reference(spec):
     # same pieces in the same order as the elimination-based placing,
     # and the normals of facet_normals_unimodular (every piece of a
     # matroid or polymatroid tangent cone is unimodular)
-    for cone in _working_tangent_cones(spec):
-        got = triangulate_cone(cone)
-        want = reference_triangulate_cone(cone)
+    for rays in _working_tangent_cones(spec):
+        got = triangulate_cone(rays)
+        want = reference_triangulate_cone(rays)
         assert [p for p, _ in got] == [p for p, _ in want]
         for (piece, normals), (_, ref) in zip(got, want):
             assert normals == ref
-            _check_normals(cone.rays, piece, normals)
+            _check_normals(rays, piece, normals)
 
 
 @st.composite
@@ -196,23 +187,22 @@ def pointed_cones(draw):
     dimensional or unimodular."""
     dim = draw(st.integers(1, 4))
     ray = st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * (dim - 1))
-    return TangentCone((0,) * dim,
-                       draw(st.lists(ray, min_size=1, max_size=6)))
+    return draw(st.lists(ray, min_size=1, max_size=6))
 
 
 @settings(max_examples=300, deadline=None)
 @given(pointed_cones())
-def test_triangulate_random_cones_match_reference(cone):
-    points = [cone.apex] + cone.rays
+def test_triangulate_random_cones_match_reference(rays):
+    points = [(0,) * len(rays[0])] + rays
     assert (list(placing_triangulation(points))
             == list(reference_placing_triangulation(points)))
-    want = reference_triangulate_cone(cone)
-    got = triangulate_cone(cone)
+    want = reference_triangulate_cone(rays)
+    got = triangulate_cone(rays)
     assert [p for p, _ in got] == [p for p, _ in want]
     for (piece, normals), (_, ref) in zip(got, want):
         if ref is not None:
             assert normals == ref
-        _check_normals(cone.rays, piece, normals)
+        _check_normals(rays, piece, normals)
 
 
 def test_triangulate_owner_without_apex_by_hand():
@@ -220,7 +210,7 @@ def test_triangulate_owner_without_apex_by_hand():
     # from the simplex e1 e2 e3 (2, 1, -1), which misses the apex, and
     # their inverses take one rank-one update each
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1)]
-    got = triangulate_cone(TangentCone((0, 0, 0), rays))
+    got = triangulate_cone(rays)
     assert got == [([0, 2, 3], [(-1, 2, 0), (0, -1, -1), (0, -1, 0)]),
                    ([1, 2, 3], [(1, -2, 0), (-1, 0, -2), (-1, 0, 0)])]
     for piece, normals in got:
@@ -237,14 +227,14 @@ def test_flat_facets_dropped():
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
     assert (placing_triangulation([(0, 0, 0)] + rays)
             == {(0, 1, 2, 3), (1, 2, 3, 4)})
-    pieces = [p for p, _ in triangulate_cone(TangentCone((0, 0, 0), rays))]
+    pieces = [p for p, _ in triangulate_cone(rays)]
     assert pieces == [[0, 2, 3], [1, 2, 3]]
     # a polymatroid tangent cone, every ray extremal, has one too
     rays = [(0, -1, 0, 0, 0), (0, -1, 1, 0, 0), (0, 0, 0, -1, 1),
             (0, 0, 0, 0, -1), (0, 0, 1, -1, 0), (1, -1, 0, 0, 0)]
     assert all(is_extreme_direction(r, [q for q in rays if q != r])
                for r in rays)
-    got = triangulate_cone(TangentCone((0,) * 5, rays))
+    got = triangulate_cone(rays)
     assert [p for p, _ in got] == [[0, 1, 2, 4, 5], [0, 1, 3, 4, 5],
                                    [0, 2, 3, 4, 5]]
     for piece, normals in got:
@@ -277,28 +267,26 @@ def test_pick_generic_y_interior_to_rays():
         assert vec_dot(nrm, y) != 0
 
 
-def _cone(apex, rays):
-    return apex, rays, facet_normals_unimodular(rays)
-
-
 def test_half_open_single_cone_interior_y_all_closed():
-    pieces = half_open_decompose([_cone((0, 0), [(1, 0), (0, 1)])], (1, 1))
-    assert pieces[0].open_flags == [False, False]
+    normals = facet_normals_unimodular([(1, 0), (0, 1)])
+    assert half_open_decompose([normals], (1, 1)) == [[False, False]]
+
+
+# a 2D quadrant split by the middle ray (1, 1)
+LEFT, RIGHT = [(0, 1), (1, 1)], [(1, 1), (1, 0)]
 
 
 def test_half_open_two_cones_share_one_open_facet():
-    # 2D quadrant split by the middle ray (1, 1)
-    left = _cone((0, 0), [(0, 1), (1, 1)])
-    right = _cone((0, 0), [(1, 1), (1, 0)])
-    y = pick_generic_y(left[2] + right[2], rays=[(0, 1), (1, 0)])
-    pieces = half_open_decompose([left, right], y)
-    opened = sum(sum(p.open_flags) for p in pieces)
-    assert opened == 1
+    normals = [facet_normals_unimodular(LEFT), facet_normals_unimodular(RIGHT)]
+    y = pick_generic_y(normals[0] + normals[1], rays=[(0, 1), (1, 0)])
+    flags = half_open_decompose(normals, y)
+    assert sum(map(sum, flags)) == 1
 
 
 def test_half_open_rejects_non_generic_y():
+    normals = facet_normals_unimodular([(1, 0), (0, 1)])
     with pytest.raises(ValueError):
-        half_open_decompose([_cone((0, 0), [(1, 0), (0, 1)])], (0, 1))
+        half_open_decompose([normals], (0, 1))
 
 
 def _box_points(apex, radius, dim):
@@ -308,14 +296,13 @@ def _box_points(apex, radius, dim):
 
 def test_half_open_partition_in_box():
     # pieces of a split quadrant partition its lattice points exactly
-    left = _cone((0, 0), [(0, 1), (1, 1)])
-    right = _cone((0, 0), [(1, 1), (1, 0)])
-    y = (2, 1)
-    pieces = half_open_decompose([left, right], y)
+    pieces = [LEFT, RIGHT]
+    flags = half_open_decompose(
+        [facet_normals_unimodular(rays) for rays in pieces], (2, 1))
     for pt in _box_points((0, 0), 3, 2):
         whole = pt[0] >= 0 and pt[1] >= 0
-        hits = sum(half_open_contains(p.apex, p.rays, p.open_flags, pt)
-                   for p in pieces)
+        hits = sum(half_open_contains((0, 0), rays, f, pt)
+                   for rays, f in zip(pieces, flags))
         assert hits == (1 if whole else 0)
 
 

@@ -3,16 +3,16 @@ from fractions import Fraction
 import pytest
 
 from ehrmat import cli, hstar
-from ehrmat.exactmath import binomial, poly_eval, poly_mul
+from ehrmat.exactmath import binomial, poly_eval, poly_mul, poly_trim
 from ehrmat.hstar import (
-    ehrhart_to_hstar, hstar_sum_identity, is_symmetric, is_unimodal,
-    katzman, trim_trailing_zeros, uniform_conjecture_report,
+    ehrhart_to_hstar, is_unimodal, katzman, uniform_conjecture_report,
     uniform_ehrhart, uniform_hstar,
 )
 from oracles import (
-    conjecture_report, hstar_rank2, hstar_rank3, katzman_multinomial,
-    katzman_rankrel, partial_unimodality_scan, uniform_ehrhart_fraction,
-    uniform_hstar_horner, uniform_hstar_triple_sum,
+    conjecture_report, hstar_rank2, hstar_rank3, hstar_sum_identity,
+    is_symmetric, katzman_multinomial, katzman_rankrel,
+    partial_unimodality_scan, uniform_ehrhart_value, uniform_hstar_horner,
+    uniform_hstar_triple_sum,
 )
 
 K4_EHRHART = tuple(Fraction(x) for x in
@@ -137,7 +137,7 @@ def test_uniform_ehrhart_degree_is_dimension():
 
 
 def test_uniform_hstar_u24():
-    assert trim_trailing_zeros(uniform_hstar(4, 2)) == (1, 2, 1)
+    assert poly_trim(uniform_hstar(4, 2)) == (1, 2, 1)
 
 
 def test_uniform_hstar_matches_transform_small():
@@ -163,9 +163,13 @@ def test_uniform_ehrhart_equals_fraction_reference():
     for n in range(1, 31):
         for r in range(1, n + 1):
             p = uniform_ehrhart(n, r)
-            # tuple equality also pins the length, trailing zeros trimmed
-            assert p == uniform_ehrhart_fraction(n, r), (n, r)
+            # degree n - 1, trailing zeros trimmed; a point when r == n
+            assert len(p) == (1 if r == n else n), (n, r)
             assert all(type(c) is Fraction for c in p), (n, r)
+            # n values pin a polynomial of degree at most n - 1
+            for k in range(n):
+                assert poly_eval(p, k) == uniform_ehrhart_value(n, r, k), (
+                    n, r, k)
 
 
 def test_rank2_closed_form_matches_triple_sum():

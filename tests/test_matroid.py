@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    bases_rank, direct_sum, direct_sum_rank, dual, dual_rank, graphic_rank,
-    is_independent, pairwise_matroid_axioms, pairwise_polymatroid_axioms,
-    table_rank, uniform_rank,
+    bases_rank, direct_sum, direct_sum_rank, dual, dual_rank,
+    enumerate_bases, graphic_rank, is_independent, pairwise_matroid_axioms,
+    pairwise_polymatroid_axioms, table_rank, uniform_rank,
 )
 
 from ehrmat import corpus
@@ -207,7 +207,6 @@ def test_direct_sum_rank_and_axioms():
 
 
 def test_direct_sum_bases_count_multiplies():
-    from ehrmat.vertices import enumerate_bases
     f1 = RankFunction.uniform(4, 2)
     f2 = RankFunction.uniform(3, 1)
     s = direct_sum(f1, f2)

@@ -16,12 +16,11 @@ from itertools import combinations
 import pytest
 
 from ehrmat.cones import (
-    HalfOpenSimplicialCone, TangentCone, half_open_decompose,
-    pick_generic_y, triangulate_cone,
+    half_open_decompose, pick_generic_y, triangulate_cone,
 )
-from ehrmat.exactmath import vec_sub
+from ehrmat.exactmath import vec_add, vec_sub
 from ehrmat.genfun import (
-    GenFun, affine_lattice_basis, to_working, unimodular_term,
+    GenFun, GenFunTerm, affine_lattice_basis, to_working,
 )
 from ehrmat.hstar import uniform_ehrhart
 from ehrmat.specialize import ehrhart_polynomial
@@ -51,14 +50,11 @@ def test_u3_20_smoke():
 
     basis = affine_lattice_basis(vertices)
     rays_work = [to_working(basis, r) for r in rays0]
-    pieces = triangulate_cone(TangentCone((0,) * (N - 1), rays_work))
-    cones_work = []
-    for piece, normals in pieces:
-        cones_work.append((None, [rays_work[j] for j in piece], normals))
-    y = pick_generic_y(
-        [nrm for _, _, normals in cones_work for nrm in normals],
-        rays=rays_work)
-    decomposed = half_open_decompose(cones_work, y)
+    pieces = triangulate_cone(rays_work)
+    normal_lists = [normals for _, normals in pieces]
+    y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
+                       rays=rays_work)
+    decomposed = half_open_decompose(normal_lists, y)
 
     # intern the 380 possible swap directions so transported terms share
     # ray tuples
@@ -68,8 +64,8 @@ def test_u3_20_smoke():
         return ray_pool.setdefault(ray, ray)
 
     base_templates = []
-    for (piece, _), hoc in zip(pieces, decomposed):
-        base_templates.append(([rays0[j] for j in piece], hoc.open_flags))
+    for (piece, _), flags in zip(pieces, decomposed):
+        base_templates.append(([rays0[j] for j in piece], flags))
 
     terms = []
     complement0 = [i for i in range(1, N + 1) if i not in base]
@@ -91,9 +87,13 @@ def test_u3_20_smoke():
 
         apex = _vertex(b)
         for rays_amb, flags in base_templates:
-            cone = HalfOpenSimplicialCone(
-                apex, [transport(r) for r in rays_amb], flags)
-            terms.append(unimodular_term(cone))
+            rays = [transport(r) for r in rays_amb]
+            # numerator exponent: the apex plus the open rays
+            a = apex
+            for ray, is_open in zip(rays, flags):
+                if is_open:
+                    a = vec_add(a, ray)
+            terms.append(GenFunTerm(1, a, apex, rays))
 
     g = GenFun(terms, N, N - 1)
     poly = ehrhart_polynomial(g)

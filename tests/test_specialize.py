@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    fraction_weights, reference_count, reference_ehrhart_polynomial,
+    dilate, fraction_weights, reference_count, reference_ehrhart_polynomial,
     todd_eval, todd_series,
 )
 from test_bruteforce import matroid_specs, polymatroid_specs
 
 import ehrmat
-from ehrmat.exactmath import poly_eval, series_mul_trunc
-from ehrmat.genfun import GenFun, GenFunTerm, build_genfun, dilate
+from ehrmat.exactmath import series_mul_trunc
+from ehrmat.genfun import GenFun, GenFunTerm, build_genfun
 from ehrmat.matroid import RankFunction
 from ehrmat.specialize import (
     _denominator, count, ehrhart_polynomial, find_lambda, todd_c, weights,
@@ -156,35 +156,46 @@ def test_weights_match_fraction_reference(betas):
 @given(st.one_of(matroid_specs(), polymatroid_specs()))
 def test_specialization_matches_fraction_reference(spec):
     # lambda = (1, ..., n) with per-class integer sums against the
-    # moment-curve lambda with per-term Fraction sums
+    # moment-curve lambda with per-term Fraction sums; a count is the
+    # polynomial's value, the reference's the sum over the dilated terms
     g = build_genfun(spec)
-    assert ehrhart_polynomial(g) == reference_ehrhart_polynomial(g)
+    p = ehrhart_polynomial(g)
+    assert p == reference_ehrhart_polynomial(g)
     for k in range(1, 4):
-        gk = dilate(g, k)
-        assert count(gk) == reference_count(gk)
+        assert count(p, k) == reference_count(dilate(g, k))
 
 
 def test_segment_count_by_hand_terms():
     # [0, 1]: closed cone at 0 with ray +1, open cone at 1 with ray -1
     g = GenFun([GenFunTerm(1, (0,), (0,), [(1,)]),
                 GenFunTerm(1, (1,), (1,), [(-1,)])], 1, 1)
-    assert count(g) == 2
+    assert count(ehrhart_polynomial(g), 1) == 2
 
 
 def test_signed_terms_by_hand():
     # [0, 3k - 1]: the cone at 0 with ray +1 minus the cone at 3k
     g = GenFun([GenFunTerm(1, (0,), (0,), [(1,)]),
                 GenFunTerm(-1, (3,), (3,), [(1,)])], 1, 1)
-    assert count(g) == reference_count(g) == 3
-    assert count(dilate(g, 2)) == 6
-    assert ehrhart_polynomial(g) == reference_ehrhart_polynomial(g) == (0, 3)
+    p = ehrhart_polynomial(g)
+    assert p == reference_ehrhart_polynomial(g) == (0, 3)
+    assert count(p, 1) == reference_count(g) == 3
+    assert count(p, 2) == reference_count(dilate(g, 2)) == 6
 
 
 def test_count_examples():
     spec = PolytopeSpec(BASES_POLYTOPE, RankFunction.uniform(4, 2))
     g = build_genfun(spec)
-    assert count(g) == 6
-    assert count(dilate(g, 2)) == 19  # C(7,3) - 4*C(4,3) = 35 - 16
+    p = ehrhart_polynomial(g)
+    assert count(p, 1) == reference_count(g) == 6
+    # C(7,3) - 4*C(4,3) = 35 - 16
+    assert count(p, 2) == reference_count(dilate(g, 2)) == 19
+
+
+def test_count_rejects_values_that_are_no_counts():
+    # a value that is not a non-negative integer is a broken invariant
+    for p in [(Fraction(1), Fraction(1, 2)), (Fraction(1), Fraction(-2))]:
+        with pytest.raises(AssertionError, match="non-negative integer"):
+            count(p, 1)
 
 
 def test_ehrhart_segment():
@@ -200,4 +211,4 @@ def test_ehrhart_constant_term_and_consistency():
     assert p[0] == 1
     assert p[-1] > 0
     for k in range(1, len(p)):
-        assert poly_eval(p, k) == count(dilate(g, k))
+        assert count(p, k) == reference_count(dilate(g, k))

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    adjacency_by_lp, all_generated_vertices, edmonds_generate,
-    polymatroid_vertices_by_scan,
+    adjacency_by_lp, all_generated_vertices, contains_scaled,
+    edmonds_generate, enumerate_bases, polymatroid_vertices_by_scan,
 )
 
 from ehrmat import corpus
@@ -13,7 +13,7 @@ from ehrmat.exactmath import binomial, vec_sub
 from ehrmat.matroid import RankFunction, check_polymatroid_axioms
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,
-    enumerate_bases, enumerate_vertices,
+    enumerate_vertices,
 )
 
 
@@ -204,8 +204,8 @@ def test_polymatroid_adjacency_directions():
 
 def test_contains_scaled():
     spec = PolytopeSpec(BASES_POLYTOPE, RankFunction.uniform(3, 2))
-    assert spec.contains_scaled((1, 1, 0), 1)
-    assert spec.contains_scaled((2, 1, 1), 2)
-    assert not spec.contains_scaled((1, 1, 1), 1)  # wrong sum
-    assert not spec.contains_scaled((2, 0, 0), 1)  # violates singleton cap
-    assert not spec.contains_scaled((-1, 2, 1), 1)
+    assert contains_scaled(spec, (1, 1, 0), 1)
+    assert contains_scaled(spec, (2, 1, 1), 2)
+    assert not contains_scaled(spec, (1, 1, 1), 1)  # wrong sum
+    assert not contains_scaled(spec, (2, 0, 0), 1)  # violates singleton cap
+    assert not contains_scaled(spec, (-1, 2, 1), 1)
