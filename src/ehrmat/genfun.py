@@ -13,8 +13,13 @@ done in a lattice basis of the polytope's affine hull. That basis is
 the reduced row echelon form of the vertex differences: for matroid and
 polymatroid polytopes every edge direction is +-(e_a - e_b) or +-e_a, so
 the echelon rows are integral, and a lattice vector's working
-coordinates are simply its entries in the pivot columns.
+coordinates are simply its entries in the pivot columns. `build_genfun`
+reads the basis into a chart once per polytope, the pivot columns and
+the basis entries in every other column, so that `to_working` only
+takes the pivot entries and checks the remaining columns.
 """
+
+from operator import mul
 
 from .cones import (
     assert_unimodular, half_open_decompose, pick_generic_y, tangent_cone,
@@ -56,16 +61,34 @@ def affine_lattice_basis(vertices):
     return [tuple(x // d for x in row) for row in rows]
 
 
-def to_working(basis, vec):
+def working_chart(basis):
+    """The chart of an echelon lattice basis, built once per polytope:
+    the pivot columns (each row's first nonzero entry) and, for every
+    other column, the basis entries in it. ValueError unless each
+    pivot entry is 1 and the other rows are 0 in its column, i.e.
+    unless reading the pivot entries inverts the basis, and for an
+    empty basis, which has no chart."""
+    if not basis:
+        raise ValueError("empty lattice basis")
+    pivots = tuple(next(c for c, y in enumerate(b) if y) for b in basis)
+    for i, c in enumerate(pivots):
+        if any(b[c] != int(k == i) for k, b in enumerate(basis)):
+            raise ValueError("lattice basis is not saturated: pivot"
+                             f" column {c} is not a unit column")
+    others = tuple((c, tuple(b[c] for b in basis))
+                   for c in range(len(basis[0])) if c not in pivots)
+    return pivots, others
+
+
+def to_working(chart, vec):
     """Coordinates of an ambient lattice vector in an echelon lattice
-    basis: its entries in the pivot columns (each row's first nonzero
-    entry), checked by rebuilding the vector."""
-    x = tuple(vec[next(c for c, y in enumerate(b) if y)] for b in basis)
-    rebuilt = tuple(sum(xi * b[c] for xi, b in zip(x, basis))
-                    for c in range(len(vec)))
-    if rebuilt != tuple(vec):
-        raise ValueError("vector outside the affine hull, or lattice basis"
-                         " is not saturated")
+    basis: its entries in the chart's pivot columns, checked against
+    the vector's entries in the other columns."""
+    pivots, others = chart
+    x = tuple(vec[c] for c in pivots)
+    for c, col in others:
+        if sum(map(mul, x, col)) != vec[c]:
+            raise ValueError("vector outside the affine hull")
     return x
 
 
@@ -81,20 +104,21 @@ def build_genfun(spec):
         # a single lattice point
         point = vs.vertices[0]
         return GenFun([GenFunTerm(1, point, point, [])], spec.n, 0)
+    chart = working_chart(basis)
     terms = []
     for i in range(len(vs)):
-        terms.extend(_vertex_terms(vs, i, basis))
+        terms.extend(_vertex_terms(vs, i, chart))
     return GenFun(terms, spec.n, dim)
 
 
-def _vertex_terms(vs, i, basis):
+def _vertex_terms(vs, i, chart):
     """The terms of vertex i's tangent cone: the cone is triangulated in
     working coordinates, and each half-open piece is the term with sign
     +1, numerator exponent the vertex plus the piece's open rays, and
     the piece's ambient rays as denominator exponents."""
     v = vs.vertices[i]
     rays = tangent_cone(vs, i)
-    rays_work = [to_working(basis, r) for r in rays]
+    rays_work = [to_working(chart, r) for r in rays]
     pieces = triangulate_cone(rays_work)
     for piece, _ in pieces:
         assert_unimodular([rays_work[j] for j in piece])

@@ -7,11 +7,22 @@ i-1 stands for element i). Bases and independent sets are the masks
 whose rank equals their size. The polymatroid's vertices are Edmonds'
 greedy vectors: walking a chain of subsets, adding element e to S sets
 x_e = psi(S + e) - psi(S), and every other coordinate stays 0.
+
+Edges. Bases polytope vertices are adjacent iff they differ by
+e_a - e_b, a test of m^2 n operations on m bases. For the other two
+families a vertex x carries its tight sets {A : x(A) = psi(A)} as one
+int T (bit `mask` set when the subset `mask` is tight) and its zero
+coordinates as an n-bit int Z. Submodularity closes the tight sets of
+a point of the polytope under union and intersection, so the sets tight
+at two vertices form a ring family, and the rank of the constraints
+tight at both is read off T_i & T_j and Z_i & Z_j by integer ANDs (see
+`_compute_adjacency`). That scans 2^n masks per vertex, which is why
+the bases family, polynomial for fixed rank, keeps its swap rule.
 """
 
 from itertools import combinations
 
-from .exactmath import mat_rank, vec_sub
+from .exactmath import vec_sub
 from .matroid import guard_n
 
 BASES_POLYTOPE = "bases"
@@ -122,7 +133,9 @@ def _compute_adjacency(spec, vertices):
     m = len(vertices)
     adj = [set() for _ in range(m)]
     if spec.family == BASES_POLYTOPE:
-        # exact two-way characterization: neighbors differ by e_i - e_j
+        # exact two-way characterization: neighbors differ by e_i - e_j.
+        # This costs m^2 n; the lattice rule below would scan 2^n masks
+        # per vertex, which fixed rank does not bound.
         for i in range(m):
             for j in range(i + 1, m):
                 d = vec_sub(vertices[j], vertices[i])
@@ -130,33 +143,32 @@ def _compute_adjacency(spec, vertices):
                     adj[i].add(j)
                     adj[j].add(i)
         return [sorted(s) for s in adj]
-    # two vertices are adjacent iff the normals of the constraints
-    # tight at both have rank n - 1: the smallest face containing both
-    # is the affine solution set of its tight constraints, so rank
-    # n - 1 means that face is a segment, i.e. an edge
+    # two vertices are adjacent iff the constraints tight at both have
+    # rank n - 1: the smallest face containing both is the affine
+    # solution set of those constraints, so rank n - 1 means that face
+    # is a segment. The tight sets common to both form a ring family,
+    # and so do their traces off the common zero coordinates Z; a ring
+    # family's indicators span as many dimensions as it has distinct
+    # nonzero membership patterns (Birkhoff), so the rank is |Z| plus
+    # the number of distinct nonzero `common & contains[e]`, e not in Z
     n = spec.n
     fval = spec.f.values
-    normals = {mask: _indicator(mask, n) for mask in range(1, 1 << n)}
-    for i in range(n):
-        normals[-(i + 1)] = _indicator(1 << i, n)
-    tight = []
+    contains = [sum(1 << mask for mask in range(1 << n) if mask >> e & 1)
+                for e in range(n)]
+    tight, zeros = [], []
     for x in vertices:
-        sums = _subset_sums(x)
-        ids = {mask for mask in range(1, 1 << n) if sums[mask] == fval[mask]}
-        ids.update(-(c + 1) for c in range(n) if x[c] == 0)
-        tight.append(ids)
+        tight.append(sum(1 << mask for mask, (s, v)
+                         in enumerate(zip(_subset_sums(x), fval)) if s == v))
+        zeros.append(sum(1 << c for c in range(n) if x[c] == 0))
     for i in range(m):
+        ti, zi = tight[i], zeros[i]
         for j in range(i + 1, m):
-            # prefilter: adding a slack coordinate for the full-set
-            # inequality turns the polytope into one whose edges swap
-            # exactly two coordinates, so an edge direction here is a
-            # multiple of e_a or of e_a - e_b
-            nz = [x for x in vec_sub(vertices[j], vertices[i]) if x != 0]
-            if not (len(nz) == 1 or (len(nz) == 2 and nz[0] == -nz[1])):
-                continue
-            common = tight[i] & tight[j]
-            if mat_rank([normals[c] for c in common]) == n - 1:
+            z = zi & zeros[j]
+            common = ti & tight[j]
+            patterns = {common & contains[e]
+                        for e in range(n) if not z >> e & 1}
+            patterns.discard(0)
+            if z.bit_count() + len(patterns) == n - 1:
                 adj[i].add(j)
                 adj[j].add(i)
     return [sorted(s) for s in adj]
-

@@ -5,7 +5,9 @@
   exact.
 - Facet visibility and polytope adjacency decided by that LP, the
   references for the visibility test of the placing triangulation and
-  for `vertices._compute_adjacency`.
+  for `vertices._compute_adjacency`; adjacency by an exact `mat_rank`
+  of the constraints tight at both vertices, the reference for the
+  tight-set lattices on bitsets in `_compute_adjacency`.
 - The placing triangulation with a `mat_rank` hull test and
   `solve_linear` barycentrics, and the cone triangulation over it with
   `cones.facet_normals_unimodular` normals, the references for the
@@ -72,7 +74,7 @@ from ehrmat.genfun import GenFun, GenFunTerm
 from ehrmat.hstar import is_unimodal, katzman, uniform_hstar
 from ehrmat.matroid import RankFunction
 from ehrmat.specialize import todd_c
-from ehrmat.vertices import BASES_POLYTOPE, _subset_sums
+from ehrmat.vertices import BASES_POLYTOPE, _indicator, _subset_sums
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -156,16 +158,22 @@ def _iterate(tab, basis, obj, n):
 
 
 def _pivot(tab, basis, obj, row, col):
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+    # a zero entry of the pivot row changes nothing, so the division and
+    # the updates touch only its nonzero columns
+    prow = tab[row]
+    piv = prow[col]
+    nonzero = [j for j, x in enumerate(prow) if x != 0]
+    for j in nonzero:
+        prow[j] /= piv
+    for i, other in enumerate(tab):
+        if i != row and other[col] != 0:
+            f = other[col]
+            for j in nonzero:
+                other[j] -= f * prow[j]
     if obj is not None and obj[col] != 0:
         f = obj[col]
-        for j in range(len(obj)):
-            obj[j] -= f * tab[row][j]
+        for j in nonzero:
+            obj[j] -= f * prow[j]
     basis[row] = col
 
 
@@ -320,6 +328,40 @@ def adjacency_by_lp(spec, vertices):
     for i in range(m):
         for j in adj[i]:
             assert i in adj[j], "adjacency must be symmetric"
+    return [sorted(s) for s in adj]
+
+
+def adjacency_by_tight_rank(spec, vertices):
+    """Adjacency by the rank of the constraints tight at both vertices:
+    the smallest face containing both is the affine solution set of
+    those constraints, so rank n - 1 means that face is an edge. Every
+    pair passes through one exact `mat_rank`."""
+    n = spec.n
+    m = len(vertices)
+    adj = [set() for _ in range(m)]
+    fval = spec.f.values
+    normals = {mask: _indicator(mask, n) for mask in range(1, 1 << n)}
+    for i in range(n):
+        normals[-(i + 1)] = _indicator(1 << i, n)
+    tight = []
+    for x in vertices:
+        sums = _subset_sums(x)
+        ids = {mask for mask in range(1, 1 << n) if sums[mask] == fval[mask]}
+        ids.update(-(c + 1) for c in range(n) if x[c] == 0)
+        tight.append(ids)
+    for i in range(m):
+        for j in range(i + 1, m):
+            # prefilter: adding a slack coordinate for the full-set
+            # inequality turns the polytope into one whose edges swap
+            # exactly two coordinates, so an edge direction here is a
+            # multiple of e_a or of e_a - e_b
+            nz = [x for x in vec_sub(vertices[j], vertices[i]) if x != 0]
+            if not (len(nz) == 1 or (len(nz) == 2 and nz[0] == -nz[1])):
+                continue
+            common = tight[i] & tight[j]
+            if mat_rank([normals[c] for c in common]) == n - 1:
+                adj[i].add(j)
+                adj[j].add(i)
     return [sorted(s) for s in adj]
 
 

@@ -22,7 +22,9 @@ from oracles import (
 
 from ehrmat import bruteforce, corpus, hstar, specialize
 from ehrmat.exactmath import det, poly_mul, poly_trim, series_mul_trunc
-from ehrmat.genfun import affine_lattice_basis, build_genfun, to_working
+from ehrmat.genfun import (
+    affine_lattice_basis, build_genfun, to_working, working_chart,
+)
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,
@@ -237,11 +239,11 @@ def test_criterion_8_structural_invariants(pipelines):
     for name in corpus.names():
         res = pipelines.corpus(name)
         spec, g, poly = res["spec"], res["genfun"], res["poly"]
-        basis = affine_lattice_basis(
-            enumerate_vertices(spec).vertices)
+        chart = working_chart(affine_lattice_basis(
+            enumerate_vertices(spec).vertices))
         per_vertex = {}
         for t in g.terms:
-            rays_work = [to_working(basis, b) for b in t.bs]
+            rays_work = [to_working(chart, b) for b in t.bs]
             d = det(tuple(zip(*rays_work)))
             assert d in (1, -1), (name, t.v)
             per_vertex[t.v] = per_vertex.get(t.v, 0) + 1

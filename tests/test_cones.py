@@ -15,7 +15,7 @@ from ehrmat.cones import (
     half_open_decompose, pick_generic_y, tangent_cone, triangulate_cone,
 )
 from ehrmat.exactmath import det, vec_dot, vec_sub
-from ehrmat.genfun import affine_lattice_basis, to_working
+from ehrmat.genfun import affine_lattice_basis, to_working, working_chart
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, PolytopeSpec, enumerate_vertices,
@@ -138,8 +138,9 @@ def test_k4_cone_pieces_unimodular():
     # maximal-cone ray determinants are +-1 in the working lattice
     rays = _k4_rays()
     spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
-    basis = affine_lattice_basis(enumerate_vertices(spec).vertices)
-    rays_work = [to_working(basis, r) for r in rays]
+    chart = working_chart(affine_lattice_basis(
+        enumerate_vertices(spec).vertices))
+    rays_work = [to_working(chart, r) for r in rays]
     for piece, _ in triangulate_cone(rays):
         assert_unimodular([rays_work[j] for j in piece]) in (1, -1)
 
@@ -161,7 +162,8 @@ def _working_tangent_cones(spec):
     basis = affine_lattice_basis(vs.vertices)
     if not basis:
         return []
-    return [[to_working(basis, r) for r in tangent_cone(vs, i)]
+    chart = working_chart(basis)
+    return [[to_working(chart, r) for r in tangent_cone(vs, i)]
             for i in range(len(vs))]
 
 

@@ -18,6 +18,7 @@ from ehrmat.bruteforce import ehrhart_by_interpolation
 from ehrmat.exactmath import mat_rank, vec_sub
 from ehrmat.genfun import (
     GenFunTerm, affine_lattice_basis, build_genfun, to_working,
+    working_chart,
 )
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import BASES_POLYTOPE, POLYMATROID, PolytopeSpec
@@ -32,7 +33,23 @@ def test_affine_lattice_basis_segment():
     basis = affine_lattice_basis([(1, 0), (0, 1)])
     assert len(basis) == 1
     assert basis[0] in [(1, -1), (-1, 1)]
-    assert to_working(basis, (-1, 1)) in [(1,), (-1,)]
+    assert to_working(working_chart(basis), (-1, 1)) in [(1,), (-1,)]
+
+
+def test_working_chart_rejects_non_unit_pivot_columns():
+    # a pivot entry other than 1, a second row nonzero in a pivot
+    # column, and an empty basis have no chart
+    for basis in ([(2, 0)], [(1, 1, 0), (1, 0, 1)], []):
+        with pytest.raises(ValueError):
+            working_chart(basis)
+
+
+def test_to_working_checks_the_other_columns():
+    chart = working_chart([(1, 0, -1), (0, 1, -1)])
+    assert chart == ((0, 1), ((2, (-1, -1)),))
+    assert to_working(chart, (2, -1, -1)) == (2, -1)
+    with pytest.raises(ValueError, match="outside the affine hull"):
+        to_working(chart, (1, 0, 0))
 
 
 def test_affine_lattice_basis_full_dim():
@@ -67,8 +84,11 @@ def test_affine_lattice_basis_matches_fraction_echelon(points):
     assert len(basis) == mat_rank(diffs)
     for i, c in enumerate(pivots):
         assert [b[c] for b in basis] == [int(j == i) for j in range(len(basis))]
+    if not basis:
+        return  # a single point: no chart
+    chart = working_chart(basis)
     for d in diffs:
-        x = to_working(basis, d)
+        x = to_working(chart, d)
         assert tuple(sum(xi * b[c] for xi, b in zip(x, basis))
                      for c in range(len(d))) == d
 
@@ -212,11 +232,11 @@ def test_to_working_rejects_unsaturated_basis_under_optimize():
     # that `python -O` strips
     code = (
         "import sys\n"
-        "from ehrmat.genfun import to_working\n"
+        "from ehrmat.genfun import to_working, working_chart\n"
         "if __debug__:\n"
         "    sys.exit(2)\n"
         "try:\n"
-        "    to_working([(2, 0)], (1, 0))\n"
+        "    to_working(working_chart([(2, 0)]), (1, 0))\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(0)\n"

@@ -20,7 +20,7 @@ from ehrmat.cones import (
 )
 from ehrmat.exactmath import vec_add, vec_sub
 from ehrmat.genfun import (
-    GenFun, GenFunTerm, affine_lattice_basis, to_working,
+    GenFun, GenFunTerm, affine_lattice_basis, to_working, working_chart,
 )
 from ehrmat.hstar import uniform_ehrhart
 from ehrmat.specialize import ehrhart_polynomial
@@ -49,7 +49,8 @@ def test_u3_20_smoke():
     assert len(rays0) == R * (N - R)
 
     basis = affine_lattice_basis(vertices)
-    rays_work = [to_working(basis, r) for r in rays0]
+    chart = working_chart(basis)
+    rays_work = [to_working(chart, r) for r in rays0]
     pieces = triangulate_cone(rays_work)
     normal_lists = [normals for _, normals in pieces]
     y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],

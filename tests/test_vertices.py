@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    adjacency_by_lp, all_generated_vertices, contains_scaled,
-    edmonds_generate, enumerate_bases, polymatroid_vertices_by_scan,
+    adjacency_by_lp, adjacency_by_tight_rank, all_generated_vertices,
+    contains_scaled, edmonds_generate, enumerate_bases,
+    polymatroid_vertices_by_scan,
 )
 
 from ehrmat import corpus
@@ -164,6 +165,54 @@ def test_tight_rank_adjacency_matches_lp():
         spec = PolytopeSpec(family, f)
         vs = enumerate_vertices(spec)
         assert vs.adjacency == adjacency_by_lp(spec, vs.vertices)
+
+
+@st.composite
+def truncated_sum_specs(draw):
+    """Polymatroids on n <= 6 elements: min(w(A), c) plus a non-negative
+    combination of uniform matroid ranks min(|A|, r). Zero weights,
+    c = 0 and c >= w([n]) give vertices with zero coordinates and
+    degenerate vertices."""
+    n = draw(st.integers(1, 6))
+    w = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    c = draw(st.integers(0, sum(w) + 2))
+    uniforms = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(0, n)),
+                             max_size=2))
+    table = {}
+    for mask in range(1, 1 << n):
+        a = [i for i in range(n) if mask >> i & 1]
+        table[frozenset(i + 1 for i in a)] = (
+            min(c, sum(w[i] for i in a))
+            + sum(k * min(len(a), r) for k, r in uniforms))
+    return PolytopeSpec(POLYMATROID, RankFunction.from_table(n, table))
+
+
+@st.composite
+def independence_specs(draw):
+    """Independence polytope of a cycle matroid of a random multigraph
+    with n <= 7 edges on 5 vertices, loops and parallel edges allowed,
+    truncated at rank t."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(1, 5)
+    g = RankFunction.graphic(n, draw(st.lists(st.tuples(vertex, vertex),
+                                              min_size=n, max_size=n)))
+    t = draw(st.integers(0, n))
+    f = RankFunction(n, lambda m: min(g.values[m], t), True)
+    return PolytopeSpec(INDEPENDENCE_POLYTOPE, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(truncated_sum_specs(), independence_specs()))
+def test_adjacency_matches_tight_rank_random(spec):
+    vs = enumerate_vertices(spec)
+    assert vs.adjacency == adjacency_by_tight_rank(spec, vs.vertices)
+
+
+@pytest.mark.parametrize("name", ["AG32", "F7", "K4"])
+def test_independence_adjacency_matches_tight_rank(name):
+    spec = PolytopeSpec(INDEPENDENCE_POLYTOPE, corpus.rank_function(name))
+    vs = enumerate_vertices(spec)
+    assert vs.adjacency == adjacency_by_tight_rank(spec, vs.vertices)
 
 
 def test_bases_adjacency_directions():
