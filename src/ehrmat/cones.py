@@ -9,6 +9,13 @@ point is a rank-one update of the owner's inverse and growing the affine
 hull is a bordered (Schur) update; both divide exactly, so no simplex
 is ever eliminated. Visibility signs, the hull test and the facet
 normals of the cone pieces are all read off these inverses.
+
+Each piece is then certified unimodular independently of that
+arithmetic. A working ray is +-e_a or +-(e_a - e_b), an arc of a graph
+on the nodes {root, 1..dim}; the ray matrix is then a network matrix,
+and a square one has determinant +-1 iff its arcs form a spanning tree,
+0 otherwise (Postnikov, Permutohedra, associahedra, and beyond, IMRN
+2009, section 12). `assert_unimodular` checks this by union-find.
 """
 
 from itertools import combinations
@@ -251,8 +258,44 @@ def half_open_decompose(normal_lists, y):
     return out
 
 
+def _arc(ray):
+    """The end nodes of a ray read as an arc: (0, a) for +-e_a, the
+    root being node 0, and (a, b) for +-(e_a - e_b); None for any other
+    vector."""
+    ends = [(c, x) for c, x in enumerate(ray, 1) if x]
+    if len(ends) == 1 and ends[0][1] in (1, -1):
+        return 0, ends[0][0]
+    if len(ends) == 2 and ends[0][1] + ends[1][1] == 0 \
+            and ends[0][1] in (1, -1):
+        return ends[0][0], ends[1][0]
+    return None
+
+
 def assert_unimodular(rays):
-    d = det(cone_ray_matrix(rays))
-    if d not in (1, -1):
-        raise AssertionError(f"ray matrix determinant {d}, expected +-1")
-    return d
+    """Certify a simplicial cone's rays as a unimodular basis by the arc
+    rule: every ray must be an arc +-e_a or +-(e_a - e_b) on the nodes
+    {root, 1..dim}, and the dim arcs must form a spanning tree, which
+    union-find checks as the absence of a cycle. A square arc matrix has
+    determinant +-1 exactly then, and 0 otherwise. AssertionError
+    naming the ray otherwise, also under `python -O`."""
+    dim = len(rays[0]) if rays else 0
+    if len(rays) != dim:
+        raise AssertionError(f"{len(rays)} rays in dimension {dim},"
+                             " expected a square ray matrix")
+    parent = list(range(dim + 1))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for ray in rays:
+        arc = _arc(ray) if len(ray) == dim else None
+        if arc is None:
+            raise AssertionError(f"ray {tuple(ray)} is no arc +-e_a or"
+                                 " +-(e_a - e_b), expected a network matrix")
+        a, b = map(root, arc)
+        if a == b:
+            raise AssertionError(f"ray {tuple(ray)} closes a cycle: ray"
+                                 " matrix determinant 0, expected +-1")
+        parent[a] = b

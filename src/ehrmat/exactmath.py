@@ -10,7 +10,7 @@ matrices are tuples, so all values are immutable and safe to share.
 
 from fractions import Fraction
 from math import comb, gcd
-from operator import index
+from operator import index, mul
 
 IntVec = tuple  # dense integer vector, fixed length
 Poly = tuple    # coefficients by ascending degree, trailing zeros trimmed
@@ -28,7 +28,9 @@ def vec_sub(u, v):
 
 
 def vec_dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def vec_primitive(v):

@@ -115,13 +115,19 @@ def _vertex_terms(vs, i, chart):
     """The terms of vertex i's tangent cone: the cone is triangulated in
     working coordinates, and each half-open piece is the term with sign
     +1, numerator exponent the vertex plus the piece's open rays, and
-    the piece's ambient rays as denominator exponents."""
+    the piece's ambient rays as denominator exponents. A piece that
+    `assert_unimodular` rejects raises AssertionError naming the vertex
+    and the piece's ray indices."""
     v = vs.vertices[i]
     rays = tangent_cone(vs, i)
     rays_work = [to_working(chart, r) for r in rays]
     pieces = triangulate_cone(rays_work)
     for piece, _ in pieces:
-        assert_unimodular([rays_work[j] for j in piece])
+        try:
+            assert_unimodular([rays_work[j] for j in piece])
+        except AssertionError as exc:
+            raise AssertionError(f"cones: vertex {v}, piece of rays"
+                                 f" {piece}: {exc}") from exc
     normal_lists = [normals for _, normals in pieces]
     y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
                        rays=rays_work)

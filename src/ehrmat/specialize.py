@@ -20,6 +20,12 @@ where the numerators W_l are integers. D depends only on s and the
 product of the betas, so Ehrhart polynomials are summed on integers per
 (s, prod beta) class and divided once per class. The count of the k-th
 dilation is the polynomial's value at k.
+
+A polytope has at most 2n^2 distinct rays, so lambda is checked and
+paired once per distinct ray, and a term's sorted beta tuple is looked
+up. The weights of a tuple are computed once, in lexicographic order of
+the tuples, each extending the Todd product of its longest common prefix
+with the previous tuple.
 """
 
 from fractions import Fraction
@@ -69,18 +75,42 @@ def find_lambda(bs, n):
 
 
 @cache
+def _todd_factor(s, beta):
+    """The L-scaled factor h(-x beta) of a term with s denominator
+    pairings, truncated at order s."""
+    return tuple(bn * (-beta) ** n for n, bn in enumerate(_todd_scaled(s)[1]))
+
+
+# The order s and the prefix products of the last tuple `weights`
+# computed: entry i is (beta_i, the product of the factors of
+# beta_0..beta_i). It holds at most s entries and is reset when s
+# changes; no other prefix is kept.
+_prefix = [0, []]
+
+
+@cache
 def weights(betas):
     """Integer weight numerators W_0..W_s of one term, from its sorted
     tuple of pairings beta_j = <lambda, b_j>: W_l = (s!/l!) acc_{s-l},
     where acc is the product of the L-scaled factors h(-x beta_j)
     truncated at order s. The Todd product is symmetric in the betas, so
-    a run computes each sorted tuple once."""
+    a run computes each sorted tuple once. A new tuple starts from the
+    product of its longest common prefix with the previous new tuple of
+    the same s, so calls in lexicographic order, as `_plan` makes them,
+    cost one truncated product per node of the trie of the tuples;
+    calls in any other order give the same numerators."""
     s = len(betas)
-    b = _todd_scaled(s)[1]
-    acc = (1,)
-    for beta in betas:
-        acc = series_mul_trunc(
-            acc, tuple(bn * (-beta) ** n for n, bn in enumerate(b)), s)
+    if _prefix[0] != s:
+        _prefix[:] = [s, []]
+    stack = _prefix[1]
+    k = 0
+    while k < len(stack) and stack[k][0] == betas[k]:
+        k += 1
+    del stack[k:]
+    acc = stack[-1][1] if stack else (1,)
+    for beta in betas[k:]:
+        acc = series_mul_trunc(acc, _todd_factor(s, beta), s)
+        stack.append((beta, acc))
     acc += (0,) * (s + 1 - len(acc))
     return tuple(factorial(s) // factorial(l) * acc[s - l]
                  for l in range(s + 1))
@@ -93,12 +123,16 @@ def _denominator(s, beta_prod):
 
 def _plan(g):
     """lambda and, per term, its class (s, prod beta) and weight
-    numerators."""
-    lam = find_lambda([b for t in g.terms for b in t.bs], g.n)
-    plan = []
-    for t in g.terms:
-        betas = tuple(sorted(vec_dot(lam, b) for b in t.bs))
-        plan.append(((len(betas), prod(betas)), weights(betas)))
+    numerators. lambda is checked and paired once per distinct ray,
+    and `weights` is asked once per term, in lexicographic order of the
+    sorted beta tuples, so that consecutive tuples share prefixes."""
+    rays = dict.fromkeys(b for t in g.terms for b in t.bs)
+    lam = find_lambda(rays, g.n)
+    pairing = {b: vec_dot(lam, b) for b in rays}
+    betas = [tuple(sorted(map(pairing.__getitem__, t.bs))) for t in g.terms]
+    plan = [None] * len(betas)
+    for i in sorted(range(len(betas)), key=betas.__getitem__):
+        plan[i] = ((len(betas[i]), prod(betas[i])), weights(betas[i]))
     return lam, plan
 
 

@@ -349,6 +349,26 @@ def test_crash_exits_internal_not_conjecture(capsys, monkeypatch):
     assert captured.err == f"internal error: {path}: ValueError: zero pairing\n"
 
 
+def test_piece_error_names_vertex_and_rays(capsys, monkeypatch):
+    # a piece that repeats a ray is a cycle of two arcs, so no spanning
+    # tree: the error names the stage, the vertex and the piece
+    real = genfun.triangulate_cone
+
+    def cyclic(rays):
+        pieces = real(rays)
+        piece, normals = pieces[0]
+        return [([piece[0]] + piece[:-1], normals)] + pieces[1:]
+
+    monkeypatch.setattr(genfun, "triangulate_cone", cyclic)
+    code = cli.main(["ehrhart", data_path("K4")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: cones: vertex (")
+    assert "piece of rays [0, 0, " in captured.err
+    assert "closes a cycle" in captured.err
+
+
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{"])
 def test_unreadable_document_is_a_validation_error(tmp_path, capsys,
                                                    content):

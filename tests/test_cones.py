@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from oracles import (
 )
 from test_bruteforce import matroid_specs, polymatroid_specs
 
+import ehrmat
 from ehrmat import corpus
 from ehrmat.cones import (
     assert_unimodular, cone_ray_matrix, facet_normals_unimodular,
@@ -142,7 +147,9 @@ def test_k4_cone_pieces_unimodular():
         enumerate_vertices(spec).vertices))
     rays_work = [to_working(chart, r) for r in rays]
     for piece, _ in triangulate_cone(rays):
-        assert_unimodular([rays_work[j] for j in piece]) in (1, -1)
+        work = [rays_work[j] for j in piece]
+        assert_unimodular(work)
+        assert det(cone_ray_matrix(work)) in (1, -1)
 
 
 def _check_normals(rays, piece, normals):
@@ -311,6 +318,67 @@ def test_half_open_partition_in_box():
 def test_assert_unimodular_rejects():
     with pytest.raises(AssertionError):
         assert_unimodular([(2, 0), (0, 1)])
+    # columns that are no arc fail even where the determinant is +-1,
+    # as for (1, 1), (0, 1) and (1, -1, 1), (1, 0, 0), (0, 1, 0)
+    for rays in ([(1, 1), (0, 1)], [(0, 1), (2, 0)],
+                 [(1, 0, 0), (0, 1, 0), (1, -1, 1)], [(1, 0), (-1,)]):
+        with pytest.raises(AssertionError, match="no arc"):
+            assert_unimodular(rays)
+    with pytest.raises(AssertionError, match="square"):
+        assert_unimodular([(1, 0)])
+
+
+@st.composite
+def arc_sets(draw):
+    # dim signed arcs on the nodes {root, 1..dim}: +-e_b from the root,
+    # +-(e_a - e_b) otherwise; duplicates and cycles are allowed
+    dim = draw(st.integers(1, 7))
+    rays = []
+    for _ in range(dim):
+        a = draw(st.integers(0, dim))
+        b = draw(st.integers(1, dim).filter(lambda b: b != a))
+        sign = draw(st.sampled_from((1, -1)))
+        ray = [0] * dim
+        ray[b - 1] = sign
+        if a:
+            ray[a - 1] = -sign
+        rays.append(tuple(ray))
+    return rays
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_sets())
+def test_assert_unimodular_matches_det_oracle(rays):
+    # the arc rule passes exactly the square arc sets of det +-1
+    unimodular = det(cone_ray_matrix(rays)) in (1, -1)
+    try:
+        assert_unimodular(rays)
+    except AssertionError:
+        assert not unimodular
+    else:
+        assert unimodular
+
+
+def test_assert_unimodular_rejects_cycle_under_optimize():
+    # a triangle of arcs has det 0; the check must be a real exception,
+    # not a bare assert that `python -O` strips
+    code = (
+        "import sys\n"
+        "from ehrmat.cones import assert_unimodular\n"
+        "if __debug__:\n"
+        "    sys.exit(2)\n"
+        "try:\n"
+        "    assert_unimodular([(1, -1, 0), (0, 1, -1), (-1, 0, 1)])\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    src = str(Path(ehrmat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "cycle" in proc.stdout
 
 
 def test_visible_agrees_with_barycentric_attachment():

@@ -23,6 +23,16 @@ def test_det_upper_triangular_unimodular():
     assert det(((1, 1), (0, 1))) == 1
 
 
+def test_vec_dot_rejects_unequal_lengths():
+    assert vec_dot((1, 2, 3), (4, 5, 6)) == 32
+    assert vec_dot((), ()) == 0
+    for u, v in [((1, 2), (1, 2, 3)), ((1,), ())]:
+        with pytest.raises(ValueError):
+            vec_dot(u, v)
+        with pytest.raises(ValueError):
+            vec_dot(v, u)
+
+
 def test_det_rejects_non_square():
     import pytest
     with pytest.raises(ValueError):

@@ -152,6 +152,20 @@ def test_weights_match_fraction_reference(betas):
     assert _fractions(betas) == fraction_weights(betas)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-8, 8).filter(bool), max_size=7)
+                .map(lambda b: tuple(sorted(b))), max_size=20))
+def test_weights_do_not_depend_on_call_order(tuples):
+    # weights extends the prefix product of the previous new tuple; with
+    # an empty cache, tuples of mixed s in any order must still give the
+    # reference weights
+    weights.cache_clear()
+    for betas in tuples:
+        w = weights(betas)
+        d = _denominator(len(betas), prod(betas))
+        assert [Fraction(x, d) for x in w] == fraction_weights(betas)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(matroid_specs(), polymatroid_specs()))
 def test_specialization_matches_fraction_reference(spec):
