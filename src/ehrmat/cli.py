@@ -82,9 +82,15 @@ def parse_document(doc):
                 raise ValidationError("every edge must be a pair")
             f = RankFunction.graphic(len(edges), edges)
         elif kind == "bases":
-            f = RankFunction.from_bases(
-                _int(doc["n"], "n"),
-                [_subset(b, "basis") for b in doc["bases"]])
+            n = _int(doc["n"], "n")
+            bases = [_subset(b, "basis") for b in doc["bases"]]
+            seen = set()
+            for b in bases:
+                if b in seen:
+                    raise ValidationError(f"bases lists basis {sorted(b)}"
+                                          f" twice")
+                seen.add(b)
+            f = RankFunction.from_bases(n, bases)
         elif kind == "table":
             n = _int(doc["n"], "n")
             table = {}
@@ -274,6 +280,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # the instance an internal error names: the document, or the command
+    # when it reads none
+    where = getattr(args, "file", args.command)
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -287,12 +296,11 @@ def main(argv=None):
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {where}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:
         # any other crash after validation is a pipeline fault too; left
         # uncaught, Python would exit 1, the code of a verdict
-        where = getattr(args, "file", args.command)
         print(f"internal error: {where}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL

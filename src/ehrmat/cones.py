@@ -16,6 +16,19 @@ on the nodes {root, 1..dim}; the ray matrix is then a network matrix,
 and a square one has determinant +-1 iff its arcs form a spanning tree,
 0 otherwise (Postnikov, Permutohedra, associahedra, and beyond, IMRN
 2009, section 12). `assert_unimodular` checks this by union-find.
+
+Many tangent cones of one polytope are the same directed graph up to
+relabelling these nodes, and `genfun.build_genfun` triangulates each
+ordered arc pattern (`arc_pattern`) once. This is exact. A relabelling
+is a unimodular linear map of the working lattice: lift Z^dim to the
+sum-zero hyperplane of Z^(dim+1), x -> (-sum x, x), and permute
+coordinates. Every decision of `triangulate_cone` (hull growth, the
+sign of a barycentric coordinate, the flat-facet drop) is
+affine-invariant, and its iteration orders depend only on index tuples,
+so both cones get the same pieces in the same order. The normal of a
+unimodular piece is the functional pairing -1 with its ray and 0 with
+the others, and `pick_generic_y`'s y = sum xi^i r_i moves with the
+rays, so xi, every pairing and every half-open flag agree as well.
 """
 
 from itertools import combinations
@@ -259,25 +272,46 @@ def half_open_decompose(normal_lists, y):
 
 
 def _arc(ray):
-    """The end nodes of a ray read as an arc: (0, a) for +-e_a, the
-    root being node 0, and (a, b) for +-(e_a - e_b); None for any other
-    vector."""
+    """The oriented arc (tail, head) of a ray on the nodes {root, 1..dim},
+    the root being node 0: ray = e_head - e_tail with e_0 = 0, so +e_a
+    is (0, a), -e_a is (a, 0) and e_a - e_b is (b, a); None for any
+    other vector."""
     ends = [(c, x) for c, x in enumerate(ray, 1) if x]
     if len(ends) == 1 and ends[0][1] in (1, -1):
-        return 0, ends[0][0]
+        c, x = ends[0]
+        return (0, c) if x == 1 else (c, 0)
     if len(ends) == 2 and ends[0][1] + ends[1][1] == 0 \
             and ends[0][1] in (1, -1):
-        return ends[0][0], ends[1][0]
+        (a, x), (b, _) = ends
+        return (b, a) if x == 1 else (a, b)
     return None
+
+
+def arc_pattern(rays):
+    """The ordered arc pattern of a cone's working rays, the key under
+    which `genfun.build_genfun` reuses a triangulation: (dim, the rays'
+    arcs in order), the nodes {root, 1..dim} relabelled 0, 1, ... in
+    order of first appearance. None when some ray is no arc. Two cones
+    have equal patterns exactly when a bijection of the nodes maps one
+    ordered ray list onto the other."""
+    labels = {}
+    arcs = []
+    for ray in rays:
+        arc = _arc(ray)
+        if arc is None:
+            return None
+        arcs.append(tuple(labels.setdefault(a, len(labels)) for a in arc))
+    return len(rays[0]) if rays else 0, tuple(arcs)
 
 
 def assert_unimodular(rays):
     """Certify a simplicial cone's rays as a unimodular basis by the arc
     rule: every ray must be an arc +-e_a or +-(e_a - e_b) on the nodes
-    {root, 1..dim}, and the dim arcs must form a spanning tree, which
-    union-find checks as the absence of a cycle. A square arc matrix has
-    determinant +-1 exactly then, and 0 otherwise. AssertionError
-    naming the ray otherwise, also under `python -O`."""
+    {root, 1..dim}, and the dim arcs, orientation ignored, must form a
+    spanning tree, which union-find checks as the absence of a cycle. A
+    square arc matrix has determinant +-1 exactly then, and 0
+    otherwise. AssertionError naming the ray otherwise, also under
+    `python -O`."""
     dim = len(rays[0]) if rays else 0
     if len(rays) != dim:
         raise AssertionError(f"{len(rays)} rays in dimension {dim},"

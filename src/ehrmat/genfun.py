@@ -17,13 +17,26 @@ coordinates are simply its entries in the pivot columns. `build_genfun`
 reads the basis into a chart once per polytope, the pivot columns and
 the basis entries in every other column, so that `to_working` only
 takes the pivot entries and checks the remaining columns.
+
+In working coordinates every ray is an arc e_head - e_tail on the nodes
+{root, 1..dim}, e_root = 0, and many tangent cones of one polytope are
+the same directed graph up to relabelling its nodes. `build_genfun`
+keeps, for one call, the pieces and half-open flags of each ordered arc
+pattern (`cones.arc_pattern`) it has triangulated, and a cone with a
+known pattern reuses them with its own rays. A relabelling is a
+unimodular linear map of the working lattice (lift to the sum-zero
+hyperplane of Z^(dim+1) and permute coordinates), under which the
+placing decisions, a unimodular piece's normals, `pick_generic_y`'s y
+and so every flag are invariant, so the terms, and the `genfun` dump,
+are those of triangulating every cone. `assert_unimodular` still
+certifies every piece of every cone on its own rays.
 """
 
 from operator import mul
 
 from .cones import (
-    assert_unimodular, half_open_decompose, pick_generic_y, tangent_cone,
-    triangulate_cone,
+    arc_pattern, assert_unimodular, half_open_decompose, pick_generic_y,
+    tangent_cone, triangulate_cone,
 )
 from .exactmath import _gauss_jordan, vec_add, vec_sub
 from .vertices import enumerate_vertices
@@ -105,34 +118,47 @@ def build_genfun(spec):
         point = vs.vertices[0]
         return GenFun([GenFunTerm(1, point, point, [])], spec.n, 0)
     chart = working_chart(basis)
+    patterns = {}
     terms = []
     for i in range(len(vs)):
-        terms.extend(_vertex_terms(vs, i, chart))
+        terms.extend(_vertex_terms(vs, i, chart, patterns))
     return GenFun(terms, spec.n, dim)
 
 
-def _vertex_terms(vs, i, chart):
+def _vertex_terms(vs, i, chart, patterns):
     """The terms of vertex i's tangent cone: the cone is triangulated in
     working coordinates, and each half-open piece is the term with sign
     +1, numerator exponent the vertex plus the piece's open rays, and
-    the piece's ambient rays as denominator exponents. A piece that
-    `assert_unimodular` rejects raises AssertionError naming the vertex
-    and the piece's ray indices."""
+    the piece's ambient rays as denominator exponents.
+
+    `patterns` maps the `arc_pattern` of each cone triangulated so far
+    in this polytope to its [(piece, flags)]; a cone whose pattern is
+    there reuses them, read against its own rays. Every piece, reused or
+    not, must pass `assert_unimodular` on this cone's working rays; one
+    that does not raises AssertionError naming the vertex and the
+    piece's ray indices."""
     v = vs.vertices[i]
     rays = tangent_cone(vs, i)
     rays_work = [to_working(chart, r) for r in rays]
-    pieces = triangulate_cone(rays_work)
+    key = arc_pattern(rays_work)
+    flagged = patterns.get(key)
+    pieces = triangulate_cone(rays_work) if flagged is None else flagged
     for piece, _ in pieces:
         try:
             assert_unimodular([rays_work[j] for j in piece])
         except AssertionError as exc:
             raise AssertionError(f"cones: vertex {v}, piece of rays"
                                  f" {piece}: {exc}") from exc
-    normal_lists = [normals for _, normals in pieces]
-    y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
-                       rays=rays_work)
+    if flagged is None:
+        normal_lists = [normals for _, normals in pieces]
+        y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
+                           rays=rays_work)
+        flagged = list(zip((piece for piece, _ in pieces),
+                           half_open_decompose(normal_lists, y)))
+        if key is not None:
+            patterns[key] = flagged
     out = []
-    for (piece, _), flags in zip(pieces, half_open_decompose(normal_lists, y)):
+    for piece, flags in flagged:
         a = v
         for j, is_open in zip(piece, flags):
             if is_open:

@@ -327,11 +327,12 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         raise AssertionError("constant term is not 1")
 
     monkeypatch.setattr(specialize, "ehrhart_polynomial", broken)
-    code = cli.main(["ehrhart", data_path("K4")])
+    path = data_path("K4")
+    code = cli.main(["ehrhart", path])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL == 4
     assert captured.out == ""
-    assert captured.err == "internal error: constant term is not 1\n"
+    assert captured.err == f"internal error: {path}: constant term is not 1\n"
 
 
 def test_crash_exits_internal_not_conjecture(capsys, monkeypatch):
@@ -351,7 +352,8 @@ def test_crash_exits_internal_not_conjecture(capsys, monkeypatch):
 
 def test_piece_error_names_vertex_and_rays(capsys, monkeypatch):
     # a piece that repeats a ray is a cycle of two arcs, so no spanning
-    # tree: the error names the stage, the vertex and the piece
+    # tree: the error names the document, the stage, the vertex
+    # and the piece
     real = genfun.triangulate_cone
 
     def cyclic(rays):
@@ -360,11 +362,12 @@ def test_piece_error_names_vertex_and_rays(capsys, monkeypatch):
         return [([piece[0]] + piece[:-1], normals)] + pieces[1:]
 
     monkeypatch.setattr(genfun, "triangulate_cone", cyclic)
-    code = cli.main(["ehrhart", data_path("K4")])
+    path = data_path("K4")
+    code = cli.main(["ehrhart", path])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL == 4
     assert captured.out == ""
-    assert captured.err.startswith("internal error: cones: vertex (")
+    assert captured.err.startswith(f"internal error: {path}: cones: vertex (")
     assert "piece of rays [0, 0, " in captured.err
     assert "closes a cycle" in captured.err
 
@@ -406,6 +409,8 @@ def test_all_bundled_documents_validate():
                 {"subset": [1, 2], "value": 2.9}]},
     # a basis with a repeated element is not a set
     {"family": "bases", "kind": "bases", "n": 3, "bases": [[1, 1, 2], [2, 3]]},
+    # a basis listed twice: the list is no set of bases
+    {"family": "bases", "kind": "bases", "n": 1, "bases": [[1], [1]]},
     # a table subset outside the ground set
     {"family": "polymatroid", "kind": "table", "n": 1,
      "values": [{"subset": [2], "value": 1}]},
@@ -423,7 +428,8 @@ def test_all_bundled_documents_validate():
     ["scan-uniform", "--nmax", "4", "--rmax", "0"],
     ["verify", data_path("K4"), "--kmax", "-1"],
 ], ids=["edge_triple", "float_n", "string_r", "float_value",
-        "repeated_basis_element", "table_subset_out_of_range",
+        "repeated_basis_element", "bases_basis_twice",
+        "table_subset_out_of_range",
         "table_empty_set_nonzero", "table_subset_twice",
         "scan_nmax_negative", "scan_nmax_one", "scan_rmax_zero",
         "verify_kmax_negative"])

@@ -1,7 +1,8 @@
 import os
 import subprocess
 import sys
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,11 @@ from oracles import (
 from test_bruteforce import matroid_specs, polymatroid_specs
 
 import ehrmat
-from ehrmat import corpus
+from ehrmat import cli, corpus
 from ehrmat.cones import (
-    assert_unimodular, cone_ray_matrix, facet_normals_unimodular,
-    half_open_decompose, pick_generic_y, tangent_cone, triangulate_cone,
+    _arc, arc_pattern, assert_unimodular, cone_ray_matrix,
+    facet_normals_unimodular, half_open_decompose, pick_generic_y,
+    tangent_cone, triangulate_cone,
 )
 from ehrmat.exactmath import det, vec_dot, vec_sub
 from ehrmat.genfun import affine_lattice_basis, to_working, working_chart
@@ -25,6 +27,8 @@ from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, PolytopeSpec, enumerate_vertices,
 )
+
+DATA = Path(ehrmat.__file__).parent / "data"
 
 K4_RAY_BASES = [{2, 3, 5}, {2, 3, 4}, {1, 3, 6}, {1, 3, 4},
                 {1, 2, 6}, {1, 2, 5}]
@@ -329,10 +333,10 @@ def test_assert_unimodular_rejects():
 
 
 @st.composite
-def arc_sets(draw):
+def arc_sets(draw, max_dim=7):
     # dim signed arcs on the nodes {root, 1..dim}: +-e_b from the root,
     # +-(e_a - e_b) otherwise; duplicates and cycles are allowed
-    dim = draw(st.integers(1, 7))
+    dim = draw(st.integers(1, max_dim))
     rays = []
     for _ in range(dim):
         a = draw(st.integers(0, dim))
@@ -391,3 +395,100 @@ def test_visible_agrees_with_barycentric_attachment():
         assert visible(points[:3], list(fac), points[3]) is expect
     tri_after = placing_triangulation(points)
     assert tri_after == {(0, 1, 2), (1, 2, 3)}
+
+
+def test_arc_reads_orientation():
+    # ray = e_head - e_tail, the root being node 0 with e_0 = 0
+    assert _arc((0, 1, 0)) == (0, 2)
+    assert _arc((0, -1, 0)) == (2, 0)
+    assert _arc((1, 0, -1)) == (3, 1)
+    assert _arc((-1, 0, 1)) == (1, 3)
+    for ray in ((1, 1), (2, 0), (1, -2), (0, 0), (1, -1, 1)):
+        assert _arc(ray) is None
+
+
+def test_arc_pattern_examples():
+    # nodes are numbered in order of first appearance, the root included
+    assert arc_pattern([(0, 1, -1), (1, 0, 0), (-1, 0, 0)]) \
+        == (3, ((0, 1), (2, 3), (3, 2)))
+    assert arc_pattern([(1, 0), (0, 1)]) == (2, ((0, 1), (0, 2)))
+    # e_a - e_b and e_b - e_a are different arcs
+    assert arc_pattern([(1, -1), (1, 0)]) != arc_pattern([(-1, 1), (1, 0)])
+    # a ray that is no arc has no pattern
+    assert arc_pattern([(1, 0), (1, 1)]) is None
+
+
+def relabel_nodes(sigma, ray):
+    """The image of a working ray under the node bijection sigma of
+    {root, 1..dim}, root = 0: lift x to (-sum x, x) in the sum-zero
+    hyperplane of Z^(dim+1), move coordinate k to sigma[k], and drop
+    coordinate 0. A unimodular linear map, for any vector."""
+    lifted = (-sum(ray),) + tuple(ray)
+    moved = [0] * len(lifted)
+    for k, x in enumerate(lifted):
+        moved[sigma[k]] = x
+    return tuple(moved[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_sets(max_dim=4), arc_sets(max_dim=4), st.data())
+def test_arc_pattern_equal_exactly_under_node_bijection(rays, other, data):
+    # a cone, and either its image under a node bijection, possibly
+    # with one ray swapped for another arc, or an unrelated cone; the
+    # bijections are searched by brute force, so dim stays <= 4
+    dim = len(rays[0])
+    sigma = data.draw(st.permutations(range(dim + 1)))
+    moved = [relabel_nodes(sigma, r) for r in rays]
+    if len(other[0]) == dim and data.draw(st.booleans()):
+        moved[data.draw(st.integers(0, dim - 1))] = other[0]
+    elif data.draw(st.booleans()):
+        moved = other
+    related = len(moved[0]) == dim and any(
+        [relabel_nodes(tau, r) for r in rays] == moved
+        for tau in permutations(range(dim + 1)))
+    assert (arc_pattern(rays) == arc_pattern(moved)) == related
+
+
+def relabelling_specs():
+    """The rows on which the reuse of triangulations is checked: K4,
+    AG32, U(7,3) independence and the polymatroid double_rank_table."""
+    return {
+        "K4": PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4")),
+        "AG32": PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("AG32")),
+        "U73_independence": PolytopeSpec(INDEPENDENCE_POLYTOPE,
+                                         RankFunction.uniform(7, 3)),
+        "double_rank_table": cli.load_document(
+            str(DATA / "double_rank_table.json"))[1],
+    }
+
+
+def _flagged(rays):
+    # the cone stage of one cone, uncached: pieces and half-open flags
+    pieces = triangulate_cone(rays)
+    normal_lists = [normals for _, normals in pieces]
+    y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
+                       rays=rays)
+    return list(zip((piece for piece, _ in pieces),
+                    half_open_decompose(normal_lists, y)))
+
+
+@cache
+def _row_cones(name):
+    cones = _working_tangent_cones(relabelling_specs()[name])
+    return cones, [_flagged(rays) for rays in cones]
+
+
+@pytest.mark.parametrize("name", sorted(relabelling_specs()))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cone_stage_invariant_under_node_relabelling(name, data):
+    # what lets build_genfun reuse a triangulation: relabelling the
+    # nodes of every tangent cone keeps its arc pattern, and the
+    # uncached pieces, their order and their flags
+    cones, want = _row_cones(name)
+    dim = len(cones[0][0])
+    sigma = data.draw(st.permutations(range(dim + 1)))
+    for rays, flagged in zip(cones, want):
+        moved = [relabel_nodes(sigma, r) for r in rays]
+        assert arc_pattern(moved) == arc_pattern(rays) is not None
+        assert _flagged(moved) == flagged

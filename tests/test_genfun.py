@@ -11,17 +11,20 @@ from hypothesis import strategies as st
 from oracles import (
     contains_scaled, dilate, fraction_gauss_jordan, half_open_contains,
 )
+from test_cones import relabelling_specs
 
 import ehrmat
-from ehrmat import corpus, specialize
+from ehrmat import corpus, genfun, specialize
 from ehrmat.bruteforce import ehrhart_by_interpolation
 from ehrmat.exactmath import mat_rank, vec_sub
 from ehrmat.genfun import (
-    GenFunTerm, affine_lattice_basis, build_genfun, to_working,
-    working_chart,
+    GenFunTerm, _vertex_terms, affine_lattice_basis, build_genfun,
+    to_working, working_chart,
 )
 from ehrmat.matroid import RankFunction
-from ehrmat.vertices import BASES_POLYTOPE, POLYMATROID, PolytopeSpec
+from ehrmat.vertices import (
+    BASES_POLYTOPE, POLYMATROID, PolytopeSpec, enumerate_vertices,
+)
 
 
 def test_term_rejects_zero_denominator():
@@ -247,3 +250,64 @@ def test_to_working_rejects_unsaturated_basis_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "not saturated" in proc.stdout
+
+
+def _term_tuples(terms):
+    return [(t.sign, t.a, t.v, t.bs) for t in terms]
+
+
+@pytest.mark.parametrize("name", sorted(relabelling_specs()))
+def test_reused_triangulations_give_the_uncached_terms(name):
+    # build_genfun, which triangulates each arc pattern once, against
+    # every vertex's cone triangulated on its own
+    spec = relabelling_specs()[name]
+    vs = enumerate_vertices(spec)
+    chart = working_chart(affine_lattice_basis(vs.vertices))
+    want = [t for i in range(len(vs)) for t in _vertex_terms(vs, i, chart, {})]
+    assert _term_tuples(build_genfun(spec).terms) == _term_tuples(want)
+
+
+@pytest.mark.parametrize("spec, vertices, calls", [
+    (PolytopeSpec(BASES_POLYTOPE, RankFunction.uniform(7, 3)), 35, 10),
+    (PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("AG32")), 56, 43),
+], ids=["U73_bases", "AG32"])
+def test_triangulate_once_per_arc_pattern(monkeypatch, spec, vertices,
+                                          calls):
+    seen = []
+    real = genfun.triangulate_cone
+
+    def counted(rays):
+        seen.append(rays)
+        return real(rays)
+
+    monkeypatch.setattr(genfun, "triangulate_cone", counted)
+    g = build_genfun(spec)
+    assert len({t.v for t in g.terms}) == vertices
+    assert len(seen) == calls
+
+
+def test_reused_pieces_are_certified_under_optimize():
+    # every cone of K4 given the first cone's pattern reuses its pieces,
+    # which do not span a tree on the rays of some other vertex: the
+    # arc rule must still reject them, with no bare assert that
+    # `python -O` strips
+    code = (
+        "import sys\n"
+        "from ehrmat import corpus, genfun\n"
+        "from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec\n"
+        "if __debug__:\n"
+        "    sys.exit(2)\n"
+        "genfun.arc_pattern = lambda rays: 'one pattern'\n"
+        "try:\n"
+        "    genfun.build_genfun(PolytopeSpec(\n"
+        "        BASES_POLYTOPE, corpus.rank_function('K4')))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    src = str(Path(ehrmat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("cones: vertex (")
