@@ -71,6 +71,8 @@ def parse_document(doc):
         name = doc.get("name", "<unnamed>")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"missing field: {exc}") from exc
+    if not isinstance(name, str):
+        raise ValidationError(f"name must be a string, got {name!r}")
     if family not in (BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID):
         raise ValidationError(f"unknown family {family!r}")
     try:

@@ -1,21 +1,24 @@
 """Tangent cones, placing triangulation on carried integer inverses,
-boundary-join cone triangulation with facet normals, and half-open
-decomposition into unimodular simplicial cones.
+boundary-join cone triangulation, and half-open decomposition into
+unimodular simplicial cones read off spanning trees of arcs.
 
 Every simplex of the placing triangulation carries (t, d): d times the
 inverse of its homogenized vertex matrix, restricted to a chart of
 coordinates, with d = +-det, so t = +-adj. Coning a facet to a new
 point is a rank-one update of the owner's inverse and growing the affine
 hull is a bordered (Schur) update; both divide exactly, so no simplex
-is ever eliminated. Visibility signs, the hull test and the facet
-normals of the cone pieces are all read off these inverses.
+is ever eliminated. Visibility signs, the hull test and the flat-facet
+drop of the cone stage are all read off these inverses.
 
 Each piece is then certified unimodular independently of that
 arithmetic. A working ray is +-e_a or +-(e_a - e_b), an arc of a graph
 on the nodes {root, 1..dim}; the ray matrix is then a network matrix,
 and a square one has determinant +-1 iff its arcs form a spanning tree,
 0 otherwise (Postnikov, Permutohedra, associahedra, and beyond, IMRN
-2009, section 12). `assert_unimodular` checks this by union-find.
+2009, section 12). `assert_unimodular` checks this by union-find. The
+facet normal opposite arc t is -+ the indicator of the side t cuts off
+from the root, so `tree_cuts` pairs y with every normal of a piece in
+one pass over its tree, and no normal vector is built.
 
 Many tangent cones of one polytope are the same directed graph up to
 relabelling these nodes, and `genfun.build_genfun` triangulates each
@@ -25,16 +28,16 @@ sum-zero hyperplane of Z^(dim+1), x -> (-sum x, x), and permute
 coordinates. Every decision of `triangulate_cone` (hull growth, the
 sign of a barycentric coordinate, the flat-facet drop) is
 affine-invariant, and its iteration orders depend only on index tuples,
-so both cones get the same pieces in the same order. The normal of a
-unimodular piece is the functional pairing -1 with its ray and 0 with
-the others, and `pick_generic_y`'s y = sum xi^i r_i moves with the
-rays, so xi, every pairing and every half-open flag agree as well.
+so both cones get the same pieces in the same order. The tree cuts
+pair y with the dual basis of the piece's rays, and `pick_generic_y`'s
+y = sum xi^i r_i moves with the rays, so xi, every cut and every
+half-open flag agree as well.
 """
 
 from itertools import combinations
 from operator import mul
 
-from .exactmath import det, vec_dot, vec_primitive, vec_sub
+from .exactmath import det, vec_primitive, vec_sub
 
 
 def tangent_cone(vs, i):
@@ -95,7 +98,7 @@ def _place(points):
     times the barycentric coordinates of a point b of the hull, and no
     simplex is ever eliminated.
     Returns (maximal simplices as sorted tuples of point indices,
-    inverses by simplex, chart).
+    inverses by simplex).
     """
     hom = [(1,) + tuple(p) for p in points]
     chart = [0]
@@ -138,7 +141,7 @@ def _place(points):
                 inverse[s] = _coned(t, d, j, _apply(t, bc))
         simplices.update(new)
         placed.append(idx)
-    return {tuple(sorted(s)) for s in simplices}, inverse, chart
+    return {tuple(sorted(s)) for s in simplices}, inverse
 
 
 def _boundary_facets_with_owner(simplices):
@@ -160,52 +163,23 @@ def _boundary_facets_with_owner(simplices):
 
 def triangulate_cone(rays):
     """Triangulate the pointed cone spanned by `rays`, apex at the
-    origin, into simplicial cones, returned as (piece, normals) pairs:
-    the piece a list of ray indices, and one inward facet normal per ray
-    of the piece.
+    origin, into simplicial cones, returned as lists of ray indices.
 
     Stage 1 places {0} union rays; stage 2 joins the apex to every
-    boundary facet not containing it. The carried inverse of apex union
-    piece is the facet's owner's, or one rank-one update of it when the
-    owner does not contain the apex. Normal j is read off it on the
-    chart coordinates and is 0 elsewhere: it pairs -|det| with ray j
-    and 0 with the other rays of the piece, det being the ray
-    determinant on the chart, so for a unimodular piece it is
-    `facet_normals_unimodular` of the piece's rays. A facet in a
-    hyperplane through the apex spans a flat cone and is dropped: the
-    placing triangulation makes one when a ray is not extremal, and
-    also from some sets of extremal rays.
+    boundary facet not containing it. A facet in a hyperplane through
+    the apex spans a flat cone and is dropped: the placing triangulation
+    makes one when a ray is not extremal, and also from some sets of
+    extremal rays. The apex homogenizes to e_0 on the chart, so entry 0
+    of row j of the owner's carried inverse is d times the apex's
+    barycentric coordinate opposite the facet, 0 exactly on a flat
+    facet; an owner containing the apex omits the apex, where it is d.
     """
     if not rays:
         raise ValueError("trivial cone")
-    dim = len(rays[0])
-    tri, inverse, chart = _place([(0,) * dim] + list(rays))
-    out = []
-    for fac, owner, j in _boundary_facets_with_owner(tri):
-        if 0 in fac:
-            continue
-        piece = [i - 1 for i in fac]
-        t, d = inverse[owner]
-        if owner[0] == 0:
-            rows = t[1:]
-        else:
-            # the apex homogenizes to e_0 on the chart, so u = t e_0
-            u = [row[0] for row in t]
-            if u[j] == 0:
-                # the facet lies in a hyperplane through the apex, so
-                # its cone is flat, on the boundary of the cone
-                continue
-            rows, d = _coned(t, d, j, u)
-            rows = rows[:-1]
-        sign = -1 if d > 0 else 1
-        normals = []
-        for row in rows:
-            nrm = [0] * dim
-            for c, x in zip(chart[1:], row[1:]):
-                nrm[c - 1] = sign * x
-            normals.append(tuple(nrm))
-        out.append((piece, normals))
-    return out
+    tri, inverse = _place([(0,) * len(rays[0])] + list(rays))
+    return [[i - 1 for i in fac]
+            for fac, owner, j in _boundary_facets_with_owner(tri)
+            if 0 not in fac and inverse[owner][0][j][0] != 0]
 
 
 def cone_ray_matrix(rays):
@@ -217,9 +191,9 @@ def facet_normals_unimodular(rays):
     """Inward facet normals of a unimodular simplicial cone, one per
     ray: the normal opposite ray j pairs to -1 with ray j and to 0 with
     the others. They are minus the inverse of the ray matrix, taken here
-    by cofactors: the reference for the normals that `triangulate_cone`
-    reads off its carried inverses. ValueError unless the determinant
-    is +-1."""
+    by cofactors: the reference for the tree cuts that
+    `half_open_decompose` pairs with y. ValueError unless the
+    determinant is +-1."""
     d = det(cone_ray_matrix(rays))
     if d not in (1, -1):
         raise ValueError(f"ray matrix determinant {d}, not unimodular")
@@ -230,44 +204,65 @@ def facet_normals_unimodular(rays):
         for j in range(n)]
 
 
-def pick_generic_y(normals, rays):
-    """A vector pairing nonzero with every normal: the first positive
-    combination sum xi^(i-1) * r_i of the rays, xi = 1, 2, ..., that
-    does so; it stays interior to the cone spanned by the rays.
+def tree_cuts(tree, y):
+    """y paired with the facet normals of a unimodular piece, one per
+    arc of its spanning tree of arcs (tail, head) on {root, 1..dim}:
+    the normal opposite arc t is minus the indicator of the side t cuts
+    off from the root when t's head lies there, plus it when t's tail
+    does, so the pairing is -+ the sum of y over that side (y_root = 0),
+    taken for all arcs in one pass of subtree sums."""
+    links = [[] for _ in range(len(tree) + 1)]
+    for k, (a, b) in enumerate(tree):
+        links[a].append((b, k))
+        links[b].append((a, k))
+    up = [None] * len(links)
+    order = [0]
+    for a in order:
+        for b, k in links[a]:
+            if b and up[b] is None:
+                up[b] = (a, k)
+                order.append(b)
+    total = [0, *y]
+    cuts = [0] * len(tree)
+    for b in reversed(order[1:]):
+        a, k = up[b]
+        total[a] += total[b]
+        cuts[k] = -total[b] if tree[k][1] == b else total[b]
+    return cuts
+
+
+def pick_generic_y(trees, rays):
+    """A vector with no zero `tree_cuts` on any of the trees: the first
+    positive combination sum xi^(i-1) * r_i of the rays, xi = 1, 2, ...,
+    that has none; it stays interior to the cone spanned by the rays.
     """
-    if any(all(x == 0 for x in nrm) for nrm in normals):
-        raise ValueError("zero normal")
     xi = 1
     while True:
         y = tuple(sum(xi ** i * r[c] for i, r in enumerate(rays))
                   for c in range(len(rays[0])))
-        if all(vec_dot(nrm, y) != 0 for nrm in normals):
+        if all(all(tree_cuts(tree, y)) for tree in trees):
             return y
         xi += 1
 
 
-def half_open_decompose(normal_lists, y):
+def half_open_decompose(trees, y):
     """Half-open decomposition of the full-dimensional unimodular
     simplicial cones of one triangulated cone: per piece, the list of
     open flags, one per ray.
 
-    `normal_lists` holds each piece's normals as `triangulate_cone`
-    returns them (for a unimodular piece, `facet_normals_unimodular` of
-    its rays); y must pair nonzero with every facet normal and lie in
+    `trees` holds each piece's rays as arcs, a spanning tree as
+    `assert_unimodular` certifies it; y must have no zero cut and lie in
     the cone the pieces are meant to partition. Flag j of a piece is set
     (the facet opposite ray j is excluded, so the ray-j coordinate must
-    be strictly positive) when its inward normal pairs positively with
-    y, i.e. when y lies on the outside of that facet.
+    be strictly positive) when the cut of arc j (`tree_cuts`) is
+    positive, i.e. when y lies on the outside of that facet.
     """
     out = []
-    for normals in normal_lists:
-        flags = []
-        for nrm in normals:
-            pairing = vec_dot(nrm, y)
-            if pairing == 0:
-                raise ValueError("y is not generic for these cones")
-            flags.append(pairing > 0)
-        out.append(flags)
+    for tree in trees:
+        cuts = tree_cuts(tree, y)
+        if not all(cuts):
+            raise ValueError("y is not generic for these cones")
+        out.append([c > 0 for c in cuts])
     return out
 
 
@@ -287,21 +282,19 @@ def _arc(ray):
     return None
 
 
-def arc_pattern(rays):
-    """The ordered arc pattern of a cone's working rays, the key under
-    which `genfun.build_genfun` reuses a triangulation: (dim, the rays'
-    arcs in order), the nodes {root, 1..dim} relabelled 0, 1, ... in
-    order of first appearance. None when some ray is no arc. Two cones
-    have equal patterns exactly when a bijection of the nodes maps one
-    ordered ray list onto the other."""
+def arc_pattern(arcs):
+    """The ordered arc pattern of a cone's rays read as arcs (`_arc`),
+    the key under which `genfun.build_genfun` reuses a triangulation:
+    the arcs in order, their nodes relabelled 0, 1, ... in order of
+    first appearance; None when some ray is no arc. Two cones have equal
+    patterns exactly when a bijection of the nodes maps one ordered arc
+    list onto the other; a full-dimensional cone's arcs touch all dim + 1
+    nodes, so the pattern fixes dim as well."""
+    if None in arcs:
+        return None
     labels = {}
-    arcs = []
-    for ray in rays:
-        arc = _arc(ray)
-        if arc is None:
-            return None
-        arcs.append(tuple(labels.setdefault(a, len(labels)) for a in arc))
-    return len(rays[0]) if rays else 0, tuple(arcs)
+    return tuple(tuple(labels.setdefault(a, len(labels)) for a in arc)
+                 for arc in arcs)
 
 
 def assert_unimodular(rays):

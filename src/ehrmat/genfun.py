@@ -19,24 +19,26 @@ the basis entries in every other column, so that `to_working` only
 takes the pivot entries and checks the remaining columns.
 
 In working coordinates every ray is an arc e_head - e_tail on the nodes
-{root, 1..dim}, e_root = 0, and many tangent cones of one polytope are
-the same directed graph up to relabelling its nodes. `build_genfun`
-keeps, for one call, the pieces and half-open flags of each ordered arc
-pattern (`cones.arc_pattern`) it has triangulated, and a cone with a
-known pattern reuses them with its own rays. A relabelling is a
-unimodular linear map of the working lattice (lift to the sum-zero
-hyperplane of Z^(dim+1) and permute coordinates), under which the
-placing decisions, a unimodular piece's normals, `pick_generic_y`'s y
-and so every flag are invariant, so the terms, and the `genfun` dump,
-are those of triangulating every cone. `assert_unimodular` still
-certifies every piece of every cone on its own rays.
+{root, 1..dim}, e_root = 0, read once per ray by `cones._arc`, and a
+piece's arcs form the spanning tree whose cuts give its half-open flags.
+Many tangent cones of one polytope are the same directed graph up to
+relabelling its nodes. `build_genfun` keeps, for one call, the pieces
+and half-open flags of each ordered arc pattern (`cones.arc_pattern`) it
+has triangulated, and a cone with a known pattern reuses them with its
+own rays. A relabelling is a unimodular linear map of the working
+lattice (lift to the sum-zero hyperplane of Z^(dim+1) and permute
+coordinates), under which the placing decisions, the tree cuts,
+`pick_generic_y`'s y and so every flag are invariant, so the terms, and
+the `genfun` dump, are those of triangulating every cone.
+`assert_unimodular` still certifies every piece of every cone on its
+own rays.
 """
 
 from operator import mul
 
 from .cones import (
-    arc_pattern, assert_unimodular, half_open_decompose, pick_generic_y,
-    tangent_cone, triangulate_cone,
+    _arc, arc_pattern, assert_unimodular, half_open_decompose,
+    pick_generic_y, tangent_cone, triangulate_cone,
 )
 from .exactmath import _gauss_jordan, vec_add, vec_sub
 from .vertices import enumerate_vertices
@@ -140,21 +142,21 @@ def _vertex_terms(vs, i, chart, patterns):
     v = vs.vertices[i]
     rays = tangent_cone(vs, i)
     rays_work = [to_working(chart, r) for r in rays]
-    key = arc_pattern(rays_work)
+    arcs = [_arc(r) for r in rays_work]
+    key = arc_pattern(arcs)
     flagged = patterns.get(key)
-    pieces = triangulate_cone(rays_work) if flagged is None else flagged
-    for piece, _ in pieces:
+    pieces = (triangulate_cone(rays_work) if flagged is None
+              else [piece for piece, _ in flagged])
+    for piece in pieces:
         try:
             assert_unimodular([rays_work[j] for j in piece])
         except AssertionError as exc:
             raise AssertionError(f"cones: vertex {v}, piece of rays"
                                  f" {piece}: {exc}") from exc
     if flagged is None:
-        normal_lists = [normals for _, normals in pieces]
-        y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
-                           rays=rays_work)
-        flagged = list(zip((piece for piece, _ in pieces),
-                           half_open_decompose(normal_lists, y)))
+        trees = [[arcs[j] for j in piece] for piece in pieces]
+        y = pick_generic_y(trees, rays_work)
+        flagged = list(zip(pieces, half_open_decompose(trees, y)))
         if key is not None:
             patterns[key] = flagged
     out = []

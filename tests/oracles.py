@@ -9,11 +9,14 @@
   of the constraints tight at both vertices, the reference for the
   tight-set lattices on bitsets in `_compute_adjacency`.
 - The placing triangulation with a `mat_rank` hull test and
-  `solve_linear` barycentrics, and the cone triangulation over it with
-  `cones.facet_normals_unimodular` normals, the references for the
-  carried integer inverses in `cones.triangulate_cone`; the placing
-  triangulation read off those carried inverses, which the library uses
-  only inside `triangulate_cone`.
+  `solve_linear` barycentrics, and the cone triangulation over it that
+  keeps the boundary facets with independent rays, the references for
+  the carried integer inverses and the flat-facet drop in
+  `cones.triangulate_cone`; the placing triangulation read off those
+  carried inverses, which the library uses only inside
+  `triangulate_cone`. The tests check the tree cuts of
+  `cones.half_open_decompose` against `cones.facet_normals_unimodular`,
+  normals taken by cofactors.
 - The pairwise O(4^n) rank-axiom checks, the reference for the local
   checks in `matroid`.
 - Half-open cone membership by exact ray coordinates, the reference
@@ -65,9 +68,9 @@ from itertools import (
 from math import comb, factorial, prod
 
 from ehrmat import corpus
-from ehrmat.cones import _place, facet_normals_unimodular
+from ehrmat.cones import _place
 from ehrmat.exactmath import (
-    _integral_unimodular, binomial, det, mat_rank, poly_trim,
+    _integral_unimodular, binomial, mat_rank, poly_trim,
     series_mul_trunc, solve_linear, vec_add, vec_dot, vec_sub,
 )
 from ehrmat.genfun import GenFun, GenFunTerm
@@ -281,30 +284,18 @@ def _boundary_facets_with_owner(simplices):
 
 
 def reference_triangulate_cone(rays):
-    """(piece, normals) pairs of the cone spanned by `rays`: one piece
-    when the rays are linearly independent, else every boundary facet of
-    the placing triangulation of {0} union rays that misses 0 and whose
-    rays are independent (by `mat_rank`). The normals are
-    `facet_normals_unimodular` of the piece's rays, None when those
-    are not a square matrix of determinant +-1."""
+    """The pieces of the cone spanned by `rays`, as lists of ray
+    indices: one piece when the rays are linearly independent, else
+    every boundary facet of the placing triangulation of {0} union rays
+    that misses 0 and whose rays are independent (by `mat_rank`)."""
     if mat_rank(rays) == len(rays):
-        pieces = [list(range(len(rays)))]
-    else:
-        tri = reference_placing_triangulation(
-            [tuple(0 for _ in rays[0])] + list(rays))
-        pieces = [[i - 1 for i in fac]
-                  for fac, _ in _boundary_facets_with_owner(tri)
-                  if 0 not in fac]
-    out = []
-    for piece in pieces:
-        prays = [rays[j] for j in piece]
-        if mat_rank(prays) < len(prays):
-            continue
-        square = len(prays) == len(prays[0])
-        unimodular = square and det(tuple(zip(*prays))) in (1, -1)
-        out.append((piece, facet_normals_unimodular(prays)
-                    if unimodular else None))
-    return out
+        return [list(range(len(rays)))]
+    tri = reference_placing_triangulation(
+        [tuple(0 for _ in rays[0])] + list(rays))
+    pieces = [[i - 1 for i in fac]
+              for fac, _ in _boundary_facets_with_owner(tri) if 0 not in fac]
+    return [piece for piece in pieces
+            if mat_rank([rays[j] for j in piece]) == len(piece)]
 
 
 def is_extreme_direction(d, others):

@@ -358,8 +358,7 @@ def test_piece_error_names_vertex_and_rays(capsys, monkeypatch):
 
     def cyclic(rays):
         pieces = real(rays)
-        piece, normals = pieces[0]
-        return [([piece[0]] + piece[:-1], normals)] + pieces[1:]
+        return [[pieces[0][0]] + pieces[0][:-1]] + pieces[1:]
 
     monkeypatch.setattr(genfun, "triangulate_cone", cyclic)
     path = data_path("K4")
@@ -421,6 +420,8 @@ def test_all_bundled_documents_validate():
     {"family": "polymatroid", "kind": "table", "n": 2,
      "values": [{"subset": [1], "value": 1}, {"subset": [2], "value": 1},
                 {"subset": [1, 2], "value": 2}, {"subset": [1], "value": 2}]},
+    # a name that is not a string would be echoed into the output
+    {"name": ["x"], "family": "bases", "kind": "uniform", "n": 3, "r": 1},
     # a command line (not a document) whose range would make the scan or
     # the check vacuous
     ["scan-uniform", "--nmax", "-3"],
@@ -430,7 +431,7 @@ def test_all_bundled_documents_validate():
 ], ids=["edge_triple", "float_n", "string_r", "float_value",
         "repeated_basis_element", "bases_basis_twice",
         "table_subset_out_of_range",
-        "table_empty_set_nonzero", "table_subset_twice",
+        "table_empty_set_nonzero", "table_subset_twice", "name_not_string",
         "scan_nmax_negative", "scan_nmax_one", "scan_rmax_zero",
         "verify_kmax_negative"])
 def test_validation_rejects_malformed_values(tmp_path, capsys, doc):

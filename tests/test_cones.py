@@ -19,7 +19,7 @@ from ehrmat import cli, corpus
 from ehrmat.cones import (
     _arc, arc_pattern, assert_unimodular, cone_ray_matrix,
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
-    tangent_cone, triangulate_cone,
+    tangent_cone, tree_cuts, triangulate_cone,
 )
 from ehrmat.exactmath import det, vec_dot, vec_sub
 from ehrmat.genfun import affine_lattice_basis, to_working, working_chart
@@ -130,14 +130,14 @@ def test_placing_interior_point_coverage():
 
 
 def test_triangulate_simplicial_cone_unchanged():
-    assert [p for p, _ in triangulate_cone([(1, 0), (0, 1)])] == [[0, 1]]
-    assert [p for p, _ in triangulate_cone([(2,)])] == [[0]]
+    assert triangulate_cone([(1, 0), (0, 1)]) == [[0, 1]]
+    assert triangulate_cone([(2,)]) == [[0]]
 
 
 def test_triangulate_k4_cone_golden():
     rays = _k4_rays()
     pieces = triangulate_cone(rays)
-    got = {frozenset(p) for p, _ in pieces}
+    got = {frozenset(p) for p in pieces}
     assert got == {frozenset({0, 1, 2, 3, 4}),
                    frozenset({0, 2, 3, 4, 5}),
                    frozenset({0, 1, 3, 4, 5})}
@@ -150,22 +150,14 @@ def test_k4_cone_pieces_unimodular():
     chart = working_chart(affine_lattice_basis(
         enumerate_vertices(spec).vertices))
     rays_work = [to_working(chart, r) for r in rays]
-    for piece, _ in triangulate_cone(rays):
+    for piece in triangulate_cone(rays):
         work = [rays_work[j] for j in piece]
         assert_unimodular(work)
         assert det(cone_ray_matrix(work)) in (1, -1)
 
 
-def _check_normals(rays, piece, normals):
-    # normal j pairs -|det| with ray j and 0 with the other rays; det is
-    # the ray determinant on the chart, the full one in full dimension
-    pairings = [[vec_dot(nrm, rays[k]) for k in piece] for nrm in normals]
-    delta = -pairings[0][0]
-    assert delta > 0
-    assert pairings == [[-delta if j == k else 0 for k in range(len(piece))]
-                        for j in range(len(piece))]
-    if len(piece) == len(rays[0]):
-        assert delta == abs(det(cone_ray_matrix([rays[k] for k in piece])))
+def _trees(rays, pieces):
+    return [[_arc(rays[j]) for j in piece] for piece in pieces]
 
 
 def _working_tangent_cones(spec):
@@ -181,16 +173,19 @@ def _working_tangent_cones(spec):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(matroid_specs(), polymatroid_specs()))
 def test_triangulate_tangent_cones_match_reference(spec):
-    # same pieces in the same order as the elimination-based placing,
-    # and the normals of facet_normals_unimodular (every piece of a
-    # matroid or polymatroid tangent cone is unimodular)
+    # same pieces in the same order as the elimination-based placing;
+    # every piece of a matroid or polymatroid tangent cone is a spanning
+    # tree of arcs, whose cuts pair y with facet_normals_unimodular
     for rays in _working_tangent_cones(spec):
-        got = triangulate_cone(rays)
-        want = reference_triangulate_cone(rays)
-        assert [p for p, _ in got] == [p for p, _ in want]
-        for (piece, normals), (_, ref) in zip(got, want):
-            assert normals == ref
-            _check_normals(rays, piece, normals)
+        pieces = triangulate_cone(rays)
+        assert pieces == reference_triangulate_cone(rays)
+        trees = _trees(rays, pieces)
+        y = pick_generic_y(trees, rays)
+        for piece, tree in zip(pieces, trees):
+            prays = [rays[j] for j in piece]
+            assert_unimodular(prays)
+            assert tree_cuts(tree, y) == [
+                vec_dot(nrm, y) for nrm in facet_normals_unimodular(prays)]
 
 
 @st.composite
@@ -209,28 +204,20 @@ def test_triangulate_random_cones_match_reference(rays):
     points = [(0,) * len(rays[0])] + rays
     assert (list(placing_triangulation(points))
             == list(reference_placing_triangulation(points)))
-    want = reference_triangulate_cone(rays)
-    got = triangulate_cone(rays)
-    assert [p for p, _ in got] == [p for p, _ in want]
-    for (piece, normals), (_, ref) in zip(got, want):
-        if ref is not None:
-            assert normals == ref
-        _check_normals(rays, piece, normals)
+    assert triangulate_cone(rays) == reference_triangulate_cone(rays)
 
 
 def test_triangulate_owner_without_apex_by_hand():
     # (2, 1, -1) lies beyond the facet e1 e2 e3, so both pieces come
-    # from the simplex e1 e2 e3 (2, 1, -1), which misses the apex, and
-    # their inverses take one rank-one update each
+    # from the simplex e1 e2 e3 (2, 1, -1), which misses the apex; the
+    # apex's barycentric coordinates there, read off its carried
+    # inverse, are nonzero at e2 and e1, so neither facet is flat
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1)]
     got = triangulate_cone(rays)
-    assert got == [([0, 2, 3], [(-1, 2, 0), (0, -1, -1), (0, -1, 0)]),
-                   ([1, 2, 3], [(1, -2, 0), (-1, 0, -2), (-1, 0, 0)])]
-    for piece, normals in got:
-        _check_normals(rays, piece, normals)
+    assert got == [[0, 2, 3], [1, 2, 3]] == reference_triangulate_cone(rays)
     # |det| is 1 for the first piece and 2 for the second
-    assert got[0][1] == facet_normals_unimodular([rays[j] for j in got[0][0]])
-    assert vec_dot(got[1][1][0], rays[1]) == -2
+    assert [abs(det(cone_ray_matrix([rays[j] for j in piece])))
+            for piece in got] == [1, 2]
 
 
 def test_flat_facets_dropped():
@@ -240,18 +227,16 @@ def test_flat_facets_dropped():
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
     assert (placing_triangulation([(0, 0, 0)] + rays)
             == {(0, 1, 2, 3), (1, 2, 3, 4)})
-    pieces = [p for p, _ in triangulate_cone(rays)]
-    assert pieces == [[0, 2, 3], [1, 2, 3]]
+    pieces = triangulate_cone(rays)
+    assert pieces == [[0, 2, 3], [1, 2, 3]] == reference_triangulate_cone(rays)
     # a polymatroid tangent cone, every ray extremal, has one too
     rays = [(0, -1, 0, 0, 0), (0, -1, 1, 0, 0), (0, 0, 0, -1, 1),
             (0, 0, 0, 0, -1), (0, 0, 1, -1, 0), (1, -1, 0, 0, 0)]
     assert all(is_extreme_direction(r, [q for q in rays if q != r])
                for r in rays)
-    got = triangulate_cone(rays)
-    assert [p for p, _ in got] == [[0, 1, 2, 4, 5], [0, 1, 3, 4, 5],
-                                   [0, 2, 3, 4, 5]]
-    for piece, normals in got:
-        _check_normals(rays, piece, normals)
+    pieces = triangulate_cone(rays)
+    assert pieces == [[0, 1, 2, 4, 5], [0, 1, 3, 4, 5], [0, 2, 3, 4, 5]]
+    assert pieces == reference_triangulate_cone(rays)
 
 
 def test_facet_normals():
@@ -263,43 +248,53 @@ def test_facet_normals():
             assert vec_dot(nrm, ray) == (-1 if i == j else 0)
 
 
+# the unit rays e1 and e2, as a tree of the arcs (0, 1) and (0, 2)
+UNITS = [(0, 1), (0, 2)]
+
+
 def test_pick_generic_y_examples():
     # y = e1 + xi e2 over the unit rays
-    units = [(1, 0), (0, 1)]
-    assert pick_generic_y([(1, 0)], rays=units) == (1, 1)
-    # e1 - e2 kills xi = 1; xi = 2 works
-    assert pick_generic_y([(1, -1)], rays=units) == (1, 2)
-    with pytest.raises(ValueError):
-        pick_generic_y([(0, 0)], rays=units)
+    assert pick_generic_y([UNITS], [(1, 0), (0, 1)]) == (1, 1)
+    # over e1 - e2 and e2, y = e1 + (xi - 1) e2 has a zero cut at
+    # xi = 1; xi = 2 works
+    assert pick_generic_y([UNITS], [(1, -1), (0, 1)]) == (1, 1)
 
 
 def test_pick_generic_y_interior_to_rays():
-    rays = [(1, 0), (1, 1)]
-    y = pick_generic_y(facet_normals_unimodular(rays), rays=rays)
-    for nrm in facet_normals_unimodular(rays):
-        assert vec_dot(nrm, y) != 0
+    # every facet normal pairs negatively with an interior point
+    rays = [(1, 0), (1, -1)]
+    tree = [_arc(r) for r in rays]
+    y = pick_generic_y([tree], rays)
+    assert tree_cuts(tree, y) == [
+        vec_dot(nrm, y) for nrm in facet_normals_unimodular(rays)]
+    assert all(c < 0 for c in tree_cuts(tree, y))
 
 
 def test_half_open_single_cone_interior_y_all_closed():
-    normals = facet_normals_unimodular([(1, 0), (0, 1)])
-    assert half_open_decompose([normals], (1, 1)) == [[False, False]]
+    assert half_open_decompose([UNITS], (1, 1)) == [[False, False]]
 
 
-# a 2D quadrant split by the middle ray (1, 1)
-LEFT, RIGHT = [(0, 1), (1, 1)], [(1, 1), (1, 0)]
+# the cone of e1 and e2 - e1, split by the middle ray e2: the image of
+# a quadrant split by its diagonal under (x, y) -> (x - y, y)
+LEFT, RIGHT = [(-1, 1), (0, 1)], [(0, 1), (1, 0)]
 
 
 def test_half_open_two_cones_share_one_open_facet():
-    normals = [facet_normals_unimodular(LEFT), facet_normals_unimodular(RIGHT)]
-    y = pick_generic_y(normals[0] + normals[1], rays=[(0, 1), (1, 0)])
-    flags = half_open_decompose(normals, y)
+    trees = [[_arc(r) for r in LEFT], [_arc(r) for r in RIGHT]]
+    y = pick_generic_y(trees, [(-1, 1), (1, 0)])
+    flags = half_open_decompose(trees, y)
     assert sum(map(sum, flags)) == 1
 
 
 def test_half_open_rejects_non_generic_y():
-    normals = facet_normals_unimodular([(1, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        half_open_decompose([normals], (0, 1))
+    # some cut of y is 0: on the unit rays a coordinate of y; on the
+    # path root -> 1 -> 2, whose arc (0, 1) cuts off {1, 2}, a sum
+    with pytest.raises(ValueError, match="not generic"):
+        half_open_decompose([UNITS], (0, 1))
+    path = [(0, 1), (1, 2)]
+    assert tree_cuts(path, (1, -1)) == [0, 1]
+    with pytest.raises(ValueError, match="not generic"):
+        half_open_decompose([UNITS, path], (1, -1))
 
 
 def _box_points(apex, radius, dim):
@@ -308,12 +303,12 @@ def _box_points(apex, radius, dim):
 
 
 def test_half_open_partition_in_box():
-    # pieces of a split quadrant partition its lattice points exactly
+    # pieces of a split cone partition its lattice points exactly
     pieces = [LEFT, RIGHT]
     flags = half_open_decompose(
-        [facet_normals_unimodular(rays) for rays in pieces], (2, 1))
+        [[_arc(r) for r in rays] for rays in pieces], (1, 1))
     for pt in _box_points((0, 0), 3, 2):
-        whole = pt[0] >= 0 and pt[1] >= 0
+        whole = pt[1] >= 0 and pt[0] + pt[1] >= 0
         hits = sum(half_open_contains((0, 0), rays, f, pt)
                    for rays, f in zip(pieces, flags))
         assert hits == (1 if whole else 0)
@@ -333,17 +328,24 @@ def test_assert_unimodular_rejects():
 
 
 @st.composite
-def arc_sets(draw, max_dim=7):
+def arc_sets(draw, max_dim=7, trees=False):
     # dim signed arcs on the nodes {root, 1..dim}: +-e_b from the root,
-    # +-(e_a - e_b) otherwise; duplicates and cycles are allowed
+    # +-(e_a - e_b) otherwise; duplicates and cycles are allowed, unless
+    # `trees` asks for a spanning tree, which joins each node of a
+    # random order to an earlier one
     dim = draw(st.integers(1, max_dim))
+    order = draw(st.permutations(range(dim + 1))) if trees else None
     rays = []
-    for _ in range(dim):
-        a = draw(st.integers(0, dim))
-        b = draw(st.integers(1, dim).filter(lambda b: b != a))
+    for k in range(dim):
+        if trees:
+            a, b = order[draw(st.integers(0, k))], order[k + 1]
+        else:
+            a = draw(st.integers(0, dim))
+            b = draw(st.integers(1, dim).filter(lambda b: b != a))
         sign = draw(st.sampled_from((1, -1)))
         ray = [0] * dim
-        ray[b - 1] = sign
+        if b:
+            ray[b - 1] = sign
         if a:
             ray[a - 1] = -sign
         rays.append(tuple(ray))
@@ -361,6 +363,18 @@ def test_assert_unimodular_matches_det_oracle(rays):
         assert not unimodular
     else:
         assert unimodular
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_sets(trees=True), st.data())
+def test_tree_cuts_match_facet_normals(rays, data):
+    # on a spanning tree, the cuts are the pairings of y with the
+    # cofactor normals, for any y
+    y = data.draw(st.tuples(*[st.integers(-4, 4)] * len(rays)))
+    tree = [_arc(r) for r in rays]
+    assert_unimodular(rays)
+    assert tree_cuts(tree, y) == [
+        vec_dot(nrm, y) for nrm in facet_normals_unimodular(rays)]
 
 
 def test_assert_unimodular_rejects_cycle_under_optimize():
@@ -407,15 +421,19 @@ def test_arc_reads_orientation():
         assert _arc(ray) is None
 
 
+def _pattern(rays):
+    return arc_pattern([_arc(r) for r in rays])
+
+
 def test_arc_pattern_examples():
     # nodes are numbered in order of first appearance, the root included
-    assert arc_pattern([(0, 1, -1), (1, 0, 0), (-1, 0, 0)]) \
-        == (3, ((0, 1), (2, 3), (3, 2)))
-    assert arc_pattern([(1, 0), (0, 1)]) == (2, ((0, 1), (0, 2)))
+    assert _pattern([(0, 1, -1), (1, 0, 0), (-1, 0, 0)]) \
+        == ((0, 1), (2, 3), (3, 2))
+    assert _pattern([(1, 0), (0, 1)]) == ((0, 1), (0, 2))
     # e_a - e_b and e_b - e_a are different arcs
-    assert arc_pattern([(1, -1), (1, 0)]) != arc_pattern([(-1, 1), (1, 0)])
+    assert _pattern([(1, -1), (1, 0)]) != _pattern([(-1, 1), (1, 0)])
     # a ray that is no arc has no pattern
-    assert arc_pattern([(1, 0), (1, 1)]) is None
+    assert _pattern([(1, 0), (1, 1)]) is None
 
 
 def relabel_nodes(sigma, ray):
@@ -446,7 +464,7 @@ def test_arc_pattern_equal_exactly_under_node_bijection(rays, other, data):
     related = len(moved[0]) == dim and any(
         [relabel_nodes(tau, r) for r in rays] == moved
         for tau in permutations(range(dim + 1)))
-    assert (arc_pattern(rays) == arc_pattern(moved)) == related
+    assert (_pattern(rays) == _pattern(moved)) == related
 
 
 def relabelling_specs():
@@ -465,11 +483,9 @@ def relabelling_specs():
 def _flagged(rays):
     # the cone stage of one cone, uncached: pieces and half-open flags
     pieces = triangulate_cone(rays)
-    normal_lists = [normals for _, normals in pieces]
-    y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
-                       rays=rays)
-    return list(zip((piece for piece, _ in pieces),
-                    half_open_decompose(normal_lists, y)))
+    trees = _trees(rays, pieces)
+    y = pick_generic_y(trees, rays)
+    return list(zip(pieces, half_open_decompose(trees, y)))
 
 
 @cache
@@ -490,5 +506,5 @@ def test_cone_stage_invariant_under_node_relabelling(name, data):
     sigma = data.draw(st.permutations(range(dim + 1)))
     for rays, flagged in zip(cones, want):
         moved = [relabel_nodes(sigma, r) for r in rays]
-        assert arc_pattern(moved) == arc_pattern(rays) is not None
+        assert _pattern(moved) == _pattern(rays) is not None
         assert _flagged(moved) == flagged

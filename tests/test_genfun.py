@@ -297,7 +297,7 @@ def test_reused_pieces_are_certified_under_optimize():
         "from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec\n"
         "if __debug__:\n"
         "    sys.exit(2)\n"
-        "genfun.arc_pattern = lambda rays: 'one pattern'\n"
+        "genfun.arc_pattern = lambda arcs: 'one pattern'\n"
         "try:\n"
         "    genfun.build_genfun(PolytopeSpec(\n"
         "        BASES_POLYTOPE, corpus.rank_function('K4')))\n"

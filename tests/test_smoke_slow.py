@@ -16,7 +16,7 @@ from itertools import combinations
 import pytest
 
 from ehrmat.cones import (
-    half_open_decompose, pick_generic_y, triangulate_cone,
+    _arc, half_open_decompose, pick_generic_y, triangulate_cone,
 )
 from ehrmat.exactmath import vec_add, vec_sub
 from ehrmat.genfun import (
@@ -52,10 +52,9 @@ def test_u3_20_smoke():
     chart = working_chart(basis)
     rays_work = [to_working(chart, r) for r in rays0]
     pieces = triangulate_cone(rays_work)
-    normal_lists = [normals for _, normals in pieces]
-    y = pick_generic_y([nrm for nrms in normal_lists for nrm in nrms],
-                       rays=rays_work)
-    decomposed = half_open_decompose(normal_lists, y)
+    trees = [[_arc(rays_work[j]) for j in piece] for piece in pieces]
+    y = pick_generic_y(trees, rays_work)
+    decomposed = half_open_decompose(trees, y)
 
     # intern the 380 possible swap directions so transported terms share
     # ray tuples
@@ -65,7 +64,7 @@ def test_u3_20_smoke():
         return ray_pool.setdefault(ray, ray)
 
     base_templates = []
-    for (piece, _), flags in zip(pieces, decomposed):
+    for piece, flags in zip(pieces, decomposed):
         base_templates.append(([rays0[j] for j in piece], flags))
 
     terms = []
