@@ -22,8 +22,8 @@ from math import factorial
 
 from . import bruteforce, genfun, hstar, specialize
 from .matroid import (
-    BudgetExceeded, RankFunction, ValidationError, check_matroid_axioms,
-    check_polymatroid_axioms,
+    TABLE_GUARD_N, BudgetExceeded, RankFunction, ValidationError,
+    check_matroid_axioms, check_polymatroid_axioms, guard_n,
 )
 from .vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,
@@ -95,6 +95,8 @@ def parse_document(doc):
             f = RankFunction.from_bases(n, bases)
         elif kind == "table":
             n = _int(doc["n"], "n")
+            # before 1 << n below
+            guard_n(n, TABLE_GUARD_N, "rank table")
             table = {}
             for entry in doc["values"]:
                 a = _subset(entry["subset"], "subset")

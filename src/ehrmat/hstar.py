@@ -40,14 +40,14 @@ def ehrhart_to_hstar(p, d):
     """h*-vector of a d-dimensional lattice polytope from its Ehrhart
     polynomial: h*_j = sum_{i=0}^{j} (-1)^i C(d+1, i) p(j-i)."""
     if len(p) - 1 > d:
-        raise ValueError("polynomial degree exceeds dimension")
+        raise ValueError("hstar: polynomial degree exceeds dimension")
     out = []
     values = [poly_eval(p, k) for k in range(d + 1)]
     for j, h in enumerate(_times_one_minus_x_power(values, d + 1)):
         if h.denominator != 1:
-            raise ValueError(f"non-integral h* entry at index {j}")
+            raise ValueError(f"hstar: non-integral h* entry at index {j}")
         if h < 0:
-            raise ValueError(f"negative h* entry at index {j}")
+            raise ValueError(f"hstar: negative h* entry at index {j}")
         out.append(int(h))
     return tuple(out)
 

@@ -111,6 +111,7 @@ class RankFunction:
     def from_table(n, table):
         """Tabulated rank function; `table` maps every non-empty subset
         to its value, and the empty set to its value if listed, else 0."""
+        guard_n(n, TABLE_GUARD_N, "rank table")
         t = {_mask(a, n): int(v) for a, v in table.items()}
         t.setdefault(0, 0)
         if len(t) != 1 << n:

@@ -22,14 +22,18 @@ product of the betas, so Ehrhart polynomials are summed on integers per
 dilation is the polynomial's value at k.
 
 A polytope has at most 2n^2 distinct rays, so lambda is checked and
-paired once per distinct ray, and a term's sorted beta tuple is looked
-up. The weights of a tuple are computed once, in lexicographic order of
-the tuples, each extending the Todd product of its longest common prefix
-with the previous tuple.
+paired once per distinct ray. `ehrhart_polynomial` is one pass over the
+terms in lexicographic order of their sorted beta tuples: each distinct
+tuple's weights are computed once per polytope, extending the Todd
+product of its longest common prefix with the previous tuple of the
+same s, from a prefix stack that the call owns, and each term is folded
+straight into its class sum. No memo of tuples or prefixes outlives the
+polytope.
 """
 
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from math import factorial, prod
 
 from .exactmath import (
@@ -81,28 +85,18 @@ def _todd_factor(s, beta):
     return tuple(bn * (-beta) ** n for n, bn in enumerate(_todd_scaled(s)[1]))
 
 
-# The order s and the prefix products of the last tuple `weights`
-# computed: entry i is (beta_i, the product of the factors of
-# beta_0..beta_i). It holds at most s entries and is reset when s
-# changes; no other prefix is kept.
-_prefix = [0, []]
-
-
-@cache
-def weights(betas):
+def weights(betas, stack):
     """Integer weight numerators W_0..W_s of one term, from its sorted
     tuple of pairings beta_j = <lambda, b_j>: W_l = (s!/l!) acc_{s-l},
     where acc is the product of the L-scaled factors h(-x beta_j)
-    truncated at order s. The Todd product is symmetric in the betas, so
-    a run computes each sorted tuple once. A new tuple starts from the
-    product of its longest common prefix with the previous new tuple of
-    the same s, so calls in lexicographic order, as `_plan` makes them,
-    cost one truncated product per node of the trie of the tuples;
-    calls in any other order give the same numerators."""
+    truncated at order s. `stack` is the caller's list, one per s and
+    empty at first, of the prefix products (beta_i, product of the
+    factors of beta_0..beta_i) of the previous tuple of the same s. The
+    tuple extends the product of its longest common prefix with that
+    one and leaves its own prefixes there, so calls in lexicographic
+    order cost one truncated product per node of the trie of the
+    tuples; any order gives the same numerators."""
     s = len(betas)
-    if _prefix[0] != s:
-        _prefix[:] = [s, []]
-    stack = _prefix[1]
     k = 0
     while k < len(stack) and stack[k][0] == betas[k]:
         k += 1
@@ -121,21 +115,6 @@ def _denominator(s, beta_prod):
     return _todd_scaled(s)[0] ** s * factorial(s) * (-1) ** s * beta_prod
 
 
-def _plan(g):
-    """lambda and, per term, its class (s, prod beta) and weight
-    numerators. lambda is checked and paired once per distinct ray,
-    and `weights` is asked once per term, in lexicographic order of the
-    sorted beta tuples, so that consecutive tuples share prefixes."""
-    rays = dict.fromkeys(b for t in g.terms for b in t.bs)
-    lam = find_lambda(rays, g.n)
-    pairing = {b: vec_dot(lam, b) for b in rays}
-    betas = [tuple(sorted(map(pairing.__getitem__, t.bs))) for t in g.terms]
-    plan = [None] * len(betas)
-    for i in sorted(range(len(betas)), key=betas.__getitem__):
-        plan[i] = ((len(betas[i]), prod(betas[i])), weights(betas[i]))
-    return lam, plan
-
-
 def count(p, k):
     """Exact number of lattice points of the k-th dilation of the
     polytope whose Ehrhart polynomial is p: p(k), checked to be a
@@ -145,28 +124,39 @@ def count(p, k):
     lav + lv k."""
     total = poly_eval(p, k)
     if total.denominator != 1 or total < 0:
-        raise AssertionError(f"count {total} is not a non-negative integer")
+        raise AssertionError(f"specialize: count {total} is not a"
+                             f" non-negative integer")
     return int(total)
 
 
 def ehrhart_polynomial(g):
     """Exact Ehrhart polynomial of the polytope behind the parametric
-    generating function g, as coefficients of k^0..k^dim. A term's
-    numerator pairing at dilation k is lav + lv k, so it contributes
-    P_W(lav + lv k) with P_W(x) = sum_l W_l x^l, expanded in k by
-    Horner's rule on integer polynomials."""
-    lam, plan = _plan(g)
+    generating function g, as coefficients of k^0..k^dim, in one pass
+    over the terms grouped by sorted beta tuple. A term's numerator
+    pairing at dilation k is lav + lv k, so it adds P_W(lav + lv k),
+    with P_W(x) = sum_l W_l x^l expanded in k by Horner's rule, to its
+    (s, prod beta) class sum."""
+    rays = dict.fromkeys(b for t in g.terms for b in t.bs)
+    lam = find_lambda(rays, g.n)
+    pairing = {b: vec_dot(lam, b) for b in rays}
+    betas = [tuple(sorted(map(pairing.__getitem__, t.bs))) for t in g.terms]
+    stacks = {}
     sums = {}
-    for t, (cls, w) in zip(g.terms, plan):
-        lv = vec_dot(lam, t.v)
-        lav = vec_dot(lam, t.a) - lv
-        p = [w[-1]]
-        for wl in w[-2::-1]:
-            p = [lav * c + lv * d for c, d in zip(p + [0], [0] + p)]
-            p[0] += wl
-        acc = sums.setdefault(cls, [0] * len(p))
-        for m, c in enumerate(p):
-            acc[m] += t.sign * c
+    order = sorted(range(len(betas)), key=betas.__getitem__)
+    for key, group in groupby(order, key=betas.__getitem__):
+        s = len(key)
+        w = weights(key, stacks.setdefault(s, []))
+        acc = sums.setdefault((s, prod(key)), [0] * (s + 1))
+        for i in group:
+            t = g.terms[i]
+            lv = vec_dot(lam, t.v)
+            lav = vec_dot(lam, t.a) - lv
+            p = [w[-1]]
+            for wl in w[-2::-1]:
+                p = [lav * c + lv * d for c, d in zip(p + [0], [0] + p)]
+                p[0] += wl
+            for m, c in enumerate(p):
+                acc[m] += t.sign * c
     max_s = max((s for s, _ in sums), default=0)
     coeffs = [Fraction(0)] * (max_s + 1)
     for cls, acc in sums.items():
@@ -175,5 +165,6 @@ def ehrhart_polynomial(g):
             coeffs[m] += Fraction(c, d)
     for m in range(g.dim + 1, max_s + 1):
         if coeffs[m] != 0:
-            raise AssertionError(f"coefficient of k^{m} should vanish")
+            raise AssertionError(f"specialize: coefficient of k^{m} should"
+                                 f" vanish")
     return poly_trim(tuple(coeffs[:g.dim + 1]))

@@ -44,7 +44,9 @@ def test_traced_run_counts_pairings(capsys):
     assert code == 0
     assert specialize.weights is original
     layers = tracer.summary()["layers"]
-    # one weights call per term; K4 has 6 elements, so |beta| <= 6
-    assert layers["specialize.weights_calls"] == layers["genfun.terms"] > 0
+    # one weights call per distinct sorted beta tuple; K4 has 6
+    # elements, so |beta| <= 6
+    assert layers["specialize.weights_calls"] == layers[
+        "specialize.beta_classes"] > 0
     assert 1 <= layers["specialize.max_beta"] <= 6
     assert 1 <= layers["specialize.beta_classes"] <= layers["genfun.terms"]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
@@ -96,13 +97,13 @@ def test_verify_builds_genfun_once(capsys, monkeypatch):
 
 def test_verify_plans_weights_once(capsys, monkeypatch):
     # the dilation counts are read off the Ehrhart polynomial, so verify
-    # asks for each term's weights once, exactly as ehrhart does
+    # asks for each distinct beta tuple's weights once, as ehrhart does
     real = specialize.weights
     calls = []
 
-    def counted(betas):
+    def counted(betas, stack):
         calls.append(betas)
-        return real(betas)
+        return real(betas, stack)
 
     monkeypatch.setattr(specialize, "weights", counted)
     path = data_path("U24_independence")
@@ -312,6 +313,21 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("n", [21, 64])
+def test_table_budget_before_table_size(tmp_path, capsys, monkeypatch, n):
+    # the guard runs before anything of size 1 << n is built, so an
+    # outsized n in a short document exits 3 at once
+    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
+    doc = {"name": "big", "family": "polymatroid", "kind": "table", "n": n,
+           "values": [{"subset": [1], "value": 1}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["ehrhart", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET == 3
+    assert captured.err.startswith("budget exceeded: rank table guard")
+
+
 def test_malformed_budget_is_a_validation_error(capsys, monkeypatch):
     monkeypatch.setenv("EHRMAT_BUDGET", "abc")
     code = cli.main(["ehrhart", data_path("K4")])
@@ -333,6 +349,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert captured.out == ""
     assert captured.err == f"internal error: {path}: constant term is not 1\n"
+
+
+def test_specialize_error_names_stage(capsys, monkeypatch):
+    # a polynomial whose value at k = 1 is no count: the error names the
+    # document and the stage
+    monkeypatch.setattr(cli, "pipeline_ehrhart",
+                        lambda spec: (Fraction(1, 2),))
+    path = data_path("K4")
+    code = cli.main(["verify", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {path}: specialize:"
+                                   f" count 1/2 is not")
 
 
 def test_crash_exits_internal_not_conjecture(capsys, monkeypatch):

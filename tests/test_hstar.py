@@ -34,10 +34,13 @@ def test_transform_point():
 
 
 def test_transform_rejects_non_ehrhart_input():
-    with pytest.raises(ValueError):
+    # each error names its stage
+    with pytest.raises(ValueError, match="^hstar: non-integral"):
         ehrhart_to_hstar((Fraction(1), Fraction(1, 3)), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hstar: polynomial degree"):
         ehrhart_to_hstar((Fraction(1), Fraction(1)), 0)
+    with pytest.raises(ValueError, match="^hstar: negative"):
+        ehrhart_to_hstar((Fraction(1), Fraction(-3)), 1)
 
 
 def test_sum_identity():

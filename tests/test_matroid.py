@@ -228,6 +228,9 @@ def test_rank_table_guard(monkeypatch):
     monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
     with pytest.raises(BudgetExceeded):
         RankFunction.uniform(21, 2)
+    # a table's size check would build 1 << n first
+    with pytest.raises(BudgetExceeded):
+        RankFunction.from_table(64, {})
 
 
 def _draw_matroid(draw, n_max):

@@ -129,13 +129,13 @@ def test_find_lambda_rejects_zero_pairing_under_optimize():
 
 def _fractions(betas):
     # the weights w_l = W_l / D of one term
-    w = weights(tuple(sorted(betas)))
+    w = weights(tuple(sorted(betas)), [])
     d = _denominator(len(betas), prod(betas))
     return [Fraction(x, d) for x in w]
 
 
 def test_weights_empty_denominator():
-    assert weights(()) == (1,)
+    assert weights((), []) == (1,)
     assert _fractions([]) == fraction_weights([]) == [Fraction(1)]
 
 
@@ -156,12 +156,11 @@ def test_weights_match_fraction_reference(betas):
 @given(st.lists(st.lists(st.integers(-8, 8).filter(bool), max_size=7)
                 .map(lambda b: tuple(sorted(b))), max_size=20))
 def test_weights_do_not_depend_on_call_order(tuples):
-    # weights extends the prefix product of the previous new tuple; with
-    # an empty cache, tuples of mixed s in any order must still give the
-    # reference weights
-    weights.cache_clear()
+    # weights extends the prefix products left on the stack of its s;
+    # tuples of mixed s in any order must still give the reference weights
+    stacks = {}
     for betas in tuples:
-        w = weights(betas)
+        w = weights(betas, stacks.setdefault(len(betas), []))
         d = _denominator(len(betas), prod(betas))
         assert [Fraction(x, d) for x in w] == fraction_weights(betas)
 
@@ -184,6 +183,22 @@ def test_segment_count_by_hand_terms():
     g = GenFun([GenFunTerm(1, (0,), (0,), [(1,)]),
                 GenFunTerm(1, (1,), (1,), [(-1,)])], 1, 1)
     assert count(ehrhart_polynomial(g), 1) == 2
+
+
+def test_mixed_orders_by_hand():
+    # the closed vertex cones of the unit square (s = 2) and of the unit
+    # segments along e1 and e2 (s = 1); lambda = (1, 2), so the sorted
+    # beta tuples (-2,) < (-2, -1) < (-2, 1) < (-1,) < (-1, 2) < (1,)
+    # < (1, 2) < (2,) interleave the two orders and share prefixes
+    # across them. (k + 1)^2 + 2 (k + 1) points
+    square = [((0, 0), [(1, 0), (0, 1)]), ((1, 0), [(-1, 0), (0, 1)]),
+              ((0, 1), [(1, 0), (0, -1)]), ((1, 1), [(-1, 0), (0, -1)])]
+    segments = [((0, 0), [(1, 0)]), ((1, 0), [(-1, 0)]),
+                ((0, 0), [(0, 1)]), ((0, 1), [(0, -1)])]
+    g = GenFun([GenFunTerm(1, v, v, bs) for v, bs in square + segments],
+               2, 2)
+    p = ehrhart_polynomial(g)
+    assert p == reference_ehrhart_polynomial(g) == (3, 4, 1)
 
 
 def test_signed_terms_by_hand():
