@@ -142,7 +142,8 @@ def cmd_ehrhart(args):
     dim = len(poly) - 1
     volume = factorial(dim) * Fraction(poly[-1])
     if volume.denominator != 1:
-        raise AssertionError(f"normalized volume {volume} is not an integer")
+        raise AssertionError(f"cli: normalized volume {volume} is not"
+                             " an integer")
     out = {
         "name": name,
         "coefficients": [_frac_str(c) for c in poly],

@@ -12,13 +12,14 @@ drop of the cone stage are all read off these inverses.
 
 Each piece is then certified unimodular independently of that
 arithmetic. A working ray is +-e_a or +-(e_a - e_b), an arc of a graph
-on the nodes {root, 1..dim}; the ray matrix is then a network matrix,
+on the nodes {root, 1..dim}, read once per ray of a cone by `_arc`,
+which fails on any other ray; the ray matrix is then a network matrix,
 and a square one has determinant +-1 iff its arcs form a spanning tree,
 0 otherwise (Postnikov, Permutohedra, associahedra, and beyond, IMRN
-2009, section 12). `assert_unimodular` checks this by union-find. The
-facet normal opposite arc t is -+ the indicator of the side t cuts off
-from the root, so `tree_cuts` pairs y with every normal of a piece in
-one pass over its tree, and no normal vector is built.
+2009, section 12). `assert_unimodular` checks a piece's arcs by
+union-find. The facet normal opposite arc t is -+ the indicator of the
+side t cuts off from the root, so `tree_cuts` pairs y with every normal
+of a piece in one pass over its tree, and no normal vector is built.
 
 Many tangent cones of one polytope are the same directed graph up to
 relabelling these nodes, and `genfun.build_genfun` triangulates each
@@ -175,7 +176,7 @@ def triangulate_cone(rays):
     facet; an owner containing the apex omits the apex, where it is d.
     """
     if not rays:
-        raise ValueError("trivial cone")
+        raise ValueError("cones: trivial cone")
     tri, inverse = _place([(0,) * len(rays[0])] + list(rays))
     return [[i - 1 for i in fac]
             for fac, owner, j in _boundary_facets_with_owner(tri)
@@ -232,17 +233,18 @@ def tree_cuts(tree, y):
 
 
 def pick_generic_y(trees, rays):
-    """A vector with no zero `tree_cuts` on any of the trees: the first
-    positive combination sum xi^(i-1) * r_i of the rays, xi = 1, 2, ...,
-    that has none; it stays interior to the cone spanned by the rays.
-    """
+    """(y, the trees' `half_open_decompose` flags at y), for the first
+    positive combination y = sum xi^(i-1) * r_i of the rays, xi = 1, 2,
+    ..., with no zero `tree_cuts` on any tree; y stays interior to the
+    cone spanned by the rays, and each tree is cut once per y tried."""
     xi = 1
     while True:
         y = tuple(sum(xi ** i * r[c] for i, r in enumerate(rays))
                   for c in range(len(rays[0])))
-        if all(all(tree_cuts(tree, y)) for tree in trees):
-            return y
-        xi += 1
+        try:
+            return y, half_open_decompose(trees, y)
+        except ValueError:
+            xi += 1
 
 
 def half_open_decompose(trees, y):
@@ -251,17 +253,17 @@ def half_open_decompose(trees, y):
     open flags, one per ray.
 
     `trees` holds each piece's rays as arcs, a spanning tree as
-    `assert_unimodular` certifies it; y must have no zero cut and lie in
-    the cone the pieces are meant to partition. Flag j of a piece is set
-    (the facet opposite ray j is excluded, so the ray-j coordinate must
-    be strictly positive) when the cut of arc j (`tree_cuts`) is
-    positive, i.e. when y lies on the outside of that facet.
+    `assert_unimodular` certifies it; y must lie in the cone the pieces
+    are meant to partition, ValueError on a zero cut. Flag j of a piece
+    is set (the facet opposite ray j is excluded, so the ray-j
+    coordinate must be strictly positive) when the cut of arc j
+    (`tree_cuts`) is positive, i.e. when y lies outside that facet.
     """
     out = []
     for tree in trees:
         cuts = tree_cuts(tree, y)
         if not all(cuts):
-            raise ValueError("y is not generic for these cones")
+            raise ValueError("cones: y is not generic for these cones")
         out.append([c > 0 for c in cuts])
     return out
 
@@ -269,8 +271,8 @@ def half_open_decompose(trees, y):
 def _arc(ray):
     """The oriented arc (tail, head) of a ray on the nodes {root, 1..dim},
     the root being node 0: ray = e_head - e_tail with e_0 = 0, so +e_a
-    is (0, a), -e_a is (a, 0) and e_a - e_b is (b, a); None for any
-    other vector."""
+    is (0, a), -e_a is (a, 0) and e_a - e_b is (b, a); AssertionError
+    naming any other vector, also under `python -O`."""
     ends = [(c, x) for c, x in enumerate(ray, 1) if x]
     if len(ends) == 1 and ends[0][1] in (1, -1):
         c, x = ends[0]
@@ -279,35 +281,32 @@ def _arc(ray):
             and ends[0][1] in (1, -1):
         (a, x), (b, _) = ends
         return (b, a) if x == 1 else (a, b)
-    return None
+    raise AssertionError(f"ray {tuple(ray)} is no arc +-e_a or"
+                         " +-(e_a - e_b), expected a network matrix")
 
 
 def arc_pattern(arcs):
-    """The ordered arc pattern of a cone's rays read as arcs (`_arc`),
-    the key under which `genfun.build_genfun` reuses a triangulation:
-    the arcs in order, their nodes relabelled 0, 1, ... in order of
-    first appearance; None when some ray is no arc. Two cones have equal
-    patterns exactly when a bijection of the nodes maps one ordered arc
-    list onto the other; a full-dimensional cone's arcs touch all dim + 1
-    nodes, so the pattern fixes dim as well."""
-    if None in arcs:
-        return None
+    """The ordered arc pattern of a cone's arcs (`_arc`), the key under
+    which `genfun.build_genfun` reuses a triangulation: the arcs in
+    order, their nodes relabelled 0, 1, ... in order of first
+    appearance. Two cones have equal patterns exactly when a bijection
+    of the nodes maps one ordered arc list onto the other; a
+    full-dimensional cone's arcs touch all dim + 1 nodes, so the pattern
+    fixes dim as well."""
     labels = {}
     return tuple(tuple(labels.setdefault(a, len(labels)) for a in arc)
                  for arc in arcs)
 
 
-def assert_unimodular(rays):
-    """Certify a simplicial cone's rays as a unimodular basis by the arc
-    rule: every ray must be an arc +-e_a or +-(e_a - e_b) on the nodes
-    {root, 1..dim}, and the dim arcs, orientation ignored, must form a
-    spanning tree, which union-find checks as the absence of a cycle. A
-    square arc matrix has determinant +-1 exactly then, and 0
-    otherwise. AssertionError naming the ray otherwise, also under
-    `python -O`."""
-    dim = len(rays[0]) if rays else 0
-    if len(rays) != dim:
-        raise AssertionError(f"{len(rays)} rays in dimension {dim},"
+def assert_unimodular(tree, dim):
+    """Certify a simplicial cone, its rays read as arcs (`_arc`) on the
+    nodes {root, 1..dim}, as a unimodular basis by the arc rule: the dim
+    arcs, orientation ignored, must form a spanning tree, which
+    union-find checks as the absence of a cycle. A square arc matrix has
+    determinant +-1 exactly then, and 0 otherwise. AssertionError naming
+    the arc otherwise, also under `python -O`."""
+    if len(tree) != dim:
+        raise AssertionError(f"{len(tree)} rays in dimension {dim},"
                              " expected a square ray matrix")
     parent = list(range(dim + 1))
 
@@ -316,13 +315,9 @@ def assert_unimodular(rays):
             parent[a] = a = parent[parent[a]]
         return a
 
-    for ray in rays:
-        arc = _arc(ray) if len(ray) == dim else None
-        if arc is None:
-            raise AssertionError(f"ray {tuple(ray)} is no arc +-e_a or"
-                                 " +-(e_a - e_b), expected a network matrix")
+    for arc in tree:
         a, b = map(root, arc)
         if a == b:
-            raise AssertionError(f"ray {tuple(ray)} closes a cycle: ray"
-                                 " matrix determinant 0, expected +-1")
+            raise AssertionError(f"arc {arc} closes a cycle: ray matrix"
+                                 " determinant 0, expected +-1")
         parent[a] = b

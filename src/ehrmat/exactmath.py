@@ -12,9 +12,6 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import index, mul
 
-IntVec = tuple  # dense integer vector, fixed length
-Poly = tuple    # coefficients by ascending degree, trailing zeros trimmed
-
 
 # ---------------------------------------------------------------------------
 # vectors

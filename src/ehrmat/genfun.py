@@ -19,26 +19,26 @@ the basis entries in every other column, so that `to_working` only
 takes the pivot entries and checks the remaining columns.
 
 In working coordinates every ray is an arc e_head - e_tail on the nodes
-{root, 1..dim}, e_root = 0, read once per ray by `cones._arc`, and a
-piece's arcs form the spanning tree whose cuts give its half-open flags.
-Many tangent cones of one polytope are the same directed graph up to
-relabelling its nodes. `build_genfun` keeps, for one call, the pieces
-and half-open flags of each ordered arc pattern (`cones.arc_pattern`) it
+{root, 1..dim}, e_root = 0, read once per ray of each cone by
+`cones._arc`. They give the cone's key, and a piece's arcs form the
+spanning tree that certifies it and whose cuts give its half-open
+flags. Many tangent cones of one polytope are the same directed graph
+up to relabelling its nodes. `build_genfun` keeps, for one call, the
+pieces and flags of each ordered arc pattern (`cones.arc_pattern`) it
 has triangulated, and a cone with a known pattern reuses them with its
 own rays. A relabelling is a unimodular linear map of the working
 lattice (lift to the sum-zero hyperplane of Z^(dim+1) and permute
 coordinates), under which the placing decisions, the tree cuts,
 `pick_generic_y`'s y and so every flag are invariant, so the terms, and
-the `genfun` dump, are those of triangulating every cone.
-`assert_unimodular` still certifies every piece of every cone on its
-own rays.
+the `genfun` dump, are those of triangulating every cone. Every piece
+of every cone is certified on that cone's own arcs.
 """
 
 from operator import mul
 
 from .cones import (
-    _arc, arc_pattern, assert_unimodular, half_open_decompose,
-    pick_generic_y, tangent_cone, triangulate_cone,
+    _arc, arc_pattern, assert_unimodular, pick_generic_y, tangent_cone,
+    triangulate_cone,
 )
 from .exactmath import _gauss_jordan, vec_add, vec_sub
 from .vertices import enumerate_vertices
@@ -48,8 +48,8 @@ class GenFunTerm:
     """One signed rational-function term of the generating function."""
 
     def __init__(self, sign, a, v, bs):
-        if any(all(x == 0 for x in b) for b in bs):
-            raise ValueError("zero denominator exponent")
+        if not all(map(any, bs)):
+            raise ValueError("genfun: zero denominator exponent")
         self.sign = sign
         self.a = a
         self.v = v
@@ -72,7 +72,8 @@ def affine_lattice_basis(vertices):
     a, pivots, d = _gauss_jordan(diffs, len(vertices[0]))
     rows = a[:len(pivots)]
     if any(x % d for row in rows for x in row):
-        raise ValueError("affine hull has a non-integral echelon basis")
+        raise ValueError("genfun: affine hull has a non-integral"
+                         " echelon basis")
     return [tuple(x // d for x in row) for row in rows]
 
 
@@ -84,12 +85,12 @@ def working_chart(basis):
     unless reading the pivot entries inverts the basis, and for an
     empty basis, which has no chart."""
     if not basis:
-        raise ValueError("empty lattice basis")
+        raise ValueError("genfun: empty lattice basis")
     pivots = tuple(next(c for c, y in enumerate(b) if y) for b in basis)
     for i, c in enumerate(pivots):
         if any(b[c] != int(k == i) for k, b in enumerate(basis)):
-            raise ValueError("lattice basis is not saturated: pivot"
-                             f" column {c} is not a unit column")
+            raise ValueError("genfun: lattice basis is not saturated:"
+                             f" pivot column {c} is not a unit column")
     others = tuple((c, tuple(b[c] for b in basis))
                    for c in range(len(basis[0])) if c not in pivots)
     return pivots, others
@@ -103,7 +104,7 @@ def to_working(chart, vec):
     x = tuple(vec[c] for c in pivots)
     for c, col in others:
         if sum(map(mul, x, col)) != vec[c]:
-            raise ValueError("vector outside the affine hull")
+            raise ValueError("genfun: vector outside the affine hull")
     return x
 
 
@@ -112,7 +113,7 @@ def build_genfun(spec):
     half-open decomposition -> unimodular terms."""
     vs = enumerate_vertices(spec)
     if not vs.vertices:
-        raise ValueError("empty polytope")
+        raise ValueError("genfun: empty polytope")
     basis = affine_lattice_basis(vs.vertices)
     dim = len(basis)
     if dim == 0:
@@ -136,29 +137,30 @@ def _vertex_terms(vs, i, chart, patterns):
     `patterns` maps the `arc_pattern` of each cone triangulated so far
     in this polytope to its [(piece, flags)]; a cone whose pattern is
     there reuses them, read against its own rays. Every piece, reused or
-    not, must pass `assert_unimodular` on this cone's working rays; one
-    that does not raises AssertionError naming the vertex and the
-    piece's ray indices."""
+    not, must pass `assert_unimodular` on this cone's arcs; a ray that
+    is no arc, or a piece that does not, raises AssertionError naming
+    the vertex (and the piece's ray indices)."""
     v = vs.vertices[i]
     rays = tangent_cone(vs, i)
     rays_work = [to_working(chart, r) for r in rays]
-    arcs = [_arc(r) for r in rays_work]
+    try:
+        arcs = [_arc(r) for r in rays_work]
+    except AssertionError as exc:
+        raise AssertionError(f"cones: vertex {v}: {exc}") from exc
     key = arc_pattern(arcs)
     flagged = patterns.get(key)
     pieces = (triangulate_cone(rays_work) if flagged is None
               else [piece for piece, _ in flagged])
-    for piece in pieces:
+    trees = [[arcs[j] for j in piece] for piece in pieces]
+    for piece, tree in zip(pieces, trees):
         try:
-            assert_unimodular([rays_work[j] for j in piece])
+            assert_unimodular(tree, len(chart[0]))
         except AssertionError as exc:
             raise AssertionError(f"cones: vertex {v}, piece of rays"
                                  f" {piece}: {exc}") from exc
     if flagged is None:
-        trees = [[arcs[j] for j in piece] for piece in pieces]
-        y = pick_generic_y(trees, rays_work)
-        flagged = list(zip(pieces, half_open_decompose(trees, y)))
-        if key is not None:
-            patterns[key] = flagged
+        _, flags = pick_generic_y(trees, rays_work)
+        flagged = patterns[key] = list(zip(pieces, flags))
     out = []
     for piece, flags in flagged:
         a = v

@@ -73,8 +73,8 @@ def find_lambda(bs, n):
     lam = tuple(range(1, n + 1))
     for b in bs:
         if vec_dot(lam, b) == 0:
-            raise ValueError(f"denominator exponent {tuple(b)} pairs to zero"
-                             f" with lambda = (1, ..., {n})")
+            raise ValueError(f"specialize: denominator exponent {tuple(b)}"
+                             f" pairs to zero with lambda = (1, ..., {n})")
     return lam
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -399,6 +400,29 @@ def test_piece_error_names_vertex_and_rays(capsys, monkeypatch):
     assert captured.err.startswith(f"internal error: {path}: cones: vertex (")
     assert "piece of rays [0, 0, " in captured.err
     assert "closes a cycle" in captured.err
+
+
+def test_non_arc_ray_error_names_vertex_and_ray(capsys, monkeypatch):
+    # a tangent-cone ray that is no arc fails where the cone's rays are
+    # read as arcs, before any piece: the error names the document, the
+    # stage, the vertex and the working ray
+    real = genfun.tangent_cone
+
+    def doubled(vs, i):
+        rays = real(vs, i)
+        return [tuple(2 * x for x in rays[0])] + rays[1:]
+
+    monkeypatch.setattr(genfun, "tangent_cone", doubled)
+    path = data_path("K4")
+    code = cli.main(["ehrhart", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {path}: cones: vertex (")
+    assert re.fullmatch(
+        r"internal error: .*: cones: vertex \([01, ]+\): ray \([-02, ]+\)"
+        r" is no arc \+-e_a or \+-\(e_a - e_b\), expected a network"
+        r" matrix\n", captured.err), captured.err
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{"])

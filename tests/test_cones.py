@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from functools import cache
@@ -152,7 +153,7 @@ def test_k4_cone_pieces_unimodular():
     rays_work = [to_working(chart, r) for r in rays]
     for piece in triangulate_cone(rays):
         work = [rays_work[j] for j in piece]
-        assert_unimodular(work)
+        assert_unimodular([_arc(r) for r in work], len(work[0]))
         assert det(cone_ray_matrix(work)) in (1, -1)
 
 
@@ -175,17 +176,19 @@ def _working_tangent_cones(spec):
 def test_triangulate_tangent_cones_match_reference(spec):
     # same pieces in the same order as the elimination-based placing;
     # every piece of a matroid or polymatroid tangent cone is a spanning
-    # tree of arcs, whose cuts pair y with facet_normals_unimodular
+    # tree of arcs, whose cuts pair y with facet_normals_unimodular and
+    # give the flags pick_generic_y returns
     for rays in _working_tangent_cones(spec):
         pieces = triangulate_cone(rays)
         assert pieces == reference_triangulate_cone(rays)
         trees = _trees(rays, pieces)
-        y = pick_generic_y(trees, rays)
-        for piece, tree in zip(pieces, trees):
+        y, flags = pick_generic_y(trees, rays)
+        for piece, tree, f in zip(pieces, trees, flags):
             prays = [rays[j] for j in piece]
-            assert_unimodular(prays)
+            assert_unimodular(tree, len(rays[0]))
             assert tree_cuts(tree, y) == [
                 vec_dot(nrm, y) for nrm in facet_normals_unimodular(prays)]
+            assert f == [c > 0 for c in tree_cuts(tree, y)]
 
 
 @st.composite
@@ -253,21 +256,24 @@ UNITS = [(0, 1), (0, 2)]
 
 
 def test_pick_generic_y_examples():
-    # y = e1 + xi e2 over the unit rays
-    assert pick_generic_y([UNITS], [(1, 0), (0, 1)]) == (1, 1)
+    # y = e1 + xi e2 over the unit rays, interior, so no flag is set
+    assert pick_generic_y([UNITS], [(1, 0), (0, 1)]) == (
+        (1, 1), [[False, False]])
     # over e1 - e2 and e2, y = e1 + (xi - 1) e2 has a zero cut at
     # xi = 1; xi = 2 works
-    assert pick_generic_y([UNITS], [(1, -1), (0, 1)]) == (1, 1)
+    assert pick_generic_y([UNITS], [(1, -1), (0, 1)]) == (
+        (1, 1), [[False, False]])
 
 
 def test_pick_generic_y_interior_to_rays():
     # every facet normal pairs negatively with an interior point
     rays = [(1, 0), (1, -1)]
     tree = [_arc(r) for r in rays]
-    y = pick_generic_y([tree], rays)
+    y, flags = pick_generic_y([tree], rays)
     assert tree_cuts(tree, y) == [
         vec_dot(nrm, y) for nrm in facet_normals_unimodular(rays)]
     assert all(c < 0 for c in tree_cuts(tree, y))
+    assert flags == [[False, False]]
 
 
 def test_half_open_single_cone_interior_y_all_closed():
@@ -281,8 +287,8 @@ LEFT, RIGHT = [(-1, 1), (0, 1)], [(0, 1), (1, 0)]
 
 def test_half_open_two_cones_share_one_open_facet():
     trees = [[_arc(r) for r in LEFT], [_arc(r) for r in RIGHT]]
-    y = pick_generic_y(trees, [(-1, 1), (1, 0)])
-    flags = half_open_decompose(trees, y)
+    y, flags = pick_generic_y(trees, [(-1, 1), (1, 0)])
+    assert flags == half_open_decompose(trees, y)
     assert sum(map(sum, flags)) == 1
 
 
@@ -315,16 +321,18 @@ def test_half_open_partition_in_box():
 
 
 def test_assert_unimodular_rejects():
-    with pytest.raises(AssertionError):
-        assert_unimodular([(2, 0), (0, 1)])
-    # columns that are no arc fail even where the determinant is +-1,
-    # as for (1, 1), (0, 1) and (1, -1, 1), (1, 0, 0), (0, 1, 0)
-    for rays in ([(1, 1), (0, 1)], [(0, 1), (2, 0)],
-                 [(1, 0, 0), (0, 1, 0), (1, -1, 1)], [(1, 0), (-1,)]):
+    # columns that are no arc fail when read as arcs, before any
+    # certificate, even where the determinant is +-1, as for
+    # (1, 1), (0, 1) and (1, -1, 1), (1, 0, 0), (0, 1, 0)
+    for rays in ([(2, 0), (0, 1)], [(1, 1), (0, 1)], [(0, 1), (2, 0)],
+                 [(1, 0, 0), (0, 1, 0), (1, -1, 1)]):
         with pytest.raises(AssertionError, match="no arc"):
-            assert_unimodular(rays)
+            [_arc(r) for r in rays]
+    # e1 twice: two arcs root -> 1, a cycle of determinant 0
+    with pytest.raises(AssertionError, match="cycle"):
+        assert_unimodular([(0, 1), (0, 1)], 2)
     with pytest.raises(AssertionError, match="square"):
-        assert_unimodular([(1, 0)])
+        assert_unimodular([(0, 1)], 2)
 
 
 @st.composite
@@ -358,7 +366,7 @@ def test_assert_unimodular_matches_det_oracle(rays):
     # the arc rule passes exactly the square arc sets of det +-1
     unimodular = det(cone_ray_matrix(rays)) in (1, -1)
     try:
-        assert_unimodular(rays)
+        assert_unimodular([_arc(r) for r in rays], len(rays[0]))
     except AssertionError:
         assert not unimodular
     else:
@@ -372,31 +380,35 @@ def test_tree_cuts_match_facet_normals(rays, data):
     # cofactor normals, for any y
     y = data.draw(st.tuples(*[st.integers(-4, 4)] * len(rays)))
     tree = [_arc(r) for r in rays]
-    assert_unimodular(rays)
+    assert_unimodular(tree, len(rays))
     assert tree_cuts(tree, y) == [
         vec_dot(nrm, y) for nrm in facet_normals_unimodular(rays)]
 
 
 def test_assert_unimodular_rejects_cycle_under_optimize():
-    # a triangle of arcs has det 0; the check must be a real exception,
-    # not a bare assert that `python -O` strips
+    # a triangle of arcs has det 0, and (2, 0) is no arc; both checks
+    # must be real exceptions, not bare asserts that `python -O` strips
     code = (
         "import sys\n"
-        "from ehrmat.cones import assert_unimodular\n"
+        "from ehrmat.cones import _arc, assert_unimodular\n"
         "if __debug__:\n"
         "    sys.exit(2)\n"
-        "try:\n"
-        "    assert_unimodular([(1, -1, 0), (0, 1, -1), (-1, 0, 1)])\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n")
+        "rays = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]\n"
+        "for check in (lambda: assert_unimodular(list(map(_arc, rays)), 3),\n"
+        "              lambda: _arc((2, 0))):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        sys.exit(1)\n")
     src = str(Path(ehrmat.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "cycle" in proc.stdout
+    assert "ray (2, 0) is no arc" in proc.stdout
 
 
 def test_visible_agrees_with_barycentric_attachment():
@@ -417,8 +429,10 @@ def test_arc_reads_orientation():
     assert _arc((0, -1, 0)) == (2, 0)
     assert _arc((1, 0, -1)) == (3, 1)
     assert _arc((-1, 0, 1)) == (1, 3)
+    # any other vector is no arc, and the error names it
     for ray in ((1, 1), (2, 0), (1, -2), (0, 0), (1, -1, 1)):
-        assert _arc(ray) is None
+        with pytest.raises(AssertionError, match=re.escape(f"ray {ray} is")):
+            _arc(ray)
 
 
 def _pattern(rays):
@@ -432,8 +446,9 @@ def test_arc_pattern_examples():
     assert _pattern([(1, 0), (0, 1)]) == ((0, 1), (0, 2))
     # e_a - e_b and e_b - e_a are different arcs
     assert _pattern([(1, -1), (1, 0)]) != _pattern([(-1, 1), (1, 0)])
-    # a ray that is no arc has no pattern
-    assert _pattern([(1, 0), (1, 1)]) is None
+    # a ray that is no arc fails before any pattern is read
+    with pytest.raises(AssertionError, match="no arc"):
+        _pattern([(1, 0), (1, 1)])
 
 
 def relabel_nodes(sigma, ray):
@@ -483,9 +498,8 @@ def relabelling_specs():
 def _flagged(rays):
     # the cone stage of one cone, uncached: pieces and half-open flags
     pieces = triangulate_cone(rays)
-    trees = _trees(rays, pieces)
-    y = pick_generic_y(trees, rays)
-    return list(zip(pieces, half_open_decompose(trees, y)))
+    _, flags = pick_generic_y(_trees(rays, pieces), rays)
+    return list(zip(pieces, flags))
 
 
 @cache
@@ -506,5 +520,5 @@ def test_cone_stage_invariant_under_node_relabelling(name, data):
     sigma = data.draw(st.permutations(range(dim + 1)))
     for rays, flagged in zip(cones, want):
         moved = [relabel_nodes(sigma, r) for r in rays]
-        assert _pattern(moved) == _pattern(rays) is not None
+        assert _pattern(moved) == _pattern(rays)
         assert _flagged(moved) == flagged

@@ -14,7 +14,7 @@ from oracles import (
 from test_cones import relabelling_specs
 
 import ehrmat
-from ehrmat import corpus, genfun, specialize
+from ehrmat import cones, corpus, genfun, specialize
 from ehrmat.bruteforce import ehrhart_by_interpolation
 from ehrmat.exactmath import mat_rank, vec_sub
 from ehrmat.genfun import (
@@ -284,6 +284,43 @@ def test_triangulate_once_per_arc_pattern(monkeypatch, spec, vertices,
     g = build_genfun(spec)
     assert len({t.v for t in g.terms}) == vertices
     assert len(seen) == calls
+
+
+def test_arcs_read_once_per_cone_ray(monkeypatch):
+    # the pattern key, every piece's certificate and the half-open flags
+    # share one reading of each cone's rays as arcs; every edge of the
+    # polytope is a ray of the cones at both of its ends
+    calls = []
+    real = cones._arc
+
+    def counted(ray):
+        calls.append(ray)
+        return real(ray)
+
+    monkeypatch.setattr(cones, "_arc", counted)
+    monkeypatch.setattr(genfun, "_arc", counted)
+    spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
+    build_genfun(spec)
+    vs = enumerate_vertices(spec)
+    edges = {frozenset((i, j)) for i in range(len(vs))
+             for j in vs.adjacent_vertices(i)}
+    assert len(calls) == 2 * len(edges) > 0
+
+
+@pytest.mark.parametrize("name", sorted(relabelling_specs()))
+def test_no_tree_cut_twice_at_one_y(monkeypatch, name):
+    # pick_generic_y returns the flags of the cuts it takes at the y it
+    # accepts, so no piece is cut again there
+    cuts = []
+    real = cones.tree_cuts
+
+    def counted(tree, y):
+        cuts.append((tuple(tree), tuple(y)))
+        return real(tree, y)
+
+    monkeypatch.setattr(cones, "tree_cuts", counted)
+    build_genfun(relabelling_specs()[name])
+    assert cuts and len(set(cuts)) == len(cuts)
 
 
 def test_reused_pieces_are_certified_under_optimize():
