@@ -1,14 +1,15 @@
 """Independent counting oracle: the lattice points of polytope
 dilations, counted one coordinate at a time by a recursion memoized on
-the residual subset caps, and the Ehrhart polynomial recovered by exact
-interpolation. This module shares no geometry with the
+the residual subset caps, and the Ehrhart polynomial recovered from the
+counts by exact interpolation in Newton form on integers
+(`exactmath.poly_from_values`). This module shares no geometry with the
 generating-function pipeline, so agreement between the two is a real
 cross-check.
 """
 
 from functools import cache
 
-from .exactmath import poly_interpolate, poly_trim
+from .exactmath import poly_from_values
 from .matroid import guard_n
 from .vertices import BASES_POLYTOPE
 
@@ -48,10 +49,10 @@ def count_direct(spec, k):
 
 
 def ehrhart_by_interpolation(spec):
-    """Ehrhart polynomial by counting dilations k = 0..n and
-    interpolating; the true degree (the polytope dimension) emerges as
-    the degree after trimming."""
+    """Ehrhart polynomial by counting dilations k = 0..kmax, kmax the
+    dimension bound (n - 1 for a bases polytope, else n), and
+    interpolating in Newton form; the true degree (the polytope
+    dimension) emerges as the degree after trimming."""
     n = spec.n
     kmax = n - 1 if spec.family == BASES_POLYTOPE and n > 1 else n
-    points = [(k, count_direct(spec, k)) for k in range(kmax + 1)]
-    return poly_trim(poly_interpolate(points))
+    return poly_from_values([count_direct(spec, k) for k in range(kmax + 1)])

@@ -38,7 +38,7 @@ half-open flag agree as well.
 from itertools import combinations
 from operator import mul
 
-from .exactmath import det, vec_primitive, vec_sub
+from .exactmath import _integral_unimodular, vec_primitive, vec_sub
 
 
 def tangent_cone(vs, i):
@@ -191,18 +191,14 @@ def cone_ray_matrix(rays):
 def facet_normals_unimodular(rays):
     """Inward facet normals of a unimodular simplicial cone, one per
     ray: the normal opposite ray j pairs to -1 with ray j and to 0 with
-    the others. They are minus the inverse of the ray matrix, taken here
-    by cofactors: the reference for the tree cuts that
-    `half_open_decompose` pairs with y. ValueError unless the
-    determinant is +-1."""
-    d = det(cone_ray_matrix(rays))
-    if d not in (1, -1):
-        raise ValueError(f"ray matrix determinant {d}, not unimodular")
-    n = len(rays)
-    return [tuple(-d * (-1) ** (j + c) * det(
-        [[r[k] for k in range(n) if k != c]
-         for i, r in enumerate(rays) if i != j]) for c in range(n))
-        for j in range(n)]
+    the others. They are the rows of minus the inverse of the ray
+    matrix, taken here by elimination: the reference for the tree cuts
+    that `half_open_decompose` pairs with y, independent of the arcs.
+    ValueError unless the determinant is +-1."""
+    identity = [[int(i == j) for j in range(len(rays))]
+                for i in range(len(rays))]
+    return [tuple(-x for x in row) for row in
+            _integral_unimodular(cone_ray_matrix(rays), identity)]
 
 
 def tree_cuts(tree, y):

@@ -1,73 +1,44 @@
 """Bundled matroid corpus: classical small matroids built from first
-principles (graphs, finite-field matrices, point configurations, and
-circuit-hyperplane relaxations), exported as explicit bases lists.
+principles (graphs, finite-field and rational matrices, point
+configurations, and circuit-hyperplane relaxations), exported as
+explicit bases lists.
 
 Each entry is (n, r, construction); `bases(name)` returns the sorted
-list of bases and `rank_function(name)` the explicit-bases oracle.
+list of bases and `rank_function(name)` the explicit-bases oracle. The
+constructions run through the library: a graph's bases are the
+subsets that its `RankFunction.graphic` table rates independent, and a
+matrix's are the column subsets whose `_gauss_jordan` elimination has a
+last pivot (+-det) nonzero mod p.
 """
 
 from itertools import combinations
 
+from .exactmath import _gauss_jordan
 from .matroid import RankFunction
 
 # -- helpers ----------------------------------------------------------
 
 
-def _graphic_bases(n_vertices, edges):
-    """Spanning trees of a connected graph, as 1-based edge index
-    sets."""
+def _graphic_bases(edges, rank):
+    """Spanning trees of a connected graph of the given rank, as 1-based
+    edge index sets."""
+    values = RankFunction.graphic(len(edges), edges).values
+    return [frozenset(i + 1 for i in combo)
+            for combo in combinations(range(len(edges)), rank)
+            if values[sum(1 << i for i in combo)] == rank]
+
+
+def _linear_bases(columns, p=0):
+    """Bases of the column matroid of a matrix over GF(p), or over Q
+    when p = 0: the square column subsets whose fraction-free
+    elimination has full rank and a last pivot, +-det, nonzero mod p."""
+    rank = len(columns[0])
     out = []
-    m = len(edges)
-    for combo in combinations(range(m), n_vertices - 1):
-        parent = list(range(n_vertices + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for ei in combo:
-            a, b = edges[ei]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if acyclic:
+    for combo in combinations(range(len(columns)), rank):
+        _, pivots, d = _gauss_jordan([columns[i] for i in combo], rank)
+        if len(pivots) == rank and (p == 0 or d % p):
             out.append(frozenset(i + 1 for i in combo))
     return out
-
-
-def _gf_rank(columns, p):
-    """Rank over GF(p) of a list of column vectors."""
-    rows = len(columns[0]) if columns else 0
-    mat = [list(c) for c in columns]
-    r = 0
-    for c in range(rows):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
-
-
-def _linear_bases(columns, rank, p):
-    """Bases of the column matroid of a matrix over GF(p)."""
-    n = len(columns)
-    return [frozenset(i + 1 for i in combo)
-            for combo in combinations(range(n), rank)
-            if _gf_rank([columns[i] for i in combo], p) == rank]
 
 
 def _relaxation_bases(base_bases, n, r, circuit_hyperplanes):
@@ -124,32 +95,15 @@ J_COLUMNS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
              (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 1, 0)]
 
 
-def _ag32_bases():
-    return _linear_bases(AG32_COLUMNS, 4, 2)
-
-
-def _ag32_planes():
+def _ag32_planes(ag):
     """The 14 non-bases (affine planes) of the binary affine cube."""
-    all4 = [frozenset(c) for c in combinations(range(1, 9), 4)]
-    bset = set(_ag32_bases())
-    return sorted((p for p in all4 if p not in bset), key=sorted)
-
-
-def _real_cube_bases():
-    n = len(AG32_COLUMNS)
-    out = []
-    from .exactmath import det
-    for combo in combinations(range(n), 4):
-        m = tuple(AG32_COLUMNS[i] for i in combo)
-        if det(m) != 0:
-            out.append(frozenset(i + 1 for i in combo))
-    return out
+    return [p for p in combinations(range(1, 9), 4) if frozenset(p) not in ag]
 
 
 def _build_all():
     reg = {}
 
-    k4 = _graphic_bases(4, K4_EDGES)
+    k4 = _graphic_bases(K4_EDGES, 3)
     reg["K4"] = (6, 3, sorted(k4, key=sorted))
     # whirl: relax the rim triangle {2,3,6} of the wheel
     reg["W3_whirl"] = (6, 3, _relaxation_bases(k4, 6, 3, [(2, 3, 6)]))
@@ -163,24 +117,24 @@ def _build_all():
     reg["F7_minus"] = (7, 3, _sparse_paving_bases(7, 3, FANO_LINES[:-1]))
     reg["P7"] = (7, 3, _sparse_paving_bases(7, 3, P7_LINES))
 
-    ag = _ag32_bases()
-    planes = _ag32_planes()
+    ag = _linear_bases(AG32_COLUMNS, 2)
+    planes = _ag32_planes(set(ag))
     reg["AG32"] = (8, 4, sorted(ag, key=sorted))
     reg["AG32_prime"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[:1]))
-    reg["R8"] = (8, 4, sorted(_real_cube_bases(), key=sorted))
+    reg["R8"] = (8, 4, sorted(_linear_bases(AG32_COLUMNS), key=sorted))
     reg["F8"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[:2]))
     reg["Q8"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[:3]))
     reg["T8"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[-3:]))
     reg["L8"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[:6]))
 
-    reg["S8"] = (8, 4, sorted(_linear_bases(S8_COLUMNS, 4, 2), key=sorted))
+    reg["S8"] = (8, 4, sorted(_linear_bases(S8_COLUMNS, 2), key=sorted))
     reg["V8"] = (8, 4, _sparse_paving_bases(8, 4, VAMOS_CH))
     reg["V8_plus"] = (8, 4, _sparse_paving_bases(
         8, 4, VAMOS_CH + [(5, 6, 7, 8)]))
-    reg["J"] = (8, 4, sorted(_linear_bases(J_COLUMNS, 4, 3), key=sorted))
-    reg["P8"] = (8, 4, sorted(_linear_bases(P8_COLUMNS, 4, 3), key=sorted))
+    reg["J"] = (8, 4, sorted(_linear_bases(J_COLUMNS, 3), key=sorted))
+    reg["P8"] = (8, 4, sorted(_linear_bases(P8_COLUMNS, 3), key=sorted))
 
-    w4 = _graphic_bases(5, W4_EDGES)
+    w4 = _graphic_bases(W4_EDGES, 4)
     reg["W4_wheel"] = (8, 4, sorted(w4, key=sorted))
     # rank-4 whirl: relax the rim cycle {1,2,3,4}
     reg["W4_whirl"] = (8, 4, _relaxation_bases(w4, 8, 4, [(1, 2, 3, 4)]))

@@ -3,13 +3,18 @@ matrices, univariate rational polynomials, truncated power series.
 
 Everything here is exact; no floating point is used anywhere in the
 pipeline. Matrices come in with integer entries and are eliminated
-fraction-free on Python ints; fractions.Fraction appears only in results
-(solutions of linear systems, polynomial coefficients). Vectors and
-matrices are tuples, so all values are immutable and safe to share.
+fraction-free on Python ints by `_gauss_jordan`, the one elimination
+routine of the library: rank, linear solves, unimodular inverses and,
+through its last pivot (+-det of a full-rank square matrix, by
+Sylvester's identity), determinants all read off it. Polynomials
+through given values are built in Newton form on integers.
+fractions.Fraction appears only in results (solutions of linear
+systems, polynomial coefficients). Vectors and matrices are tuples, so
+all values are immutable and safe to share.
 """
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 from operator import index, mul
 
 
@@ -42,32 +47,6 @@ def vec_primitive(v):
 
 # ---------------------------------------------------------------------------
 # matrices (tuple of row tuples)
-
-def det(m):
-    """Exact determinant of a square integer matrix by fraction-free
-    (Bareiss) elimination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
 
 def _gauss_jordan(rows, ncols):
     """Fraction-free (Bareiss-Jordan) reduction over the integers of the
@@ -160,23 +139,6 @@ def poly_eval(p, x):
     return acc
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim(tuple(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)))
-
-
-def poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(tuple(out))
-
-
 def series_mul_trunc(a, b, m):
     """Product of two polynomials with every term of degree > m dropped;
     integer inputs give integer coefficients."""
@@ -191,22 +153,26 @@ def series_mul_trunc(a, b, m):
     return poly_trim(tuple(out))
 
 
-def poly_interpolate(points):
-    """Unique polynomial through the given (x, y) pairs, by exact Lagrange
-    interpolation. Abscissae must be distinct."""
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae")
-    result = (Fraction(0),)
-    for i, (xi, yi) in enumerate(points):
-        term = (Fraction(yi),)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            factor = Fraction(1, xi - xj)
-            term = poly_mul(term, (-xj * factor, factor))
-        result = poly_add(result, term)
-    return result
+def poly_from_values(values):
+    """The polynomial of degree <= d through (k, values[k]) for
+    k = 0..d, in Newton form on integers: d! p(x) is the sum over j of
+    (d!/j!) Delta^j p(0) x(x-1)...(x-j+1), Delta the forward difference,
+    and each coefficient is divided by d! once at the end."""
+    d = len(values) - 1
+    if d < 0:
+        raise ValueError("no values to interpolate")
+    diffs = list(values)
+    total = [0] * (d + 1)
+    falling = [1]  # x(x-1)...(x-j+1), ascending coefficients
+    scale = factorial(d)  # d!/j!
+    for j in range(d + 1):
+        lead = scale * diffs[0]
+        for i, c in enumerate(falling):
+            total[i] += lead * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+        scale //= j + 1
+    return poly_trim(tuple(Fraction(c, factorial(d)) for c in total))
 
 
 def binomial(n, k):

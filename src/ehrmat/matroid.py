@@ -110,9 +110,16 @@ class RankFunction:
     @staticmethod
     def from_table(n, table):
         """Tabulated rank function; `table` maps every non-empty subset
-        to its value, and the empty set to its value if listed, else 0."""
+        to its value, and the empty set to its value if listed, else 0.
+        A value that is not an int (a float, string or bool) is a
+        ValueError naming its subset: nothing is coerced."""
         guard_n(n, TABLE_GUARD_N, "rank table")
-        t = {_mask(a, n): int(v) for a, v in table.items()}
+        t = {}
+        for a, v in table.items():
+            if type(v) is not int:
+                raise ValueError(f"value of subset {sorted(a)} must be an"
+                                 f" integer, got {v!r}")
+            t[_mask(a, n)] = v
         t.setdefault(0, 0)
         if len(t) != 1 << n:
             raise ValueError("table must list every non-empty subset")

@@ -16,7 +16,8 @@
   carried inverses, which the library uses only inside
   `triangulate_cone`. The tests check the tree cuts of
   `cones.half_open_decompose` against `cones.facet_normals_unimodular`,
-  normals taken by cofactors.
+  normals taken as minus the inverse of the ray matrix by elimination,
+  independent of the arcs.
 - The pairwise O(4^n) rank-axiom checks, the reference for the local
   checks in `matroid`.
 - Half-open cone membership by exact ray coordinates, the reference
@@ -30,7 +31,10 @@
   and the uniform Ehrhart values as the closed-form sum of binomials,
   the references for the Ehrhart values that `hstar.uniform_hstar`
   reads off Katzman rows and for the integer sum in
-  `hstar.uniform_ehrhart`; the h* sum identity and the symmetry test.
+  `hstar.uniform_ehrhart`; Ferroni's closed form for the minimal
+  matroids, which with the uniform one gives every sparse paving
+  corpus row by the relaxation identity; the h* sum identity and the
+  symmetry test.
 - Rank functions as formulas on frozensets (uniform, graphic, bases,
   table, dual, direct sum), the references for the bitmask tables that
   `matroid.RankFunction` builds; the independence test, the dual and the
@@ -43,7 +47,12 @@
   singleton caps with it, the reference for the memoized recursion in
   `bruteforce.count_direct`; the bases of a matroid by a scan of the
   r-subsets, and the ground-set size of a corpus row.
-- The integer matrix product, used to check inverses.
+- The integer matrix product, used to check inverses, and the
+  determinant by Bareiss elimination, the reference for the unimodular
+  certificate in `cones` and for full rank in `exactmath`.
+- Fraction polynomial sum, product and Lagrange interpolation, the
+  references for `exactmath.poly_from_values` (Newton form on integers)
+  and for the products the tests take of Ehrhart polynomials.
 - The Fraction specialization: lambda on the moment curve, the Todd
   series and per-term Fraction weights, and per-term Fraction sums for
   counts and Ehrhart polynomials, the reference for the integer
@@ -556,6 +565,31 @@ def uniform_ehrhart_value(n, r, k):
                for s in range(r))
 
 
+def _binomial_poly(a, m):
+    """C(t + a, m) as a polynomial in t."""
+    p = (Fraction(1),)
+    for i in range(m):
+        p = poly_mul(p, (Fraction(a - i, i + 1), Fraction(1, i + 1)))
+    return p
+
+
+def minimal_ehrhart(n, r):
+    """Ehrhart polynomial of the bases polytope of the minimal matroid
+    T(r, n), 1 <= r < n, by Ferroni's closed form (On the Ehrhart
+    polynomial of minimal matroids, DCG 2022):
+    C(t + n - r, n - r) / C(n - 1, r - 1)
+    times sum_{j=0}^{r-1} C(n - r - 1 + j, j) C(t + j, j).
+    A sparse paving matroid with lambda circuit-hyperplanes has
+    ehr(t) = ehr_U(n, r)(t) - lambda ehr_T(r, n)(t - 1) (Ferroni,
+    Matroids are not Ehrhart positive, 2022)."""
+    s = (Fraction(0),)
+    for j in range(r):
+        s = poly_add(s, poly_mul((Fraction(comb(n - r - 1 + j, j)),),
+                                 _binomial_poly(j, j)))
+    return poly_mul(poly_mul(_binomial_poly(n - r, n - r), s),
+                    (Fraction(1, comb(n - 1, r - 1)),))
+
+
 def hstar_sum_identity(hstar, p, d):
     """sum h* = d! * (leading coefficient)."""
     lead = p[d] if len(p) > d else Fraction(0)
@@ -750,6 +784,70 @@ def count_by_scan(spec, k):
 def mat_mul(a, b):
     bt = list(zip(*b))
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
+
+
+def det(m):
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# Fraction polynomials (ascending coefficient tuples)
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly_trim(tuple(
+        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+        for i in range(n)))
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(tuple(out))
+
+
+def poly_interpolate(points):
+    """Unique polynomial through the given (x, y) pairs, by exact Lagrange
+    interpolation. Abscissae must be distinct."""
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate abscissae")
+    result = (Fraction(0),)
+    for i, (xi, yi) in enumerate(points):
+        term = (Fraction(yi),)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            factor = Fraction(1, xi - xj)
+            term = poly_mul(term, (-xj * factor, factor))
+        result = poly_add(result, term)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from itertools import product
 from math import factorial
 
 from oracles import (
-    direct_sum, dual, ground_size, half_open_contains, hstar_rank2,
+    det, direct_sum, dual, ground_size, half_open_contains, hstar_rank2,
     hstar_sum_identity, is_symmetric, katzman_multinomial, katzman_rankrel,
-    todd_eval,
+    poly_mul, todd_eval,
 )
 
 from ehrmat import bruteforce, corpus, hstar, specialize
-from ehrmat.exactmath import det, poly_mul, poly_trim, series_mul_trunc
+from ehrmat.exactmath import poly_trim, series_mul_trunc
 from ehrmat.genfun import (
     affine_lattice_basis, build_genfun, to_working, working_chart,
 )

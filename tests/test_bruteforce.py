@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,31 @@ def test_interpolation_extrapolates():
     p = ehrhart_by_interpolation(spec)
     k = len(p) + 1
     assert poly_eval(p, k) == count_direct(spec, k)
+
+
+def _lagrange_over_counts(spec, kmax):
+    return oracles.poly_interpolate(
+        [(k, count_direct(spec, k)) for k in range(kmax + 1)])
+
+
+def test_interpolation_independence_matches_lagrange():
+    # an independence polytope is full-dimensional: kmax = n
+    spec = PolytopeSpec(INDEPENDENCE_POLYTOPE, corpus.rank_function("K4"))
+    p = ehrhart_by_interpolation(spec)
+    assert len(p) == 7
+    assert p == _lagrange_over_counts(spec, 6)
+
+
+def test_interpolation_polymatroid_matches_lagrange():
+    # f(A) = min(w(A), 3) on 4 elements: kmax = n, as for independence
+    w = (1, 2, 1, 2)
+    table = {a: min(sum(w[i - 1] for i in a), 3)
+             for k in range(1, 5) for a in map(frozenset, combinations(
+                 range(1, 5), k))}
+    spec = PolytopeSpec(POLYMATROID, RankFunction.from_table(4, table))
+    p = ehrhart_by_interpolation(spec)
+    assert len(p) == 5
+    assert p == _lagrange_over_counts(spec, 4)
 
 
 def test_budget_guard(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrmat import bruteforce, cli, genfun, specialize
+from ehrmat import bruteforce, cli, corpus, genfun, specialize
 
 
 def data_path(name):
@@ -449,6 +449,14 @@ def test_all_bundled_documents_validate():
         parsed_name, spec = cli.load_document(str(data_dir.joinpath(name)))
         assert parsed_name == name[:-5]
         assert spec.n >= 1
+
+
+def test_bundled_corpus_documents_pin_corpus():
+    # each corpus row's basis list is frozen by its bundled document
+    assert len(corpus.names()) == 22
+    for name in corpus.names():
+        with open(data_path(name), encoding="utf-8") as fh:
+            assert json.load(fh) == corpus.document(name), name
 
 
 @pytest.mark.parametrize("doc", [

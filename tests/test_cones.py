@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    half_open_contains, is_extreme_direction, placing_triangulation,
+    det, half_open_contains, is_extreme_direction, placing_triangulation,
     reference_placing_triangulation, reference_triangulate_cone, visible,
 )
 from test_bruteforce import matroid_specs, polymatroid_specs
@@ -22,7 +22,7 @@ from ehrmat.cones import (
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
     tangent_cone, tree_cuts, triangulate_cone,
 )
-from ehrmat.exactmath import det, vec_dot, vec_sub
+from ehrmat.exactmath import vec_dot, vec_sub
 from ehrmat.genfun import affine_lattice_basis, to_working, working_chart
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (

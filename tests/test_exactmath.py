@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_identity, mat_inverse_unimodular
+from oracles import det, mat_identity, mat_inverse_unimodular
 
 from ehrmat.exactmath import (
-    binomial, det, mat_rank, poly_eval, poly_interpolate, poly_trim,
+    binomial, mat_rank, poly_eval, poly_from_values, poly_trim,
     series_mul_trunc, solve_linear, vec_dot,
 )
 
@@ -57,28 +57,34 @@ def test_det_matches_cofactor_expansion(m):
 
 
 def test_interpolate_constant():
-    assert poly_interpolate([(0, 1), (1, 1)]) == (Fraction(1),)
+    assert poly_from_values([1, 1]) == (Fraction(1),)
+    assert poly_from_values([0]) == (Fraction(0),)
+    with pytest.raises(ValueError):
+        poly_from_values([])
 
 
 def test_interpolate_reevaluates_exactly():
-    pts = [(0, 1), (1, 6), (2, 19)]
-    p = poly_interpolate(pts)
-    for k, v in pts:
+    values = [1, 6, 19]
+    p = poly_from_values(values)
+    assert p == (1, 1, 4)
+    for k, v in enumerate(values):
         assert poly_eval(p, k) == v
 
 
 def test_interpolate_rejects_duplicates():
-    import pytest
+    # the Lagrange oracle that poly_from_values is checked against
     with pytest.raises(ValueError):
-        poly_interpolate([(1, 2), (1, 3)])
+        oracles.poly_interpolate([(1, 2), (1, 3)])
 
 
 @settings(max_examples=50)
 @given(st.lists(rats, min_size=1, max_size=7))
 def test_interpolate_roundtrip(coeffs):
     p = poly_trim(tuple(coeffs))
-    pts = [(k, poly_eval(p, k)) for k in range(len(p))]
-    assert poly_interpolate(pts) == p
+    values = [poly_eval(p, k) for k in range(len(p))]
+    assert poly_from_values(values) == p
+    assert poly_from_values(values) == oracles.poly_interpolate(
+        list(enumerate(values)))
 
 
 def test_series_mul_trunc_drops_high_terms():

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from ehrmat import cli, hstar
-from ehrmat.exactmath import binomial, poly_eval, poly_mul, poly_trim
+from ehrmat import cli, corpus, hstar
+from ehrmat.exactmath import binomial, poly_eval, poly_trim
 from ehrmat.hstar import (
     ehrhart_to_hstar, is_unimodal, katzman, uniform_conjecture_report,
     uniform_ehrhart, uniform_hstar,
@@ -11,8 +12,8 @@ from ehrmat.hstar import (
 from oracles import (
     conjecture_report, hstar_rank2, hstar_rank3, hstar_sum_identity,
     is_symmetric, katzman_multinomial, katzman_rankrel,
-    partial_unimodality_scan, uniform_ehrhart_value, uniform_hstar_horner,
-    uniform_hstar_triple_sum,
+    minimal_ehrhart, partial_unimodality_scan, poly_mul,
+    uniform_ehrhart_value, uniform_hstar_horner, uniform_hstar_triple_sum,
 )
 
 K4_EHRHART = tuple(Fraction(x) for x in
@@ -212,3 +213,24 @@ def test_partial_unimodality_scan():
     thresholds = [out[i] for i in (0, 1, 2)]
     assert all(t is not None for t in thresholds)
     assert thresholds == sorted(thresholds)
+
+
+def test_sparse_paving_rows_match_relaxation_identity(pipelines):
+    # a sparse paving matroid of rank r on n elements with lambda
+    # non-bases, all circuit-hyperplanes, has
+    # ehr(t) = ehr_U(n, r)(t) - lambda ehr_T(r, n)(t - 1)
+    sparse = []
+    for name in corpus.names():
+        n, r, bases = corpus.REGISTRY[name]
+        non_bases = set(map(frozenset, combinations(range(1, n + 1), r)))
+        non_bases -= set(bases)
+        if all(len(a & b) <= r - 2 for a, b in combinations(non_bases, 2)):
+            sparse.append(name)
+            uniform, minimal = uniform_ehrhart(n, r), minimal_ehrhart(n, r)
+            poly = pipelines.corpus(name)["poly"]
+            for t in range(1, n + 2):
+                assert poly_eval(poly, t) == (
+                    poly_eval(uniform, t)
+                    - len(non_bases) * poly_eval(minimal, t - 1)), (name, t)
+    assert sorted(set(corpus.names()) - set(sparse)) == [
+        "J", "S8", "W4_wheel", "W4_whirl"]

@@ -96,6 +96,18 @@ def test_from_table_keeps_a_listed_empty_set_value():
     assert not ok and "empty set" in why
 
 
+def test_from_table_rejects_non_int_values():
+    # the rule the CLI applies to documents: no float, string or bool
+    for bad in (1.5, "1", True, 1.0):
+        with pytest.raises(ValueError, match=r"subset \[1\] must be an"
+                                             r" integer"):
+            RankFunction.from_table(1, {frozenset({1}): bad})
+    with pytest.raises(ValueError, match=r"subset \[\] must be"):
+        RankFunction.from_table(1, {frozenset(): False,
+                                    frozenset({1}): 1})
+    assert RankFunction.from_table(1, {frozenset({1}): 1}).values == (0, 1)
+
+
 def test_relaxation_rejects_non_circuit_hyperplane_under_optimize():
     # relaxing a set that is already a basis must be a real exception,
     # not a bare assert that `python -O` strips
