@@ -32,7 +32,7 @@ def count_direct(spec, k):
     if k == 0:
         return 1
     if k < 0:
-        raise ValueError("dilation must be >= 0")
+        raise ValueError("bruteforce: dilation must be >= 0")
 
     @cache
     def below(caps):

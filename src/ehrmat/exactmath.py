@@ -31,7 +31,8 @@ def vec_sub(u, v):
 
 def vec_dot(u, v):
     if len(u) != len(v):
-        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+        raise ValueError(f"exactmath: vectors of lengths {len(u)} and"
+                         f" {len(v)}")
     return sum(map(mul, u, v))
 
 
@@ -95,9 +96,10 @@ def _integral_unimodular(m, rhs_rows):
         [list(row) + list(rhs) for row, rhs in zip(m, rhs_rows, strict=True)],
         n)
     if len(pivots) < n:
-        raise ValueError("singular matrix")
+        raise ValueError("exactmath: singular matrix")
     if any(x % d for row in a for x in row[n:]):
-        raise ValueError("non-integral solution; matrix not unimodular")
+        raise ValueError("exactmath: non-integral solution;"
+                         " matrix not unimodular")
     return tuple(tuple(x // d for x in row[n:]) for row in a)
 
 
@@ -160,7 +162,7 @@ def poly_from_values(values):
     and each coefficient is divided by d! once at the end."""
     d = len(values) - 1
     if d < 0:
-        raise ValueError("no values to interpolate")
+        raise ValueError("exactmath: no values to interpolate")
     diffs = list(values)
     total = [0] * (d + 1)
     falling = [1]  # x(x-1)...(x-j+1), ascending coefficients

@@ -14,27 +14,29 @@ exponent is a tangent-cone ray of a matroid or polymatroid polytope,
 numerator pairing x contributes sum_l w_l x^l, with
 
     w_l = (-1)^s td_{s-l}(-beta_1, ..., -beta_s) / (l! beta_1 ... beta_s)
-        = W_l / D,   D = L^s s! (-1)^s beta_1 ... beta_s,  L = s! (s+1)!,
+        = W_l / D,   D = Q^s s! (-1)^s beta_1 ... beta_s,
 
-where the numerators W_l are integers. D depends only on s and the
-product of the betas, so Ehrhart polynomials are summed on integers per
-(s, prod beta) class and divided once per class. The count of the k-th
-dilation is the polynomial's value at k.
+where Q is the product of the primes <= s + 1 and the numerators W_l
+are integers: substituting x -> Q x in h clears the denominator of
+every b_n with n <= s (von Staudt-Clausen). With M_s the lcm of
+|beta_1 ... beta_s| over the tuples of length s, each tuple's W scaled
+by M_s / (beta_1 ... beta_s) shares the one denominator
+Q^s s! (-1)^s M_s. So the scaled numerators of the terms with equal s
+and equal numerator pairing lav + lv k at dilation k are summed on
+integers, each sum is expanded in k once, and each order s is divided
+once. The count of the k-th dilation is the polynomial's value at k.
 
 A polytope has at most 2n^2 distinct rays, so lambda is checked and
-paired once per distinct ray. `ehrhart_polynomial` is one pass over the
-terms in lexicographic order of their sorted beta tuples: each distinct
-tuple's weights are computed once per polytope, extending the Todd
-product of its longest common prefix with the previous tuple of the
-same s, from a prefix stack that the call owns, and each term is folded
-straight into its class sum. No memo of tuples or prefixes outlives the
-polytope.
+paired once per distinct ray. Each distinct sorted beta tuple's weights
+are computed once per polytope, extending the Todd product of its
+longest common prefix with the previous tuple of the same s, from a
+prefix stack that the call owns. No memo of tuples or prefixes
+outlives the polytope.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import groupby
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .exactmath import (
     binomial, poly_eval, poly_trim, series_mul_trunc, vec_dot,
@@ -45,7 +47,7 @@ def todd_c(m):
     """Integers c_0..c_m with h's Taylor coefficient b_n equal to
     c_n / (n! (n+1)!)."""
     if m < 0:
-        raise ValueError("order must be >= 0")
+        raise ValueError("specialize: order must be >= 0")
     c = [1]
     for n in range(1, m + 1):
         acc = 0
@@ -58,12 +60,21 @@ def todd_c(m):
 
 @cache
 def _todd_scaled(m):
-    """L = m! (m+1)! and the integers L b_0, ..., L b_m; each order is
-    computed once, because weights asks for only a few orders per run."""
+    """Q, the product of the primes <= m + 1, and the integers b_n Q^n
+    for n = 0..m. By von Staudt-Clausen the denominator of b_n divides
+    Q^n; AssertionError if some b_n Q^n is not an integer. Each order
+    is computed once, because weights asks for only a few orders per
+    run."""
     c = todd_c(m)
-    scale = factorial(m) * factorial(m + 1)
-    return scale, tuple(c[n] * scale // (factorial(n) * factorial(n + 1))
-                        for n in range(m + 1))
+    q = prod(p for p in range(2, m + 2) if all(p % d for d in range(2, p)))
+    scaled = []
+    for n in range(m + 1):
+        bq, rem = divmod(c[n] * q ** n, factorial(n) * factorial(n + 1))
+        if rem:
+            raise AssertionError(f"specialize: b_{n} Q^{n} is not an"
+                                 f" integer at order {m}")
+        scaled.append(bq)
+    return q, tuple(scaled)
 
 
 def find_lambda(bs, n):
@@ -80,22 +91,23 @@ def find_lambda(bs, n):
 
 @cache
 def _todd_factor(s, beta):
-    """The L-scaled factor h(-x beta) of a term with s denominator
-    pairings, truncated at order s."""
+    """The factor h(-Q x beta) of a term with s denominator pairings,
+    truncated at order s: coefficients b_n Q^n (-beta)^n."""
     return tuple(bn * (-beta) ** n for n, bn in enumerate(_todd_scaled(s)[1]))
 
 
 def weights(betas, stack):
     """Integer weight numerators W_0..W_s of one term, from its sorted
-    tuple of pairings beta_j = <lambda, b_j>: W_l = (s!/l!) acc_{s-l},
-    where acc is the product of the L-scaled factors h(-x beta_j)
-    truncated at order s. `stack` is the caller's list, one per s and
-    empty at first, of the prefix products (beta_i, product of the
-    factors of beta_0..beta_i) of the previous tuple of the same s. The
-    tuple extends the product of its longest common prefix with that
+    tuple of pairings beta_j = <lambda, b_j>: W_l = (s!/l!) Q^l acc_{s-l},
+    where acc is the product of the factors h(-Q x beta_j) truncated at
+    order s, so that acc_j = Q^j td_j(-beta) and W_l / D is w_l with
+    D = `_denominator(s, prod beta)`. `stack` is the caller's list, one
+    per s and empty at first, of the prefix products (beta_i, product of
+    the factors of beta_0..beta_i) of the previous tuple of the same s.
+    The tuple extends the product of its longest common prefix with that
     one and leaves its own prefixes there, so calls in lexicographic
-    order cost one truncated product per node of the trie of the
-    tuples; any order gives the same numerators."""
+    order cost one truncated product per node of the trie of the tuples;
+    any order gives the same numerators."""
     s = len(betas)
     k = 0
     while k < len(stack) and stack[k][0] == betas[k]:
@@ -103,15 +115,20 @@ def weights(betas, stack):
     del stack[k:]
     acc = stack[-1][1] if stack else (1,)
     for beta in betas[k:]:
-        acc = series_mul_trunc(acc, _todd_factor(s, beta), s)
+        # the factor first: series_mul_trunc skips the zero coefficients
+        # of its first argument, and b_n = 0 for every odd n >= 3
+        acc = series_mul_trunc(_todd_factor(s, beta), acc, s)
         stack.append((beta, acc))
     acc += (0,) * (s + 1 - len(acc))
-    return tuple(factorial(s) // factorial(l) * acc[s - l]
+    q = _todd_scaled(s)[0]
+    return tuple(factorial(s) // factorial(l) * q ** l * acc[s - l]
                  for l in range(s + 1))
 
 
 def _denominator(s, beta_prod):
-    # the common denominator D of a class's weights
+    """D = Q^s s! (-1)^s beta_prod: the denominator of the weights of a
+    tuple with product beta_prod, and, with beta_prod = M_s, the one
+    denominator of every order-s sum of `ehrhart_polynomial`."""
     return _todd_scaled(s)[0] ** s * factorial(s) * (-1) ** s * beta_prod
 
 
@@ -119,9 +136,8 @@ def count(p, k):
     """Exact number of lattice points of the k-th dilation of the
     polytope whose Ehrhart polynomial is p: p(k), checked to be a
     non-negative integer. p(k) is the specialization of the k-th dilated
-    generating function, whose terms, weights and (s, prod beta)
-    classes are those of `ehrhart_polynomial`, numerator pairing
-    lav + lv k."""
+    generating function, whose terms have numerator pairing lav + lv k
+    and the weights of `ehrhart_polynomial`."""
     total = poly_eval(p, k)
     if total.denominator != 1 or total < 0:
         raise AssertionError(f"specialize: count {total} is not a"
@@ -131,36 +147,51 @@ def count(p, k):
 
 def ehrhart_polynomial(g):
     """Exact Ehrhart polynomial of the polytope behind the parametric
-    generating function g, as coefficients of k^0..k^dim, in one pass
-    over the terms grouped by sorted beta tuple. A term's numerator
-    pairing at dilation k is lav + lv k, so it adds P_W(lav + lv k),
-    with P_W(x) = sum_l W_l x^l expanded in k by Horner's rule, to its
-    (s, prod beta) class sum."""
+    generating function g, as coefficients of k^0..k^dim. The terms are
+    first collected per sorted beta tuple, and M_s, the lcm of
+    |prod beta| over the tuples of length s, is taken. Then, tuple by
+    tuple in lexicographic order, each tuple's weights are scaled once
+    by M_s / prod beta, and each of its terms adds them, times its
+    sign, to the sum of its group (s, lv, lav), where lv = <lambda, v>
+    and lav = <lambda, a> - lv make up its numerator pairing lav + lv k
+    at dilation k. Each group's P(x) = sum_l W_l x^l is expanded once
+    in k by Horner's rule into its order's sum, and each order's sum is
+    divided once by `_denominator(s, M_s)`."""
     rays = dict.fromkeys(b for t in g.terms for b in t.bs)
     lam = find_lambda(rays, g.n)
     pairing = {b: vec_dot(lam, b) for b in rays}
-    betas = [tuple(sorted(map(pairing.__getitem__, t.bs))) for t in g.terms]
+    runs = {}
+    for t in g.terms:
+        runs.setdefault(tuple(sorted(map(pairing.__getitem__, t.bs))),
+                        []).append(t)
+    lcms = {}
+    for key in runs:
+        lcms[len(key)] = lcm(lcms.get(len(key), 1), prod(key))
     stacks = {}
-    sums = {}
-    order = sorted(range(len(betas)), key=betas.__getitem__)
-    for key, group in groupby(order, key=betas.__getitem__):
+    groups = {}
+    for key in sorted(runs):
         s = len(key)
-        w = weights(key, stacks.setdefault(s, []))
-        acc = sums.setdefault((s, prod(key)), [0] * (s + 1))
-        for i in group:
-            t = g.terms[i]
+        f = lcms[s] // prod(key)
+        w = [f * x for x in weights(key, stacks.setdefault(s, []))]
+        for t in runs[key]:
             lv = vec_dot(lam, t.v)
             lav = vec_dot(lam, t.a) - lv
-            p = [w[-1]]
-            for wl in w[-2::-1]:
-                p = [lav * c + lv * d for c, d in zip(p + [0], [0] + p)]
-                p[0] += wl
-            for m, c in enumerate(p):
-                acc[m] += t.sign * c
-    max_s = max((s for s, _ in sums), default=0)
+            acc = groups.setdefault((s, lv, lav), [0] * (s + 1))
+            for l, wl in enumerate(w):
+                acc[l] += t.sign * wl
+    sums = {s: [0] * (s + 1) for s in lcms}
+    for (s, lv, lav), w in groups.items():
+        p = [w[-1]]
+        for wl in w[-2::-1]:
+            p = [lav * c + lv * d for c, d in zip(p + [0], [0] + p)]
+            p[0] += wl
+        acc = sums[s]
+        for m, c in enumerate(p):
+            acc[m] += c
+    max_s = max(sums, default=0)
     coeffs = [Fraction(0)] * (max_s + 1)
-    for cls, acc in sums.items():
-        d = _denominator(*cls)
+    for s, acc in sums.items():
+        d = _denominator(s, lcms[s])
         for m, c in enumerate(acc):
             coeffs[m] += Fraction(c, d)
     for m in range(g.dim + 1, max_s + 1):

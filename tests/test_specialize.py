@@ -19,7 +19,8 @@ from ehrmat.exactmath import series_mul_trunc
 from ehrmat.genfun import GenFun, GenFunTerm, build_genfun
 from ehrmat.matroid import RankFunction
 from ehrmat.specialize import (
-    _denominator, count, ehrhart_polynomial, find_lambda, todd_c, weights,
+    _denominator, _todd_scaled, count, ehrhart_polynomial, find_lambda,
+    todd_c, weights,
 )
 from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec
 
@@ -152,6 +153,34 @@ def test_weights_match_fraction_reference(betas):
     assert _fractions(betas) == fraction_weights(betas)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(-20, 20).filter(bool), min_size=9, max_size=14))
+def test_long_weights_match_fraction_reference(betas):
+    # the orders where Q^s and M_s grow fastest; U(n,3) reaches s = 2n - 4
+    assert _fractions(betas) == fraction_weights(betas)
+
+
+def _primes_upto(m):
+    return [p for p in range(2, m + 1)
+            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def test_todd_scaled_is_integral_up_to_order_40():
+    # b_n from the series reciprocal of (1 - exp(-x)) / x, not from c_n;
+    # by von Staudt-Clausen b_n Q^n is an integer when Q is the product
+    # of the primes <= m + 1 and n <= m
+    b = _h_oracle(Fraction(1), 40)
+    c = todd_c(40)
+    for m in range(41):
+        q, scaled = _todd_scaled(m)
+        assert q == prod(_primes_upto(m + 1))
+        assert len(scaled) == m + 1
+        for n, bq in enumerate(scaled):
+            assert type(bq) is int
+            assert bq == Fraction(c[n], factorial(n) * factorial(n + 1)) \
+                * q ** n == b[n] * q ** n
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-8, 8).filter(bool), max_size=7)
                 .map(lambda b: tuple(sorted(b))), max_size=20))
@@ -209,6 +238,59 @@ def test_signed_terms_by_hand():
     assert p == reference_ehrhart_polynomial(g) == (0, 3)
     assert count(p, 1) == reference_count(g) == 3
     assert count(p, 2) == reference_count(dilate(g, 2)) == 6
+
+
+def test_groups_share_pairings_across_products_and_orders():
+    # n = 1, so a term's value does not depend on lambda's length and
+    # any terms may be summed. The first five terms have numerator
+    # pairing 1 + 0 k: three of order 2 with products 6, -5 and 4, and
+    # two of order 1 with products 4 and -3, so one group per order
+    # holds terms whose weights differ in denominator. Two more share
+    # the pairing 2 + 3 k across the orders, so M_2 = 60 and M_1 = 84.
+    # Summing a group's weights unscaled, or one group for both orders,
+    # gives another polynomial
+    def term(sign, a, v, betas):
+        return GenFunTerm(sign, (a,), (v,), [(x,) for x in betas])
+
+    g = GenFun([term(1, 1, 0, [2, 3]), term(-1, 1, 0, [1, -5]),
+                term(1, 1, 0, [-1, -4]), term(1, 1, 0, [4]),
+                term(-1, 1, 0, [-3]), term(1, 5, 3, [2, 2]),
+                term(-1, 5, 3, [7])], 1, 2)
+    p = ehrhart_polynomial(g)
+    assert p == reference_ehrhart_polynomial(g)
+    assert len(p) == 3 and p[2] != 0
+
+
+def test_checks_raise_under_optimize():
+    # the integrality of b_n Q^n and the vanishing of the coefficients
+    # above the dimension must be real exceptions, not bare asserts.
+    # c_4 = 1 in place of -4 makes b_4 Q^4 = 30^4 / 2880 non-integral
+    code = (
+        "import sys\n"
+        "from ehrmat import specialize\n"
+        "from ehrmat.genfun import GenFun, GenFunTerm\n"
+        "if __debug__:\n"
+        "    sys.exit(2)\n"
+        "specialize.todd_c = lambda m: [1, 1, 1, 0, 1][:m + 1]\n"
+        "try:\n"
+        "    specialize._todd_scaled(4)\n"
+        "    sys.exit(1)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    specialize.ehrhart_polynomial(GenFun(\n"
+        "        [GenFunTerm(1, (1,), (1,), [(1,)])], 1, 0))\n"
+        "    sys.exit(1)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    src = str(Path(ehrmat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "specialize: b_4 Q^4 is not an integer at order 4",
+        "specialize: coefficient of k^1 should vanish"]
 
 
 def test_count_examples():
