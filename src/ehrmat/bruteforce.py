@@ -48,11 +48,17 @@ def count_direct(spec, k):
     return below(caps) - below(caps[:-1] + (caps[-1] - 1,))
 
 
-def ehrhart_by_interpolation(spec):
-    """Ehrhart polynomial by counting dilations k = 0..kmax, kmax the
-    dimension bound (n - 1 for a bases polytope, else n), and
-    interpolating in Newton form; the true degree (the polytope
-    dimension) emerges as the degree after trimming."""
+def interpolation_kmax(spec):
+    """The last dilation that `ehrhart_by_interpolation` counts: the
+    dimension bound, n - 1 for a bases polytope, else n."""
     n = spec.n
-    kmax = n - 1 if spec.family == BASES_POLYTOPE and n > 1 else n
-    return poly_from_values([count_direct(spec, k) for k in range(kmax + 1)])
+    return n - 1 if spec.family == BASES_POLYTOPE and n > 1 else n
+
+
+def ehrhart_by_interpolation(spec):
+    """Ehrhart polynomial by counting dilations k = 0..kmax
+    (`interpolation_kmax`) and interpolating in Newton form; the true
+    degree (the polytope dimension) emerges as the degree after
+    trimming. The polynomial passes exactly through the counts."""
+    return poly_from_values([count_direct(spec, k)
+                             for k in range(interpolation_kmax(spec) + 1)])

@@ -8,7 +8,20 @@ coordinates, with d = +-det, so t = +-adj. Coning a facet to a new
 point is a rank-one update of the owner's inverse and growing the affine
 hull is a bordered (Schur) update; both divide exactly, so no simplex
 is ever eliminated. Visibility signs, the hull test and the flat-facet
-drop of the cone stage are all read off these inverses.
+drop of the cone stage are all read off these inverses. Where the new
+point's barycentric coordinate at a kept vertex is 0 and |d| does not
+change, either update copies or negates that vertex's row, with no
+division.
+
+The boundary facets, each with its owner and the position of the
+vertex it omits, are read off all simplices once after each hull
+growth and then kept between insertions: a point inside the hull only
+toggles the facets of its new simplices. So an insertion costs its
+visibility tests and its new simplices, each visible owner's
+barycentric vector is taken once, and the hull test stops once the
+chart holds every coordinate. The new simplices still enter in the
+order a full boundary scan lists them, since the order of a set of
+tuples, and so of the pieces, follows its insertion history.
 
 Each piece is then certified unimodular independently of that
 arithmetic. A working ray is +-e_a or +-(e_a - e_b), an arc of a graph
@@ -58,11 +71,22 @@ def _apply(t, b):
 def _coned(t, d, j, u):
     """Carried inverse after vertex j is replaced by a point b with
     u = t b (a rank-one update): d' = u_j, row i is
-    (u_j t_i - u_i t_j) / d, exact because t is +-adj. The rows come
-    in vertex order with j dropped and the new vertex's row t_j last."""
+    (u_j t_i - u_i t_j) / d, exact because t is +-adj. Where u_i = 0
+    that is (u_j / d) t_i, so t_i itself when u_j = d and -t_i when
+    u_j = -d, with no division. The rows come in vertex order with j
+    dropped and the new vertex's row t_j last."""
     uj, tj = u[j], t[j]
-    rows = [tuple((uj * x - ui * y) // d for x, y in zip(ti, tj))
-            for i, (ti, ui) in enumerate(zip(t, u)) if i != j]
+    rows = []
+    for i, (ti, ui) in enumerate(zip(t, u)):
+        if i == j:
+            continue
+        if ui == 0 and uj == d:
+            rows.append(ti)
+        elif ui == 0 and uj == -d:
+            rows.append(tuple([-x for x in ti]))
+        else:
+            rows.append(tuple([(uj * x - ui * y) // d
+                               for x, y in zip(ti, tj)]))
     rows.append(tj)
     return rows, uj
 
@@ -71,12 +95,18 @@ def _bordered(t, d, u, e, f):
     """Carried inverse after a vertex b (u = t b) and a chart coordinate
     are appended, the vertices reading e and b reading f there (a Schur
     update): with g = e^T t and D = d f - e u,
-    t' = [[(D t + u g^T) / d, -u], [-g, d]] and d' = D."""
+    t' = [[(D t + u g^T) / d, -u], [-g, d]] and d' = D. Where u_i = 0
+    and D = d, row i is t_i extended by 0, with no division."""
     g = [sum(map(mul, e, col)) for col in zip(*t)]
     big = d * f - sum(map(mul, e, u))
-    rows = [tuple((big * x + ui * gc) // d for x, gc in zip(ti, g)) + (-ui,)
-            for ti, ui in zip(t, u)]
-    rows.append(tuple(-gc for gc in g) + (d,))
+    rows = []
+    for ti, ui in zip(t, u):
+        if ui == 0 and big == d:
+            rows.append(ti + (0,))
+        else:
+            rows.append(tuple([(big * x + ui * gc) // d
+                               for x, gc in zip(ti, g)]) + (-ui,))
+    rows.append(tuple([-gc for gc in g]) + (d,))
     return rows, big
 
 
@@ -97,7 +127,18 @@ def _place(points):
     affine hull projects bijectively; each hull growth appends the first
     coordinate where the new point leaves the hull. So u = t b is d
     times the barycentric coordinates of a point b of the hull, and no
-    simplex is ever eliminated.
+    simplex is ever eliminated. Once the chart holds every coordinate,
+    no point can leave the hull, and the hull test is skipped.
+
+    The boundary, each facet of exactly one maximal simplex mapped to
+    (that owner, position of the vertex it omits), is read off all
+    simplices at the first insertion after a hull growth and then kept:
+    a point inside the hull only toggles the facets of its new
+    simplices, so a facet already on the boundary becomes interior and
+    any other one joins it. Each insertion costs its visibility tests
+    and its new simplices. An owner's u = t b is taken once, for all of
+    its visible facets, and a new simplex is the facet plus the new
+    point, which is the largest index placed, so no sort is needed.
     Returns (maximal simplices as sorted tuples of point indices,
     inverses by simplex).
     """
@@ -105,6 +146,7 @@ def _place(points):
     chart = [0]
     simplices = set()
     inverse = {}
+    boundary = None
     placed = []
     for idx in range(len(points)):
         p = points[idx]
@@ -117,30 +159,54 @@ def _place(points):
             continue
         b = hom[idx]
         bc = [b[c] for c in chart]
-        hull = next(iter(simplices))
-        t, d = inverse[hull]
-        u = _apply(t, bc)
-        off = next((c for c in range(len(b)) if c not in chart
-                    and sum(uv * hom[v][c] for uv, v in zip(u, hull))
-                    != d * b[c]), None)
-        if off is not None:
-            chart.append(off)
-            for s in simplices:
-                t, d = inverse.pop(s)
-                inverse[s + (idx,)] = _bordered(
-                    t, d, _apply(t, bc), [hom[v][off] for v in s], b[off])
-            simplices = {s + (idx,) for s in simplices}
-            placed.append(idx)
-            continue
-        new = []
-        for fac, owner, j in _boundary_facets_with_owner(simplices):
+        if len(chart) < len(b):
+            hull = next(iter(simplices))
+            t, d = inverse[hull]
+            u = _apply(t, bc)
+            off = next((c for c in range(len(b)) if c not in chart
+                        and sum(uv * hom[v][c] for uv, v in zip(u, hull))
+                        != d * b[c]), None)
+            if off is not None:
+                chart.append(off)
+                for s in simplices:
+                    t, d = inverse.pop(s)
+                    inverse[s + (idx,)] = _bordered(
+                        t, d, _apply(t, bc), [hom[v][off] for v in s],
+                        b[off])
+                simplices = {s + (idx,) for s in simplices}
+                boundary = None
+                placed.append(idx)
+                continue
+        if boundary is None:
+            boundary = {fac: (owner, j) for fac, owner, j
+                        in _boundary_facets_with_owner(simplices)}
+        visible = {}
+        for fac, (owner, j) in boundary.items():
             t, d = inverse[owner]
             # u_j = t_j b is d times b's barycentric coordinate at j
             if sum(map(mul, t[j], bc)) * d < 0:
-                s = tuple(sorted(fac + (idx,)))
+                visible.setdefault(owner, []).append((j, fac))
+        # a set of tuples iterates in an order that depends on its
+        # insertion history, and the pieces' order follows it, so the
+        # new simplices go in as a full boundary scan lists them:
+        # owners in the order `simplices` iterates, then the omitted
+        # position j descending
+        new = []
+        for owner in simplices:
+            if owner not in visible:
+                continue
+            t, d = inverse[owner]
+            u = _apply(t, bc)
+            for j, fac in sorted(visible[owner], reverse=True):
+                s = fac + (idx,)
                 new.append(s)
-                inverse[s] = _coned(t, d, j, _apply(t, bc))
+                inverse[s] = _coned(t, d, j, u)
         simplices.update(new)
+        for s in new:
+            for j in range(len(s)):
+                fac = s[:j] + s[j + 1:]
+                if boundary.pop(fac, None) is None:
+                    boundary[fac] = (s, j)
         placed.append(idx)
     return {tuple(sorted(s)) for s in simplices}, inverse
 

@@ -39,7 +39,7 @@ def _mask(subset, n):
     mask = 0
     for e in subset:
         if e not in range(1, n + 1):
-            raise ValueError("element out of range")
+            raise ValueError("matroid: element out of range")
         mask |= 1 << (e - 1)
     return mask
 
@@ -60,7 +60,7 @@ class RankFunction:
     @staticmethod
     def uniform(n, r):
         if not (0 <= r <= n):
-            raise ValueError("need 0 <= r <= n")
+            raise ValueError("matroid: need 0 <= r <= n")
         return RankFunction(n, lambda m: min(m.bit_count(), r), True)
 
     @staticmethod
@@ -69,7 +69,7 @@ class RankFunction:
         The rank of an edge set is the size of a spanning forest of it,
         grown by union-find."""
         if len(edges) != n_edges:
-            raise ValueError("edge count mismatch")
+            raise ValueError("matroid: edge count mismatch")
         edges = [tuple(e) for e in edges]
 
         def forest_size(mask):
@@ -99,10 +99,10 @@ class RankFunction:
         extends to a basis."""
         bases = [frozenset(b) for b in bases]
         if not bases:
-            raise ValueError("need at least one basis")
+            raise ValueError("matroid: need at least one basis")
         r = len(bases[0])
         if any(len(b) != r for b in bases):
-            raise ValueError("bases must share cardinality")
+            raise ValueError("matroid: bases must share cardinality")
         masks = {_mask(b, n) for b in bases}
         return RankFunction(
             n, lambda m: max((m & b).bit_count() for b in masks), True)
@@ -117,12 +117,13 @@ class RankFunction:
         t = {}
         for a, v in table.items():
             if type(v) is not int:
-                raise ValueError(f"value of subset {sorted(a)} must be an"
-                                 f" integer, got {v!r}")
+                raise ValueError(f"matroid: value of subset {sorted(a)}"
+                                 f" must be an integer, got {v!r}")
             t[_mask(a, n)] = v
         t.setdefault(0, 0)
         if len(t) != 1 << n:
-            raise ValueError("table must list every non-empty subset")
+            raise ValueError("matroid: table must list every non-empty"
+                             " subset")
         return RankFunction(n, t.__getitem__, False)
 
     # -- evaluation ---------------------------------------------------

@@ -36,7 +36,9 @@ outlives the polytope.
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import factorial, lcm, prod
+from operator import mul
 
 from .exactmath import (
     binomial, poly_eval, poly_trim, series_mul_trunc, vec_dot,
@@ -75,6 +77,14 @@ def _todd_scaled(m):
                                  f" integer at order {m}")
         scaled.append(bq)
     return q, tuple(scaled)
+
+
+@cache
+def _weight_scale(s):
+    """The row (s!/l!) Q^l, l = 0..s, that scales the Todd product's
+    coefficient s - l into the weight numerator W_l of `weights`."""
+    q = _todd_scaled(s)[0]
+    return tuple(factorial(s) // factorial(l) * q ** l for l in range(s + 1))
 
 
 def find_lambda(bs, n):
@@ -120,9 +130,7 @@ def weights(betas, stack):
         acc = series_mul_trunc(_todd_factor(s, beta), acc, s)
         stack.append((beta, acc))
     acc += (0,) * (s + 1 - len(acc))
-    q = _todd_scaled(s)[0]
-    return tuple(factorial(s) // factorial(l) * q ** l * acc[s - l]
-                 for l in range(s + 1))
+    return tuple(map(mul, _weight_scale(s), reversed(acc)))
 
 
 def _denominator(s, beta_prod):
@@ -157,7 +165,7 @@ def ehrhart_polynomial(g):
     at dilation k. Each group's P(x) = sum_l W_l x^l is expanded once
     in k by Horner's rule into its order's sum, and each order's sum is
     divided once by `_denominator(s, M_s)`."""
-    rays = dict.fromkeys(b for t in g.terms for b in t.bs)
+    rays = dict.fromkeys(chain.from_iterable(t.bs for t in g.terms))
     lam = find_lambda(rays, g.n)
     pairing = {b: vec_dot(lam, b) for b in rays}
     runs = {}

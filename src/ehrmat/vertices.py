@@ -9,7 +9,8 @@ greedy vectors: walking a chain of subsets, adding element e to S sets
 x_e = psi(S + e) - psi(S), and every other coordinate stays 0.
 
 Edges. Bases polytope vertices are adjacent iff they differ by
-e_a - e_b, a test of m^2 n operations on m bases. For the other two
+e_a - e_b, so the neighbors of a basis are the bases among its
+r (n - r) single swaps, looked up by mask. For the other two
 families a vertex x carries its tight sets {A : x(A) = psi(A)} as one
 int T (bit `mask` set when the subset `mask` is tight) and its zero
 coordinates as an n-bit int Z. Submodularity closes the tight sets of
@@ -22,7 +23,6 @@ the bases family, polynomial for fixed rank, keeps its swap rule.
 
 from itertools import combinations
 
-from .exactmath import vec_sub
 from .matroid import guard_n
 
 BASES_POLYTOPE = "bases"
@@ -37,9 +37,9 @@ class PolytopeSpec:
 
     def __init__(self, family, f):
         if family not in (BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID):
-            raise ValueError(f"unknown family {family!r}")
+            raise ValueError(f"vertices: unknown family {family!r}")
         if family in (BASES_POLYTOPE, INDEPENDENCE_POLYTOPE) and not f.is_matroid:
-            raise ValueError("matroid rank function required")
+            raise ValueError("vertices: matroid rank function required")
         self.family = family
         self.f = f
         self.n = f.n
@@ -131,18 +131,24 @@ def _greedy_vertices(f):
 
 def _compute_adjacency(spec, vertices):
     m = len(vertices)
-    adj = [set() for _ in range(m)]
     if spec.family == BASES_POLYTOPE:
-        # exact two-way characterization: neighbors differ by e_i - e_j.
-        # This costs m^2 n; the lattice rule below would scan 2^n masks
-        # per vertex, which fixed rank does not bound.
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = vec_sub(vertices[j], vertices[i])
-                if sorted(d) == [-1] + [0] * (spec.n - 2) + [1]:
-                    adj[i].add(j)
-                    adj[j].add(i)
-        return [sorted(s) for s in adj]
+        # exact two-way characterization: neighbors differ by e_a - e_b,
+        # so the neighbors of basis B are the bases B - b + a, b in B
+        # and a not in B, looked up by mask: m r (n - r) lookups. The
+        # lattice rule below would scan 2^n masks per vertex, which
+        # fixed rank does not bound.
+        index = {sum(x << c for c, x in enumerate(v)): i
+                 for i, v in enumerate(vertices)}
+        bits = [1 << c for c in range(spec.n)]
+        adj = []
+        for mask in index:
+            inside = [bit for bit in bits if mask & bit]
+            outside = [bit for bit in bits if not mask & bit]
+            adj.append(sorted(index[swap] for swap in
+                              (mask ^ b ^ a for b in inside for a in outside)
+                              if swap in index))
+        return adj
+    adj = [set() for _ in range(m)]
     # two vertices are adjacent iff the constraints tight at both have
     # rank n - 1: the smallest face containing both is the affine
     # solution set of those constraints, so rank n - 1 means that face

@@ -7,7 +7,9 @@
   references for the visibility test of the placing triangulation and
   for `vertices._compute_adjacency`; adjacency by an exact `mat_rank`
   of the constraints tight at both vertices, the reference for the
-  tight-set lattices on bitsets in `_compute_adjacency`.
+  tight-set lattices on bitsets in `_compute_adjacency`; bases
+  adjacency by the pairwise e_a - e_b rule, the reference for its swap
+  lookup.
 - The placing triangulation with a `mat_rank` hull test and
   `solve_linear` barycentrics, and the cone triangulation over it that
   keeps the boundary facets with independent rays, the references for
@@ -328,6 +330,22 @@ def adjacency_by_lp(spec, vertices):
     for i in range(m):
         for j in adj[i]:
             assert i in adj[j], "adjacency must be symmetric"
+    return [sorted(s) for s in adj]
+
+
+def bases_adjacency_pairwise(vertices):
+    """Bases polytope adjacency by the pairwise rule: two bases are
+    adjacent iff their incidence vectors differ by e_a - e_b, tested
+    for every pair, the reference for the swap lookup in
+    `vertices._compute_adjacency`."""
+    m = len(vertices)
+    adj = [set() for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = sorted(vec_sub(vertices[j], vertices[i]))
+            if d == [-1] + [0] * (len(d) - 2) + [1]:
+                adj[i].add(j)
+                adj[j].add(i)
     return [sorted(s) for s in adj]
 
 

@@ -115,6 +115,26 @@ def test_verify_plans_weights_once(capsys, monkeypatch):
     assert len(calls) == per_ehrhart > 0
 
 
+def test_verify_counts_each_dilation_once(capsys, monkeypatch):
+    # the interpolant passes through the counts of k = 0..n, so verify
+    # reads k <= n off it and counts only the dilations beyond
+    real = bruteforce.count_direct
+    calls = []
+
+    def counted(spec, k):
+        calls.append(k)
+        return real(spec, k)
+
+    monkeypatch.setattr(bruteforce, "count_direct", counted)
+    code, out = run(capsys, "verify", data_path("U24_independence"),
+                    "--kmax", "6")
+    assert code == 0
+    assert sorted(calls) == list(range(7))
+    assert [c["bruteforce"] for c in json.loads(out)["counts"]] == [
+        real(cli.load_document(data_path("U24_independence"))[1], k)
+        for k in range(1, 7)]
+
+
 def test_verify_guard_fires_before_pipeline(tmp_path, capsys, monkeypatch):
     # n = 13 is beyond the brute-force guard: exit 3 without building the
     # generating function
@@ -295,6 +315,28 @@ def test_validation_table_for_matroid_family(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["ehrhart", str(path)]) == 2
     assert "matroid rank function required" in capsys.readouterr().err
+
+
+def test_validation_error_names_stage(tmp_path, capsys):
+    # a rank function the matroid stage rejects, and a polytope the
+    # vertex stage rejects: stderr names the stage that failed
+    for doc, want in [
+            ({"name": "wide", "family": "bases", "kind": "uniform",
+              "n": 3, "r": 5},
+             "validation error: malformed document: matroid: need 0 <= r"),
+            ({"name": "mixed", "family": "bases", "kind": "bases", "n": 3,
+              "bases": [[1, 2], [3]]},
+             "validation error: malformed document: matroid: bases must"),
+            ({"name": "table_bases", "family": "bases", "kind": "table",
+              "n": 1, "values": [{"subset": [1], "value": 1}]},
+             "validation error: table_bases: vertices: matroid rank"),
+    ]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["ehrhart", str(path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(want), captured.err
 
 
 def test_validation_malformed_json(tmp_path, capsys):

@@ -10,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    det, half_open_contains, is_extreme_direction, placing_triangulation,
-    reference_placing_triangulation, reference_triangulate_cone, visible,
+    det, fraction_mat_rank, half_open_contains, is_extreme_direction,
+    mat_mul, placing_triangulation, reference_placing_triangulation,
+    reference_triangulate_cone, visible,
 )
 from test_bruteforce import matroid_specs, polymatroid_specs
 
 import ehrmat
-from ehrmat import cli, corpus
+from ehrmat import cli, cones, corpus
 from ehrmat.cones import (
-    _arc, arc_pattern, assert_unimodular, cone_ray_matrix,
+    _arc, _place, arc_pattern, assert_unimodular, cone_ray_matrix,
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
     tangent_cone, tree_cuts, triangulate_cone,
 )
@@ -208,6 +209,106 @@ def test_triangulate_random_cones_match_reference(rays):
     assert (list(placing_triangulation(points))
             == list(reference_placing_triangulation(points)))
     assert triangulate_cone(rays) == reference_triangulate_cone(rays)
+
+
+@st.composite
+def crowded_cones(draw):
+    """7 to 10 small integer rays in dimension <= 5, pointed because
+    every first coordinate is positive: the hull fills after at most
+    dim + 1 points, and the rest are inserted into a full hull."""
+    dim = draw(st.integers(1, 5))
+    ray = st.tuples(st.integers(1, 2), *[st.integers(-2, 2)] * (dim - 1))
+    return draw(st.lists(ray, min_size=7, max_size=10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(crowded_cones())
+def test_triangulate_crowded_cones_match_reference(rays):
+    points = [(0,) * len(rays[0])] + rays
+    assert (list(placing_triangulation(points))
+            == list(reference_placing_triangulation(points)))
+    assert triangulate_cone(rays) == reference_triangulate_cone(rays)
+
+
+def _replayed_chart(points):
+    """The chart `_place` keeps, replayed by Fraction ranks: coordinate
+    0, then, at each distinct point that raises the rank of the
+    homogenized points placed so far, the first other coordinate on
+    which that point leaves their span."""
+    hom = [(1,) + tuple(p) for p in points]
+    chart, placed = [0], []
+    for q in hom:
+        if q in placed:
+            continue
+        rows = placed + [q]
+        if fraction_mat_rank(rows) > len(chart):
+            chart.append(next(
+                c for c in range(len(q)) if c not in chart
+                and fraction_mat_rank([[r[k] for k in chart + [c]]
+                                       for r in rows]) > len(chart)))
+        placed.append(q)
+    return chart
+
+
+def _assert_carried_inverses(points):
+    # t M^T = d I with |d| = |det M|, M the simplex's homogenized
+    # vertex matrix read on the chart, one row per vertex; returns the
+    # |d| seen
+    tri, inverse = _place(points)
+    chart = _replayed_chart(points)
+    dets = set()
+    for s in tri:
+        t, d = inverse[s]
+        m = [[((1,) + tuple(points[v]))[c] for c in chart] for v in s]
+        assert mat_mul(t, list(zip(*m))) == tuple(
+            tuple(d * (i == j) for j in range(len(s)))
+            for i in range(len(s)))
+        assert abs(d) == abs(det(m)) > 0
+        dets.add(abs(d))
+    return dets
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=9)))
+def test_place_carries_scaled_inverses(points):
+    _assert_carried_inverses(points)
+
+
+def test_place_carries_scaled_inverses_off_unit_determinant():
+    # (4, 0) lies on the line of the facet (0, 0) (2, 0), so u is 0 at
+    # that facet's opposite vertex and u_j = -d, with |d| = 4: the
+    # rank-one shortcut; (0, 0, 1) sits at height 1 over the triangle,
+    # where u is 0 at two vertices and D = d, with |d| = 4: the
+    # bordered shortcut
+    assert _assert_carried_inverses(
+        [(0, 0), (2, 0), (0, 2), (4, 0)]) == {4}
+    assert _assert_carried_inverses(
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]) == {4}
+
+
+def test_boundary_built_once_per_hull_growth(monkeypatch):
+    # the boundary is read off all simplices at the first insertion
+    # after a hull growth and kept after that, and triangulate_cone
+    # reads the final one once: at most (hull growths + 1) scans per
+    # cone, where a scan per inserted point would make one per ray
+    real = cones._boundary_facets_with_owner
+    calls = []
+
+    def counted(simplices):
+        calls.append(len(simplices))
+        return real(simplices)
+
+    monkeypatch.setattr(cones, "_boundary_facets_with_owner", counted)
+    scans = per_point = 0
+    for rays in _working_tangent_cones(relabelling_specs()["AG32"]):
+        calls.clear()
+        triangulate_cone(rays)
+        growths = fraction_mat_rank(rays)
+        assert len(calls) <= growths + 1
+        scans += len(calls)
+        per_point += len(rays) - growths + 1
+    assert 0 < scans < per_point
 
 
 def test_triangulate_owner_without_apex_by_hand():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     adjacency_by_lp, adjacency_by_tight_rank, all_generated_vertices,
-    contains_scaled, edmonds_generate, enumerate_bases,
-    polymatroid_vertices_by_scan,
+    bases_adjacency_pairwise, contains_scaled, edmonds_generate,
+    enumerate_bases, polymatroid_vertices_by_scan,
 )
 
 from ehrmat import corpus
@@ -222,6 +222,27 @@ def test_bases_adjacency_directions():
         for j in nbrs:
             d = vec_sub(vs.vertices[j], vs.vertices[i])
             assert sorted(d) == [-1] + [0] * (spec.n - 2) + [1]
+
+
+@st.composite
+def bases_specs(draw):
+    """Bases polytope of a cycle matroid of a random multigraph with
+    n <= 8 edges on 5 vertices, loops and parallel edges allowed,
+    truncated at rank t."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(1, 5)
+    g = RankFunction.graphic(n, draw(st.lists(st.tuples(vertex, vertex),
+                                              min_size=n, max_size=n)))
+    t = draw(st.integers(0, n))
+    f = RankFunction(n, lambda m: min(g.values[m], t), True)
+    return PolytopeSpec(BASES_POLYTOPE, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_specs())
+def test_bases_adjacency_swap_lookup_matches_pairwise_rule(spec):
+    vs = enumerate_vertices(spec)
+    assert vs.adjacency == bases_adjacency_pairwise(vs.vertices)
 
 
 def test_independence_adjacency_directions():
