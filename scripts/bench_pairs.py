@@ -1,0 +1,164 @@
+"""Run the benchmark in alternating pairs from two checkouts and write
+every run, with a per-metric summary, to one JSON file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change ../change \
+        --pairs sparse_paving=10 symmetric=5 polymatroid_verify=5 \
+        uniform_scan=5 --seed 1 --seconds 20 --trace-seconds 6 \
+        --what "one line on the change" --out BENCH_23.json
+
+Each run is `python3 bench/run.py --workload W --seed S --seconds T
+--trace 0` in that side's checkout, and its last stdout line is kept as
+its result. Odd pairs run the parent first, even pairs the change
+first. Give both checkouts paths of equal length: peak RSS moves with
+the path. With --trace-seconds, each side then makes one traced run
+(`--trace 1`) per workload, and the nonzero layers of both are kept.
+
+The summary gives, per workload and end-to-end metric, the median and
+the inclusive quartiles of each side, and the number of pairs in which
+the change read lower.
+"""
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+
+
+def src_digest(root):
+    """The digest `bench/run.py` stamps: every .py and .json file under
+    src/ehrmat, by relative path and content."""
+    h = hashlib.sha256()
+    pkg = root / "src" / "ehrmat"
+    for path in sorted(pkg.rglob("*")):
+        if path.is_file() and path.suffix in (".py", ".json"):
+            h.update(str(path.relative_to(pkg)).encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def commit(root):
+    res = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                         capture_output=True, text=True, check=False)
+    return res.stdout.strip() or None
+
+
+def run_bench(root, workload, seed, seconds, trace):
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    res = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                         check=True)
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def summarize(runs, workload, seed):
+    out = []
+    for metric in METRICS:
+        pairs = {}
+        for r in runs:
+            if r["workload"] == workload:
+                value = r["result"]["metrics"][metric]["value"]
+                pairs.setdefault(r["pair"], {})[r["side"]] = value
+        parent = [p["parent"] for p in pairs.values()]
+        change = [p["change"] for p in pairs.values()]
+        out.append({
+            "workload": workload,
+            "seed": seed,
+            "metric": metric,
+            "pairs": len(pairs),
+            "parent_median": round(statistics.median(parent), 4),
+            "parent_quartiles": quartiles(parent),
+            "change_median": round(statistics.median(change), 4),
+            "change_quartiles": quartiles(change),
+            "change_better_in": sum(p["change"] < p["parent"]
+                                    for p in pairs.values()),
+        })
+    return out
+
+
+def quartiles(values):
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q[0], 4), round(q[2], 4)]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--pairs", nargs="+", required=True,
+                    help="workload=count, one per workload")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--trace-seconds", type=int, default=0)
+    ap.add_argument("--what", default="")
+    ap.add_argument("--change-commit", default=None,
+                    help="recorded instead of the change checkout's HEAD")
+    ap.add_argument("--host", default="")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    plan = [(w, int(n)) for w, n in (p.split("=") for p in args.pairs)]
+    runs, summary, traced = [], [], {}
+    for workload, count in plan:
+        for pair in range(1, count + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                result = run_bench(sides[side], workload, args.seed,
+                                   args.seconds, 0)
+                runs.append({"workload": workload, "seed": args.seed,
+                             "seconds": args.seconds, "pair": pair,
+                             "side": side, "result": result})
+                print(workload, pair, side,
+                      result["metrics"]["wall_s"]["value"], flush=True)
+        summary += summarize(runs, workload, args.seed)
+        if args.trace_seconds:
+            layers = {side: run_bench(root, workload, args.seed,
+                                      args.trace_seconds, 1)["metrics"]
+                      for side, root in sides.items()}
+            traced[workload] = {
+                name: [round(layers[side][name]["value"], 4)
+                       for side in ("parent", "change")]
+                for name in layers["parent"]
+                if layers["parent"][name]["value"]
+                or layers["change"][name]["value"]}
+    doc = {
+        "what": args.what,
+        "command": (f"python3 bench/run.py --workload <workload> --seed"
+                    f" {args.seed} --seconds {args.seconds} --trace 0, with"
+                    f" bench/ unmodified; each 'result' is that command's"
+                    f" last stdout line"),
+        "pairing": ", ".join(f"{n} pairs on {w}" for w, n in plan)
+        + f", all at seed {args.seed}; odd pairs run the parent first,"
+          " even pairs the change first",
+        "checkouts": "each side ran from its own copy of the tree, at two"
+                     " paths of equal length, because peak_rss_mb moves"
+                     " with the checkout path",
+        "host": args.host,
+        "parent": {"commit": commit(sides["parent"]),
+                   "src_sha256": src_digest(sides["parent"])},
+        "change": {"commit": args.change_commit or commit(sides["change"]),
+                   "src_sha256": src_digest(sides["change"])},
+        "summary_fields": "median and [lower, upper] quartile of each side;"
+                          " change_better_in counts the pairs where the"
+                          " change read lower",
+        "summary": summary,
+    }
+    if traced:
+        doc[f"traced_seed_{args.seed}"] = {
+            "command": (f"python3 bench/run.py --workload <workload> --seed"
+                        f" {args.seed} --seconds {args.trace_seconds}"
+                        f" --trace 1, one run per side"),
+            **traced,
+            "note": "each pair is [parent, change]; layers that read 0 on"
+                    " both sides are left out"}
+    doc["runs"] = runs
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

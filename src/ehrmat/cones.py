@@ -4,24 +4,27 @@ unimodular simplicial cones read off spanning trees of arcs.
 
 Every simplex of the placing triangulation carries (t, d): d times the
 inverse of its homogenized vertex matrix, restricted to a chart of
-coordinates, with d = +-det, so t = +-adj. Coning a facet to a new
-point is a rank-one update of the owner's inverse and growing the affine
-hull is a bordered (Schur) update; both divide exactly, so no simplex
-is ever eliminated. Visibility signs, the hull test and the flat-facet
-drop of the cone stage are all read off these inverses. Where the new
-point's barycentric coordinate at a kept vertex is 0 and |d| does not
-change, either update copies or negates that vertex's row, with no
-division.
+coordinates, with d = |det| > 0, so t = +-adj and the sign of a
+barycentric coordinate is the sign of its entry of u = t b. Coning a
+facet to a new point is a rank-one update of the owner's inverse and
+growing the affine hull is a bordered (Schur) update; both divide
+exactly, so no simplex is ever eliminated. Visibility signs, the hull
+test and the flat-facet drop of the cone stage are all read off these
+inverses. Where the new point's barycentric coordinate at a kept
+vertex is 0 and d does not change, either update copies that vertex's
+row, with no division.
 
 The boundary facets, each with its owner and the position of the
-vertex it omits, are read off all simplices once after each hull
-growth and then kept between insertions: a point inside the hull only
-toggles the facets of its new simplices. So an insertion costs its
-visibility tests and its new simplices, each visible owner's
-barycentric vector is taken once, and the hull test stops once the
-chart holds every coordinate. The new simplices still enter in the
-order a full boundary scan lists them, since the order of a set of
-tuples, and so of the pieces, follows its insertion history.
+vertex it omits, are kept from the first point on: a hull growth
+extends every facet and owner by the new point and adds each old
+simplex as a facet, and a point inside the hull only toggles the
+facets of its new simplices. So an insertion costs its visibility
+tests and its new simplices, each visible owner's barycentric vector
+is taken once, the hull test reads one row per coordinate outside the
+chart, and the cone's pieces are read off the final boundary. The new
+simplices still enter in the order a full boundary scan lists them,
+since the order of a set of tuples, and so of the pieces, follows its
+insertion history.
 
 Each piece is then certified unimodular independently of that
 arithmetic. A working ray is +-e_a or +-(e_a - e_b), an arc of a graph
@@ -48,7 +51,6 @@ y = sum xi^i r_i moves with the rays, so xi, every cut and every
 half-open flag agree as well.
 """
 
-from itertools import combinations
 from operator import mul
 
 from .exactmath import _integral_unimodular, vec_primitive, vec_sub
@@ -70,35 +72,46 @@ def _apply(t, b):
 
 def _coned(t, d, j, u):
     """Carried inverse after vertex j is replaced by a point b with
-    u = t b (a rank-one update): d' = u_j, row i is
-    (u_j t_i - u_i t_j) / d, exact because t is +-adj. Where u_i = 0
-    that is (u_j / d) t_i, so t_i itself when u_j = d and -t_i when
-    u_j = -d, with no division. The rows come in vertex order with j
-    dropped and the new vertex's row t_j last."""
+    u = t b lying beyond the facet opposite j, so u_j < 0 < d (a
+    rank-one update): d' = -u_j, row i is (u_i t_j - u_j t_i) / d,
+    exact because t is +-adj. Where u_i = 0 that is (-u_j / d) t_i, so
+    t_i itself when -u_j = d, with no division. The rows come in vertex
+    order with j dropped and the new vertex's row -t_j last."""
     uj, tj = u[j], t[j]
+    copy = -uj == d
     rows = []
     for i, (ti, ui) in enumerate(zip(t, u)):
         if i == j:
             continue
-        if ui == 0 and uj == d:
+        if ui == 0 and copy:
             rows.append(ti)
-        elif ui == 0 and uj == -d:
-            rows.append(tuple([-x for x in ti]))
         else:
-            rows.append(tuple([(uj * x - ui * y) // d
+            rows.append(tuple([(ui * y - uj * x) // d
                                for x, y in zip(ti, tj)]))
-    rows.append(tj)
-    return rows, uj
+    rows.append(tuple([-y for y in tj]))
+    return rows, -uj
 
 
 def _bordered(t, d, u, e, f):
     """Carried inverse after a vertex b (u = t b) and a chart coordinate
     are appended, the vertices reading e and b reading f there (a Schur
     update): with g = e^T t and D = d f - e u,
-    t' = [[(D t + u g^T) / d, -u], [-g, d]] and d' = D. Where u_i = 0
-    and D = d, row i is t_i extended by 0, with no division."""
-    g = [sum(map(mul, e, col)) for col in zip(*t)]
-    big = d * f - sum(map(mul, e, u))
+    t' = [[(D t + u g^T) / d, -u], [-g, d]] and d' = D, all negated
+    when D < 0, so that d' = |D|. g is summed over the rows where e is
+    not 0, few when the points are arcs. Where u_i = 0 and d' = d, row
+    i is t_i extended by 0, with no division."""
+    g = [0] * len(t)
+    big = d * f
+    for ei, ti, ui in zip(e, t, u):
+        if ei:
+            g = [gc + ei * x for gc, x in zip(g, ti)]
+            big -= ei * ui
+    if big < 0:
+        big = -big
+        u = [-x for x in u]
+        last = tuple(g) + (-d,)
+    else:
+        last = tuple([-gc for gc in g]) + (d,)
     rows = []
     for ti, ui in zip(t, u):
         if ui == 0 and big == d:
@@ -106,13 +119,33 @@ def _bordered(t, d, u, e, f):
         else:
             rows.append(tuple([(big * x + ui * gc) // d
                                for x, gc in zip(ti, g)]) + (-ui,))
-    rows.append(tuple([-gc for gc in g]) + (d,))
+    rows.append(last)
     return rows, big
+
+
+def _affine_rows(s, t, hom, chart):
+    """The hull test's rows of a simplex s carrying (t, d), one per
+    coordinate c outside the chart: (c, sum over the vertices v of s of
+    hom[v][c] t_v). A point b of the affine hull has
+    b[c] = row . b_chart / d, the same map for every simplex of the
+    hull, so the rows of one simplex test every point until the hull
+    grows."""
+    rows = []
+    for c in range(len(hom[s[0]])):
+        if c in chart:
+            continue
+        row = [0] * len(t)
+        for v, tv in zip(s, t):
+            x = hom[v][c]
+            if x:
+                row = [r + x * y for r, y in zip(row, tv)]
+        rows.append((c, row))
+    return rows
 
 
 def _place(points):
     """Incremental (placing) triangulation of conv(points), with every
-    simplex's carried inverse.
+    simplex's carried inverse and the boundary.
 
     Points are inserted in the given order. A point outside the current
     affine hull cones every maximal simplex to itself; a point inside it
@@ -120,33 +153,35 @@ def _place(points):
     beyond, i.e. where its barycentric coordinate at the owner's vertex
     opposite the facet is negative.
 
-    A simplex s (a sorted tuple) carries (t, d): d times the inverse of
+    A simplex s (a tuple of point indices, sorted because each new point
+    has the largest index placed) carries (t, d): d times the inverse of
     its homogenized vertex matrix restricted to the chart, rows in the
-    order of s, with d = +-det. The chart lists coordinates of the
+    order of s, with d = |det| > 0. The chart lists coordinates of the
     homogenized points (0 is the homogenizing 1) on which the current
     affine hull projects bijectively; each hull growth appends the first
     coordinate where the new point leaves the hull. So u = t b is d
-    times the barycentric coordinates of a point b of the hull, and no
-    simplex is ever eliminated. Once the chart holds every coordinate,
-    no point can leave the hull, and the hull test is skipped.
+    times the barycentric coordinates of a point b of the hull, its
+    sign is theirs, and no simplex is ever eliminated. The hull test
+    reads one row per coordinate outside the chart (`_affine_rows`),
+    built once per hull growth; once the chart holds every coordinate,
+    there are none and no point can leave the hull.
 
-    The boundary, each facet of exactly one maximal simplex mapped to
-    (that owner, position of the vertex it omits), is read off all
-    simplices at the first insertion after a hull growth and then kept:
-    a point inside the hull only toggles the facets of its new
-    simplices, so a facet already on the boundary becomes interior and
-    any other one joins it. Each insertion costs its visibility tests
-    and its new simplices. An owner's u = t b is taken once, for all of
-    its visible facets, and a new simplex is the facet plus the new
-    point, which is the largest index placed, so no sort is needed.
-    Returns (maximal simplices as sorted tuples of point indices,
-    inverses by simplex).
+    The boundary maps each facet of exactly one maximal simplex to (that
+    owner, position of the vertex it omits), from the first point on,
+    whose one facet is (). A hull growth by p turns each boundary facet
+    F of owner s at j into F + (p,) of owner s + (p,) at j, and adds
+    each old simplex s as the facet of s + (p,) at position len(s). A
+    point inside the hull only toggles the facets of its new simplices,
+    so a facet already on the boundary becomes interior and any other
+    one joins it. An owner's u = t b is taken once, for all of its
+    visible facets.
+    Returns (maximal simplices, inverses by simplex, boundary).
     """
     hom = [(1,) + tuple(p) for p in points]
     chart = [0]
     simplices = set()
     inverse = {}
-    boundary = None
+    boundary = {}
     placed = []
     for idx in range(len(points)):
         p = points[idx]
@@ -155,36 +190,36 @@ def _place(points):
         if not placed:
             simplices = {(idx,)}
             inverse[(idx,)] = ([(1,)], 1)
+            boundary = {(): ((idx,), 0)}
+            affine, d0 = _affine_rows((idx,), [(1,)], hom, chart), 1
             placed.append(idx)
             continue
         b = hom[idx]
         bc = [b[c] for c in chart]
-        if len(chart) < len(b):
+        off = next((c for c, row in affine
+                    if sum(map(mul, row, bc)) != d0 * b[c]), None)
+        if off is not None:
+            chart.append(off)
+            for s in simplices:
+                t, d = inverse.pop(s)
+                inverse[s + (idx,)] = _bordered(
+                    t, d, _apply(t, bc), [hom[v][off] for v in s],
+                    b[off])
+            grown = {fac + (idx,): (owner + (idx,), j)
+                     for fac, (owner, j) in boundary.items()}
+            for s in simplices:
+                grown[s] = (s + (idx,), len(s))
+            boundary = grown
+            simplices = {s + (idx,) for s in simplices}
             hull = next(iter(simplices))
-            t, d = inverse[hull]
-            u = _apply(t, bc)
-            off = next((c for c in range(len(b)) if c not in chart
-                        and sum(uv * hom[v][c] for uv, v in zip(u, hull))
-                        != d * b[c]), None)
-            if off is not None:
-                chart.append(off)
-                for s in simplices:
-                    t, d = inverse.pop(s)
-                    inverse[s + (idx,)] = _bordered(
-                        t, d, _apply(t, bc), [hom[v][off] for v in s],
-                        b[off])
-                simplices = {s + (idx,) for s in simplices}
-                boundary = None
-                placed.append(idx)
-                continue
-        if boundary is None:
-            boundary = {fac: (owner, j) for fac, owner, j
-                        in _boundary_facets_with_owner(simplices)}
+            t, d0 = inverse[hull]
+            affine = _affine_rows(hull, t, hom, chart)
+            placed.append(idx)
+            continue
         visible = {}
         for fac, (owner, j) in boundary.items():
-            t, d = inverse[owner]
-            # u_j = t_j b is d times b's barycentric coordinate at j
-            if sum(map(mul, t[j], bc)) * d < 0:
+            # t_j b is d > 0 times b's barycentric coordinate at j
+            if sum(map(mul, inverse[owner][0][j], bc)) < 0:
                 visible.setdefault(owner, []).append((j, fac))
         # a set of tuples iterates in an order that depends on its
         # insertion history, and the pieces' order follows it, so the
@@ -208,24 +243,9 @@ def _place(points):
                 if boundary.pop(fac, None) is None:
                     boundary[fac] = (s, j)
         placed.append(idx)
-    return {tuple(sorted(s)) for s in simplices}, inverse
-
-
-def _boundary_facets_with_owner(simplices):
-    """Facets belonging to exactly one maximal simplex, as (facet,
-    that simplex, position in it of the vertex the facet omits)."""
-    seen = {}
-    for s in simplices:
-        if len(s) == 1:
-            continue
-        # combinations omits the last position first
-        for j, fac in zip(range(len(s) - 1, -1, -1),
-                          combinations(s, len(s) - 1)):
-            if fac in seen:
-                seen[fac] = None
-            else:
-                seen[fac] = (s, j)
-    return [(fac, *owner) for fac, owner in seen.items() if owner is not None]
+    # rebuilt one by one, as the pieces' order has always followed the
+    # order of this rebuilt set
+    return {s for s in simplices}, inverse, boundary
 
 
 def triangulate_cone(rays):
@@ -233,20 +253,34 @@ def triangulate_cone(rays):
     origin, into simplicial cones, returned as lists of ray indices.
 
     Stage 1 places {0} union rays; stage 2 joins the apex to every
-    boundary facet not containing it. A facet in a hyperplane through
-    the apex spans a flat cone and is dropped: the placing triangulation
-    makes one when a ray is not extremal, and also from some sets of
-    extremal rays. The apex homogenizes to e_0 on the chart, so entry 0
-    of row j of the owner's carried inverse is d times the apex's
-    barycentric coordinate opposite the facet, 0 exactly on a flat
-    facet; an owner containing the apex omits the apex, where it is d.
+    boundary facet not containing it, read off the boundary `_place`
+    keeps, owner by owner in the order of its simplices and, within an
+    owner, by omitted position j descending. A facet in a hyperplane
+    through the apex spans a flat cone and is dropped: the placing
+    triangulation makes one when a ray is not extremal, and also from
+    some sets of extremal rays. The apex homogenizes to e_0 on the
+    chart, so entry 0 of row j of the owner's carried inverse is d
+    times the apex's barycentric coordinate opposite the facet, 0
+    exactly on a flat facet. An owner containing the apex has the apex
+    at position 0 and one facet without it, s[1:], where that entry is
+    d, so it is never flat.
     """
     if not rays:
         raise ValueError("cones: trivial cone")
-    tri, inverse = _place([(0,) * len(rays[0])] + list(rays))
-    return [[i - 1 for i in fac]
-            for fac, owner, j in _boundary_facets_with_owner(tri)
-            if 0 not in fac and inverse[owner][0][j][0] != 0]
+    tri, inverse, boundary = _place([(0,) * len(rays[0])] + list(rays))
+    facets = {}
+    for fac, (owner, j) in boundary.items():
+        # the apex is point 0, the first of every facet holding it
+        if fac and fac[0]:
+            facets.setdefault(owner, []).append((j, fac))
+    pieces = []
+    for s in tri:
+        if s in facets:
+            t = inverse[s][0]
+            pieces.extend([i - 1 for i in fac]
+                          for j, fac in sorted(facets[s], reverse=True)
+                          if t[j][0])
+    return pieces
 
 
 def cone_ray_matrix(rays):
@@ -371,14 +405,13 @@ def assert_unimodular(tree, dim):
         raise AssertionError(f"{len(tree)} rays in dimension {dim},"
                              " expected a square ray matrix")
     parent = list(range(dim + 1))
-
-    def root(a):
+    for arc in tree:
+        # the roots of both ends, halving the paths on the way
+        a, b = arc
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
-        return a
-
-    for arc in tree:
-        a, b = map(root, arc)
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a == b:
             raise AssertionError(f"arc {arc} closes a cycle: ray matrix"
                                  " determinant 0, expected +-1")

@@ -47,7 +47,8 @@ def _relaxation_bases(base_bases, n, r, circuit_hyperplanes):
     for ch in circuit_hyperplanes:
         ch = frozenset(ch)
         if len(ch) != r or ch in out:
-            raise ValueError(f"not a circuit-hyperplane: {sorted(ch)}")
+            raise ValueError(f"corpus: not a circuit-hyperplane:"
+                             f" {sorted(ch)}")
         out.add(ch)
     return sorted(out, key=sorted)
 

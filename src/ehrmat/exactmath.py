@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rational scalars, integer vectors and
-matrices, univariate rational polynomials, truncated power series.
+matrices, univariate rational polynomials.
 
 Everything here is exact; no floating point is used anywhere in the
 pipeline. Matrices come in with integer entries and are eliminated
@@ -20,10 +20,6 @@ from operator import index, mul
 
 # ---------------------------------------------------------------------------
 # vectors
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
@@ -139,20 +135,6 @@ def poly_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def series_mul_trunc(a, b, m):
-    """Product of two polynomials with every term of degree > m dropped;
-    integer inputs give integer coefficients."""
-    out = [0] * (m + 1)
-    for i, ca in enumerate(a):
-        if i > m or ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > m:
-                break
-            out[i + j] += ca * cb
-    return poly_trim(tuple(out))
 
 
 def poly_from_values(values):

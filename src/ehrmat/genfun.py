@@ -40,7 +40,7 @@ from .cones import (
     _arc, arc_pattern, assert_unimodular, pick_generic_y, tangent_cone,
     triangulate_cone,
 )
-from .exactmath import _gauss_jordan, vec_add, vec_sub
+from .exactmath import _gauss_jordan, vec_sub
 from .vertices import enumerate_vertices
 
 
@@ -163,9 +163,7 @@ def _vertex_terms(vs, i, chart, patterns):
         flagged = patterns[key] = list(zip(pieces, flags))
     out = []
     for piece, flags in flagged:
-        a = v
-        for j, is_open in zip(piece, flags):
-            if is_open:
-                a = vec_add(a, rays[j])
+        a = tuple(map(sum, zip(v, *[rays[j] for j, is_open
+                                    in zip(piece, flags) if is_open])))
         out.append(GenFunTerm(1, a, v, [rays[j] for j in piece]))
     return out

@@ -69,7 +69,7 @@ def katzman(n, r):
     scan in increasing n so builds each row once and holds one n's rows.
     """
     if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+        raise ValueError("hstar: need n >= 1 and r >= 1")
     cached = _KATZMAN_CACHE.get(r)
     # n = 1: the coefficients of 1 + T + ... + T^(r-1)
     start, row = cached if cached and cached[0] <= n else (1, (1,) * r)
@@ -104,7 +104,7 @@ def uniform_ehrhart(n, r):
     The sum is taken on integers, scaled by (n-1)!, and divided once per
     coefficient at the end."""
     if not (1 <= r <= n):
-        raise ValueError("need 1 <= r <= n")
+        raise ValueError("hstar: need 1 <= r <= n")
     total = [0] * n
     for s in range(r):
         # (n-1)! C(k(r-s) - s + n - 1, n-1) as a polynomial in k
@@ -133,7 +133,7 @@ def uniform_hstar(n, r):
     new n builds them from n = 1, O(n^4).
     """
     if not (1 <= r <= n):
-        raise ValueError("need 1 <= r <= n")
+        raise ValueError("hstar: need 1 <= r <= n")
     values = [katzman(n, k + 1)[k * r] for k in range(n)]
     return tuple(_times_one_minus_x_power(values, n))
 

@@ -23,25 +23,26 @@ every b_n with n <= s (von Staudt-Clausen). With M_s the lcm of
 by M_s / (beta_1 ... beta_s) shares the one denominator
 Q^s s! (-1)^s M_s. So the scaled numerators of the terms with equal s
 and equal numerator pairing lav + lv k at dilation k are summed on
-integers, each sum is expanded in k once, and each order s is divided
-once. The count of the k-th dilation is the polynomial's value at k.
+integers, the sums of each order are expanded in k together by one
+Kronecker substitution, and each order s is divided once. The count of
+the k-th dilation is the polynomial's value at k.
 
 A polytope has at most 2n^2 distinct rays, so lambda is checked and
 paired once per distinct ray. Each distinct sorted beta tuple's weights
-are computed once per polytope, extending the Todd product of its
-longest common prefix with the previous tuple of the same s, from a
-prefix stack that the call owns. No memo of tuples or prefixes
-outlives the polytope.
+are computed once per polytope, from the tuple's power sums by
+Newton's identity for the logarithmic derivative of the Todd product:
+O(s^2) integer operations per tuple, with no product of series. No
+memo of tuples outlives the polytope.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import factorial, lcm, prod
-from operator import mul
+from operator import add, mul, sub
 
 from .exactmath import (
-    binomial, poly_eval, poly_trim, series_mul_trunc, vec_dot,
+    binomial, poly_eval, poly_trim, vec_dot,
 )
 
 
@@ -99,38 +100,38 @@ def find_lambda(bs, n):
     return lam
 
 
-@cache
-def _todd_factor(s, beta):
-    """The factor h(-Q x beta) of a term with s denominator pairings,
-    truncated at order s: coefficients b_n Q^n (-beta)^n."""
-    return tuple(bn * (-beta) ** n for n, bn in enumerate(_todd_scaled(s)[1]))
+def weights(betas):
+    """Integer weight numerators W_0..W_s of one term, from its tuple of
+    pairings beta_j = <lambda, b_j>: W_l = (s!/l!) Q^l f_{s-l}, where
+    f is the product of the factors h(-Q x beta_j) truncated at order
+    s, so that f_m = Q^m td_m(-beta) and W_l / D is w_l with
+    D = `_denominator(s, prod beta)`. The product is taken from power
+    sums: since x (log h)'(x) = x/2 - sum_{even k} b_k x^k,
 
+        m f_m = sum_{k in {1} and even k <= m} e_k p_k f_{m-k},
 
-def weights(betas, stack):
-    """Integer weight numerators W_0..W_s of one term, from its sorted
-    tuple of pairings beta_j = <lambda, b_j>: W_l = (s!/l!) Q^l acc_{s-l},
-    where acc is the product of the factors h(-Q x beta_j) truncated at
-    order s, so that acc_j = Q^j td_j(-beta) and W_l / D is w_l with
-    D = `_denominator(s, prod beta)`. `stack` is the caller's list, one
-    per s and empty at first, of the prefix products (beta_i, product of
-    the factors of beta_0..beta_i) of the previous tuple of the same s.
-    The tuple extends the product of its longest common prefix with that
-    one and leaves its own prefixes there, so calls in lexicographic
-    order cost one truncated product per node of the trie of the tuples;
-    any order gives the same numerators."""
+    with e_1 = Q/2, p_1 = -sum beta, e_k = -b_k Q^k and p_k = sum
+    beta^k, each division by m exact (f_0 = 1). AssertionError on a
+    remainder, also under `python -O`."""
     s = len(betas)
-    k = 0
-    while k < len(stack) and stack[k][0] == betas[k]:
-        k += 1
-    del stack[k:]
-    acc = stack[-1][1] if stack else (1,)
-    for beta in betas[k:]:
-        # the factor first: series_mul_trunc skips the zero coefficients
-        # of its first argument, and b_n = 0 for every odd n >= 3
-        acc = series_mul_trunc(_todd_factor(s, beta), acc, s)
-        stack.append((beta, acc))
-    acc += (0,) * (s + 1 - len(acc))
-    return tuple(map(mul, _weight_scale(s), reversed(acc)))
+    q, scaled = _todd_scaled(s)
+    # ep[k - 1] = e_k p_k, 0 at every odd k >= 3
+    ep = [0] * s
+    if s:
+        ep[0] = -(q // 2) * sum(betas)
+    squares = powers = [b * b for b in betas]
+    for k in range(2, s + 1, 2):
+        ep[k - 1] = -scaled[k] * sum(powers)
+        powers = list(map(mul, powers, squares))
+    # f_m, ..., f_0, newest first, so that ep pairs with it in order
+    f = [1]
+    for m in range(1, s + 1):
+        fm, rem = divmod(sum(map(mul, ep, f)), m)
+        if rem:
+            raise AssertionError(f"specialize: Todd product coefficient"
+                                 f" {m} of {betas} is not an integer")
+        f.insert(0, fm)
+    return tuple(map(mul, _weight_scale(s), f))
 
 
 def _denominator(s, beta_prod):
@@ -157,14 +158,20 @@ def ehrhart_polynomial(g):
     """Exact Ehrhart polynomial of the polytope behind the parametric
     generating function g, as coefficients of k^0..k^dim. The terms are
     first collected per sorted beta tuple, and M_s, the lcm of
-    |prod beta| over the tuples of length s, is taken. Then, tuple by
-    tuple in lexicographic order, each tuple's weights are scaled once
-    by M_s / prod beta, and each of its terms adds them, times its
-    sign, to the sum of its group (s, lv, lav), where lv = <lambda, v>
-    and lav = <lambda, a> - lv make up its numerator pairing lav + lv k
-    at dilation k. Each group's P(x) = sum_l W_l x^l is expanded once
-    in k by Horner's rule into its order's sum, and each order's sum is
-    divided once by `_denominator(s, M_s)`."""
+    |prod beta| over the tuples of length s, is taken. Then each
+    tuple's weights are scaled once by M_s / prod beta, and each of its
+    terms adds them, times its sign, to the sum of its group (s, lv,
+    lav), where lv = <lambda, v> and lav = <lambda, a> - lv make up its
+    numerator pairing lav + lv k at dilation k.
+
+    Each order s then sums the groups' P(lav + lv k), P(x) =
+    sum_l W_l x^l, by Kronecker substitution: P is evaluated by Horner's
+    rule at the integer lav + lv 2^bits, so the sum is the integer whose
+    signed base-2^bits digits are the coefficients of k^0..k^s. Every
+    such coefficient is below (sum of |W_l| over the groups) times
+    (max |lv| + |lav|)^s in size, and bits leaves room for that and a
+    sign. The digits are read off once per order and divided by
+    `_denominator(s, M_s)`."""
     rays = dict.fromkeys(chain.from_iterable(t.bs for t in g.terms))
     lam = find_lambda(rays, g.n)
     pairing = {b: vec_dot(lam, b) for b in rays}
@@ -175,33 +182,47 @@ def ehrhart_polynomial(g):
     lcms = {}
     for key in runs:
         lcms[len(key)] = lcm(lcms.get(len(key), 1), prod(key))
-    stacks = {}
     groups = {}
-    for key in sorted(runs):
+    for key, terms in runs.items():
         s = len(key)
         f = lcms[s] // prod(key)
-        w = [f * x for x in weights(key, stacks.setdefault(s, []))]
-        for t in runs[key]:
-            lv = vec_dot(lam, t.v)
-            lav = vec_dot(lam, t.a) - lv
-            acc = groups.setdefault((s, lv, lav), [0] * (s + 1))
-            for l, wl in enumerate(w):
-                acc[l] += t.sign * wl
-    sums = {s: [0] * (s + 1) for s in lcms}
-    for (s, lv, lav), w in groups.items():
-        p = [w[-1]]
-        for wl in w[-2::-1]:
-            p = [lav * c + lv * d for c, d in zip(p + [0], [0] + p)]
-            p[0] += wl
-        acc = sums[s]
-        for m, c in enumerate(p):
-            acc[m] += c
-    max_s = max(sums, default=0)
+        w = [f * x for x in weights(key)]
+        order = groups.setdefault(s, {})
+        for t in terms:
+            lv = sum(map(mul, lam, t.v))
+            lav = sum(map(mul, lam, t.a)) - lv
+            acc = order.get((lv, lav))
+            # no list is changed in place, so groups may share w
+            if acc is None:
+                order[lv, lav] = w if t.sign == 1 else [-x for x in w]
+            else:
+                order[lv, lav] = list(map(add if t.sign == 1 else sub,
+                                          acc, w))
+    max_s = max(groups, default=0)
     coeffs = [Fraction(0)] * (max_s + 1)
-    for s, acc in sums.items():
+    for s, order in groups.items():
+        total = reach = 1
+        for (lv, lav), w in order.items():
+            total += sum(map(abs, w))
+            reach = max(reach, abs(lv) + abs(lav))
+        bits = (total * reach ** s).bit_length() + 1
+        packed = 0
+        for (lv, lav), w in order.items():
+            x = lav + (lv << bits)
+            p = 0
+            for wl in reversed(w):
+                p = p * x + wl
+            packed += p
         d = _denominator(s, lcms[s])
-        for m, c in enumerate(acc):
+        for m in range(s + 1):
+            c = packed & ((1 << bits) - 1)
+            if c >> (bits - 1):
+                c -= 1 << bits
             coeffs[m] += Fraction(c, d)
+            packed = (packed - c) >> bits
+        if packed:
+            raise AssertionError(f"specialize: order {s} sum has digits"
+                                 f" beyond k^{s}")
     for m in range(g.dim + 1, max_s + 1):
         if coeffs[m] != 0:
             raise AssertionError(f"specialize: coefficient of k^{m} should"

@@ -56,7 +56,9 @@
   references for `exactmath.poly_from_values` (Newton form on integers)
   and for the products the tests take of Ehrhart polynomials.
 - The Fraction specialization: lambda on the moment curve, the Todd
-  series and per-term Fraction weights, and per-term Fraction sums for
+  series as the truncated product of its factors and per-term Fraction
+  weights (that product on integers is the reference for the power-sum
+  recurrence of `specialize.weights`), and per-term Fraction sums for
   counts and Ehrhart polynomials, the reference for the integer
   per-class sums along lambda = (1, ..., n) in `specialize`; a single
   Todd coefficient read off that series; the generating function of a
@@ -81,8 +83,8 @@ from math import comb, factorial, prod
 from ehrmat import corpus
 from ehrmat.cones import _place
 from ehrmat.exactmath import (
-    _integral_unimodular, binomial, mat_rank, poly_trim,
-    series_mul_trunc, solve_linear, vec_add, vec_dot, vec_sub,
+    _integral_unimodular, binomial, mat_rank, poly_trim, solve_linear,
+    vec_dot, vec_sub,
 )
 from ehrmat.genfun import GenFun, GenFunTerm
 from ehrmat.hstar import is_unimodal, katzman, uniform_hstar
@@ -271,7 +273,7 @@ def reference_placing_triangulation(points):
             continue
         new = []
         bary_cache = {}
-        for fac, owner in _boundary_facets_with_owner(simplices):
+        for fac, owner, _ in _boundary_facets_with_owner(simplices):
             if owner not in bary_cache:
                 rows = [[points[i][c] for i in owner] for c in range(len(p))]
                 rows.append([1] * len(owner))
@@ -285,13 +287,18 @@ def reference_placing_triangulation(points):
 
 
 def _boundary_facets_with_owner(simplices):
+    """Facets of exactly one of the simplices, as (facet, that simplex,
+    position in it of the vertex the facet omits), by a scan of every
+    facet of every simplex; a point's one facet is ()."""
     seen = {}
     for s in simplices:
-        if len(s) == 1:
-            continue
         for fac in combinations(s, len(s) - 1):
-            seen[fac] = None if fac in seen else s
-    return [(fac, owner) for fac, owner in seen.items() if owner is not None]
+            if fac in seen:
+                seen[fac] = None
+            else:
+                j = next(i for i, v in enumerate(s) if v not in fac)
+                seen[fac] = (s, j)
+    return [(fac, *owner) for fac, owner in seen.items() if owner is not None]
 
 
 def reference_triangulate_cone(rays):
@@ -303,8 +310,10 @@ def reference_triangulate_cone(rays):
         return [list(range(len(rays)))]
     tri = reference_placing_triangulation(
         [tuple(0 for _ in rays[0])] + list(rays))
+    # a lone apex's one facet, (), spans no cone
     pieces = [[i - 1 for i in fac]
-              for fac, _ in _boundary_facets_with_owner(tri) if 0 not in fac]
+              for fac, _, _ in _boundary_facets_with_owner(tri)
+              if fac and 0 not in fac]
     return [piece for piece in pieces
             if mat_rank([rays[j] for j in piece]) == len(piece)]
 
@@ -871,6 +880,20 @@ def poly_interpolate(points):
 # ---------------------------------------------------------------------------
 # specialization on Fractions, term by term
 
+def series_mul_trunc(a, b, m):
+    """Product of two polynomials with every term of degree > m dropped;
+    integer inputs give integer coefficients."""
+    out = [0] * (m + 1)
+    for i, ca in enumerate(a):
+        if i > m or ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            if i + j > m:
+                break
+            out[i + j] += ca * cb
+    return poly_trim(tuple(out))
+
+
 def todd_series(xis, m):
     """All Todd coefficients td_0..td_m of prod_j h(x xi_j), by
     successive truncated multiplications of the factors' Taylor
@@ -920,7 +943,7 @@ def dilate(g, k):
     if k == 1:
         return g
     terms = [GenFunTerm(t.sign,
-                        vec_add(t.a, tuple((k - 1) * x for x in t.v)),
+                        tuple(a + (k - 1) * x for a, x in zip(t.a, t.v)),
                         tuple(k * x for x in t.v),
                         t.bs)
              for t in g.terms]

@@ -17,11 +17,11 @@ from math import factorial
 from oracles import (
     det, direct_sum, dual, ground_size, half_open_contains, hstar_rank2,
     hstar_sum_identity, is_symmetric, katzman_multinomial, katzman_rankrel,
-    poly_mul, todd_eval,
+    poly_mul, series_mul_trunc, todd_eval,
 )
 
 from ehrmat import bruteforce, corpus, hstar, specialize
-from ehrmat.exactmath import poly_trim, series_mul_trunc
+from ehrmat.exactmath import poly_trim
 from ehrmat.genfun import (
     affine_lattice_basis, build_genfun, to_working, working_chart,
 )

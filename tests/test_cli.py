@@ -102,9 +102,9 @@ def test_verify_plans_weights_once(capsys, monkeypatch):
     real = specialize.weights
     calls = []
 
-    def counted(betas, stack):
+    def counted(betas):
         calls.append(betas)
-        return real(betas, stack)
+        return real(betas)
 
     monkeypatch.setattr(specialize, "weights", counted)
     path = data_path("U24_independence")

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    det, fraction_mat_rank, half_open_contains, is_extreme_direction,
-    mat_mul, placing_triangulation, reference_placing_triangulation,
-    reference_triangulate_cone, visible,
+    _boundary_facets_with_owner, det, fraction_mat_rank, half_open_contains,
+    is_extreme_direction, mat_mul, placing_triangulation,
+    reference_placing_triangulation, reference_triangulate_cone, visible,
 )
 from test_bruteforce import matroid_specs, polymatroid_specs
 
 import ehrmat
-from ehrmat import cli, cones, corpus
+from ehrmat import cli, corpus
 from ehrmat.cones import (
     _arc, _place, arc_pattern, assert_unimodular, cone_ray_matrix,
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
@@ -251,10 +251,10 @@ def _replayed_chart(points):
 
 
 def _assert_carried_inverses(points):
-    # t M^T = d I with |d| = |det M|, M the simplex's homogenized
+    # t M^T = d I with d = |det M| > 0, M the simplex's homogenized
     # vertex matrix read on the chart, one row per vertex; returns the
-    # |d| seen
-    tri, inverse = _place(points)
+    # d seen
+    tri, inverse, _ = _place(points)
     chart = _replayed_chart(points)
     dets = set()
     for s in tri:
@@ -263,14 +263,18 @@ def _assert_carried_inverses(points):
         assert mat_mul(t, list(zip(*m))) == tuple(
             tuple(d * (i == j) for j in range(len(s)))
             for i in range(len(s)))
-        assert abs(d) == abs(det(m)) > 0
-        dets.add(abs(d))
+        assert d == abs(det(m)) > 0
+        dets.add(d)
     return dets
 
 
+# up to 9 small integer points in dimension <= 4, repeats allowed
+place_points = st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=9))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
-    st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=9)))
+@given(place_points)
 def test_place_carries_scaled_inverses(points):
     _assert_carried_inverses(points)
 
@@ -287,28 +291,32 @@ def test_place_carries_scaled_inverses_off_unit_determinant():
         [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]) == {4}
 
 
-def test_boundary_built_once_per_hull_growth(monkeypatch):
-    # the boundary is read off all simplices at the first insertion
-    # after a hull growth and kept after that, and triangulate_cone
-    # reads the final one once: at most (hull growths + 1) scans per
-    # cone, where a scan per inserted point would make one per ray
-    real = cones._boundary_facets_with_owner
-    calls = []
+def _assert_boundary_of_simplices(points):
+    # the boundary _place keeps through hull growths and insertions is
+    # the one a scan of every facet of its simplices finds, facet ->
+    # (owner, omitted position)
+    tri, _, boundary = _place(points)
+    assert boundary == {fac: (owner, j) for fac, owner, j
+                        in _boundary_facets_with_owner(tri)}
 
-    def counted(simplices):
-        calls.append(len(simplices))
-        return real(simplices)
 
-    monkeypatch.setattr(cones, "_boundary_facets_with_owner", counted)
-    scans = per_point = 0
+@settings(max_examples=200, deadline=None)
+@given(place_points)
+def test_place_keeps_boundary_of_its_simplices(points):
+    _assert_boundary_of_simplices(points)
+
+
+def test_place_keeps_boundary_on_ag32_tangent_cones():
+    # AG32's tangent cones list their rays in adjacency order, so
+    # interior insertions come before hull growths
+    interior_first = 0
     for rays in _working_tangent_cones(relabelling_specs()["AG32"]):
-        calls.clear()
-        triangulate_cone(rays)
-        growths = fraction_mat_rank(rays)
-        assert len(calls) <= growths + 1
-        scans += len(calls)
-        per_point += len(rays) - growths + 1
-    assert 0 < scans < per_point
+        points = [(0,) * len(rays[0])] + rays
+        _assert_boundary_of_simplices(points)
+        ranks = [fraction_mat_rank(rays[:k]) for k in range(len(rays) + 1)]
+        interior_first += any(ranks[k] == ranks[k + 1] < ranks[-1]
+                              for k in range(len(rays)))
+    assert interior_first > 0
 
 
 def test_triangulate_owner_without_apex_by_hand():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det, mat_identity, mat_inverse_unimodular
+from oracles import (
+    det, mat_identity, mat_inverse_unimodular, series_mul_trunc,
+)
 
 from ehrmat.exactmath import (
     binomial, mat_rank, poly_eval, poly_from_values, poly_trim,
-    series_mul_trunc, solve_linear, vec_dot,
+    solve_linear, vec_dot,
 )
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=9)

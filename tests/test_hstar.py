@@ -44,6 +44,15 @@ def test_transform_rejects_non_ehrhart_input():
         ehrhart_to_hstar((Fraction(1), Fraction(-3)), 1)
 
 
+def test_range_errors_name_stage():
+    with pytest.raises(ValueError, match="^hstar: need n >= 1"):
+        hstar.katzman(0, 2)
+    with pytest.raises(ValueError, match="^hstar: need 1 <= r <= n"):
+        hstar.uniform_ehrhart(2, 3)
+    with pytest.raises(ValueError, match="^hstar: need 1 <= r <= n"):
+        hstar.uniform_hstar(3, 0)
+
+
 def test_sum_identity():
     h = ehrhart_to_hstar(K4_EHRHART, 5)
     assert hstar_sum_identity(h, K4_EHRHART, 5)

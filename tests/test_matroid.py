@@ -108,6 +108,11 @@ def test_from_table_rejects_non_int_values():
     assert RankFunction.from_table(1, {frozenset({1}): 1}).values == (0, 1)
 
 
+def test_relaxation_error_names_stage():
+    with pytest.raises(ValueError, match="^corpus: not a circuit-hyperplane"):
+        corpus._relaxation_bases([frozenset({1, 2})], 3, 2, [{1, 2}])
+
+
 def test_relaxation_rejects_non_circuit_hyperplane_under_optimize():
     # relaxing a set that is already a basis must be a real exception,
     # not a bare assert that `python -O` strips

@@ -10,17 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     dilate, fraction_weights, reference_count, reference_ehrhart_polynomial,
-    todd_eval, todd_series,
+    series_mul_trunc, todd_eval, todd_series,
 )
 from test_bruteforce import matroid_specs, polymatroid_specs
 
 import ehrmat
-from ehrmat.exactmath import series_mul_trunc
 from ehrmat.genfun import GenFun, GenFunTerm, build_genfun
 from ehrmat.matroid import RankFunction
 from ehrmat.specialize import (
-    _denominator, _todd_scaled, count, ehrhart_polynomial, find_lambda,
-    todd_c, weights,
+    _denominator, _todd_scaled, _weight_scale, count, ehrhart_polynomial,
+    find_lambda, todd_c, weights,
 )
 from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec
 
@@ -130,13 +129,13 @@ def test_find_lambda_rejects_zero_pairing_under_optimize():
 
 def _fractions(betas):
     # the weights w_l = W_l / D of one term
-    w = weights(tuple(sorted(betas)), [])
+    w = weights(tuple(sorted(betas)))
     d = _denominator(len(betas), prod(betas))
     return [Fraction(x, d) for x in w]
 
 
 def test_weights_empty_denominator():
-    assert weights((), []) == (1,)
+    assert weights(()) == (1,)
     assert _fractions([]) == fraction_weights([]) == [Fraction(1)]
 
 
@@ -158,6 +157,28 @@ def test_weights_match_fraction_reference(betas):
 def test_long_weights_match_fraction_reference(betas):
     # the orders where Q^s and M_s grow fastest; U(n,3) reaches s = 2n - 4
     assert _fractions(betas) == fraction_weights(betas)
+
+
+def _product_form_weights(betas):
+    # the Todd product as the truncated product of its factors
+    # h(-Q x beta) = sum_n b_n Q^n (-beta)^n x^n, one series product per
+    # beta, scaled into W_l as `weights` documents
+    s = len(betas)
+    scaled = _todd_scaled(s)[1]
+    acc = (1,)
+    for beta in betas:
+        acc = series_mul_trunc(
+            tuple(bq * (-beta) ** n for n, bq in enumerate(scaled)), acc, s)
+    acc += (0,) * (s + 1 - len(acc))
+    return tuple(w * f for w, f in zip(_weight_scale(s), reversed(acc)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-20, 20).filter(bool), max_size=12))
+def test_weights_match_product_form(betas):
+    # the power-sum recurrence against the product of the factors
+    betas = tuple(sorted(betas))
+    assert weights(betas) == _product_form_weights(betas)
 
 
 def _primes_upto(m):
@@ -185,11 +206,10 @@ def test_todd_scaled_is_integral_up_to_order_40():
 @given(st.lists(st.lists(st.integers(-8, 8).filter(bool), max_size=7)
                 .map(lambda b: tuple(sorted(b))), max_size=20))
 def test_weights_do_not_depend_on_call_order(tuples):
-    # weights extends the prefix products left on the stack of its s;
+    # weights reads its Todd row and weight scale off caches kept per s;
     # tuples of mixed s in any order must still give the reference weights
-    stacks = {}
     for betas in tuples:
-        w = weights(betas, stacks.setdefault(len(betas), []))
+        w = weights(betas)
         d = _denominator(len(betas), prod(betas))
         assert [Fraction(x, d) for x in w] == fraction_weights(betas)
 
@@ -259,6 +279,23 @@ def test_groups_share_pairings_across_products_and_orders():
     p = ehrhart_polynomial(g)
     assert p == reference_ehrhart_polynomial(g)
     assert len(p) == 3 and p[2] != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, -1]),
+                          st.integers(-1000, 1000), st.integers(-1000, 1000),
+                          st.lists(st.integers(-20, 20).filter(bool),
+                                   max_size=6)),
+                min_size=1, max_size=12))
+def test_signed_terms_match_reference(terms):
+    # n = 1 terms of mixed signs, orders and pairings, some negative:
+    # each order's groups are summed as one integer in base 2^bits, and
+    # its coefficients, of either sign, must come back exactly. The
+    # dimension is the highest order, so no coefficient need vanish
+    g = GenFun([GenFunTerm(sign, (a,), (v,), [(x,) for x in betas])
+                for sign, a, v, betas in terms],
+               1, max(len(t[3]) for t in terms))
+    assert ehrhart_polynomial(g) == reference_ehrhart_polynomial(g)
 
 
 def test_checks_raise_under_optimize():
