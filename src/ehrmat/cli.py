@@ -23,8 +23,8 @@ from math import factorial
 from . import bruteforce, genfun, hstar, specialize
 from .exactmath import poly_eval
 from .matroid import (
-    TABLE_GUARD_N, BudgetExceeded, RankFunction, ValidationError,
-    check_matroid_axioms, check_polymatroid_axioms, guard_n,
+    BudgetExceeded, RankFunction, ValidationError, check_matroid_axioms,
+    check_polymatroid_axioms,
 )
 from .vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,
@@ -96,20 +96,15 @@ def parse_document(doc):
             f = RankFunction.from_bases(n, bases)
         elif kind == "table":
             n = _int(doc["n"], "n")
-            # before 1 << n below
-            guard_n(n, TABLE_GUARD_N, "rank table")
             table = {}
             for entry in doc["values"]:
                 a = _subset(entry["subset"], "subset")
                 if a in table:
                     raise ValidationError(f"table lists subset {sorted(a)}"
                                           f" twice")
-                table[a] = _int(entry["value"], "value")
-            if (len([a for a in table if a]) != (1 << n) - 1
-                    or any(not 1 <= x <= n for a in table for x in a)
-                    or table.get(frozenset(), 0) != 0):
-                raise ValidationError("table must list every non-empty subset"
-                                      " of 1..n, and the empty set only as 0")
+                table[a] = entry["value"]
+            # from_table guards n and checks the values, their range and
+            # completeness; the axiom check below rejects f(empty) != 0
             f = RankFunction.from_table(n, table)
         else:
             raise ValidationError(f"unknown kind {kind!r}")
@@ -219,7 +214,8 @@ def cmd_genfun(args):
         "dim": g.dim,
         "termCount": len(g.terms),
         "terms": [{
-            "sign": t.sign,
+            # the pieces partition each tangent cone: every term counts +1
+            "sign": 1,
             "a": list(t.a),
             "v": list(t.v),
             "b": [list(b) for b in t.bs],

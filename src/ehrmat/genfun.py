@@ -1,14 +1,15 @@
 """Multivariate rational generating functions of lattice polytopes:
 per-cone terms from half-open unimodular cones, summed over vertex
-tangent cones. A term carries its vertex v, so the k-th dilation is the
+tangent cones. The pieces partition each cone, so every term counts
++1. A term carries its vertex v, so the k-th dilation is the
 parametric form
 
-    g_kP(z) = sum_i eps_i z^(a_i + (k-1) v_i) / prod_j (1 - z^(b_ij)),
+    g_kP(z) = sum_i z^(a_i + (k-1) v_i) / prod_j (1 - z^(b_ij)),
 
 which `specialize.ehrhart_polynomial` reads as a polynomial in k.
 
-Exponent vectors live in the ambient Z^n; the number of denominator
-factors per term is the polytope dimension N, because all cone work is
+Exponent vectors live in the ambient Z^n; every term has exactly N
+denominator factors, N the polytope dimension, because all cone work is
 done in a lattice basis of the polytope's affine hull. That basis is
 the reduced row echelon form of the vertex differences: for matroid and
 polymatroid polytopes every edge direction is +-(e_a - e_b) or +-e_a, so
@@ -45,12 +46,12 @@ from .vertices import enumerate_vertices
 
 
 class GenFunTerm:
-    """One signed rational-function term of the generating function."""
+    """One term z^a / prod_j (1 - z^(b_j)) of the generating function,
+    for a piece of the tangent cone at vertex v."""
 
-    def __init__(self, sign, a, v, bs):
+    def __init__(self, a, v, bs):
         if not all(map(any, bs)):
             raise ValueError("genfun: zero denominator exponent")
-        self.sign = sign
         self.a = a
         self.v = v
         self.bs = bs
@@ -119,7 +120,7 @@ def build_genfun(spec):
     if dim == 0:
         # a single lattice point
         point = vs.vertices[0]
-        return GenFun([GenFunTerm(1, point, point, [])], spec.n, 0)
+        return GenFun([GenFunTerm(point, point, [])], spec.n, 0)
     chart = working_chart(basis)
     patterns = {}
     terms = []
@@ -130,8 +131,8 @@ def build_genfun(spec):
 
 def _vertex_terms(vs, i, chart, patterns):
     """The terms of vertex i's tangent cone: the cone is triangulated in
-    working coordinates, and each half-open piece is the term with sign
-    +1, numerator exponent the vertex plus the piece's open rays, and
+    working coordinates, and each half-open piece is the term with
+    numerator exponent the vertex plus the piece's open rays, and
     the piece's ambient rays as denominator exponents.
 
     `patterns` maps the `arc_pattern` of each cone triangulated so far
@@ -165,5 +166,5 @@ def _vertex_terms(vs, i, chart, patterns):
     for piece, flags in flagged:
         a = tuple(map(sum, zip(v, *[rays[j] for j, is_open
                                     in zip(piece, flags) if is_open])))
-        out.append(GenFunTerm(1, a, v, [rays[j] for j in piece]))
+        out.append(GenFunTerm(a, v, [rays[j] for j in piece]))
     return out

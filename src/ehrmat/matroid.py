@@ -24,7 +24,10 @@ def guard_n(n, default_limit, what):
     """Raise BudgetExceeded when n exceeds the guard. EHRMAT_BUDGET, if
     set, overrides the default limit (it is the largest ground-set size
     the enumeration guards accept); a value that is not an integer is a
-    ValidationError."""
+    ValidationError. A negative n is no ground-set size: ValueError,
+    before any caller shifts by it."""
+    if n < 0:
+        raise ValueError(f"matroid: ground-set size n = {n} is negative")
     override = os.environ.get("EHRMAT_BUDGET")
     try:
         limit = int(override) if override else default_limit
@@ -39,7 +42,8 @@ def _mask(subset, n):
     mask = 0
     for e in subset:
         if e not in range(1, n + 1):
-            raise ValueError("matroid: element out of range")
+            raise ValueError(f"matroid: element {e} is out of range"
+                             f" 1..n, n = {n}")
         mask |= 1 << (e - 1)
     return mask
 

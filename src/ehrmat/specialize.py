@@ -10,22 +10,22 @@ the c_n.
 Every exponent is paired with lambda = (1, 2, ..., n). A denominator
 exponent is a tangent-cone ray of a matroid or polymatroid polytope,
 +-(e_a - e_b) or +-e_a, so its pairing beta is a nonzero integer with
-|beta| <= n. A term with s denominator pairings beta_1..beta_s and
-numerator pairing x contributes sum_l w_l x^l, with
+|beta| <= n. Every term is a full-dimensional unimodular cone counted
++1, with s = dim denominator pairings beta_1..beta_s; with numerator
+pairing x it contributes sum_l w_l x^l, where
 
     w_l = (-1)^s td_{s-l}(-beta_1, ..., -beta_s) / (l! beta_1 ... beta_s)
         = W_l / D,   D = Q^s s! (-1)^s beta_1 ... beta_s,
 
-where Q is the product of the primes <= s + 1 and the numerators W_l
-are integers: substituting x -> Q x in h clears the denominator of
-every b_n with n <= s (von Staudt-Clausen). With M_s the lcm of
-|beta_1 ... beta_s| over the tuples of length s, each tuple's W scaled
-by M_s / (beta_1 ... beta_s) shares the one denominator
-Q^s s! (-1)^s M_s. So the scaled numerators of the terms with equal s
-and equal numerator pairing lav + lv k at dilation k are summed on
-integers, the sums of each order are expanded in k together by one
-Kronecker substitution, and each order s is divided once. The count of
-the k-th dilation is the polynomial's value at k.
+Q is the product of the primes <= s + 1 and the numerators W_l are
+integers: substituting x -> Q x in h clears the denominator of every
+b_n with n <= s (von Staudt-Clausen). With M the lcm of
+|beta_1 ... beta_s| over the tuples, each tuple's W scaled by
+M / (beta_1 ... beta_s) shares the one denominator Q^s s! (-1)^s M. So
+the scaled numerators of the terms with equal numerator pairing
+lav + lv k at dilation k are summed on integers, the sums are expanded
+in k together by one Kronecker substitution, and the result is divided
+once. The count of the k-th dilation is the polynomial's value at k.
 
 A polytope has at most 2n^2 distinct rays, so lambda is checked and
 paired once per distinct ray. Each distinct sorted beta tuple's weights
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import factorial, lcm, prod
-from operator import add, mul, sub
+from operator import add, mul
 
 from .exactmath import (
     binomial, poly_eval, poly_trim, vec_dot,
@@ -136,8 +136,8 @@ def weights(betas):
 
 def _denominator(s, beta_prod):
     """D = Q^s s! (-1)^s beta_prod: the denominator of the weights of a
-    tuple with product beta_prod, and, with beta_prod = M_s, the one
-    denominator of every order-s sum of `ehrhart_polynomial`."""
+    tuple with product beta_prod, and, with beta_prod = M, the one
+    denominator of `ehrhart_polynomial`'s sum."""
     return _todd_scaled(s)[0] ** s * factorial(s) * (-1) ** s * beta_prod
 
 
@@ -156,75 +156,69 @@ def count(p, k):
 
 def ehrhart_polynomial(g):
     """Exact Ehrhart polynomial of the polytope behind the parametric
-    generating function g, as coefficients of k^0..k^dim. The terms are
-    first collected per sorted beta tuple, and M_s, the lcm of
-    |prod beta| over the tuples of length s, is taken. Then each
-    tuple's weights are scaled once by M_s / prod beta, and each of its
-    terms adds them, times its sign, to the sum of its group (s, lv,
-    lav), where lv = <lambda, v> and lav = <lambda, a> - lv make up its
-    numerator pairing lav + lv k at dilation k.
+    generating function g, as coefficients of k^0..k^dim. Every term
+    must be a full-dimensional unimodular cone counted with +1, as
+    `genfun.build_genfun` builds them: a term with other than g.dim rays
+    raises AssertionError, also under `python -O`.
 
-    Each order s then sums the groups' P(lav + lv k), P(x) =
-    sum_l W_l x^l, by Kronecker substitution: P is evaluated by Horner's
-    rule at the integer lav + lv 2^bits, so the sum is the integer whose
-    signed base-2^bits digits are the coefficients of k^0..k^s. Every
-    such coefficient is below (sum of |W_l| over the groups) times
-    (max |lv| + |lav|)^s in size, and bits leaves room for that and a
-    sign. The digits are read off once per order and divided by
-    `_denominator(s, M_s)`."""
+    The terms are first collected per sorted beta tuple, and M, the lcm
+    of |prod beta| over the tuples, is taken. Then each tuple's weights
+    are scaled once by M / prod beta, and each of its terms adds them to
+    the sum of its group (lv, lav), where lv = <lambda, v> and
+    lav = <lambda, a> - lv make up its numerator pairing lav + lv k at
+    dilation k.
+
+    The groups' P(lav + lv k), P(x) = sum_l W_l x^l, are then summed by
+    Kronecker substitution: P is evaluated by Horner's rule at the
+    integer lav + lv 2^bits, so the sum is the integer whose
+    base-2^bits digits, each in [-2^(bits-1), 2^(bits-1)), are the
+    coefficients of k^0..k^dim. Every such coefficient is below (sum of
+    |W_l| over the groups) times (max |lv| + |lav|)^dim in size, and
+    bits is one more bit than that bound needs. The digits are read off
+    once and divided by `_denominator(dim, M)`."""
+    dim = g.dim
     rays = dict.fromkeys(chain.from_iterable(t.bs for t in g.terms))
     lam = find_lambda(rays, g.n)
     pairing = {b: vec_dot(lam, b) for b in rays}
     runs = {}
     for t in g.terms:
+        if len(t.bs) != dim:
+            raise AssertionError(f"specialize: a term has {len(t.bs)} rays"
+                                 f" in dimension {dim}")
         runs.setdefault(tuple(sorted(map(pairing.__getitem__, t.bs))),
                         []).append(t)
-    lcms = {}
-    for key in runs:
-        lcms[len(key)] = lcm(lcms.get(len(key), 1), prod(key))
+    m = lcm(*map(prod, runs))
     groups = {}
     for key, terms in runs.items():
-        s = len(key)
-        f = lcms[s] // prod(key)
+        f = m // prod(key)
         w = [f * x for x in weights(key)]
-        order = groups.setdefault(s, {})
         for t in terms:
             lv = sum(map(mul, lam, t.v))
             lav = sum(map(mul, lam, t.a)) - lv
-            acc = order.get((lv, lav))
+            acc = groups.get((lv, lav))
             # no list is changed in place, so groups may share w
-            if acc is None:
-                order[lv, lav] = w if t.sign == 1 else [-x for x in w]
-            else:
-                order[lv, lav] = list(map(add if t.sign == 1 else sub,
-                                          acc, w))
-    max_s = max(groups, default=0)
-    coeffs = [Fraction(0)] * (max_s + 1)
-    for s, order in groups.items():
-        total = reach = 1
-        for (lv, lav), w in order.items():
-            total += sum(map(abs, w))
-            reach = max(reach, abs(lv) + abs(lav))
-        bits = (total * reach ** s).bit_length() + 1
-        packed = 0
-        for (lv, lav), w in order.items():
-            x = lav + (lv << bits)
-            p = 0
-            for wl in reversed(w):
-                p = p * x + wl
-            packed += p
-        d = _denominator(s, lcms[s])
-        for m in range(s + 1):
-            c = packed & ((1 << bits) - 1)
-            if c >> (bits - 1):
-                c -= 1 << bits
-            coeffs[m] += Fraction(c, d)
-            packed = (packed - c) >> bits
-        if packed:
-            raise AssertionError(f"specialize: order {s} sum has digits"
-                                 f" beyond k^{s}")
-    for m in range(g.dim + 1, max_s + 1):
-        if coeffs[m] != 0:
-            raise AssertionError(f"specialize: coefficient of k^{m} should"
-                                 f" vanish")
-    return poly_trim(tuple(coeffs[:g.dim + 1]))
+            groups[lv, lav] = w if acc is None else list(map(add, acc, w))
+    total = reach = 1
+    for (lv, lav), w in groups.items():
+        total += sum(map(abs, w))
+        reach = max(reach, abs(lv) + abs(lav))
+    bits = (total * reach ** dim).bit_length() + 1
+    packed = 0
+    for (lv, lav), w in groups.items():
+        x = lav + (lv << bits)
+        p = 0
+        for wl in reversed(w):
+            p = p * x + wl
+        packed += p
+    d = _denominator(dim, m)
+    coeffs = []
+    for _ in range(dim + 1):
+        c = packed & ((1 << bits) - 1)
+        if c >> (bits - 1):
+            c -= 1 << bits
+        coeffs.append(Fraction(c, d))
+        packed = (packed - c) >> bits
+    if packed:
+        raise AssertionError(f"specialize: the sum has digits beyond"
+                             f" k^{dim}")
+    return poly_trim(tuple(coeffs))

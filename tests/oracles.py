@@ -942,8 +942,7 @@ def dilate(g, k):
         raise ValueError("dilation factor must be >= 1")
     if k == 1:
         return g
-    terms = [GenFunTerm(t.sign,
-                        tuple(a + (k - 1) * x for a, x in zip(t.a, t.v)),
+    terms = [GenFunTerm(tuple(a + (k - 1) * x for a, x in zip(t.a, t.v)),
                         tuple(k * x for x in t.v),
                         t.bs)
              for t in g.terms]
@@ -957,10 +956,10 @@ def _term_weights(g):
 
 
 def reference_count(g):
-    """#lattice points behind g: sum over terms of sign * sum_l w_l
+    """#lattice points behind g: sum over terms of sum_l w_l
     <lambda, a>^l, one Fraction per term and l."""
     lam, ws = _term_weights(g)
-    return sum((t.sign * w[l] * vec_dot(lam, t.a) ** l
+    return sum((w[l] * vec_dot(lam, t.a) ** l
                 for t, w in zip(g.terms, ws) for l in range(len(w))),
                Fraction(0))
 
@@ -977,7 +976,7 @@ def reference_ehrhart_polynomial(g):
         lav = vec_dot(lam, t.a) - lv
         for l in range(len(w)):
             for m in range(l + 1):
-                coeffs[m] += (t.sign * w[l] * binomial(l, m)
+                coeffs[m] += (w[l] * binomial(l, m)
                               * lav ** (l - m) * lv ** m)
     if any(coeffs[g.dim + 1:]):
         raise AssertionError("coefficients above the dimension should vanish")

@@ -514,6 +514,9 @@ def test_bundled_corpus_documents_pin_corpus():
     {"family": "bases", "kind": "bases", "n": 3, "bases": [[1, 1, 2], [2, 3]]},
     # a basis listed twice: the list is no set of bases
     {"family": "bases", "kind": "bases", "n": 1, "bases": [[1], [1]]},
+    # a negative ground-set size, which 1 << n cannot take
+    {"family": "bases", "kind": "bases", "n": -1, "bases": [[]]},
+    {"family": "polymatroid", "kind": "table", "n": -1, "values": []},
     # a table subset outside the ground set
     {"family": "polymatroid", "kind": "table", "n": 1,
      "values": [{"subset": [2], "value": 1}]},
@@ -534,6 +537,7 @@ def test_bundled_corpus_documents_pin_corpus():
     ["verify", data_path("K4"), "--kmax", "-1"],
 ], ids=["edge_triple", "float_n", "string_r", "float_value",
         "repeated_basis_element", "bases_basis_twice",
+        "bases_n_negative", "table_n_negative",
         "table_subset_out_of_range",
         "table_empty_set_nonzero", "table_subset_twice", "name_not_string",
         "scan_nmax_negative", "scan_nmax_one", "scan_rmax_zero",

@@ -29,7 +29,7 @@ from ehrmat.vertices import (
 
 def test_term_rejects_zero_denominator():
     with pytest.raises(ValueError):
-        GenFunTerm(1, (0,), (0,), [(0,)])
+        GenFunTerm((0,), (0,), [(0,)])
 
 
 def test_affine_lattice_basis_segment():
@@ -194,7 +194,7 @@ def _eval_genfun(g, z):
             factor = 1 - power(b)
             assert factor != 0, "evaluation point hit a pole"
             denom *= factor
-        total += t.sign * power(t.a) / denom
+        total += power(t.a) / denom
     return total
 
 
@@ -253,7 +253,7 @@ def test_to_working_rejects_unsaturated_basis_under_optimize():
 
 
 def _term_tuples(terms):
-    return [(t.sign, t.a, t.v, t.bs) for t in terms]
+    return [(t.a, t.v, t.bs) for t in terms]
 
 
 @pytest.mark.parametrize("name", sorted(relabelling_specs()))

@@ -250,6 +250,16 @@ def test_rank_table_guard(monkeypatch):
         RankFunction.from_table(64, {})
 
 
+def test_negative_n_is_rejected_by_name():
+    # no ground set has -1 elements: each constructor that takes n
+    # rejects it, naming n, before 1 << n is taken
+    for make in (lambda: RankFunction.from_bases(-1, [[]]),
+                 lambda: RankFunction.from_bases(-1, [[1]]),
+                 lambda: RankFunction.from_table(-1, {})):
+        with pytest.raises(ValueError, match="n = -1"):
+            make()
+
+
 def _draw_matroid(draw, n_max):
     """A matroid-flagged RankFunction from the uniform, graphic or bases
     constructor, paired with its frozenset formula."""

@@ -221,6 +221,8 @@ def test_specialization_matches_fraction_reference(spec):
     # moment-curve lambda with per-term Fraction sums; a count is the
     # polynomial's value, the reference's the sum over the dilated terms
     g = build_genfun(spec)
+    # every term is a full-dimensional cone, the one order specialized
+    assert all(len(t.bs) == g.dim for t in g.terms)
     p = ehrhart_polynomial(g)
     assert p == reference_ehrhart_polynomial(g)
     for k in range(1, 4):
@@ -229,78 +231,68 @@ def test_specialization_matches_fraction_reference(spec):
 
 def test_segment_count_by_hand_terms():
     # [0, 1]: closed cone at 0 with ray +1, open cone at 1 with ray -1
-    g = GenFun([GenFunTerm(1, (0,), (0,), [(1,)]),
-                GenFunTerm(1, (1,), (1,), [(-1,)])], 1, 1)
+    g = GenFun([GenFunTerm((0,), (0,), [(1,)]),
+                GenFunTerm((1,), (1,), [(-1,)])], 1, 1)
     assert count(ehrhart_polynomial(g), 1) == 2
 
 
 def test_mixed_orders_by_hand():
     # the closed vertex cones of the unit square (s = 2) and of the unit
-    # segments along e1 and e2 (s = 1); lambda = (1, 2), so the sorted
-    # beta tuples (-2,) < (-2, -1) < (-2, 1) < (-1,) < (-1, 2) < (1,)
-    # < (1, 2) < (2,) interleave the two orders and share prefixes
-    # across them. (k + 1)^2 + 2 (k + 1) points
+    # segments along e1 and e2 (s = 1) in one GenFun of dimension 2: no
+    # polytope's pieces have fewer rays than its dimension, so the
+    # segments' terms are rejected, not specialized
     square = [((0, 0), [(1, 0), (0, 1)]), ((1, 0), [(-1, 0), (0, 1)]),
               ((0, 1), [(1, 0), (0, -1)]), ((1, 1), [(-1, 0), (0, -1)])]
     segments = [((0, 0), [(1, 0)]), ((1, 0), [(-1, 0)]),
                 ((0, 0), [(0, 1)]), ((0, 1), [(0, -1)])]
-    g = GenFun([GenFunTerm(1, v, v, bs) for v, bs in square + segments],
+    g = GenFun([GenFunTerm(v, v, bs) for v, bs in square], 2, 2)
+    assert ehrhart_polynomial(g) == reference_ehrhart_polynomial(g) \
+        == (1, 2, 1)
+    g = GenFun([GenFunTerm(v, v, bs) for v, bs in square + segments],
                2, 2)
-    p = ehrhart_polynomial(g)
-    assert p == reference_ehrhart_polynomial(g) == (3, 4, 1)
-
-
-def test_signed_terms_by_hand():
-    # [0, 3k - 1]: the cone at 0 with ray +1 minus the cone at 3k
-    g = GenFun([GenFunTerm(1, (0,), (0,), [(1,)]),
-                GenFunTerm(-1, (3,), (3,), [(1,)])], 1, 1)
-    p = ehrhart_polynomial(g)
-    assert p == reference_ehrhart_polynomial(g) == (0, 3)
-    assert count(p, 1) == reference_count(g) == 3
-    assert count(p, 2) == reference_count(dilate(g, 2)) == 6
+    with pytest.raises(AssertionError,
+                       match="a term has 1 rays in dimension 2"):
+        ehrhart_polynomial(g)
 
 
 def test_groups_share_pairings_across_products_and_orders():
     # n = 1, so a term's value does not depend on lambda's length and
-    # any terms may be summed. The first five terms have numerator
-    # pairing 1 + 0 k: three of order 2 with products 6, -5 and 4, and
-    # two of order 1 with products 4 and -3, so one group per order
-    # holds terms whose weights differ in denominator. Two more share
-    # the pairing 2 + 3 k across the orders, so M_2 = 60 and M_1 = 84.
-    # Summing a group's weights unscaled, or one group for both orders,
-    # gives another polynomial
-    def term(sign, a, v, betas):
-        return GenFunTerm(sign, (a,), (v,), [(x,) for x in betas])
+    # any terms of one order may be summed. The first three terms have
+    # numerator pairing 1 + 0 k and products 6, -5 and 4, so one group
+    # holds terms whose weights differ in denominator; two more share
+    # the pairing 5 + 3 k with products 4 and -7, so M = 420. Summing a
+    # group's weights unscaled gives another polynomial
+    def term(a, v, betas):
+        return GenFunTerm((a,), (v,), [(x,) for x in betas])
 
-    g = GenFun([term(1, 1, 0, [2, 3]), term(-1, 1, 0, [1, -5]),
-                term(1, 1, 0, [-1, -4]), term(1, 1, 0, [4]),
-                term(-1, 1, 0, [-3]), term(1, 5, 3, [2, 2]),
-                term(-1, 5, 3, [7])], 1, 2)
+    g = GenFun([term(1, 0, [2, 3]), term(1, 0, [1, -5]),
+                term(1, 0, [-1, -4]), term(8, 3, [2, 2]),
+                term(8, 3, [7, -1])], 1, 2)
     p = ehrhart_polynomial(g)
     assert p == reference_ehrhart_polynomial(g)
     assert len(p) == 3 and p[2] != 0
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([1, -1]),
-                          st.integers(-1000, 1000), st.integers(-1000, 1000),
-                          st.lists(st.integers(-20, 20).filter(bool),
-                                   max_size=6)),
-                min_size=1, max_size=12))
-def test_signed_terms_match_reference(terms):
-    # n = 1 terms of mixed signs, orders and pairings, some negative:
-    # each order's groups are summed as one integer in base 2^bits, and
-    # its coefficients, of either sign, must come back exactly. The
-    # dimension is the highest order, so no coefficient need vanish
-    g = GenFun([GenFunTerm(sign, (a,), (v,), [(x,) for x in betas])
-                for sign, a, v, betas in terms],
-               1, max(len(t[3]) for t in terms))
+@given(st.integers(0, 6).flatmap(lambda s: st.tuples(
+    st.just(s),
+    st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000),
+                       st.lists(st.integers(-20, 20).filter(bool),
+                                min_size=s, max_size=s)),
+             min_size=1, max_size=12))))
+def test_signed_terms_match_reference(case):
+    # n = 1 terms of one order s = dim with pairings of both signs: the
+    # groups are summed as one integer in base 2^bits, and its
+    # coefficients, of either sign, must come back exactly
+    s, terms = case
+    g = GenFun([GenFunTerm((a,), (v,), [(x,) for x in betas])
+                for a, v, betas in terms], 1, s)
     assert ehrhart_polynomial(g) == reference_ehrhart_polynomial(g)
 
 
 def test_checks_raise_under_optimize():
-    # the integrality of b_n Q^n and the vanishing of the coefficients
-    # above the dimension must be real exceptions, not bare asserts.
+    # the integrality of b_n Q^n and the order of every term must be
+    # real exceptions, not bare asserts.
     # c_4 = 1 in place of -4 makes b_4 Q^4 = 30^4 / 2880 non-integral
     code = (
         "import sys\n"
@@ -316,7 +308,7 @@ def test_checks_raise_under_optimize():
         "    print(exc)\n"
         "try:\n"
         "    specialize.ehrhart_polynomial(GenFun(\n"
-        "        [GenFunTerm(1, (1,), (1,), [(1,)])], 1, 0))\n"
+        "        [GenFunTerm((1,), (1,), [(1,)])], 1, 0))\n"
         "    sys.exit(1)\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n")
@@ -327,7 +319,7 @@ def test_checks_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "specialize: b_4 Q^4 is not an integer at order 4",
-        "specialize: coefficient of k^1 should vanish"]
+        "specialize: a term has 1 rays in dimension 0"]
 
 
 def test_count_examples():
