@@ -80,10 +80,8 @@ def parse_document(doc):
         if kind == "uniform":
             f = RankFunction.uniform(_int(doc["n"], "n"), _int(doc["r"], "r"))
         elif kind == "graphic":
-            edges = [tuple(_int_list(e, "edge")) for e in doc["edges"]]
-            if any(len(e) != 2 for e in edges):
-                raise ValidationError("every edge must be a pair")
-            f = RankFunction.graphic(len(edges), edges)
+            f = RankFunction.graphic(
+                [_int_list(e, "edge") for e in doc["edges"]])
         elif kind == "bases":
             n = _int(doc["n"], "n")
             bases = [_subset(b, "basis") for b in doc["bases"]]

@@ -147,11 +147,13 @@ def _place(points):
     """Incremental (placing) triangulation of conv(points), with every
     simplex's carried inverse and the boundary.
 
-    Points are inserted in the given order. A point outside the current
-    affine hull cones every maximal simplex to itself; a point inside it
-    is attached to every visible boundary facet: one it lies strictly
-    beyond, i.e. where its barycentric coordinate at the owner's vertex
-    opposite the facet is negative.
+    Points, at least one, are inserted in the given order. A point
+    outside the current affine hull cones every maximal simplex to
+    itself; a point inside it is attached to every visible boundary
+    facet: one it lies strictly beyond, i.e. where its barycentric
+    coordinate at the owner's vertex opposite the facet is negative. A
+    repeated point lies in the hull and strictly beyond no boundary
+    facet, so it adds no simplex.
 
     A simplex s (a tuple of point indices, sorted because each new point
     has the largest index placed) carries (t, d): d times the inverse of
@@ -179,21 +181,11 @@ def _place(points):
     """
     hom = [(1,) + tuple(p) for p in points]
     chart = [0]
-    simplices = set()
-    inverse = {}
-    boundary = {}
-    placed = []
-    for idx in range(len(points)):
-        p = points[idx]
-        if any(points[i] == p for i in placed):
-            continue
-        if not placed:
-            simplices = {(idx,)}
-            inverse[(idx,)] = ([(1,)], 1)
-            boundary = {(): ((idx,), 0)}
-            affine, d0 = _affine_rows((idx,), [(1,)], hom, chart), 1
-            placed.append(idx)
-            continue
+    simplices = {(0,)}
+    inverse = {(0,): ([(1,)], 1)}
+    boundary = {(): ((0,), 0)}
+    affine, d0 = _affine_rows((0,), [(1,)], hom, chart), 1
+    for idx in range(1, len(hom)):
         b = hom[idx]
         bc = [b[c] for c in chart]
         off = next((c for c, row in affine
@@ -214,7 +206,6 @@ def _place(points):
             hull = next(iter(simplices))
             t, d0 = inverse[hull]
             affine = _affine_rows(hull, t, hom, chart)
-            placed.append(idx)
             continue
         visible = {}
         for fac, (owner, j) in boundary.items():
@@ -242,7 +233,6 @@ def _place(points):
                 fac = s[:j] + s[j + 1:]
                 if boundary.pop(fac, None) is None:
                     boundary[fac] = (s, j)
-        placed.append(idx)
     # rebuilt one by one, as the pieces' order has always followed the
     # order of this rebuilt set
     return {s for s in simplices}, inverse, boundary

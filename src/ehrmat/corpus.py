@@ -22,7 +22,7 @@ from .matroid import RankFunction
 def _graphic_bases(edges, rank):
     """Spanning trees of a connected graph of the given rank, as 1-based
     edge index sets."""
-    values = RankFunction.graphic(len(edges), edges).values
+    values = RankFunction.graphic(edges).values
     return [frozenset(i + 1 for i in combo)
             for combo in combinations(range(len(edges)), rank)
             if values[sum(1 << i for i in combo)] == rank]
@@ -41,7 +41,7 @@ def _linear_bases(columns, p=0):
     return out
 
 
-def _relaxation_bases(base_bases, n, r, circuit_hyperplanes):
+def _relaxation_bases(base_bases, r, circuit_hyperplanes):
     """Relax the given circuit-hyperplanes: each becomes a new basis."""
     out = set(base_bases)
     for ch in circuit_hyperplanes:
@@ -107,7 +107,7 @@ def _build_all():
     k4 = _graphic_bases(K4_EDGES, 3)
     reg["K4"] = (6, 3, sorted(k4, key=sorted))
     # whirl: relax the rim triangle {2,3,6} of the wheel
-    reg["W3_whirl"] = (6, 3, _relaxation_bases(k4, 6, 3, [(2, 3, 6)]))
+    reg["W3_whirl"] = (6, 3, _relaxation_bases(k4, 3, [(2, 3, 6)]))
 
     reg["Q6"] = (6, 3, _sparse_paving_bases(6, 3, [(1, 2, 3), (3, 4, 5)]))
     reg["P6"] = (6, 3, _sparse_paving_bases(6, 3, [(1, 2, 3)]))
@@ -121,12 +121,12 @@ def _build_all():
     ag = _linear_bases(AG32_COLUMNS, 2)
     planes = _ag32_planes(set(ag))
     reg["AG32"] = (8, 4, sorted(ag, key=sorted))
-    reg["AG32_prime"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[:1]))
+    reg["AG32_prime"] = (8, 4, _relaxation_bases(ag, 4, planes[:1]))
     reg["R8"] = (8, 4, sorted(_linear_bases(AG32_COLUMNS), key=sorted))
-    reg["F8"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[:2]))
-    reg["Q8"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[:3]))
-    reg["T8"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[-3:]))
-    reg["L8"] = (8, 4, _relaxation_bases(ag, 8, 4, planes[:6]))
+    reg["F8"] = (8, 4, _relaxation_bases(ag, 4, planes[:2]))
+    reg["Q8"] = (8, 4, _relaxation_bases(ag, 4, planes[:3]))
+    reg["T8"] = (8, 4, _relaxation_bases(ag, 4, planes[-3:]))
+    reg["L8"] = (8, 4, _relaxation_bases(ag, 4, planes[:6]))
 
     reg["S8"] = (8, 4, sorted(_linear_bases(S8_COLUMNS, 2), key=sorted))
     reg["V8"] = (8, 4, _sparse_paving_bases(8, 4, VAMOS_CH))
@@ -138,7 +138,7 @@ def _build_all():
     w4 = _graphic_bases(W4_EDGES, 4)
     reg["W4_wheel"] = (8, 4, sorted(w4, key=sorted))
     # rank-4 whirl: relax the rim cycle {1,2,3,4}
-    reg["W4_whirl"] = (8, 4, _relaxation_bases(w4, 8, 4, [(1, 2, 3, 4)]))
+    reg["W4_whirl"] = (8, 4, _relaxation_bases(w4, 4, [(1, 2, 3, 4)]))
 
     return reg
 

@@ -68,13 +68,13 @@ class RankFunction:
         return RankFunction(n, lambda m: min(m.bit_count(), r), True)
 
     @staticmethod
-    def graphic(n_edges, edges):
-        """Cycle matroid of a graph; edges[i] = (u, v) is element i+1.
-        The rank of an edge set is the size of a spanning forest of it,
-        grown by union-find."""
-        if len(edges) != n_edges:
-            raise ValueError("matroid: edge count mismatch")
+    def graphic(edges):
+        """Cycle matroid of a graph; edges[i] = (u, v) is element i+1,
+        so n = len(edges). The rank of an edge set is the size of a
+        spanning forest of it, grown by union-find."""
         edges = [tuple(e) for e in edges]
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("matroid: every edge must be a pair")
 
         def forest_size(mask):
             parent = {}
@@ -94,13 +94,14 @@ class RankFunction:
                         r += 1
             return r
 
-        return RankFunction(n_edges, forest_size, True)
+        return RankFunction(len(edges), forest_size, True)
 
     @staticmethod
     def from_bases(n, bases):
         """Matroid given by its bases: the rank of A is the largest
         |A & B| over the bases B, since an independent subset of A
         extends to a basis."""
+        guard_n(n, TABLE_GUARD_N, "rank table")
         bases = [frozenset(b) for b in bases]
         if not bases:
             raise ValueError("matroid: need at least one basis")

@@ -23,13 +23,9 @@ the bases family, polynomial for fixed rank, keeps its swap rule.
 
 from itertools import combinations
 
-from .matroid import guard_n
-
 BASES_POLYTOPE = "bases"
 INDEPENDENCE_POLYTOPE = "independence"
 POLYMATROID = "polymatroid"
-
-ENUMERATION_GUARD_N = 20
 
 
 class PolytopeSpec:
@@ -94,9 +90,9 @@ def enumerate_vertices(spec):
 
     Bases and independence families list incidence vectors directly;
     the polymatroid family lists its greedy vectors in sorted order.
+    The rank table read here passed the n guard when it was built.
     """
     n = spec.n
-    guard_n(n, ENUMERATION_GUARD_N, "vertex enumeration")
     if spec.family == BASES_POLYTOPE:
         verts = [_indicator(m, n) for m in _independent_masks(spec.f, spec.r)]
     elif spec.family == INDEPENDENCE_POLYTOPE:

@@ -78,7 +78,7 @@ def _graphic(draw, n):
     loops and parallel edges allowed."""
     vertex = st.integers(1, 4)
     edges = draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=n))
-    return RankFunction.graphic(n, edges)
+    return RankFunction.graphic(edges)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -280,6 +281,14 @@ def test_scan_guard(capsys):
     assert code == 3
 
 
+def test_budget_does_not_move_scan_guard(capsys, monkeypatch):
+    # EHRMAT_BUDGET replaces the rank-table and brute-force limits only;
+    # scan-uniform's --nmax <= 100 stays fixed
+    monkeypatch.setenv("EHRMAT_BUDGET", "200")
+    code, _ = run(capsys, "scan-uniform", "--nmax", "101")
+    assert code == cli.EXIT_BUDGET == 3
+
+
 def test_validation_missing_file(capsys):
     code, _ = run(capsys, "ehrhart", "/nonexistent/file.json")
     assert code == 2
@@ -369,6 +378,26 @@ def test_table_budget_before_table_size(tmp_path, capsys, monkeypatch, n):
     captured = capsys.readouterr()
     assert code == cli.EXIT_BUDGET == 3
     assert captured.err.startswith("budget exceeded: rank table guard")
+
+
+def test_bases_budget_before_basis_masks(tmp_path, capsys, monkeypatch):
+    # the guard runs before a basis's bitmask is built, so a 50-byte
+    # document naming element 10^8 exits 3 without the 2^(10^8)-bit int
+    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
+    doc = {"family": "bases", "kind": "bases", "n": 100000000,
+           "bases": [[100000000]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = cli.main(["ehrhart", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET == 3
+    assert captured.err.startswith("budget exceeded: rank table guard")
+    assert peak < 1 << 20
 
 
 def test_malformed_budget_is_a_validation_error(capsys, monkeypatch):

@@ -27,8 +27,16 @@ def test_uniform_rank():
 
 
 def test_graphic_k4_full_rank():
-    f = RankFunction.graphic(6, corpus.K4_EDGES)
+    f = RankFunction.graphic(corpus.K4_EDGES)
     assert f.rank(set(range(1, 7))) == 3
+
+
+def test_graphic_takes_n_from_edges_and_rejects_non_pairs():
+    assert RankFunction.graphic(corpus.K4_EDGES).n == 6
+    for bad in ([(1, 2, 3), (2, 3)], [(1,)], [()]):
+        with pytest.raises(ValueError,
+                           match="^matroid: every edge must be a pair"):
+            RankFunction.graphic(bad)
 
 
 def test_bases_rank_k4():
@@ -40,7 +48,7 @@ def test_bases_rank_k4():
 
 
 def test_graphic_agrees_with_bases_oracle():
-    g = RankFunction.graphic(6, corpus.K4_EDGES)
+    g = RankFunction.graphic(corpus.K4_EDGES)
     b = corpus.rank_function("K4")
     for mask in range(1 << 6):
         a = frozenset(i + 1 for i in range(6) if mask >> i & 1)
@@ -59,7 +67,7 @@ def test_axioms_uniform_pass():
 
 
 def test_axioms_graphic_k4_pass():
-    ok, why = check_matroid_axioms(RankFunction.graphic(6, corpus.K4_EDGES))
+    ok, why = check_matroid_axioms(RankFunction.graphic(corpus.K4_EDGES))
     assert ok, why
 
 
@@ -110,7 +118,7 @@ def test_from_table_rejects_non_int_values():
 
 def test_relaxation_error_names_stage():
     with pytest.raises(ValueError, match="^corpus: not a circuit-hyperplane"):
-        corpus._relaxation_bases([frozenset({1, 2})], 3, 2, [{1, 2}])
+        corpus._relaxation_bases([frozenset({1, 2})], 2, [{1, 2}])
 
 
 def test_relaxation_rejects_non_circuit_hyperplane_under_optimize():
@@ -122,7 +130,7 @@ def test_relaxation_rejects_non_circuit_hyperplane_under_optimize():
         "if __debug__:\n"
         "    sys.exit(2)\n"
         "try:\n"
-        "    _relaxation_bases([frozenset({1, 2})], 3, 2, [{1, 2}])\n"
+        "    _relaxation_bases([frozenset({1, 2})], 2, [{1, 2}])\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(0)\n"
@@ -273,7 +281,7 @@ def _draw_matroid(draw, n_max):
         vertex = st.integers(1, 4)
         edges = draw(st.lists(st.tuples(vertex, vertex),
                               min_size=n, max_size=n))
-        return n, RankFunction.graphic(n, edges), graphic_rank(edges)
+        return n, RankFunction.graphic(edges), graphic_rank(edges)
     n = draw(st.integers(1, n_max))
     r = draw(st.integers(0, n))
     bases = draw(st.lists(st.frozensets(st.integers(1, n), min_size=r,

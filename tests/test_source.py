@@ -13,3 +13,40 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unread_parameters(tree):
+    """(function name, parameter) for every parameter of a function or
+    lambda in `tree` that no expression in its body reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [(name, p) for p in params if p not in read]
+    return found
+
+
+def test_library_functions_read_every_parameter():
+    # a parameter the body never reads can only disagree with what the
+    # function does, so every caller pays for an argument that cannot act
+    found = []
+    for path in sorted(Path(ehrmat.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}: {name}({p})"
+                  for name, p in _unread_parameters(tree)]
+    assert found == []
+
+
+def test_unread_parameter_check_sees_an_unread_parameter():
+    tree = ast.parse("def f(a, b, *c, d, **e):\n"
+                     "    b = a\n"
+                     "    return lambda x, y: d(y, *c, **e)\n")
+    assert _unread_parameters(tree) == [("f", "b"), ("<lambda>", "x")]

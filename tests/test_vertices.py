@@ -194,8 +194,8 @@ def independence_specs(draw):
     truncated at rank t."""
     n = draw(st.integers(1, 7))
     vertex = st.integers(1, 5)
-    g = RankFunction.graphic(n, draw(st.lists(st.tuples(vertex, vertex),
-                                              min_size=n, max_size=n)))
+    g = RankFunction.graphic(draw(st.lists(st.tuples(vertex, vertex),
+                                           min_size=n, max_size=n)))
     t = draw(st.integers(0, n))
     f = RankFunction(n, lambda m: min(g.values[m], t), True)
     return PolytopeSpec(INDEPENDENCE_POLYTOPE, f)
@@ -231,8 +231,8 @@ def bases_specs(draw):
     truncated at rank t."""
     n = draw(st.integers(1, 8))
     vertex = st.integers(1, 5)
-    g = RankFunction.graphic(n, draw(st.lists(st.tuples(vertex, vertex),
-                                              min_size=n, max_size=n)))
+    g = RankFunction.graphic(draw(st.lists(st.tuples(vertex, vertex),
+                                           min_size=n, max_size=n)))
     t = draw(st.integers(0, n))
     f = RankFunction(n, lambda m: min(g.values[m], t), True)
     return PolytopeSpec(BASES_POLYTOPE, f)
