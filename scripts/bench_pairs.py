@@ -8,14 +8,18 @@ every run, with a per-metric summary, to one JSON file.
 
 Each run is `python3 bench/run.py --workload W --seed S --seconds T
 --trace 0` in that side's checkout, and its last stdout line is kept as
-its result. Odd pairs run the parent first, even pairs the change
-first. Give both checkouts paths of equal length: peak RSS moves with
-the path. With --trace-seconds, each side then makes one traced run
-(`--trace 1`) per workload, and the nonzero layers of both are kept.
+its result, with the median raw_wall_s of its passes from its detail
+file added: `wall_s` is rescaled by the speed probe, so both are kept.
+Odd pairs run the parent first, even pairs the change first. Both
+checkouts must have paths of equal length, because peak RSS moves with
+the path, and each workload needs at least 2 pairs; otherwise the
+script exits before any run. With --trace-seconds, each side then makes
+one traced run (`--trace 1`) per workload, and the nonzero layers of
+both are kept.
 
-The summary gives, per workload and end-to-end metric, the median and
-the inclusive quartiles of each side, and the number of pairs in which
-the change read lower.
+The summary gives, per workload and metric (the end-to-end ones and
+raw_wall_s), the median and the inclusive quartiles of each side, and
+the number of pairs in which the change read lower.
 """
 
 import argparse
@@ -26,7 +30,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+# the bench's end-to-end metrics, and the median raw (not rescaled)
+# wall time of the untraced passes, from each run's detail file
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb", "raw_wall_s")
 
 
 def src_digest(root):
@@ -48,12 +54,21 @@ def commit(root):
 
 
 def run_bench(root, workload, seed, seconds, trace):
+    """The run's result line, with the median raw_wall_s of its
+    untraced passes, read from the detail file that `bench/run.py`
+    names on its last stderr line, added as result["raw_wall_s"]."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                          check=True)
-    return json.loads(res.stdout.strip().splitlines()[-1])
+    result = json.loads(res.stdout.strip().splitlines()[-1])
+    summary_line = res.stderr.strip().splitlines()[-1]
+    detail = json.loads(Path(summary_line.rsplit(" detail ", 1)[1])
+                        .read_text(encoding="utf-8"))
+    result["raw_wall_s"] = statistics.median(
+        p["raw_wall_s"] for p in detail["pass_reports"] if not p["traced"])
+    return result
 
 
 def summarize(runs, workload, seed):
@@ -62,7 +77,8 @@ def summarize(runs, workload, seed):
         pairs = {}
         for r in runs:
             if r["workload"] == workload:
-                value = r["result"]["metrics"][metric]["value"]
+                value = (r["result"]["raw_wall_s"] if metric == "raw_wall_s"
+                         else r["result"]["metrics"][metric]["value"])
                 pairs.setdefault(r["pair"], {})[r["side"]] = value
         parent = [p["parent"] for p in pairs.values()]
         change = [p["change"] for p in pairs.values()]
@@ -102,7 +118,12 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(sides["parent"])) != len(str(sides["change"])):
+        ap.error(f"checkout paths differ in length: {sides['parent']} and"
+                 f" {sides['change']}")
     plan = [(w, int(n)) for w, n in (p.split("=") for p in args.pairs)]
+    if any(n < 2 for _, n in plan):
+        ap.error("each workload needs at least 2 pairs for its quartiles")
     runs, summary, traced = [], [], {}
     for workload, count in plan:
         for pair in range(1, count + 1):
@@ -131,7 +152,8 @@ def main(argv=None):
         "command": (f"python3 bench/run.py --workload <workload> --seed"
                     f" {args.seed} --seconds {args.seconds} --trace 0, with"
                     f" bench/ unmodified; each 'result' is that command's"
-                    f" last stdout line"),
+                    f" last stdout line, plus raw_wall_s, the median raw"
+                    f" wall time of its passes in its detail file"),
         "pairing": ", ".join(f"{n} pairs on {w}" for w, n in plan)
         + f", all at seed {args.seed}; odd pairs run the parent first,"
           " even pairs the change first",

@@ -1,10 +1,10 @@
 """Independent counting oracle: the lattice points of polytope
-dilations, counted one coordinate at a time by a recursion memoized on
-the residual subset caps, and the Ehrhart polynomial recovered from the
-counts by exact interpolation in Newton form on integers
-(`exactmath.poly_from_values`). This module shares no geometry with the
-generating-function pipeline, so agreement between the two is a real
-cross-check.
+dilations, counted one coordinate at a time, smallest singleton cap
+first, by a recursion memoized on the residual subset caps, and the
+Ehrhart polynomial recovered from the counts by exact interpolation in
+Newton form on integers (`exactmath.poly_from_values`). This module
+shares no geometry with the generating-function pipeline, so agreement
+between the two is a real cross-check.
 """
 
 from functools import cache
@@ -24,25 +24,34 @@ def count_direct(spec, k):
     them, caps indexed by bitmask with bit 0 the next free coordinate.
     Fixing it to x folds each cap with its partner through that
     coordinate, min(caps[S], caps[S + bit 0] - x); the count depends
-    only on caps, so equal residual caps are counted once. The bases
-    family's equality x([n]) = k r is the difference of the counts with
-    x([n]) <= k r and x([n]) <= k r - 1.
+    only on caps, so equal residual caps are counted once, and the last
+    free coordinate is counted in closed form. The coordinates are fixed
+    in ascending order of their singleton caps f({e}), ties by index, so
+    the widest fan-out runs on the shortest cap tuples; the count does
+    not depend on the order. The bases family's equality x([n]) = k r is
+    the difference of the counts with x([n]) <= k r and x([n]) <= k r - 1.
     """
     guard_n(spec.n, DIRECT_GUARD_N, "direct enumeration")
-    if k == 0:
-        return 1
     if k < 0:
         raise ValueError("bruteforce: dilation must be >= 0")
+    if k == 0 or spec.n == 0:
+        return 1
 
     @cache
     def below(caps):
-        if len(caps) == 1:
-            return int(caps[0] >= 0)
-        pairs = tuple(zip(caps[::2], caps[1::2]))
-        return sum(below(tuple(min(a, b - x) for a, b in pairs))
+        if len(caps) == 2:
+            return caps[1] + 1 if caps[0] >= 0 and caps[1] >= 0 else 0
+        lows, highs = caps[::2], caps[1::2]
+        return sum(below(tuple(map(min, lows, [b - x for b in highs])))
                    for x in range(caps[1] + 1))
 
-    caps = tuple(k * v for v in spec.f.values)
+    values = spec.f.values
+    order = sorted(range(spec.n), key=lambda e: values[1 << e])
+    # relabel: bit i of a mask of `caps` stands for element order[i]
+    masks = [0]
+    for e in order:
+        masks += [m | 1 << e for m in masks]
+    caps = tuple(k * values[m] for m in masks)
     if spec.family != BASES_POLYTOPE:
         return below(caps)
     return below(caps) - below(caps[:-1] + (caps[-1] - 1,))

@@ -8,17 +8,25 @@ whose rank equals their size. The polymatroid's vertices are Edmonds'
 greedy vectors: walking a chain of subsets, adding element e to S sets
 x_e = psi(S + e) - psi(S), and every other coordinate stays 0.
 
-Edges. Bases polytope vertices are adjacent iff they differ by
-e_a - e_b, so the neighbors of a basis are the bases among its
-r (n - r) single swaps, looked up by mask. For the other two
-families a vertex x carries its tight sets {A : x(A) = psi(A)} as one
-int T (bit `mask` set when the subset `mask` is tight) and its zero
+Edges. The 0/1 families are read by mask lookups. Bases polytope
+vertices are adjacent iff they differ by e_a - e_b, so the neighbors
+of a basis are the bases among its r (n - r) single swaps. Independent
+sets I and J are adjacent iff |I ^ J| = 1, or I ^ J = {a, b} with
+|I| = |J| and I + J dependent (Topkis, Adjacency on polymatroids, Math.
+Programming 1984; Schrijver, Combinatorial Optimization, ch. 40), so
+the neighbors of I are its n single deletions, additions and swaps
+that are independent, with a swap I - b + a kept only where I + a is
+dependent. Neither family scans 2^n masks, so both stay polynomial for
+fixed rank. Every polymatroid edge is parallel to e_c or to e_a - e_b,
+so only vertices that agree off one coordinate, or off two coordinates
+with the same sum, are candidate pairs; they are found by bucketing.
+A vertex x carries its tight sets {A : x(A) = psi(A)} as one int T
+(bit `mask` set when the subset `mask` is tight) and its zero
 coordinates as an n-bit int Z. Submodularity closes the tight sets of
 a point of the polytope under union and intersection, so the sets tight
 at two vertices form a ring family, and the rank of the constraints
 tight at both is read off T_i & T_j and Z_i & Z_j by integer ANDs (see
-`_compute_adjacency`). That scans 2^n masks per vertex, which is why
-the bases family, polynomial for fixed rank, keeps its swap rule.
+`_lattice_adjacency`).
 """
 
 from itertools import combinations
@@ -126,35 +134,57 @@ def _greedy_vertices(f):
 
 
 def _compute_adjacency(spec, vertices):
-    m = len(vertices)
-    if spec.family == BASES_POLYTOPE:
-        # exact two-way characterization: neighbors differ by e_a - e_b,
-        # so the neighbors of basis B are the bases B - b + a, b in B
-        # and a not in B, looked up by mask: m r (n - r) lookups. The
-        # lattice rule below would scan 2^n masks per vertex, which
-        # fixed rank does not bound.
-        index = {sum(x << c for c, x in enumerate(v)): i
-                 for i, v in enumerate(vertices)}
-        bits = [1 << c for c in range(spec.n)]
-        adj = []
-        for mask in index:
-            inside = [bit for bit in bits if mask & bit]
-            outside = [bit for bit in bits if not mask & bit]
-            adj.append(sorted(index[swap] for swap in
-                              (mask ^ b ^ a for b in inside for a in outside)
-                              if swap in index))
-        return adj
-    adj = [set() for _ in range(m)]
-    # two vertices are adjacent iff the constraints tight at both have
-    # rank n - 1: the smallest face containing both is the affine
-    # solution set of those constraints, so rank n - 1 means that face
-    # is a segment. The tight sets common to both form a ring family,
-    # and so do their traces off the common zero coordinates Z; a ring
-    # family's indicators span as many dimensions as it has distinct
-    # nonzero membership patterns (Birkhoff), so the rank is |Z| plus
-    # the number of distinct nonzero `common & contains[e]`, e not in Z
+    if spec.family == POLYMATROID:
+        return _lattice_adjacency(spec, vertices)
+    # 0/1 vertices, looked up by mask (see the module docstring): the
+    # neighbors of a basis B are the bases B - b + a; those of an
+    # independent set I are I - b, I + a where it is independent, and
+    # otherwise the independent I - b + a
+    index = {sum(x << c for c, x in enumerate(v)): i
+             for i, v in enumerate(vertices)}
+    bits = [1 << c for c in range(spec.n)]
+    bases = spec.family == BASES_POLYTOPE
+    adj = []
+    for mask in index:
+        inside = [bit for bit in bits if mask & bit]
+        near = [] if bases else [mask ^ b for b in inside]
+        for a in bits:
+            if mask & a:
+                continue
+            if not bases and mask | a in index:
+                near.append(mask | a)
+            else:
+                near += [mask ^ b ^ a for b in inside]
+        adj.append(sorted(index[s] for s in near if s in index))
+    return adj
+
+
+def _lattice_adjacency(spec, vertices):
+    # every edge of a polymatroid is parallel to e_c or to e_a - e_b,
+    # so two vertices can be adjacent only when they agree off one
+    # coordinate c, or off two coordinates a < b whose sums agree:
+    # bucket each vertex under those n + n (n - 1) / 2 keys and test
+    # only the pairs that share a bucket. A pair of distinct vertices
+    # shares at most one bucket.
+    #
+    # The test: two vertices are adjacent iff the constraints tight at
+    # both have rank n - 1: the smallest face containing both is the
+    # affine solution set of those constraints, so rank n - 1 means that
+    # face is a segment. The tight sets common to both form a ring
+    # family, and so do their traces off the common zero coordinates Z;
+    # a ring family's indicators span as many dimensions as it has
+    # distinct nonzero membership patterns (Birkhoff), so the rank is
+    # |Z| plus the number of distinct nonzero `common & contains[e]`,
+    # e not in Z
     n = spec.n
     fval = spec.f.values
+    buckets = {}
+    for i, x in enumerate(vertices):
+        for c in range(n):
+            buckets.setdefault((c, x[:c] + x[c + 1:]), []).append(i)
+        for a, b in combinations(range(n), 2):
+            key = (a, b, x[a] + x[b], x[:a] + x[a + 1:b] + x[b + 1:])
+            buckets.setdefault(key, []).append(i)
     contains = [sum(1 << mask for mask in range(1 << n) if mask >> e & 1)
                 for e in range(n)]
     tight, zeros = [], []
@@ -162,15 +192,15 @@ def _compute_adjacency(spec, vertices):
         tight.append(sum(1 << mask for mask, (s, v)
                          in enumerate(zip(_subset_sums(x), fval)) if s == v))
         zeros.append(sum(1 << c for c in range(n) if x[c] == 0))
-    for i in range(m):
-        ti, zi = tight[i], zeros[i]
-        for j in range(i + 1, m):
-            z = zi & zeros[j]
-            common = ti & tight[j]
+    adj = [[] for _ in vertices]
+    for members in buckets.values():
+        for i, j in combinations(members, 2):
+            z = zeros[i] & zeros[j]
+            common = tight[i] & tight[j]
             patterns = {common & contains[e]
                         for e in range(n) if not z >> e & 1}
             patterns.discard(0)
             if z.bit_count() + len(patterns) == n - 1:
-                adj[i].add(j)
-                adj[j].add(i)
+                adj[i].append(j)
+                adj[j].append(i)
     return [sorted(s) for s in adj]

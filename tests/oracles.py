@@ -7,9 +7,11 @@
   references for the visibility test of the placing triangulation and
   for `vertices._compute_adjacency`; adjacency by an exact `mat_rank`
   of the constraints tight at both vertices, the reference for the
-  tight-set lattices on bitsets in `_compute_adjacency`; bases
-  adjacency by the pairwise e_a - e_b rule, the reference for its swap
-  lookup.
+  tight-set lattices on bitsets in `_compute_adjacency`; that lattice
+  test run on every pair of vertices, the reference for its direction
+  buckets (polymatroids) and its swap lookup (independence polytopes);
+  bases adjacency by the pairwise e_a - e_b rule, the reference for its
+  swap lookup.
 - The placing triangulation with a `mat_rank` hull test and
   `solve_linear` barycentrics, and the cone triangulation over it that
   keeps the boundary facets with independent rays, the references for
@@ -353,6 +355,38 @@ def bases_adjacency_pairwise(vertices):
         for j in range(i + 1, m):
             d = sorted(vec_sub(vertices[j], vertices[i]))
             if d == [-1] + [0] * (len(d) - 2) + [1]:
+                adj[i].add(j)
+                adj[j].add(i)
+    return [sorted(s) for s in adj]
+
+
+def tight_lattice_adjacency_pairwise(spec, vertices):
+    """Independence and polymatroid adjacency by the ring-family rank
+    test on tight-set bitsets, tested for every pair of vertices: the
+    reference for the swap lookup and the direction buckets in
+    `vertices._compute_adjacency`. Two vertices are adjacent iff the
+    constraints tight at both have rank n - 1; that rank is the number
+    of common zero coordinates Z plus the number of distinct nonzero
+    membership patterns of the common tight sets off Z (Birkhoff)."""
+    n = spec.n
+    m = len(vertices)
+    fval = spec.f.values
+    contains = [sum(1 << mask for mask in range(1 << n) if mask >> e & 1)
+                for e in range(n)]
+    tight, zeros = [], []
+    for x in vertices:
+        tight.append(sum(1 << mask for mask, (s, v)
+                         in enumerate(zip(_subset_sums(x), fval)) if s == v))
+        zeros.append(sum(1 << c for c in range(n) if x[c] == 0))
+    adj = [set() for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            z = zeros[i] & zeros[j]
+            common = tight[i] & tight[j]
+            patterns = {common & contains[e]
+                        for e in range(n) if not z >> e & 1}
+            patterns.discard(0)
+            if z.bit_count() + len(patterns) == n - 1:
                 adj[i].add(j)
                 adj[j].add(i)
     return [sorted(s) for s in adj]

@@ -1,0 +1,97 @@
+import importlib.util
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fake_result(workload, value):
+    metrics = {m: {"value": value} for m in ("wall_s", "cpu_s", "setup_s",
+                                              "peak_rss_mb")}
+    return {"workload": workload, "metrics": metrics, "raw_wall_s": value}
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    module = _load()
+    calls = []
+
+    def run_bench(root, workload, seed, seconds, trace):
+        calls.append((root, workload))
+        return _fake_result(workload, 1.0 if root.name == "pa" else 0.5)
+
+    monkeypatch.setattr(module, "run_bench", run_bench)
+    monkeypatch.setattr(module, "commit", lambda root: None)
+    module.calls = calls
+    return module
+
+
+def _checkouts(tmp_path, parent="pa", change="ch"):
+    for name in (parent, change):
+        (tmp_path / name).mkdir()
+    return ["--parent", str(tmp_path / parent),
+            "--change", str(tmp_path / change)]
+
+
+def test_writes_summary_for_two_pairs(bench_pairs, tmp_path):
+    out = tmp_path / "out.json"
+    bench_pairs.main(_checkouts(tmp_path)
+                     + ["--pairs", "symmetric=2", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    wall, raw = doc["summary"][0], doc["summary"][-1]
+    assert (wall["metric"], wall["pairs"]) == ("wall_s", 2)
+    assert wall["change_better_in"] == 2
+    assert (raw["metric"], raw["change_median"]) == ("raw_wall_s", 0.5)
+    assert len(bench_pairs.calls) == 4
+
+
+def test_run_bench_reads_raw_wall_from_detail_file(monkeypatch, tmp_path):
+    module = _load()
+    detail = tmp_path / "detail.json"
+    detail.write_text(json.dumps({"pass_reports": [
+        {"traced": False, "raw_wall_s": w} for w in (0.3, 0.1, 0.2)]
+        + [{"traced": True, "raw_wall_s": 9.0}]}))
+    done = SimpleNamespace(
+        stdout=json.dumps(_fake_result("symmetric", 0.7)) + "\n",
+        stderr=f"symmetric seed=1: 4 passes, 0/8 failed , detail {detail}\n")
+    monkeypatch.setattr(module.subprocess, "run",
+                        lambda cmd, **kwargs: done)
+    result = module.run_bench(tmp_path, "symmetric", 1, 4, 0)
+    assert result["metrics"]["wall_s"]["value"] == 0.7
+    assert result["raw_wall_s"] == 0.2
+
+
+def test_rejects_a_single_pair_before_any_run(bench_pairs, tmp_path):
+    # one pair has no quartiles: the script must stop before it runs
+    # anything, not after every run has finished
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_checkouts(tmp_path)
+                         + ["--pairs", "symmetric=3", "sparse_paving=1",
+                            "--out", str(out)])
+    assert exc.value.code == 2
+    assert bench_pairs.calls == []
+    assert not out.exists()
+
+
+def test_rejects_paths_of_unequal_length_before_any_run(bench_pairs,
+                                                        tmp_path):
+    # peak RSS moves with the checkout path, and the output says the
+    # two paths have equal length
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_checkouts(tmp_path, "pa", "change")
+                         + ["--pairs", "symmetric=2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert bench_pairs.calls == []
+    assert not out.exists()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import count_by_scan
+from strategies import truncated_sum_specs
 
 from ehrmat import corpus
 from ehrmat.bruteforce import count_direct, ehrhart_by_interpolation
@@ -108,6 +109,28 @@ def polymatroid_specs(draw):
 @given(st.one_of(matroid_specs(), polymatroid_specs()), st.integers(0, 3))
 def test_count_matches_scan_random(spec, k):
     assert count_direct(spec, k) == count_by_scan(spec, k)
+
+
+def _relabelled(spec, perm):
+    """The same polytope with new element i + 1 standing for old element
+    perm[i] + 1."""
+    values = spec.f.values
+
+    def old_mask(mask):
+        return sum(1 << perm[i] for i in range(spec.n) if mask >> i & 1)
+
+    f = RankFunction(spec.n, lambda m: values[old_mask(m)], spec.f.is_matroid)
+    return PolytopeSpec(spec.family, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(truncated_sum_specs(), matroid_specs()), st.integers(0, 3),
+       st.data())
+def test_count_invariant_under_relabelling(spec, k, data):
+    # count_direct fixes coordinates in the order of their singleton
+    # caps, ties by index; no order of the ground set may change a count
+    perm = data.draw(st.permutations(range(spec.n)))
+    assert count_direct(_relabelled(spec, perm), k) == count_direct(spec, k)
 
 
 def test_interpolation_k4():

@@ -7,7 +7,9 @@ from oracles import (
     adjacency_by_lp, adjacency_by_tight_rank, all_generated_vertices,
     bases_adjacency_pairwise, contains_scaled, edmonds_generate,
     enumerate_bases, polymatroid_vertices_by_scan,
+    tight_lattice_adjacency_pairwise,
 )
+from strategies import independence_specs, truncated_sum_specs
 
 from ehrmat import corpus
 from ehrmat.exactmath import binomial, vec_sub
@@ -167,45 +169,45 @@ def test_tight_rank_adjacency_matches_lp():
         assert vs.adjacency == adjacency_by_lp(spec, vs.vertices)
 
 
-@st.composite
-def truncated_sum_specs(draw):
-    """Polymatroids on n <= 6 elements: min(w(A), c) plus a non-negative
-    combination of uniform matroid ranks min(|A|, r). Zero weights,
-    c = 0 and c >= w([n]) give vertices with zero coordinates and
-    degenerate vertices."""
-    n = draw(st.integers(1, 6))
-    w = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    c = draw(st.integers(0, sum(w) + 2))
-    uniforms = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(0, n)),
-                             max_size=2))
-    table = {}
-    for mask in range(1, 1 << n):
-        a = [i for i in range(n) if mask >> i & 1]
-        table[frozenset(i + 1 for i in a)] = (
-            min(c, sum(w[i] for i in a))
-            + sum(k * min(len(a), r) for k, r in uniforms))
-    return PolytopeSpec(POLYMATROID, RankFunction.from_table(n, table))
-
-
-@st.composite
-def independence_specs(draw):
-    """Independence polytope of a cycle matroid of a random multigraph
-    with n <= 7 edges on 5 vertices, loops and parallel edges allowed,
-    truncated at rank t."""
-    n = draw(st.integers(1, 7))
-    vertex = st.integers(1, 5)
-    g = RankFunction.graphic(draw(st.lists(st.tuples(vertex, vertex),
-                                           min_size=n, max_size=n)))
-    t = draw(st.integers(0, n))
-    f = RankFunction(n, lambda m: min(g.values[m], t), True)
-    return PolytopeSpec(INDEPENDENCE_POLYTOPE, f)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(truncated_sum_specs(), independence_specs()))
 def test_adjacency_matches_tight_rank_random(spec):
     vs = enumerate_vertices(spec)
     assert vs.adjacency == adjacency_by_tight_rank(spec, vs.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(truncated_sum_specs(), independence_specs()))
+def test_adjacency_matches_pairwise_lattice_rule(spec):
+    vs = enumerate_vertices(spec)
+    assert vs.adjacency == tight_lattice_adjacency_pairwise(spec,
+                                                            vs.vertices)
+
+
+def _edges_by_coordinates(vs):
+    return {frozenset((vs.vertices[i], vs.vertices[j]))
+            for i, nbrs in enumerate(vs.adjacency) for j in nbrs}
+
+
+def _assert_swap_rule_matches_polymatroid(f):
+    # the independence polytope of M is the polymatroid of M's rank
+    # function, so the swap rule and the direction buckets with the
+    # lattice test must find the same edges
+    ind = enumerate_vertices(PolytopeSpec(INDEPENDENCE_POLYTOPE, f))
+    poly = enumerate_vertices(PolytopeSpec(POLYMATROID, f))
+    assert sorted(ind.vertices) == poly.vertices
+    assert _edges_by_coordinates(ind) == _edges_by_coordinates(poly)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_independence_swap_rule_matches_polymatroid_corpus(name):
+    _assert_swap_rule_matches_polymatroid(corpus.rank_function(name))
+
+
+@settings(max_examples=150, deadline=None)
+@given(independence_specs())
+def test_independence_swap_rule_matches_polymatroid_random(spec):
+    _assert_swap_rule_matches_polymatroid(spec.f)
 
 
 @pytest.mark.parametrize("name", ["AG32", "F7", "K4"])
