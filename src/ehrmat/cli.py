@@ -66,11 +66,14 @@ def _subset(x, what):
 
 def parse_document(doc):
     """Parse and validate a matroid document into a PolytopeSpec."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"document must be a JSON object, got"
+                              f" {type(doc).__name__}")
     try:
         family = doc["family"]
         kind = doc["kind"]
         name = doc.get("name", "<unnamed>")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"missing field: {exc}") from exc
     if not isinstance(name, str):
         raise ValidationError(f"name must be a string, got {name!r}")

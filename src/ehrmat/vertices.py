@@ -18,15 +18,15 @@ the neighbors of I are its n single deletions, additions and swaps
 that are independent, with a swap I - b + a kept only where I + a is
 dependent. Neither family scans 2^n masks, so both stay polynomial for
 fixed rank. Every polymatroid edge is parallel to e_c or to e_a - e_b,
-so only vertices that agree off one coordinate, or off two coordinates
-with the same sum, are candidate pairs; they are found by bucketing.
-A vertex x carries its tight sets {A : x(A) = psi(A)} as one int T
-(bit `mask` set when the subset `mask` is tight) and its zero
-coordinates as an n-bit int Z. Submodularity closes the tight sets of
-a point of the polytope under union and intersection, so the sets tight
-at two vertices form a ring family, and the rank of the constraints
-tight at both is read off T_i & T_j and Z_i & Z_j by integer ANDs (see
-`_lattice_adjacency`).
+so the vertices are bucketed by their coordinates off c, or off a and b
+plus x_a + x_b; a line holds at most two vertices, so a bucket holds at
+most one pair x, y. The constraints tight at both are those tight at x
+through neither or both moving coordinates, so the pair is an edge iff
+(Topkis) x restricted to E - c is a vertex of the deletion f|(E - c),
+or x is a vertex of f with a and b merged into one unit of value
+x_a + x_b. A point is a vertex iff its nonzero units can be ordered so
+that every prefix is tight, which a greedy walk decides (see
+`_prefixes_tight`).
 """
 
 from itertools import combinations
@@ -69,15 +69,6 @@ class VertexSet:
 
     def adjacent_vertices(self, i):
         return self.adjacency[i]
-
-
-def _subset_sums(x):
-    """sums[mask] = the sum of x over the subset with bitmask `mask`."""
-    sums = [0] * (1 << len(x))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
-    return sums
 
 
 def _independent_masks(f, size):
@@ -159,48 +150,49 @@ def _compute_adjacency(spec, vertices):
     return adj
 
 
+def _prefixes_tight(units, fval):
+    """Can the (bits, value) units be ordered so that every prefix is
+    tight, i.e. its values sum to `fval` of its bits? Tight sets are
+    closed under union, so a unit that keeps the prefix tight can always
+    be taken: O(len(units)^2) table reads."""
+    placed, left = 0, list(units)
+    while left:
+        for unit in left:
+            bits, value = unit
+            if fval[placed | bits] == fval[placed] + value:
+                placed |= bits
+                left.remove(unit)
+                break
+        else:
+            return False
+    return True
+
+
 def _lattice_adjacency(spec, vertices):
-    # every edge of a polymatroid is parallel to e_c or to e_a - e_b,
-    # so two vertices can be adjacent only when they agree off one
-    # coordinate c, or off two coordinates a < b whose sums agree:
-    # bucket each vertex under those n + n (n - 1) / 2 keys and test
-    # only the pairs that share a bucket. A pair of distinct vertices
-    # shares at most one bucket.
-    #
-    # The test: two vertices are adjacent iff the constraints tight at
-    # both have rank n - 1: the smallest face containing both is the
-    # affine solution set of those constraints, so rank n - 1 means that
-    # face is a segment. The tight sets common to both form a ring
-    # family, and so do their traces off the common zero coordinates Z;
-    # a ring family's indicators span as many dimensions as it has
-    # distinct nonzero membership patterns (Birkhoff), so the rank is
-    # |Z| plus the number of distinct nonzero `common & contains[e]`,
-    # e not in Z
+    # bucket each vertex under its n + n (n - 1) / 2 direction keys
+    # (see the module docstring); a pair of distinct vertices shares at
+    # most one bucket
     n = spec.n
     fval = spec.f.values
     buckets = {}
     for i, x in enumerate(vertices):
         for c in range(n):
-            buckets.setdefault((c, x[:c] + x[c + 1:]), []).append(i)
+            buckets.setdefault(((c,), x[:c] + x[c + 1:]), []).append(i)
         for a, b in combinations(range(n), 2):
-            key = (a, b, x[a] + x[b], x[:a] + x[a + 1:b] + x[b + 1:])
+            key = ((a, b), x[a] + x[b], x[:a] + x[a + 1:b] + x[b + 1:])
             buckets.setdefault(key, []).append(i)
-    contains = [sum(1 << mask for mask in range(1 << n) if mask >> e & 1)
-                for e in range(n)]
-    tight, zeros = [], []
-    for x in vertices:
-        tight.append(sum(1 << mask for mask, (s, v)
-                         in enumerate(zip(_subset_sums(x), fval)) if s == v))
-        zeros.append(sum(1 << c for c in range(n) if x[c] == 0))
     adj = [[] for _ in vertices]
-    for members in buckets.values():
-        for i, j in combinations(members, 2):
-            z = zeros[i] & zeros[j]
-            common = tight[i] & tight[j]
-            patterns = {common & contains[e]
-                        for e in range(n) if not z >> e & 1}
-            patterns.discard(0)
-            if z.bit_count() + len(patterns) == n - 1:
-                adj[i].append(j)
-                adj[j].append(i)
+    for (moving, *_), members in buckets.items():
+        if len(members) < 2:
+            continue
+        i, j = members
+        x = vertices[i]
+        units = [(1 << e, x[e]) for e in range(n)
+                 if x[e] and e not in moving]
+        if len(moving) == 2:
+            a, b = moving
+            units.append((1 << a | 1 << b, x[a] + x[b]))
+        if _prefixes_tight(units, fval):
+            adj[i].append(j)
+            adj[j].append(i)
     return [sorted(s) for s in adj]

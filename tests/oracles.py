@@ -7,11 +7,11 @@
   references for the visibility test of the placing triangulation and
   for `vertices._compute_adjacency`; adjacency by an exact `mat_rank`
   of the constraints tight at both vertices, the reference for the
-  tight-set lattices on bitsets in `_compute_adjacency`; that lattice
-  test run on every pair of vertices, the reference for its direction
-  buckets (polymatroids) and its swap lookup (independence polytopes);
-  bases adjacency by the pairwise e_a - e_b rule, the reference for its
-  swap lookup.
+  tight-prefix walk on minors in `_compute_adjacency`; a ring-family
+  rank test on tight-set bitsets run on every pair of vertices, the
+  reference for its direction buckets and prefix walk (polymatroids)
+  and its swap lookup (independence polytopes); bases adjacency by the
+  pairwise e_a - e_b rule, the reference for its swap lookup.
 - The placing triangulation with a `mat_rank` hull test and
   `solve_linear` barycentrics, and the cone triangulation over it that
   keeps the boundary facets with independent rays, the references for
@@ -92,7 +92,7 @@ from ehrmat.genfun import GenFun, GenFunTerm
 from ehrmat.hstar import is_unimodal, katzman, uniform_hstar
 from ehrmat.matroid import RankFunction
 from ehrmat.specialize import todd_c
-from ehrmat.vertices import BASES_POLYTOPE, _indicator, _subset_sums
+from ehrmat.vertices import BASES_POLYTOPE, _indicator
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -344,6 +344,15 @@ def adjacency_by_lp(spec, vertices):
     return [sorted(s) for s in adj]
 
 
+def _subset_sums(x):
+    """sums[mask] = the sum of x over the subset with bitmask `mask`."""
+    sums = [0] * (1 << len(x))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
+    return sums
+
+
 def bases_adjacency_pairwise(vertices):
     """Bases polytope adjacency by the pairwise rule: two bases are
     adjacent iff their incidence vectors differ by e_a - e_b, tested
@@ -363,8 +372,9 @@ def bases_adjacency_pairwise(vertices):
 def tight_lattice_adjacency_pairwise(spec, vertices):
     """Independence and polymatroid adjacency by the ring-family rank
     test on tight-set bitsets, tested for every pair of vertices: the
-    reference for the swap lookup and the direction buckets in
-    `vertices._compute_adjacency`. Two vertices are adjacent iff the
+    reference for the swap lookup and for the direction buckets and
+    their tight-prefix walk in `vertices._compute_adjacency`, which
+    share no rule with it. Two vertices are adjacent iff the
     constraints tight at both have rank n - 1; that rank is the number
     of common zero coordinates Z plus the number of distinct nonzero
     membership patterns of the common tight sets off Z (Birkhoff)."""

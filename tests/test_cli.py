@@ -328,8 +328,14 @@ def test_validation_table_for_matroid_family(tmp_path, capsys):
 
 def test_validation_error_names_stage(tmp_path, capsys):
     # a rank function the matroid stage rejects, and a polytope the
-    # vertex stage rejects: stderr names the stage that failed
+    # vertex stage rejects: stderr names the stage that failed; a JSON
+    # value that is not an object is named as such, not as a missing
+    # field
     for doc, want in [
+            ([1, 2], "validation error: document must be a JSON object,"
+                     " got list"),
+            (None, "validation error: document must be a JSON object,"
+                   " got NoneType"),
             ({"name": "wide", "family": "bases", "kind": "uniform",
               "n": 3, "r": 5},
              "validation error: malformed document: matroid: need 0 <= r"),
@@ -558,26 +564,30 @@ def test_bundled_corpus_documents_pin_corpus():
                 {"subset": [1, 2], "value": 2}, {"subset": [1], "value": 2}]},
     # a name that is not a string would be echoed into the output
     {"name": ["x"], "family": "bases", "kind": "uniform", "n": 3, "r": 1},
-    # a command line (not a document) whose range would make the scan or
-    # the check vacuous
-    ["scan-uniform", "--nmax", "-3"],
-    ["scan-uniform", "--nmax", "1"],
-    ["scan-uniform", "--nmax", "4", "--rmax", "0"],
-    ["verify", data_path("K4"), "--kmax", "-1"],
+    # a document that is not a JSON object
+    [1, 2],
+    None,
+    # a command line (a tuple, not a document) whose range would make
+    # the scan or the check vacuous
+    ("scan-uniform", "--nmax", "-3"),
+    ("scan-uniform", "--nmax", "1"),
+    ("scan-uniform", "--nmax", "4", "--rmax", "0"),
+    ("verify", data_path("K4"), "--kmax", "-1"),
 ], ids=["edge_triple", "float_n", "string_r", "float_value",
         "repeated_basis_element", "bases_basis_twice",
         "bases_n_negative", "table_n_negative",
         "table_subset_out_of_range",
         "table_empty_set_nonzero", "table_subset_twice", "name_not_string",
+        "document_array", "document_null",
         "scan_nmax_negative", "scan_nmax_one", "scan_rmax_zero",
         "verify_kmax_negative"])
 def test_validation_rejects_malformed_values(tmp_path, capsys, doc):
-    if isinstance(doc, dict):
+    if isinstance(doc, tuple):
+        argv = list(doc)
+    else:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         argv = ["ehrhart", str(path)]
-    else:
-        argv = doc
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

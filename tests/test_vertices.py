@@ -184,6 +184,55 @@ def test_adjacency_matches_pairwise_lattice_rule(spec):
                                                             vs.vertices)
 
 
+def _table_by_size(n, by_size):
+    """The polymatroid with f(A) = by_size[|A| - 1]."""
+    return RankFunction(n, lambda m: m and by_size[m.bit_count() - 1], False)
+
+
+@pytest.mark.parametrize("by_size, x, y, edge", [
+    # the unit square: the diagonal's merged unit {1, 2} is not tight
+    ((1, 2), (1, 0), (0, 1), False),
+    # U(2,1): the merged unit {1, 2} of value 1 is tight
+    ((1, 1), (1, 0), (0, 1), True),
+    # f = 2, 3, 3 by size: a side of the hexagonal face x(E) = 3, and a
+    # chord of it
+    ((2, 3, 3), (2, 1, 0), (1, 2, 0), True),
+    ((2, 3, 3), (2, 0, 1), (0, 2, 1), False),
+], ids=["square_diagonal", "u21_side", "hexagon_side", "hexagon_chord"])
+def test_prefix_walk_on_merged_unit(by_size, x, y, edge):
+    # each pair sits alone in its e_a - e_b bucket, so the answer is the
+    # walk's on the merged unit of value x_a + x_b
+    vs = enumerate_vertices(PolytopeSpec(POLYMATROID,
+                                         _table_by_size(len(x), by_size)))
+    i, j = vs.vertices.index(x), vs.vertices.index(y)
+    assert (j in vs.adjacency[i]) == edge
+    assert (i in vs.adjacency[j]) == edge
+
+
+def _graphic_sum(graphs):
+    gs = [RankFunction.graphic(g) for g in graphs]
+    return RankFunction(len(graphs[0]),
+                        lambda m: sum(g.values[m] for g in gs), False)
+
+
+@pytest.mark.parametrize("f", [
+    # the bench's min(w(A), c), weights in {1, 2, 3} sorted down
+    RankFunction(7, lambda m: min(11, sum(
+        w for i, w in enumerate((3, 3, 2, 2, 1, 1, 1)) if m >> i & 1)), False),
+    # a sum of three graphic ranks, a loop included: 637 vertices
+    _graphic_sum([
+        [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4), (1, 1)],
+        [(1, 2), (1, 2), (2, 3), (3, 1), (4, 5), (5, 4), (2, 5)],
+        [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4)]]),
+], ids=["truncated_weights", "graphic_sum"])
+def test_adjacency_matches_pairwise_lattice_rule_n7(f):
+    # the Hypothesis strategies stop at n = 6
+    spec = PolytopeSpec(POLYMATROID, f)
+    vs = enumerate_vertices(spec)
+    assert vs.adjacency == tight_lattice_adjacency_pairwise(spec,
+                                                            vs.vertices)
+
+
 def _edges_by_coordinates(vs):
     return {frozenset((vs.vertices[i], vs.vertices[j]))
             for i, nbrs in enumerate(vs.adjacency) for j in nbrs}
