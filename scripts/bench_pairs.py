@@ -7,7 +7,9 @@ every run, with a per-metric summary, to one JSON file.
         --what "one line on the change" --out BENCH_23.json
 
 Each run is `python3 bench/run.py --workload W --seed S --seconds T
---trace 0` in that side's checkout, and its last stdout line is kept as
+--trace 0` in that side's checkout, with PYTHONDONTWRITEBYTECODE taken
+out of its environment, so that each side writes and reads its own
+bytecode cache alike; its last stdout line is kept as
 its result, with the median raw_wall_s of its passes from its detail
 file added: `wall_s` is rescaled by the speed probe, so both are kept.
 Odd pairs run the parent first, even pairs the change first. Both
@@ -25,6 +27,7 @@ the number of pairs in which the change read lower.
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -60,8 +63,12 @@ def run_bench(root, workload, seed, seconds, trace):
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
-    res = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                         check=True)
+    # a checkout that already holds a cache would otherwise start faster
+    # than one that may not write its own
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    res = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                         text=True, check=True)
     result = json.loads(res.stdout.strip().splitlines()[-1])
     summary_line = res.stderr.strip().splitlines()[-1]
     detail = json.loads(Path(summary_line.rsplit(" detail ", 1)[1])

@@ -12,7 +12,10 @@ exactly, so no simplex is ever eliminated. Visibility signs, the hull
 test and the flat-facet drop of the cone stage are all read off these
 inverses. Where the new point's barycentric coordinate at a kept
 vertex is 0 and d does not change, either update copies that vertex's
-row, with no division.
+row, with no division. A point is paired with those rows through its
+nonzero entries: a homogenized arc point is the homogenizing 1 and at
+most one +1 and one -1, so each pairing reads at most three entries
+of a row, not dim + 1.
 
 The boundary facets, each with its owner and the position of the
 vertex it omits, are kept from the first point on: a hull growth
@@ -65,9 +68,25 @@ def tangent_cone(vs, i):
             for j in vs.adjacent_vertices(i)]
 
 
-def _apply(t, b):
-    """u = t b."""
-    return [sum(map(mul, row, b)) for row in t]
+def _pairing(b, pos):
+    """The pairing r -> r . b_chart of a homogenized point b with a row r
+    of a carried inverse or of the hull test, which holds one entry per
+    chart coordinate c, at position pos[c]. An arc point, whose entries
+    past the homogenizing 1 are at most one +1 (its head) and one -1
+    (its tail), reads r[0] + r[h] - r[t], leaving out an end outside
+    the chart; any other point takes the dense dot. Which of the two
+    applies is read off the point alone."""
+    heads, tails = b.count(1) - 1, b.count(-1)
+    if heads > 1 or tails > 1 or heads + tails + b.count(0) + 1 < len(b):
+        bc = [b[c] for c in pos]
+        return lambda r: sum(map(mul, r, bc))
+    h = pos.get(b.index(1, 1)) if heads else None
+    t = pos.get(b.index(-1)) if tails else None
+    if h is None:
+        return (lambda r: r[0]) if t is None else (lambda r: r[0] - r[t])
+    if t is None:
+        return lambda r: r[0] + r[h]
+    return lambda r: r[0] + r[h] - r[t]
 
 
 def _coned(t, d, j, u):
@@ -158,15 +177,19 @@ def _place(points):
     A simplex s (a tuple of point indices, sorted because each new point
     has the largest index placed) carries (t, d): d times the inverse of
     its homogenized vertex matrix restricted to the chart, rows in the
-    order of s, with d = |det| > 0. The chart lists coordinates of the
-    homogenized points (0 is the homogenizing 1) on which the current
-    affine hull projects bijectively; each hull growth appends the first
-    coordinate where the new point leaves the hull. So u = t b is d
-    times the barycentric coordinates of a point b of the hull, its
-    sign is theirs, and no simplex is ever eliminated. The hull test
-    reads one row per coordinate outside the chart (`_affine_rows`),
-    built once per hull growth; once the chart holds every coordinate,
-    there are none and no point can leave the hull.
+    order of s, with d = |det| > 0. The chart maps the coordinates of
+    the homogenized points (0 is the homogenizing 1) on which the
+    current affine hull projects bijectively to their row positions;
+    each hull growth adds the first coordinate where the new point
+    leaves the hull, at the next position. So u = t b is d times the
+    barycentric coordinates of a point b of the hull, its sign is
+    theirs, and no simplex is ever eliminated. The hull test reads one
+    row per coordinate outside the chart (`_affine_rows`), built once
+    per hull growth; once the chart holds every coordinate, there are
+    none and no point can leave the hull. Each point is paired with
+    rows by one `_pairing`, built when it is placed, which reads only
+    its nonzero entries when it is an arc: the hull test, every
+    visibility test and every u = t b use it.
 
     The boundary maps each facet of exactly one maximal simplex to (that
     owner, position of the vertex it omits), from the first point on,
@@ -180,22 +203,22 @@ def _place(points):
     Returns (maximal simplices, inverses by simplex, boundary).
     """
     hom = [(1,) + tuple(p) for p in points]
-    chart = [0]
+    pos = {0: 0}
     simplices = {(0,)}
     inverse = {(0,): ([(1,)], 1)}
     boundary = {(): ((0,), 0)}
-    affine, d0 = _affine_rows((0,), [(1,)], hom, chart), 1
+    affine, d0 = _affine_rows((0,), [(1,)], hom, pos), 1
     for idx in range(1, len(hom)):
         b = hom[idx]
-        bc = [b[c] for c in chart]
-        off = next((c for c, row in affine
-                    if sum(map(mul, row, bc)) != d0 * b[c]), None)
+        pair = _pairing(b, pos)
+        off = next((c for c, row in affine if pair(row) != d0 * b[c]),
+                   None)
         if off is not None:
-            chart.append(off)
+            pos[off] = len(pos)
             for s in simplices:
                 t, d = inverse.pop(s)
                 inverse[s + (idx,)] = _bordered(
-                    t, d, _apply(t, bc), [hom[v][off] for v in s],
+                    t, d, list(map(pair, t)), [hom[v][off] for v in s],
                     b[off])
             grown = {fac + (idx,): (owner + (idx,), j)
                      for fac, (owner, j) in boundary.items()}
@@ -205,12 +228,12 @@ def _place(points):
             simplices = {s + (idx,) for s in simplices}
             hull = next(iter(simplices))
             t, d0 = inverse[hull]
-            affine = _affine_rows(hull, t, hom, chart)
+            affine = _affine_rows(hull, t, hom, pos)
             continue
         visible = {}
         for fac, (owner, j) in boundary.items():
             # t_j b is d > 0 times b's barycentric coordinate at j
-            if sum(map(mul, inverse[owner][0][j], bc)) < 0:
+            if pair(inverse[owner][0][j]) < 0:
                 visible.setdefault(owner, []).append((j, fac))
         # a set of tuples iterates in an order that depends on its
         # insertion history, and the pieces' order follows it, so the
@@ -222,7 +245,7 @@ def _place(points):
             if owner not in visible:
                 continue
             t, d = inverse[owner]
-            u = _apply(t, bc)
+            u = list(map(pair, t))
             for j, fac in sorted(visible[owner], reverse=True):
                 s = fac + (idx,)
                 new.append(s)
@@ -322,11 +345,14 @@ def pick_generic_y(trees, rays):
     """(y, the trees' `half_open_decompose` flags at y), for the first
     positive combination y = sum xi^(i-1) * r_i of the rays, xi = 1, 2,
     ..., with no zero `tree_cuts` on any tree; y stays interior to the
-    cone spanned by the rays, and each tree is cut once per y tried."""
+    cone spanned by the rays, and each tree is cut once per y tried.
+    y is formed by column: the powers xi^i once per xi, dotted with each
+    coordinate's column of the rays."""
+    columns = list(zip(*rays))
     xi = 1
     while True:
-        y = tuple(sum(xi ** i * r[c] for i, r in enumerate(rays))
-                  for c in range(len(rays[0])))
+        powers = [xi ** i for i in range(len(rays))]
+        y = tuple([sum(map(mul, powers, col)) for col in columns])
         try:
             return y, half_open_decompose(trees, y)
         except ValueError:

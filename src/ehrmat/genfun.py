@@ -31,8 +31,11 @@ own rays. A relabelling is a unimodular linear map of the working
 lattice (lift to the sum-zero hyperplane of Z^(dim+1) and permute
 coordinates), under which the placing decisions, the tree cuts,
 `pick_generic_y`'s y and so every flag are invariant, so the terms, and
-the `genfun` dump, are those of triangulating every cone. Every piece
-of every cone is certified on that cone's own arcs.
+the `genfun` dump, are those of triangulating every cone. A tangent
+cone is full-dimensional, so one with exactly dim rays is simplicial:
+it is its own piece, the one `triangulate_cone` would return, and is
+not placed. Every piece of every cone is certified on that cone's own
+arcs.
 """
 
 from operator import mul
@@ -137,10 +140,12 @@ def _vertex_terms(vs, i, chart, patterns):
 
     `patterns` maps the `arc_pattern` of each cone triangulated so far
     in this polytope to its [(piece, flags)]; a cone whose pattern is
-    there reuses them, read against its own rays. Every piece, reused or
-    not, must pass `assert_unimodular` on this cone's arcs; a ray that
-    is no arc, or a piece that does not, raises AssertionError naming
-    the vertex (and the piece's ray indices)."""
+    there reuses them, read against its own rays. A new pattern with
+    exactly dim rays is simplicial and is its own one piece, with no
+    call to `triangulate_cone`. Every piece, reused or not, must pass
+    `assert_unimodular` on this cone's arcs; a ray that is no arc, or a
+    piece that does not, raises AssertionError naming the vertex (and
+    the piece's ray indices)."""
     v = vs.vertices[i]
     rays = tangent_cone(vs, i)
     rays_work = [to_working(chart, r) for r in rays]
@@ -150,12 +155,19 @@ def _vertex_terms(vs, i, chart, patterns):
         raise AssertionError(f"cones: vertex {v}: {exc}") from exc
     key = arc_pattern(arcs)
     flagged = patterns.get(key)
-    pieces = (triangulate_cone(rays_work) if flagged is None
-              else [piece for piece, _ in flagged])
+    dim = len(chart[0])
+    if flagged is not None:
+        pieces = [piece for piece, _ in flagged]
+    elif len(rays) == dim:
+        # the tangent cone is full-dimensional, so dim rays are
+        # independent and span a simplicial cone: its own one piece
+        pieces = [list(range(dim))]
+    else:
+        pieces = triangulate_cone(rays_work)
     trees = [[arcs[j] for j in piece] for piece in pieces]
     for piece, tree in zip(pieces, trees):
         try:
-            assert_unimodular(tree, len(chart[0]))
+            assert_unimodular(tree, dim)
         except AssertionError as exc:
             raise AssertionError(f"cones: vertex {v}, piece of rays"
                                  f" {piece}: {exc}") from exc

@@ -71,6 +71,31 @@ def test_run_bench_reads_raw_wall_from_detail_file(monkeypatch, tmp_path):
     assert result["raw_wall_s"] == 0.2
 
 
+def test_run_bench_lets_each_side_write_its_bytecode(monkeypatch,
+                                                    tmp_path):
+    # with PYTHONDONTWRITEBYTECODE passed on, a checkout that already
+    # holds __pycache__ starts faster than one that cannot write it
+    module = _load()
+    detail = tmp_path / "detail.json"
+    detail.write_text(json.dumps({"pass_reports": [
+        {"traced": False, "raw_wall_s": 0.1}]}))
+    done = SimpleNamespace(
+        stdout=json.dumps(_fake_result("symmetric", 0.7)) + "\n",
+        stderr=f"symmetric seed=1: 1 passes, 0/3 failed , detail {detail}\n")
+    envs = []
+
+    def run(cmd, **kwargs):
+        envs.append(kwargs["env"])
+        return done
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    module.run_bench(tmp_path, "symmetric", 1, 4, 0)
+    assert "PYTHONDONTWRITEBYTECODE" not in envs[0]
+    assert envs[0]["BENCH_PAIRS_PROBE"] == "kept"
+
+
 def test_rejects_a_single_pair_before_any_run(bench_pairs, tmp_path):
     # one pair has no quartiles: the script must stop before it runs
     # anything, not after every run has finished

@@ -19,7 +19,7 @@ from test_bruteforce import matroid_specs, polymatroid_specs
 import ehrmat
 from ehrmat import cli, corpus
 from ehrmat.cones import (
-    _arc, _place, arc_pattern, assert_unimodular, cone_ray_matrix,
+    _arc, _pairing, _place, arc_pattern, assert_unimodular, cone_ray_matrix,
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
     tangent_cone, tree_cuts, triangulate_cone,
 )
@@ -289,6 +289,62 @@ def test_place_carries_scaled_inverses_off_unit_determinant():
         [(0, 0), (2, 0), (0, 2), (4, 0)]) == {4}
     assert _assert_carried_inverses(
         [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]) == {4}
+
+
+def _arc_point(dim, head, tail):
+    """e_head - e_tail in Z^dim, with e_0 = 0."""
+    point = [0] * dim
+    if head:
+        point[head - 1] = 1
+    if tail:
+        point[tail - 1] = -1
+    return tuple(point)
+
+
+# the origin, then up to 10 arc points +-e_a and e_a - e_b in dimension
+# <= 5, repeats allowed: points `_place` pairs through their nonzero
+# entries alone
+arc_point_sets = st.integers(1, 5).flatmap(lambda dim: st.lists(
+    st.tuples(st.integers(0, dim), st.integers(0, dim))
+    .filter(lambda ends: ends[0] != ends[1])
+    .map(lambda ends: _arc_point(dim, *ends)),
+    min_size=1, max_size=10).map(lambda rays: [(0,) * dim] + rays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_point_sets)
+def test_place_arc_points_match_reference(points):
+    assert (list(placing_triangulation(points))
+            == list(reference_placing_triangulation(points)))
+    _assert_carried_inverses(points)
+
+
+def test_place_arc_simplex_off_unit_determinant():
+    # the homogenized rows (1, e1), (1, e2 - e1), (1, -e2) have det 3:
+    # bordering -e2 onto the segment of d = 2 divides by 2, and e2 and
+    # -e1, each beyond one facet of that triangle, are coned on with
+    # d' = 1, dividing by 3, all through arc pairings
+    points = [(1, 0), (-1, 1), (0, -1), (0, 1), (-1, 0)]
+    assert (list(placing_triangulation(points))
+            == list(reference_placing_triangulation(points)))
+    assert _assert_carried_inverses(points) == {1, 3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pairing_equals_dense_dot_on_the_chart(data):
+    # arc points read at most three entries of a row and other points
+    # the dense dot; both are the dot of the row with the point's chart
+    # entries, for any chart that starts at the homogenizing coordinate
+    dim = data.draw(st.integers(1, 5))
+    entry = st.sampled_from((-1, 0, 1)) | st.integers(-3, 3)
+    b = (1,) + data.draw(st.tuples(*[entry] * dim))
+    others = data.draw(st.permutations(range(1, dim + 1)))
+    chart = [0] + others[:data.draw(st.integers(0, dim))]
+    pos = {c: k for k, c in enumerate(chart)}
+    row = data.draw(st.tuples(*[st.integers(-9, 9)] * len(chart)))
+    assert _pairing(b, pos)(row) == sum(row[k] * b[c]
+                                        for c, k in pos.items())
 
 
 def _assert_boundary_of_simplices(points):

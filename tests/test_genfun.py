@@ -1,8 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     contains_scaled, dilate, fraction_gauss_jordan, half_open_contains,
 )
-from test_cones import relabelling_specs
+from test_cones import _working_tangent_cones, relabelling_specs
 
 import ehrmat
 from ehrmat import cones, corpus, genfun, specialize
@@ -23,7 +24,8 @@ from ehrmat.genfun import (
 )
 from ehrmat.matroid import RankFunction
 from ehrmat.vertices import (
-    BASES_POLYTOPE, POLYMATROID, PolytopeSpec, enumerate_vertices,
+    BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,
+    enumerate_vertices,
 )
 
 
@@ -284,6 +286,62 @@ def test_triangulate_once_per_arc_pattern(monkeypatch, spec, vertices,
     g = build_genfun(spec)
     assert len({t.v for t in g.terms}) == vertices
     assert len(seen) == calls
+
+
+def _simplicial_specs():
+    """The corpus rows as independence polytopes and six seeded
+    polymatroid tables min(w(A), c) on 6 elements, shaped like the
+    bench's: polytopes with many tangent cones of exactly dim rays."""
+    specs = {name: PolytopeSpec(INDEPENDENCE_POLYTOPE,
+                                corpus.rank_function(name))
+             for name in corpus.names()}
+    rng = random.Random("simplicial tangent cones")
+    for k in range(6):
+        w = [rng.choice((1, 2, 3)) for _ in range(6)]
+        c = sum(w) - rng.choice((2, 3))
+        table = {frozenset(a): min(sum(w[e - 1] for e in a), c)
+                 for size in range(1, 7)
+                 for a in combinations(range(1, 7), size)}
+        specs[f"table_{k}"] = PolytopeSpec(
+            POLYMATROID, RankFunction.from_table(6, table))
+    return specs
+
+
+def test_simplicial_tangent_cones_are_their_own_piece():
+    # a tangent cone is full-dimensional, so dim rays are independent,
+    # and triangulate_cone returns the one piece build_genfun uses
+    # without calling it
+    simplicial = 0
+    for spec in _simplicial_specs().values():
+        for rays in _working_tangent_cones(spec):
+            if len(rays) == len(rays[0]):
+                assert (cones.triangulate_cone(rays)
+                        == [list(range(len(rays)))])
+                simplicial += 1
+    assert simplicial > 100
+
+
+def test_triangulate_only_patterns_beyond_dim_rays(monkeypatch):
+    # build_genfun triangulates each new arc pattern with more than dim
+    # rays once, and never one with exactly dim rays
+    seen = []
+    real = genfun.triangulate_cone
+
+    def counted(rays):
+        seen.append(rays)
+        return real(rays)
+
+    monkeypatch.setattr(genfun, "triangulate_cone", counted)
+    simplicial = 0
+    for spec in _simplicial_specs().values():
+        seen.clear()
+        g = build_genfun(spec)
+        patterns = {cones.arc_pattern([cones._arc(r) for r in rays]):
+                    len(rays) for rays in _working_tangent_cones(spec)}
+        assert len(seen) == sum(k > g.dim for k in patterns.values())
+        assert all(len(rays) > g.dim for rays in seen)
+        simplicial += sum(k == g.dim for k in patterns.values())
+    assert simplicial > 0
 
 
 def test_arcs_read_once_per_cone_ray(monkeypatch):
