@@ -14,10 +14,13 @@ its result, with the median raw_wall_s of its passes from its detail
 file added: `wall_s` is rescaled by the speed probe, so both are kept.
 Odd pairs run the parent first, even pairs the change first. Both
 checkouts must have paths of equal length, because peak RSS moves with
-the path, and each workload needs at least 2 pairs; otherwise the
-script exits before any run. With --trace-seconds, each side then makes
-one traced run (`--trace 1`) per workload, and the nonzero layers of
-both are kept.
+the path, and each workload needs at least 2 pairs. Each side must
+have a commit to record: it must be a git checkout with a clean src/
+whose top level is the side itself, so that a copy inside another
+repository does not record that repository's HEAD; the change side may
+instead be named by --change-commit. Otherwise the script exits before
+any run. With --trace-seconds, each side then makes one traced run
+(`--trace 1`) per workload, and the nonzero layers of both are kept.
 
 The summary gives, per workload and metric (the end-to-end ones and
 raw_wall_s), the median and the inclusive quartiles of each side, and
@@ -51,9 +54,20 @@ def src_digest(root):
 
 
 def commit(root):
-    res = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
-                         capture_output=True, text=True, check=False)
-    return res.stdout.strip() or None
+    """HEAD of the git checkout whose top level is `root`, or None when
+    `root` is no such checkout or its src/ differs from HEAD, tracked or
+    untracked, so that the commit would not name the code that ran."""
+    def git(*args):
+        res = subprocess.run(["git", "-C", str(root), *args],
+                             capture_output=True, text=True, check=False)
+        return res.stdout.strip() if res.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != root.resolve():
+        return None
+    if git("status", "--porcelain", "--", "src") != "":
+        return None
+    return git("rev-parse", "HEAD") or None
 
 
 def run_bench(root, workload, seed, seconds, trace):
@@ -131,6 +145,14 @@ def main(argv=None):
     plan = [(w, int(n)) for w, n in (p.split("=") for p in args.pairs)]
     if any(n < 2 for _, n in plan):
         ap.error("each workload needs at least 2 pairs for its quartiles")
+    commits = {"parent": commit(sides["parent"]),
+               "change": args.change_commit or commit(sides["change"])}
+    for side, sha in commits.items():
+        if sha is None:
+            ap.error(f"no commit to record for the {side} side"
+                     f" {sides[side]}: it must be the top level of a git"
+                     " checkout with a clean src/ (the change side may be"
+                     " named by --change-commit)")
     runs, summary, traced = [], [], {}
     for workload, count in plan:
         for pair in range(1, count + 1):
@@ -168,9 +190,9 @@ def main(argv=None):
                      " paths of equal length, because peak_rss_mb moves"
                      " with the checkout path",
         "host": args.host,
-        "parent": {"commit": commit(sides["parent"]),
+        "parent": {"commit": commits["parent"],
                    "src_sha256": src_digest(sides["parent"])},
-        "change": {"commit": args.change_commit or commit(sides["change"]),
+        "change": {"commit": commits["change"],
                    "src_sha256": src_digest(sides["change"])},
         "summary_fields": "median and [lower, upper] quartile of each side;"
                           " change_better_in counts the pairs where the"

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial
 
 from . import bruteforce, genfun, hstar, specialize
@@ -175,14 +176,8 @@ def cmd_verify(args):
     oracle = bruteforce.ehrhart_by_interpolation(spec)
     poly = pipeline_ehrhart(spec)
     match = poly == oracle
-    first_diff = None
-    if not match:
-        for i in range(max(len(poly), len(oracle))):
-            a = poly[i] if i < len(poly) else Fraction(0)
-            b = oracle[i] if i < len(oracle) else Fraction(0)
-            if a != b:
-                first_diff = i
-                break
+    first_diff = next((i for i, (a, b) in enumerate(
+        zip_longest(poly, oracle, fillvalue=0)) if a != b), None)
     counts = []
     counted = bruteforce.interpolation_kmax(spec)
     for k in range(1, args.kmax + 1):

@@ -12,10 +12,10 @@ exactly, so no simplex is ever eliminated. Visibility signs, the hull
 test and the flat-facet drop of the cone stage are all read off these
 inverses. Where the new point's barycentric coordinate at a kept
 vertex is 0 and d does not change, either update copies that vertex's
-row, with no division. A point is paired with those rows through its
-nonzero entries: a homogenized arc point is the homogenizing 1 and at
-most one +1 and one -1, so each pairing reads at most three entries
-of a row, not dim + 1.
+row, with no division. Each point is an arc (tail, head) standing for
+e_head - e_tail, the apex being (0, 0), so pairing it with a row reads
+the row at the homogenizing coordinate 0, the head and the tail (the
+root has none): at most three entries, not dim + 1.
 
 The boundary facets, each with its owner and the position of the
 vertex it omits, are kept from the first point on: a hull growth
@@ -54,8 +54,6 @@ y = sum xi^i r_i moves with the rays, so xi, every cut and every
 half-open flag agree as well.
 """
 
-from operator import mul
-
 from .exactmath import _integral_unimodular, vec_primitive, vec_sub
 
 
@@ -68,20 +66,15 @@ def tangent_cone(vs, i):
             for j in vs.adjacent_vertices(i)]
 
 
-def _pairing(b, pos):
-    """The pairing r -> r . b_chart of a homogenized point b with a row r
-    of a carried inverse or of the hull test, which holds one entry per
-    chart coordinate c, at position pos[c]. An arc point, whose entries
-    past the homogenizing 1 are at most one +1 (its head) and one -1
-    (its tail), reads r[0] + r[h] - r[t], leaving out an end outside
-    the chart; any other point takes the dense dot. Which of the two
-    applies is read off the point alone."""
-    heads, tails = b.count(1) - 1, b.count(-1)
-    if heads > 1 or tails > 1 or heads + tails + b.count(0) + 1 < len(b):
-        bc = [b[c] for c in pos]
-        return lambda r: sum(map(mul, r, bc))
-    h = pos.get(b.index(1, 1)) if heads else None
-    t = pos.get(b.index(-1)) if tails else None
+def _pairing(arc, pos):
+    """The pairing r -> r . b_chart of the homogenized point b of an arc
+    (tail, head) with a row r of a carried inverse or of the hull test,
+    which holds one entry per chart coordinate c, at position pos[c]:
+    r[0] + r[h] - r[t], leaving out an end that is the root or lies
+    outside the chart."""
+    tail, head = arc
+    t = pos.get(tail) if tail else None
+    h = pos.get(head) if head else None
     if h is None:
         return (lambda r: r[0]) if t is None else (lambda r: r[0] - r[t])
     if t is None:
@@ -142,29 +135,31 @@ def _bordered(t, d, u, e, f):
     return rows, big
 
 
-def _affine_rows(s, t, hom, chart):
+def _entry(arc, c):
+    """Coordinate c >= 1 of the point of an arc (tail, head)."""
+    return (c == arc[1]) - (c == arc[0])
+
+
+def _affine_rows(s, t, arcs, chart, dim):
     """The hull test's rows of a simplex s carrying (t, d), one per
-    coordinate c outside the chart: (c, sum over the vertices v of s of
-    hom[v][c] t_v). A point b of the affine hull has
-    b[c] = row . b_chart / d, the same map for every simplex of the
-    hull, so the rows of one simplex test every point until the hull
-    grows."""
-    rows = []
-    for c in range(len(hom[s[0]])):
-        if c in chart:
-            continue
-        row = [0] * len(t)
-        for v, tv in zip(s, t):
-            x = hom[v][c]
-            if x:
-                row = [r + x * y for r, y in zip(row, tv)]
-        rows.append((c, row))
-    return rows
+    coordinate c of 1..dim outside the chart, ascending: (c, sum over
+    the vertices v of s of b_v[c] t_v), b_v the homogenized point of
+    arcs[v], so each t_v is added at v's head and taken off at its
+    tail. A point b of the affine hull has b[c] = row . b_chart / d, the
+    same map for every simplex of the hull, so the rows of one simplex
+    test every point until the hull grows."""
+    rows = {c: [0] * len(t) for c in range(1, dim + 1) if c not in chart}
+    for v, tv in zip(s, t):
+        for c, x in zip(arcs[v], (-1, 1)):
+            if c in rows:
+                rows[c] = [r + x * y for r, y in zip(rows[c], tv)]
+    return list(rows.items())
 
 
-def _place(points):
-    """Incremental (placing) triangulation of conv(points), with every
-    simplex's carried inverse and the boundary.
+def _place(arcs):
+    """Incremental (placing) triangulation of the points of `arcs`, each
+    (tail, head) standing for e_head - e_tail, so (0, 0) is the origin,
+    with every simplex's carried inverse and the boundary.
 
     Points, at least one, are inserted in the given order. A point
     outside the current affine hull cones every maximal simplex to
@@ -178,18 +173,17 @@ def _place(points):
     has the largest index placed) carries (t, d): d times the inverse of
     its homogenized vertex matrix restricted to the chart, rows in the
     order of s, with d = |det| > 0. The chart maps the coordinates of
-    the homogenized points (0 is the homogenizing 1) on which the
-    current affine hull projects bijectively to their row positions;
-    each hull growth adds the first coordinate where the new point
-    leaves the hull, at the next position. So u = t b is d times the
+    the homogenized points (0 is the homogenizing 1, c >= 1 is node c)
+    on which the current affine hull projects bijectively to their row
+    positions; each hull growth adds the first coordinate where the new
+    point leaves the hull, at the next position. So u = t b is d times the
     barycentric coordinates of a point b of the hull, its sign is
     theirs, and no simplex is ever eliminated. The hull test reads one
     row per coordinate outside the chart (`_affine_rows`), built once
     per hull growth; once the chart holds every coordinate, there are
     none and no point can leave the hull. Each point is paired with
-    rows by one `_pairing`, built when it is placed, which reads only
-    its nonzero entries when it is an arc: the hull test, every
-    visibility test and every u = t b use it.
+    rows by one `_pairing`, built when it is placed from its two ends:
+    the hull test, every visibility test and every u = t b use it.
 
     The boundary maps each facet of exactly one maximal simplex to (that
     owner, position of the vertex it omits), from the first point on,
@@ -202,24 +196,24 @@ def _place(points):
     visible facets.
     Returns (maximal simplices, inverses by simplex, boundary).
     """
-    hom = [(1,) + tuple(p) for p in points]
+    dim = max(map(max, arcs))
     pos = {0: 0}
     simplices = {(0,)}
     inverse = {(0,): ([(1,)], 1)}
     boundary = {(): ((0,), 0)}
-    affine, d0 = _affine_rows((0,), [(1,)], hom, pos), 1
-    for idx in range(1, len(hom)):
-        b = hom[idx]
-        pair = _pairing(b, pos)
-        off = next((c for c, row in affine if pair(row) != d0 * b[c]),
-                   None)
+    affine, d0 = _affine_rows((0,), [(1,)], arcs, pos, dim), 1
+    for idx in range(1, len(arcs)):
+        arc = arcs[idx]
+        pair = _pairing(arc, pos)
+        off = next((c for c, row in affine
+                    if pair(row) != d0 * _entry(arc, c)), None)
         if off is not None:
             pos[off] = len(pos)
             for s in simplices:
                 t, d = inverse.pop(s)
                 inverse[s + (idx,)] = _bordered(
-                    t, d, list(map(pair, t)), [hom[v][off] for v in s],
-                    b[off])
+                    t, d, list(map(pair, t)),
+                    [_entry(arcs[v], off) for v in s], _entry(arc, off))
             grown = {fac + (idx,): (owner + (idx,), j)
                      for fac, (owner, j) in boundary.items()}
             for s in simplices:
@@ -228,7 +222,7 @@ def _place(points):
             simplices = {s + (idx,) for s in simplices}
             hull = next(iter(simplices))
             t, d0 = inverse[hull]
-            affine = _affine_rows(hull, t, hom, pos)
+            affine = _affine_rows(hull, t, arcs, pos, dim)
             continue
         visible = {}
         for fac, (owner, j) in boundary.items():
@@ -261,26 +255,27 @@ def _place(points):
     return {s for s in simplices}, inverse, boundary
 
 
-def triangulate_cone(rays):
-    """Triangulate the pointed cone spanned by `rays`, apex at the
-    origin, into simplicial cones, returned as lists of ray indices.
+def triangulate_cone(arcs):
+    """Triangulate the pointed cone spanned by the rays of `arcs`
+    (`_arc`), apex at the origin, into simplicial cones, returned as
+    lists of arc indices.
 
-    Stage 1 places {0} union rays; stage 2 joins the apex to every
-    boundary facet not containing it, read off the boundary `_place`
-    keeps, owner by owner in the order of its simplices and, within an
-    owner, by omitted position j descending. A facet in a hyperplane
-    through the apex spans a flat cone and is dropped: the placing
-    triangulation makes one when a ray is not extremal, and also from
-    some sets of extremal rays. The apex homogenizes to e_0 on the
-    chart, so entry 0 of row j of the owner's carried inverse is d
-    times the apex's barycentric coordinate opposite the facet, 0
-    exactly on a flat facet. An owner containing the apex has the apex
-    at position 0 and one facet without it, s[1:], where that entry is
-    d, so it is never flat.
+    Stage 1 places the apex (0, 0), then the arcs; stage 2 joins the
+    apex to every boundary facet not containing it, read off the
+    boundary `_place` keeps, owner by owner in the order of its
+    simplices and, within an owner, by omitted position j descending.
+    A facet in a hyperplane through the apex spans a flat cone and is
+    dropped: the placing triangulation makes one when a ray is not
+    extremal, and also from some sets of extremal rays. The apex
+    homogenizes to e_0 on the chart, so entry 0 of row j of the owner's
+    carried inverse is d times the apex's barycentric coordinate
+    opposite the facet, 0 exactly on a flat facet. An owner containing
+    the apex has the apex at position 0 and one facet without it, s[1:],
+    where that entry is d, so it is never flat.
     """
-    if not rays:
+    if not arcs:
         raise ValueError("cones: trivial cone")
-    tri, inverse, boundary = _place([(0,) * len(rays[0])] + list(rays))
+    tri, inverse, boundary = _place([(0, 0)] + list(arcs))
     facets = {}
     for fac, (owner, j) in boundary.items():
         # the apex is point 0, the first of every facet holding it
@@ -341,18 +336,20 @@ def tree_cuts(tree, y):
     return cuts
 
 
-def pick_generic_y(trees, rays):
+def pick_generic_y(trees, arcs):
     """(y, the trees' `half_open_decompose` flags at y), for the first
-    positive combination y = sum xi^(i-1) * r_i of the rays, xi = 1, 2,
-    ..., with no zero `tree_cuts` on any tree; y stays interior to the
-    cone spanned by the rays, and each tree is cut once per y tried.
-    y is formed by column: the powers xi^i once per xi, dotted with each
-    coordinate's column of the rays."""
-    columns = list(zip(*rays))
+    positive combination y = sum xi^(i-1) * r_i of the rays of `arcs`,
+    xi = 1, 2, ..., with no zero `tree_cuts` on any tree; y stays
+    interior to the cone spanned by the rays, and each tree is cut once
+    per y tried. xi^(i-1) is added at arc i's head and taken off at its
+    tail, and the root's entry is dropped."""
     xi = 1
     while True:
-        powers = [xi ** i for i in range(len(rays))]
-        y = tuple([sum(map(mul, powers, col)) for col in columns])
+        y = [0] * (1 + max(map(max, arcs)))
+        for i, (tail, head) in enumerate(arcs):
+            y[head] += xi ** i
+            y[tail] -= xi ** i
+        y = tuple(y[1:])
         try:
             return y, half_open_decompose(trees, y)
         except ValueError:

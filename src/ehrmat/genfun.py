@@ -133,10 +133,10 @@ def build_genfun(spec):
 
 
 def _vertex_terms(vs, i, chart, patterns):
-    """The terms of vertex i's tangent cone: the cone is triangulated in
-    working coordinates, and each half-open piece is the term with
-    numerator exponent the vertex plus the piece's open rays, and
-    the piece's ambient rays as denominator exponents.
+    """The terms of vertex i's tangent cone: the cone is triangulated on
+    its rays' arcs in working coordinates, and each half-open piece is
+    the term with numerator exponent the vertex plus the piece's open
+    rays, and the piece's ambient rays as denominator exponents.
 
     `patterns` maps the `arc_pattern` of each cone triangulated so far
     in this polytope to its [(piece, flags)]; a cone whose pattern is
@@ -148,9 +148,8 @@ def _vertex_terms(vs, i, chart, patterns):
     the piece's ray indices)."""
     v = vs.vertices[i]
     rays = tangent_cone(vs, i)
-    rays_work = [to_working(chart, r) for r in rays]
     try:
-        arcs = [_arc(r) for r in rays_work]
+        arcs = [_arc(to_working(chart, r)) for r in rays]
     except AssertionError as exc:
         raise AssertionError(f"cones: vertex {v}: {exc}") from exc
     key = arc_pattern(arcs)
@@ -163,7 +162,7 @@ def _vertex_terms(vs, i, chart, patterns):
         # independent and span a simplicial cone: its own one piece
         pieces = [list(range(dim))]
     else:
-        pieces = triangulate_cone(rays_work)
+        pieces = triangulate_cone(arcs)
     trees = [[arcs[j] for j in piece] for piece in pieces]
     for piece, tree in zip(pieces, trees):
         try:
@@ -172,7 +171,7 @@ def _vertex_terms(vs, i, chart, patterns):
             raise AssertionError(f"cones: vertex {v}, piece of rays"
                                  f" {piece}: {exc}") from exc
     if flagged is None:
-        _, flags = pick_generic_y(trees, rays_work)
+        _, flags = pick_generic_y(trees, arcs)
         flagged = patterns[key] = list(zip(pieces, flags))
     out = []
     for piece, flags in flagged:

@@ -243,10 +243,11 @@ def visible(points, facet_vertices, query):
     return value == 0
 
 
-def placing_triangulation(points):
+def placing_triangulation(arcs):
     """The maximal simplices of the placing triangulation that
-    `cones.triangulate_cone` builds on carried integer inverses."""
-    return _place(points)[0]
+    `cones.triangulate_cone` builds on carried integer inverses, of the
+    points of `arcs`, (tail, head) standing for e_head - e_tail."""
+    return _place(arcs)[0]
 
 
 def reference_placing_triangulation(points):

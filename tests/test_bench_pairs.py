@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,7 +32,7 @@ def bench_pairs(monkeypatch):
         return _fake_result(workload, 1.0 if root.name == "pa" else 0.5)
 
     monkeypatch.setattr(module, "run_bench", run_bench)
-    monkeypatch.setattr(module, "commit", lambda root: None)
+    monkeypatch.setattr(module, "commit", lambda root: f"sha-{root.name}")
     module.calls = calls
     return module
 
@@ -53,6 +54,8 @@ def test_writes_summary_for_two_pairs(bench_pairs, tmp_path):
     assert wall["change_better_in"] == 2
     assert (raw["metric"], raw["change_median"]) == ("raw_wall_s", 0.5)
     assert len(bench_pairs.calls) == 4
+    assert (doc["parent"]["commit"], doc["change"]["commit"]) == (
+        "sha-pa", "sha-ch")
 
 
 def test_run_bench_reads_raw_wall_from_detail_file(monkeypatch, tmp_path):
@@ -120,3 +123,56 @@ def test_rejects_paths_of_unequal_length_before_any_run(bench_pairs,
     assert exc.value.code == 2
     assert bench_pairs.calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["parent", "change"])
+def test_rejects_a_side_without_a_commit_before_any_run(
+        bench_pairs, monkeypatch, tmp_path, missing):
+    # a record whose commit is null names no code; --change-commit
+    # stands in for the change side only
+    out = tmp_path / "out.json"
+    absent = {"parent": "pa", "change": "ch"}[missing]
+    monkeypatch.setattr(bench_pairs, "commit", lambda root: (
+        None if root.name == absent else f"sha-{root.name}"))
+    argv = _checkouts(tmp_path) + ["--pairs", "symmetric=2",
+                                   "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert bench_pairs.calls == []
+    assert not out.exists()
+    if missing == "change":
+        bench_pairs.main(argv + ["--change-commit", "abc123"])
+        doc = json.loads(out.read_text())
+        assert doc["change"]["commit"] == "abc123"
+
+
+def test_commit_is_only_read_at_the_top_of_a_clean_checkout(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                        "-c", "user.email=t@t", *args], check=True,
+                       capture_output=True)
+
+    module = _load()
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"],
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert module.commit(repo) == head
+    # a copy inside the repository is not its top level
+    (repo / "copy" / "src").mkdir(parents=True)
+    assert module.commit(repo / "copy") is None
+    # an untracked or an edited file under src/ is not HEAD's code
+    (repo / "src" / "b.py").write_text("y = 2\n")
+    assert module.commit(repo) is None
+    (repo / "src" / "b.py").unlink()
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    assert module.commit(repo) is None
+    # a directory outside any repository has no commit
+    (tmp_path / "bare").mkdir()
+    assert module.commit(tmp_path / "bare") is None

@@ -464,8 +464,8 @@ def test_piece_error_names_vertex_and_rays(capsys, monkeypatch):
     # and the piece
     real = genfun.triangulate_cone
 
-    def cyclic(rays):
-        pieces = real(rays)
+    def cyclic(arcs):
+        pieces = real(arcs)
         return [[pieces[0][0]] + pieces[0][:-1]] + pieces[1:]
 
     monkeypatch.setattr(genfun, "triangulate_cone", cyclic)

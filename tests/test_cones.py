@@ -17,7 +17,7 @@ from oracles import (
 from test_bruteforce import matroid_specs, polymatroid_specs
 
 import ehrmat
-from ehrmat import cli, corpus
+from ehrmat import cli, cones, corpus
 from ehrmat.cones import (
     _arc, _pairing, _place, arc_pattern, assert_unimodular, cone_ray_matrix,
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
@@ -87,30 +87,48 @@ def test_visible_triangle():
     assert not visible(points, [0, 1], (1, 1))
 
 
+def _rays(dim, arcs):
+    """The rays e_head - e_tail in Z^dim of arcs (tail, head), e_0 = 0;
+    the apex (0, 0) is the origin."""
+    rays = []
+    for tail, head in arcs:
+        ray = [0] * (dim + 1)
+        ray[head] += 1
+        ray[tail] -= 1
+        rays.append(tuple(ray[1:]))
+    return rays
+
+
+# the points 0, e1 and e2 as arcs on the nodes {root, 1, 2}
+TRIANGLE = [(0, 0), (0, 1), (0, 2)]
+
+
 def test_placing_triangle():
-    tri = placing_triangulation([(0, 0), (1, 0), (0, 1)])
-    assert tri == {(0, 1, 2)}
+    assert placing_triangulation(TRIANGLE) == {(0, 1, 2)}
 
 
 def test_placing_square_two_triangles():
-    tri = placing_triangulation([(0, 0), (1, 0), (0, 1), (1, 1)])
+    # 0, e1, -e2 and e1 - e2 span a unit square
+    tri = placing_triangulation([(0, 0), (0, 1), (2, 0), (2, 1)])
     assert tri == {(0, 1, 2), (1, 2, 3)}
 
 
 def test_placing_skips_duplicates():
-    tri = placing_triangulation([(0, 0), (1, 0), (1, 0), (0, 1)])
+    tri = placing_triangulation([(0, 0), (0, 1), (0, 1), (0, 2)])
     assert tri == {(0, 1, 3)}
 
 
 def test_placing_interior_point_coverage():
-    # random rational interior points land in at least one simplex, and
-    # simplex interiors are disjoint
+    # rational points of the hexagon of the six arcs +-e1, +-e2 and
+    # +-(e1 - e2), with its centre 0 placed last, land in at least one
+    # simplex, and simplex interiors are disjoint
     from fractions import Fraction
     from math import lcm
 
     from ehrmat.exactmath import solve_linear
-    points = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
-    tri = placing_triangulation(points)
+    arcs = [(0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (1, 2), (0, 0)]
+    points = _rays(2, arcs)
+    tri = placing_triangulation(arcs)
 
     def bary(simplex, p):
         # barycentrics times the common denominator of p: same signs,
@@ -120,8 +138,10 @@ def test_placing_interior_point_coverage():
         rows.append([1] * len(simplex))
         return solve_linear(rows, [int(x * den) for x in p] + [den])
 
-    queries = [(Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 2), Fraction(1)),
-               (Fraction(1, 2), Fraction(7, 5)), (Fraction(1), Fraction(1, 7))]
+    queries = [(Fraction(1, 3), Fraction(1, 5)),
+               (Fraction(1, 2), Fraction(1, 2)),
+               (Fraction(-1, 2), Fraction(2, 5)), (Fraction(1), Fraction(0)),
+               (Fraction(0), Fraction(0)), (Fraction(1, 7), Fraction(-2, 3))]
     for q in queries:
         inside = [s for s in tri
                   if all(x >= 0 for x in bary(s, q))]
@@ -132,13 +152,14 @@ def test_placing_interior_point_coverage():
 
 
 def test_triangulate_simplicial_cone_unchanged():
-    assert triangulate_cone([(1, 0), (0, 1)]) == [[0, 1]]
-    assert triangulate_cone([(2,)]) == [[0]]
+    # e1 and e2, and e1 alone
+    assert triangulate_cone([(0, 1), (0, 2)]) == [[0, 1]]
+    assert triangulate_cone([(0, 1)]) == [[0]]
 
 
 def test_triangulate_k4_cone_golden():
-    rays = _k4_rays()
-    pieces = triangulate_cone(rays)
+    # the ambient rays are arcs on the nodes {root, 1..6} as well
+    pieces = triangulate_cone([_arc(r) for r in _k4_rays()])
     got = {frozenset(p) for p in pieces}
     assert got == {frozenset({0, 1, 2, 3, 4}),
                    frozenset({0, 2, 3, 4, 5}),
@@ -152,7 +173,7 @@ def test_k4_cone_pieces_unimodular():
     chart = working_chart(affine_lattice_basis(
         enumerate_vertices(spec).vertices))
     rays_work = [to_working(chart, r) for r in rays]
-    for piece in triangulate_cone(rays):
+    for piece in triangulate_cone([_arc(r) for r in rays_work]):
         work = [rays_work[j] for j in piece]
         assert_unimodular([_arc(r) for r in work], len(work[0]))
         assert det(cone_ray_matrix(work)) in (1, -1)
@@ -180,10 +201,11 @@ def test_triangulate_tangent_cones_match_reference(spec):
     # tree of arcs, whose cuts pair y with facet_normals_unimodular and
     # give the flags pick_generic_y returns
     for rays in _working_tangent_cones(spec):
-        pieces = triangulate_cone(rays)
+        arcs = [_arc(r) for r in rays]
+        pieces = triangulate_cone(arcs)
         assert pieces == reference_triangulate_cone(rays)
         trees = _trees(rays, pieces)
-        y, flags = pick_generic_y(trees, rays)
+        y, flags = pick_generic_y(trees, arcs)
         for piece, tree, f in zip(pieces, trees, flags):
             prays = [rays[j] for j in piece]
             assert_unimodular(tree, len(rays[0]))
@@ -193,41 +215,42 @@ def test_triangulate_tangent_cones_match_reference(spec):
 
 
 @st.composite
-def pointed_cones(draw):
-    """Up to 6 small integer rays in dimension <= 4, pointed because
-    every first coordinate is positive; not necessarily extremal, full
-    dimensional or unimodular."""
-    dim = draw(st.integers(1, 4))
-    ray = st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * (dim - 1))
-    return draw(st.lists(ray, min_size=1, max_size=6))
+def arc_cones(draw, min_size=1):
+    """(dim, arcs) of a pointed arc cone: the nodes {root, 1..dim},
+    dim <= 5, in a random order, and min_size to 10 arcs (tail, head),
+    repeats allowed, each tail before its head in that order, so every
+    ray e_head - e_tail rises along the order; not necessarily
+    extremal or full dimensional."""
+    dim = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(dim + 1)))
+    ends = st.lists(st.integers(0, dim), min_size=2, max_size=2,
+                    unique=True).map(sorted)
+    arcs = draw(st.lists(ends.map(lambda e: (order[e[0]], order[e[1]])),
+                         min_size=min_size, max_size=10))
+    return dim, arcs
+
+
+def _assert_cone_matches_reference(dim, arcs):
+    # the placing of the apex and the arcs, and the pieces, against the
+    # elimination-based references on the dense rays of the same arcs
+    rays = _rays(dim, arcs)
+    assert (list(placing_triangulation([(0, 0)] + arcs))
+            == list(reference_placing_triangulation([(0,) * dim] + rays)))
+    assert triangulate_cone(arcs) == reference_triangulate_cone(rays)
 
 
 @settings(max_examples=300, deadline=None)
-@given(pointed_cones())
-def test_triangulate_random_cones_match_reference(rays):
-    points = [(0,) * len(rays[0])] + rays
-    assert (list(placing_triangulation(points))
-            == list(reference_placing_triangulation(points)))
-    assert triangulate_cone(rays) == reference_triangulate_cone(rays)
-
-
-@st.composite
-def crowded_cones(draw):
-    """7 to 10 small integer rays in dimension <= 5, pointed because
-    every first coordinate is positive: the hull fills after at most
-    dim + 1 points, and the rest are inserted into a full hull."""
-    dim = draw(st.integers(1, 5))
-    ray = st.tuples(st.integers(1, 2), *[st.integers(-2, 2)] * (dim - 1))
-    return draw(st.lists(ray, min_size=7, max_size=10))
+@given(arc_cones())
+def test_triangulate_random_cones_match_reference(cone):
+    _assert_cone_matches_reference(*cone)
 
 
 @settings(max_examples=100, deadline=None)
-@given(crowded_cones())
-def test_triangulate_crowded_cones_match_reference(rays):
-    points = [(0,) * len(rays[0])] + rays
-    assert (list(placing_triangulation(points))
-            == list(reference_placing_triangulation(points)))
-    assert triangulate_cone(rays) == reference_triangulate_cone(rays)
+@given(arc_cones(min_size=7))
+def test_triangulate_crowded_cones_match_reference(cone):
+    # 7 to 10 arcs: the hull fills after at most dim + 1 points, and the
+    # rest are inserted into a full hull
+    _assert_cone_matches_reference(*cone)
 
 
 def _replayed_chart(points):
@@ -250,11 +273,12 @@ def _replayed_chart(points):
     return chart
 
 
-def _assert_carried_inverses(points):
+def _assert_carried_inverses(dim, arcs):
     # t M^T = d I with d = |det M| > 0, M the simplex's homogenized
     # vertex matrix read on the chart, one row per vertex; returns the
     # d seen
-    tri, inverse, _ = _place(points)
+    tri, inverse, _ = _place(arcs)
+    points = _rays(dim, arcs)
     chart = _replayed_chart(points)
     dets = set()
     for s in tri:
@@ -268,98 +292,120 @@ def _assert_carried_inverses(points):
     return dets
 
 
-# up to 9 small integer points in dimension <= 4, repeats allowed
-place_points = st.integers(1, 4).flatmap(lambda dim: st.lists(
-    st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=9))
+@settings(max_examples=200, deadline=None)
+@given(arc_cones())
+def test_place_carries_scaled_inverses(cone):
+    # the arcs alone, whose first point is not the apex, and with the
+    # apex first, as `triangulate_cone` places them
+    dim, arcs = cone
+    _assert_carried_inverses(dim, arcs)
+    _assert_carried_inverses(dim, [(0, 0)] + arcs)
+
+
+def _shortcut_copies(monkeypatch):
+    # the d > 1 at which `_coned` or `_bordered` copies a row, u_i = 0
+    # and d unchanged, appended as they are seen
+    seen = []
+    coned, bordered = cones._coned, cones._bordered
+
+    def counted_coned(t, d, j, u):
+        rows, d_new = coned(t, d, j, u)
+        if d > 1 and d_new == d and u.count(0):
+            seen.append(("coned", d))
+        return rows, d_new
+
+    def counted_bordered(t, d, u, e, f):
+        rows, d_new = bordered(t, d, u, e, f)
+        if d > 1 and d_new == d and u.count(0):
+            seen.append(("bordered", d))
+        return rows, d_new
+
+    monkeypatch.setattr(cones, "_coned", counted_coned)
+    monkeypatch.setattr(cones, "_bordered", counted_bordered)
+    return seen
+
+
+def test_place_carries_scaled_inverses_off_unit_determinant(monkeypatch):
+    # placing the apex, then these arcs, reaches a simplex with d = 2
+    # and a point with u = 0 at a kept vertex and d' = d, so the row is
+    # copied without division: in the rank-one update of a point beyond
+    # a facet in the first cone, in the bordered update of a hull growth
+    # in the second
+    seen = _shortcut_copies(monkeypatch)
+    assert _assert_carried_inverses(4, [(0, 0), (4, 1), (0, 4), (1, 3),
+                                        (0, 3), (1, 2), (0, 2)]) == {1, 2}
+    assert seen == [("coned", 2)]
+    seen.clear()
+    assert _assert_carried_inverses(4, [(0, 0), (1, 3), (4, 1), (3, 2),
+                                        (4, 2), (0, 1), (0, 1),
+                                        (4, 3)]) == {1, 2}
+    assert seen == [("bordered", 2)]
+
+
+@st.composite
+def arc_point_sets(draw):
+    """(dim, arcs): the apex, then up to 10 arcs (tail, head) on the
+    nodes {root, 1..dim}, dim <= 5, repeats allowed and not necessarily
+    pointed: the points +-e_a and e_a - e_b."""
+    dim = draw(st.integers(1, 5))
+    ends = st.lists(st.integers(0, dim), min_size=2, max_size=2,
+                    unique=True).map(tuple)
+    return dim, [(0, 0)] + draw(st.lists(ends, min_size=1, max_size=10))
 
 
 @settings(max_examples=200, deadline=None)
-@given(place_points)
-def test_place_carries_scaled_inverses(points):
-    _assert_carried_inverses(points)
-
-
-def test_place_carries_scaled_inverses_off_unit_determinant():
-    # (4, 0) lies on the line of the facet (0, 0) (2, 0), so u is 0 at
-    # that facet's opposite vertex and u_j = -d, with |d| = 4: the
-    # rank-one shortcut; (0, 0, 1) sits at height 1 over the triangle,
-    # where u is 0 at two vertices and D = d, with |d| = 4: the
-    # bordered shortcut
-    assert _assert_carried_inverses(
-        [(0, 0), (2, 0), (0, 2), (4, 0)]) == {4}
-    assert _assert_carried_inverses(
-        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]) == {4}
-
-
-def _arc_point(dim, head, tail):
-    """e_head - e_tail in Z^dim, with e_0 = 0."""
-    point = [0] * dim
-    if head:
-        point[head - 1] = 1
-    if tail:
-        point[tail - 1] = -1
-    return tuple(point)
-
-
-# the origin, then up to 10 arc points +-e_a and e_a - e_b in dimension
-# <= 5, repeats allowed: points `_place` pairs through their nonzero
-# entries alone
-arc_point_sets = st.integers(1, 5).flatmap(lambda dim: st.lists(
-    st.tuples(st.integers(0, dim), st.integers(0, dim))
-    .filter(lambda ends: ends[0] != ends[1])
-    .map(lambda ends: _arc_point(dim, *ends)),
-    min_size=1, max_size=10).map(lambda rays: [(0,) * dim] + rays))
-
-
-@settings(max_examples=200, deadline=None)
-@given(arc_point_sets)
-def test_place_arc_points_match_reference(points):
-    assert (list(placing_triangulation(points))
-            == list(reference_placing_triangulation(points)))
-    _assert_carried_inverses(points)
+@given(arc_point_sets())
+def test_place_arc_points_match_reference(cone):
+    dim, arcs = cone
+    assert (list(placing_triangulation(arcs))
+            == list(reference_placing_triangulation(_rays(dim, arcs))))
+    _assert_carried_inverses(dim, arcs)
 
 
 def test_place_arc_simplex_off_unit_determinant():
     # the homogenized rows (1, e1), (1, e2 - e1), (1, -e2) have det 3:
     # bordering -e2 onto the segment of d = 2 divides by 2, and e2 and
     # -e1, each beyond one facet of that triangle, are coned on with
-    # d' = 1, dividing by 3, all through arc pairings
-    points = [(1, 0), (-1, 1), (0, -1), (0, 1), (-1, 0)]
-    assert (list(placing_triangulation(points))
-            == list(reference_placing_triangulation(points)))
-    assert _assert_carried_inverses(points) == {1, 3}
+    # d' = 1, dividing by 3
+    arcs = [(0, 1), (1, 2), (2, 0), (0, 2), (1, 0)]
+    assert (list(placing_triangulation(arcs))
+            == list(reference_placing_triangulation(_rays(2, arcs))))
+    assert _assert_carried_inverses(2, arcs) == {1, 3}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_pairing_equals_dense_dot_on_the_chart(data):
-    # arc points read at most three entries of a row and other points
-    # the dense dot; both are the dot of the row with the point's chart
-    # entries, for any chart that starts at the homogenizing coordinate
+    # an arc's pairing reads at most three entries of a row, and equals
+    # the dot of the row with its homogenized point's chart entries, for
+    # any chart that starts at the homogenizing coordinate
     dim = data.draw(st.integers(1, 5))
-    entry = st.sampled_from((-1, 0, 1)) | st.integers(-3, 3)
-    b = (1,) + data.draw(st.tuples(*[entry] * dim))
+    arc = data.draw(st.tuples(st.integers(0, dim), st.integers(0, dim))
+                    .filter(lambda e: e[0] != e[1] or e == (0, 0)))
+    b = (1,) + _rays(dim, [arc])[0]
     others = data.draw(st.permutations(range(1, dim + 1)))
     chart = [0] + others[:data.draw(st.integers(0, dim))]
     pos = {c: k for k, c in enumerate(chart)}
     row = data.draw(st.tuples(*[st.integers(-9, 9)] * len(chart)))
-    assert _pairing(b, pos)(row) == sum(row[k] * b[c]
-                                        for c, k in pos.items())
+    assert _pairing(arc, pos)(row) == sum(row[k] * b[c]
+                                          for c, k in pos.items())
 
 
-def _assert_boundary_of_simplices(points):
+def _assert_boundary_of_simplices(arcs):
     # the boundary _place keeps through hull growths and insertions is
     # the one a scan of every facet of its simplices finds, facet ->
     # (owner, omitted position)
-    tri, _, boundary = _place(points)
+    tri, _, boundary = _place(arcs)
     assert boundary == {fac: (owner, j) for fac, owner, j
                         in _boundary_facets_with_owner(tri)}
 
 
 @settings(max_examples=200, deadline=None)
-@given(place_points)
-def test_place_keeps_boundary_of_its_simplices(points):
-    _assert_boundary_of_simplices(points)
+@given(arc_cones())
+def test_place_keeps_boundary_of_its_simplices(cone):
+    _, arcs = cone
+    _assert_boundary_of_simplices(arcs)
+    _assert_boundary_of_simplices([(0, 0)] + arcs)
 
 
 def test_place_keeps_boundary_on_ag32_tangent_cones():
@@ -367,42 +413,54 @@ def test_place_keeps_boundary_on_ag32_tangent_cones():
     # interior insertions come before hull growths
     interior_first = 0
     for rays in _working_tangent_cones(relabelling_specs()["AG32"]):
-        points = [(0,) * len(rays[0])] + rays
-        _assert_boundary_of_simplices(points)
+        _assert_boundary_of_simplices([(0, 0)] + [_arc(r) for r in rays])
         ranks = [fraction_mat_rank(rays[:k]) for k in range(len(rays) + 1)]
         interior_first += any(ranks[k] == ranks[k + 1] < ranks[-1]
                               for k in range(len(rays)))
     assert interior_first > 0
 
 
+# a pointed cone of 7 arcs in dimension 4 whose placing triangulation,
+# the apex being point 0, has a simplex without the apex that owns two
+# pieces and two flat facets
+OWNER_ARCS = [(3, 1), (4, 1), (3, 4), (0, 4), (0, 1), (0, 2), (3, 2)]
+OWNER_PIECES = [[0, 2, 3, 5], [0, 1, 5, 6], [0, 2, 5, 6], [0, 1, 4, 5],
+                [0, 3, 4, 5]]
+
+
 def test_triangulate_owner_without_apex_by_hand():
-    # (2, 1, -1) lies beyond the facet e1 e2 e3, so both pieces come
-    # from the simplex e1 e2 e3 (2, 1, -1), which misses the apex; the
-    # apex's barycentric coordinates there, read off its carried
-    # inverse, are nonzero at e2 and e1, so neither facet is flat
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1)]
-    got = triangulate_cone(rays)
-    assert got == [[0, 2, 3], [1, 2, 3]] == reference_triangulate_cone(rays)
-    # |det| is 1 for the first piece and 2 for the second
-    assert [abs(det(cone_ray_matrix([rays[j] for j in piece])))
-            for piece in got] == [1, 2]
+    # the simplex of arcs 0 1 3 4 5 misses the apex; the apex's
+    # barycentric coordinates there, read off its carried inverse, are
+    # nonzero opposite its positions 1 and 2, so those two boundary
+    # facets are the pieces [0, 3, 4, 5] and [0, 1, 4, 5]
+    _, inverse, boundary = _place([(0, 0)] + OWNER_ARCS)
+    owner = (1, 2, 4, 5, 6)
+    t = inverse[owner][0]
+    assert sorted((j, fac, t[j][0] != 0) for fac, (s, j) in boundary.items()
+                  if s == owner) == [
+        (0, (2, 4, 5, 6), False), (1, (1, 4, 5, 6), True),
+        (2, (1, 2, 5, 6), True), (4, (1, 2, 4, 5), False)]
+    assert (triangulate_cone(OWNER_ARCS) == OWNER_PIECES
+            == reference_triangulate_cone(_rays(4, OWNER_ARCS)))
 
 
 def test_flat_facets_dropped():
-    # the placing triangulation has a boundary facet in a hyperplane
-    # through the apex, which spans a flat cone. With e1 + e2, which is
-    # not extremal, it is e1 e2 (e1 + e2) in the plane z = 0
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
-    assert (placing_triangulation([(0, 0, 0)] + rays)
-            == {(0, 1, 2, 3), (1, 2, 3, 4)})
-    pieces = triangulate_cone(rays)
-    assert pieces == [[0, 2, 3], [1, 2, 3]] == reference_triangulate_cone(rays)
+    # the placing triangulation has boundary facets in a hyperplane
+    # through the apex, which span flat cones: of the 7 without the
+    # apex, the 2 of the owner above are flat, and 5 are pieces
+    tri = placing_triangulation([(0, 0)] + OWNER_ARCS)
+    assert tri == {(0, 1, 2, 4, 6), (0, 1, 2, 6, 7), (0, 1, 3, 4, 6),
+                   (0, 1, 3, 6, 7), (1, 2, 4, 5, 6)}
+    assert sum(0 not in fac for fac, _, _
+               in _boundary_facets_with_owner(tri)) == 7
+    assert (triangulate_cone(OWNER_ARCS) == OWNER_PIECES
+            == reference_triangulate_cone(_rays(4, OWNER_ARCS)))
     # a polymatroid tangent cone, every ray extremal, has one too
     rays = [(0, -1, 0, 0, 0), (0, -1, 1, 0, 0), (0, 0, 0, -1, 1),
             (0, 0, 0, 0, -1), (0, 0, 1, -1, 0), (1, -1, 0, 0, 0)]
     assert all(is_extreme_direction(r, [q for q in rays if q != r])
                for r in rays)
-    pieces = triangulate_cone(rays)
+    pieces = triangulate_cone([_arc(r) for r in rays])
     assert pieces == [[0, 1, 2, 4, 5], [0, 1, 3, 4, 5], [0, 2, 3, 4, 5]]
     assert pieces == reference_triangulate_cone(rays)
 
@@ -422,11 +480,10 @@ UNITS = [(0, 1), (0, 2)]
 
 def test_pick_generic_y_examples():
     # y = e1 + xi e2 over the unit rays, interior, so no flag is set
-    assert pick_generic_y([UNITS], [(1, 0), (0, 1)]) == (
-        (1, 1), [[False, False]])
-    # over e1 - e2 and e2, y = e1 + (xi - 1) e2 has a zero cut at
-    # xi = 1; xi = 2 works
-    assert pick_generic_y([UNITS], [(1, -1), (0, 1)]) == (
+    assert pick_generic_y([UNITS], UNITS) == ((1, 1), [[False, False]])
+    # over e1 - e2 and e2, the arcs (2, 1) and (0, 2),
+    # y = e1 + (xi - 1) e2 has a zero cut at xi = 1; xi = 2 works
+    assert pick_generic_y([UNITS], [(2, 1), (0, 2)]) == (
         (1, 1), [[False, False]])
 
 
@@ -434,7 +491,7 @@ def test_pick_generic_y_interior_to_rays():
     # every facet normal pairs negatively with an interior point
     rays = [(1, 0), (1, -1)]
     tree = [_arc(r) for r in rays]
-    y, flags = pick_generic_y([tree], rays)
+    y, flags = pick_generic_y([tree], tree)
     assert tree_cuts(tree, y) == [
         vec_dot(nrm, y) for nrm in facet_normals_unimodular(rays)]
     assert all(c < 0 for c in tree_cuts(tree, y))
@@ -452,7 +509,7 @@ LEFT, RIGHT = [(-1, 1), (0, 1)], [(0, 1), (1, 0)]
 
 def test_half_open_two_cones_share_one_open_facet():
     trees = [[_arc(r) for r in LEFT], [_arc(r) for r in RIGHT]]
-    y, flags = pick_generic_y(trees, [(-1, 1), (1, 0)])
+    y, flags = pick_generic_y(trees, [_arc(r) for r in [(-1, 1), (1, 0)]])
     assert flags == half_open_decompose(trees, y)
     assert sum(map(sum, flags)) == 1
 
@@ -578,14 +635,14 @@ def test_assert_unimodular_rejects_cycle_under_optimize():
 
 def test_visible_agrees_with_barycentric_attachment():
     # the triangulation produced with the fast hyperplane test attaches a
-    # new point exactly to the boundary facets the LP reports visible
-    points = [(0, 0), (2, 0), (0, 2), (3, 3)]
-    tri_before = placing_triangulation(points[:3])
-    assert tri_before == {(0, 1, 2)}
-    for fac, expect in [((1, 2), True), ((0, 1), False), ((0, 2), False)]:
+    # new point, here e1 - e2, exactly to the boundary facets the LP
+    # reports visible
+    arcs = TRIANGLE + [(2, 1)]
+    points = _rays(2, arcs)
+    assert placing_triangulation(arcs[:3]) == {(0, 1, 2)}
+    for fac, expect in [((0, 1), True), ((1, 2), False), ((0, 2), False)]:
         assert visible(points[:3], list(fac), points[3]) is expect
-    tri_after = placing_triangulation(points)
-    assert tri_after == {(0, 1, 2), (1, 2, 3)}
+    assert placing_triangulation(arcs) == {(0, 1, 2), (0, 1, 3)}
 
 
 def test_arc_reads_orientation():
@@ -662,8 +719,9 @@ def relabelling_specs():
 
 def _flagged(rays):
     # the cone stage of one cone, uncached: pieces and half-open flags
-    pieces = triangulate_cone(rays)
-    _, flags = pick_generic_y(_trees(rays, pieces), rays)
+    arcs = [_arc(r) for r in rays]
+    pieces = triangulate_cone(arcs)
+    _, flags = pick_generic_y(_trees(rays, pieces), arcs)
     return list(zip(pieces, flags))
 
 

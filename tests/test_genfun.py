@@ -278,9 +278,9 @@ def test_triangulate_once_per_arc_pattern(monkeypatch, spec, vertices,
     seen = []
     real = genfun.triangulate_cone
 
-    def counted(rays):
-        seen.append(rays)
-        return real(rays)
+    def counted(arcs):
+        seen.append(arcs)
+        return real(arcs)
 
     monkeypatch.setattr(genfun, "triangulate_cone", counted)
     g = build_genfun(spec)
@@ -315,8 +315,8 @@ def test_simplicial_tangent_cones_are_their_own_piece():
     for spec in _simplicial_specs().values():
         for rays in _working_tangent_cones(spec):
             if len(rays) == len(rays[0]):
-                assert (cones.triangulate_cone(rays)
-                        == [list(range(len(rays)))])
+                arcs = [cones._arc(r) for r in rays]
+                assert cones.triangulate_cone(arcs) == [list(range(len(arcs)))]
                 simplicial += 1
     assert simplicial > 100
 
@@ -327,9 +327,9 @@ def test_triangulate_only_patterns_beyond_dim_rays(monkeypatch):
     seen = []
     real = genfun.triangulate_cone
 
-    def counted(rays):
-        seen.append(rays)
-        return real(rays)
+    def counted(arcs):
+        seen.append(arcs)
+        return real(arcs)
 
     monkeypatch.setattr(genfun, "triangulate_cone", counted)
     simplicial = 0
@@ -339,7 +339,7 @@ def test_triangulate_only_patterns_beyond_dim_rays(monkeypatch):
         patterns = {cones.arc_pattern([cones._arc(r) for r in rays]):
                     len(rays) for rays in _working_tangent_cones(spec)}
         assert len(seen) == sum(k > g.dim for k in patterns.values())
-        assert all(len(rays) > g.dim for rays in seen)
+        assert all(len(arcs) > g.dim for arcs in seen)
         simplicial += sum(k == g.dim for k in patterns.values())
     assert simplicial > 0
 

@@ -50,3 +50,37 @@ def test_unread_parameter_check_sees_an_unread_parameter():
                      "    b = a\n"
                      "    return lambda x, y: d(y, *c, **e)\n")
     assert _unread_parameters(tree) == [("f", "b"), ("<lambda>", "x")]
+
+
+def _unread_imports(tree):
+    """Every name that an import in `tree` binds and that no expression
+    in the module reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_library_reads_every_import():
+    # an import nothing reads is left over from code that has gone, and
+    # every reader of the module has to look past it
+    found = []
+    for path in sorted(Path(ehrmat.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}: {name}" for name in _unread_imports(tree)]
+    assert found == []
+
+
+def test_unread_import_check_sees_an_unread_import():
+    tree = ast.parse("import os.path\n"
+                     "import json as js\n"
+                     "from operator import add, mul as times\n"
+                     "def f(x):\n"
+                     "    from math import comb\n"
+                     "    return os.sep, add(x, 1)\n")
+    assert _unread_imports(tree) == ["js", "times", "comb"]
