@@ -23,8 +23,12 @@ any run. With --trace-seconds, each side then makes one traced run
 (`--trace 1`) per workload, and the nonzero layers of both are kept.
 
 The summary gives, per workload and metric (the end-to-end ones and
-raw_wall_s), the median and the inclusive quartiles of each side, and
-the number of pairs in which the change read lower.
+raw_wall_s), the median and the inclusive quartiles of each side, the
+number of pairs in which the change read lower, and `claim_met`: whether
+a gain may be claimed, i.e. at least ten pairs ran, the change read
+lower in at least nine tenths of them (ties count for neither side),
+and its median is below the parent's by more than the parent's
+inter-quartile distance.
 """
 
 import argparse
@@ -103,6 +107,7 @@ def summarize(runs, workload, seed):
                 pairs.setdefault(r["pair"], {})[r["side"]] = value
         parent = [p["parent"] for p in pairs.values()]
         change = [p["change"] for p in pairs.values()]
+        better = sum(p["change"] < p["parent"] for p in pairs.values())
         out.append({
             "workload": workload,
             "seed": seed,
@@ -112,10 +117,22 @@ def summarize(runs, workload, seed):
             "parent_quartiles": quartiles(parent),
             "change_median": round(statistics.median(change), 4),
             "change_quartiles": quartiles(change),
-            "change_better_in": sum(p["change"] < p["parent"]
-                                    for p in pairs.values()),
+            "change_better_in": better,
+            "claim_met": claim_met(better, parent, change),
         })
     return out
+
+
+def claim_met(better, parent, change):
+    """Whether the pairs support a claimed gain (every metric here reads
+    better lower): at least ten pairs, the change lower in at least nine
+    tenths of them, a tie counting for neither side, and the parent's
+    median above the change's by more than the distance between the
+    parent's quartiles."""
+    q1, q3 = statistics.quantiles(parent, n=4, method="inclusive")[::2]
+    return (len(parent) >= 10 and 10 * better >= 9 * len(parent)
+            and statistics.median(parent) - statistics.median(change)
+            > q3 - q1)
 
 
 def quartiles(values):
@@ -196,7 +213,11 @@ def main(argv=None):
                    "src_sha256": src_digest(sides["change"])},
         "summary_fields": "median and [lower, upper] quartile of each side;"
                           " change_better_in counts the pairs where the"
-                          " change read lower",
+                          " change read lower; claim_met is true when at"
+                          " least 10 pairs ran, the change read lower in"
+                          " at least 9 of every 10 (ties count for"
+                          " neither) and the medians differ by more than"
+                          " the parent's inter-quartile distance",
         "summary": summary,
     }
     if traced:

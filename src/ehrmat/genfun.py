@@ -14,28 +14,31 @@ done in a lattice basis of the polytope's affine hull. That basis is
 the reduced row echelon form of the vertex differences: for matroid and
 polymatroid polytopes every edge direction is +-(e_a - e_b) or +-e_a, so
 the echelon rows are integral, and a lattice vector's working
-coordinates are simply its entries in the pivot columns. `build_genfun`
-reads the basis into a chart once per polytope, the pivot columns and
-the basis entries in every other column, so that `to_working` only
-takes the pivot entries and checks the remaining columns.
+coordinates are simply its entries in the pivot columns. The edges at
+one vertex span the affine hull and the echelon form depends only on
+the span, so `build_genfun` eliminates only the differences from vertex
+0 to its neighbours. It reads the basis into a chart once per polytope,
+the pivot columns and the basis entries in every other column, so that
+`to_working` only takes the pivot entries and checks the remaining
+columns.
 
 In working coordinates every ray is an arc e_head - e_tail on the nodes
-{root, 1..dim}, e_root = 0, read once per ray of each cone by
-`cones._arc`. They give the cone's key, and a piece's arcs form the
-spanning tree that certifies it and whose cuts give its half-open
-flags. Many tangent cones of one polytope are the same directed graph
-up to relabelling its nodes. `build_genfun` keeps, for one call, the
-pieces and flags of each ordered arc pattern (`cones.arc_pattern`) it
-has triangulated, and a cone with a known pattern reuses them with its
-own rays. A relabelling is a unimodular linear map of the working
-lattice (lift to the sum-zero hyperplane of Z^(dim+1) and permute
-coordinates), under which the placing decisions, the tree cuts,
-`pick_generic_y`'s y and so every flag are invariant, so the terms, and
-the `genfun` dump, are those of triangulating every cone. A tangent
-cone is full-dimensional, so one with exactly dim rays is simplicial:
-it is its own piece, the one `triangulate_cone` would return, and is
-not placed. Every piece of every cone is certified on that cone's own
-arcs.
+{root, 1..dim}, e_root = 0, read by `to_working` and `cones._arc` once
+per distinct ray of the polytope, since many cones share a ray. The
+arcs give the cone's key, and a piece's arcs form the spanning tree
+that certifies it and whose cuts give its half-open flags. Many
+tangent cones of one polytope are the same directed graph up to
+relabelling its nodes. `build_genfun` keeps, for one call, the pieces
+and flags of each ordered arc pattern (`cones.arc_pattern`) it has
+triangulated, and a cone with a known pattern reuses them with its own
+rays. A relabelling is a unimodular linear map of the working lattice
+(lift to the sum-zero hyperplane of Z^(dim+1) and permute coordinates),
+under which the placing decisions, the tree cuts, `pick_generic_y`'s y
+and so every flag are invariant, so the terms, and the `genfun` dump,
+are those of triangulating every cone. A tangent cone is
+full-dimensional, so one with exactly dim rays is simplicial: it is its
+own piece, the one `triangulate_cone` would return, and is not placed.
+Every piece of every cone is certified on that cone's own arcs.
 """
 
 from operator import mul
@@ -118,40 +121,49 @@ def build_genfun(spec):
     vs = enumerate_vertices(spec)
     if not vs.vertices:
         raise ValueError("genfun: empty polytope")
-    basis = affine_lattice_basis(vs.vertices)
+    # the edges at a vertex span the affine hull, and the echelon rows
+    # depend only on the span
+    near = [vs.vertices[j] for j in vs.adjacent_vertices(0)]
+    basis = affine_lattice_basis([vs.vertices[0]] + near)
     dim = len(basis)
     if dim == 0:
         # a single lattice point
         point = vs.vertices[0]
         return GenFun([GenFunTerm(point, point, [])], spec.n, 0)
     chart = working_chart(basis)
-    patterns = {}
+    patterns, arcs_of = {}, {}
     terms = []
     for i in range(len(vs)):
-        terms.extend(_vertex_terms(vs, i, chart, patterns))
+        terms.extend(_vertex_terms(vs, i, chart, patterns, arcs_of))
     return GenFun(terms, spec.n, dim)
 
 
-def _vertex_terms(vs, i, chart, patterns):
+def _vertex_terms(vs, i, chart, patterns, arcs_of):
     """The terms of vertex i's tangent cone: the cone is triangulated on
     its rays' arcs in working coordinates, and each half-open piece is
     the term with numerator exponent the vertex plus the piece's open
     rays, and the piece's ambient rays as denominator exponents.
 
-    `patterns` maps the `arc_pattern` of each cone triangulated so far
-    in this polytope to its [(piece, flags)]; a cone whose pattern is
-    there reuses them, read against its own rays. A new pattern with
-    exactly dim rays is simplicial and is its own one piece, with no
-    call to `triangulate_cone`. Every piece, reused or not, must pass
+    `arcs_of` maps each ray read so far in this polytope to its arc,
+    and `patterns` maps the `arc_pattern` of each cone triangulated so
+    far in it to its [(piece, flags)]; a cone whose pattern is there
+    reuses them, read against its own rays. A new pattern with exactly
+    dim rays is simplicial and is its own one piece, with no call to
+    `triangulate_cone`. Every piece, reused or not, must pass
     `assert_unimodular` on this cone's arcs; a ray that is no arc, or a
     piece that does not, raises AssertionError naming the vertex (and
     the piece's ray indices)."""
     v = vs.vertices[i]
     rays = tangent_cone(vs, i)
-    try:
-        arcs = [_arc(to_working(chart, r)) for r in rays]
-    except AssertionError as exc:
-        raise AssertionError(f"cones: vertex {v}: {exc}") from exc
+    arcs = []
+    for r in rays:
+        arc = arcs_of.get(r)
+        if arc is None:
+            try:
+                arc = arcs_of[r] = _arc(to_working(chart, r))
+            except AssertionError as exc:
+                raise AssertionError(f"cones: vertex {v}: {exc}") from exc
+        arcs.append(arc)
     key = arc_pattern(arcs)
     flagged = patterns.get(key)
     dim = len(chart[0])

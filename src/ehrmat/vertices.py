@@ -19,7 +19,8 @@ that are independent, with a swap I - b + a kept only where I + a is
 dependent. Neither family scans 2^n masks, so both stay polynomial for
 fixed rank. Every polymatroid edge is parallel to e_c or to e_a - e_b,
 so the vertices are bucketed by their coordinates off c, or off a and b
-plus x_a + x_b; a line holds at most two vertices, so a bucket holds at
+plus x_a + x_b, each key read as one integer whose digits are those
+coordinates; a line holds at most two vertices, so a bucket holds at
 most one pair x, y. The constraints tight at both are those tight at x
 through neither or both moving coordinates, so the pair is an edge iff
 (Topkis) x restricted to E - c is a vertex of the deletion f|(E - c),
@@ -29,7 +30,8 @@ that every prefix is tight, which a greedy walk decides (see
 `_prefixes_tight`).
 """
 
-from itertools import combinations
+from itertools import chain, combinations
+from operator import mul
 
 BASES_POLYTOPE = "bases"
 INDEPENDENCE_POLYTOPE = "independence"
@@ -171,21 +173,32 @@ def _prefixes_tight(units, fval):
 def _lattice_adjacency(spec, vertices):
     # bucket each vertex under its n + n (n - 1) / 2 direction keys
     # (see the module docstring); a pair of distinct vertices shares at
-    # most one bucket
+    # most one bucket, and a bucket holds at most two vertices, so it
+    # keeps its first and pairs the second with it. A key is one
+    # integer: the vertex's coordinates are digits in a base above
+    # every x_a + x_b, the e_c key zeroes digit c, the e_a - e_b key
+    # moves x_b onto digit a, and the direction's index is the digit
+    # above them all
     n = spec.n
     fval = spec.f.values
-    buckets = {}
+    base = max(2, 2 * max(chain.from_iterable(vertices), default=0) + 1)
+    powers = [base ** c for c in range(n)]
+    top = base ** n
+    moves = [(c,) for c in range(n)] + list(combinations(range(n), 2))
+    # direction d's key is digits + x[j] * step + d * top
+    steps = [(c, -powers[c]) for c in range(n)]
+    steps += [(b, powers[a] - powers[b]) for a, b in moves[n:]]
+    shifts = [(j, step, d * top) for d, (j, step) in enumerate(steps)]
+    buckets, pairs = {}, []
     for i, x in enumerate(vertices):
-        for c in range(n):
-            buckets.setdefault(((c,), x[:c] + x[c + 1:]), []).append(i)
-        for a, b in combinations(range(n), 2):
-            key = ((a, b), x[a] + x[b], x[:a] + x[a + 1:b] + x[b + 1:])
-            buckets.setdefault(key, []).append(i)
+        digits = sum(map(mul, x, powers))
+        for j, step, tag in shifts:
+            key = digits + x[j] * step + tag
+            other = buckets.setdefault(key, i)
+            if other != i:
+                pairs.append((other, i, moves[key // top]))
     adj = [[] for _ in vertices]
-    for (moving, *_), members in buckets.items():
-        if len(members) < 2:
-            continue
-        i, j = members
+    for i, j, moving in pairs:
         x = vertices[i]
         units = [(1 << e, x[e]) for e in range(n)
                  if x[e] and e not in moving]

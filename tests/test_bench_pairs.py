@@ -176,3 +176,42 @@ def test_commit_is_only_read_at_the_top_of_a_clean_checkout(tmp_path):
     # a directory outside any repository has no commit
     (tmp_path / "bare").mkdir()
     assert module.commit(tmp_path / "bare") is None
+
+
+# parent runs 1.00..1.09: median 1.045, quartiles 1.0225 and 1.0675
+_PARENT = [1.0 + i / 100 for i in range(10)]
+
+
+@pytest.mark.parametrize("change, met", [
+    # lower in all 10, medians 0.945 against 1.045: a gap of 0.1 over
+    # the parent's quartile distance 0.045
+    ([p - 0.1 for p in _PARENT], True),
+    # lower in 9 of 10, one pair slower
+    ([p - 0.1 for p in _PARENT[:9]] + [2.0], True),
+    # lower in 9, one tie: a tie counts for neither side
+    ([p - 0.1 for p in _PARENT[:9]] + [_PARENT[9]], True),
+    # lower in 8, two ties
+    ([p - 0.1 for p in _PARENT[:8]] + _PARENT[8:], False),
+    # lower in 8 of 10
+    ([p - 0.1 for p in _PARENT[:8]] + [2.0, 2.0], False),
+    # lower in all 10, but the medians differ by 0.03, inside the
+    # parent's quartile distance
+    ([p - 0.03 for p in _PARENT], False),
+], ids=["all_lower", "nine_of_ten", "one_tie", "two_ties",
+        "eight_of_ten", "gap_inside_spread"])
+def test_claim_met_needs_nine_in_ten_and_a_gap_beyond_the_spread(
+        change, met):
+    module = _load()
+    runs = [{"workload": "polymatroid_verify", "pair": pair, "side": side,
+             "result": _fake_result("polymatroid_verify", value)}
+            for pair, values in enumerate(zip(_PARENT, change), 1)
+            for side, value in zip(("parent", "change"), values)]
+    for row in module.summarize(runs, "polymatroid_verify", 1):
+        assert row["claim_met"] is met
+
+
+def test_claim_met_needs_ten_pairs():
+    module = _load()
+    parent = _PARENT[:9]
+    assert not module.claim_met(9, parent, [p - 0.5 for p in parent])
+    assert module.claim_met(10, _PARENT, [p - 0.5 for p in _PARENT])

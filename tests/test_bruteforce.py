@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import count_by_scan
-from strategies import truncated_sum_specs
+from strategies import independence_specs, truncated_sum_specs
 
 from ehrmat import corpus
 from ehrmat.bruteforce import count_direct, ehrhart_by_interpolation
@@ -109,6 +109,74 @@ def polymatroid_specs(draw):
 @given(st.one_of(matroid_specs(), polymatroid_specs()), st.integers(0, 3))
 def test_count_matches_scan_random(spec, k):
     assert count_direct(spec, k) == count_by_scan(spec, k)
+
+
+def _table(n, values):
+    """The rank table on n elements given by {subset tuple: value}."""
+    return RankFunction.from_table(n, {frozenset(a): v
+                                       for a, v in values.items()})
+
+
+@pytest.mark.parametrize("family, f, k, count", [
+    # two coordinates, caps a', b' and c = f({1, 2}): with a' + b' <= c
+    # the whole box counts
+    (POLYMATROID, _table(2, {(1,): 2, (2,): 3, (1, 2): 5}), 1, 12),
+    # a' + b' = c + 1: the box less its corner
+    (POLYMATROID, _table(2, {(1,): 2, (2,): 3, (1, 2): 4}), 1, 11),
+    # a' = b' = c: the triangle x + y <= 3, the box less 6 points
+    (POLYMATROID, _table(2, {(1,): 3, (2,): 3, (1, 2): 3}), 1, 10),
+    (POLYMATROID, _table(2, {(1,): 3, (2,): 3, (1, 2): 3}), 2, 28),
+    # the bases family's difference x(E) <= k r less x(E) <= k r - 1:
+    # 10 - 6 points on the segment x + y = 3
+    (BASES_POLYTOPE, RankFunction.uniform(2, 1), 3, 4),
+    # rank 0: the second count starts from the cap -1 and is 0
+    (BASES_POLYTOPE, RankFunction.uniform(2, 0), 2, 1),
+    # x_1 = 1 folds the cap of {2, 3} in x(E) <= 0 to -1: 4 - 1 points
+    (BASES_POLYTOPE, RankFunction.uniform(3, 1), 1, 3),
+    # x_1 = 0 leaves every cap as it is, x_1 = 1 cuts {2, 3} to 2:
+    # 8 + 6 points
+    (POLYMATROID, _table(3, {(1,): 1, (2,): 2, (3,): 2, (1, 2): 3,
+                             (1, 3): 3, (2, 3): 3, (1, 2, 3): 3}), 1, 14),
+], ids=["box", "corner_cut", "triangle", "triangle_k2", "bases_segment",
+        "bases_rank0", "bases_negative_fold", "equal_children_run"])
+def test_count_hand_cases(family, f, k, count):
+    spec = PolytopeSpec(family, f)
+    assert count_direct(spec, k) == count == count_by_scan(spec, k)
+
+
+def _count_nested(spec, k):
+    """#(kP intersect Z^n) by nested ranges in index order: coordinate i
+    runs over 0..min of k f(S) - x(S - i) over the sets S of the first
+    i + 1 coordinates that hold i, and the bases family keeps the
+    points with x(E) = k r. No memo and no closed form."""
+    n, values = spec.n, spec.f.values
+
+    def walk(i, sums):
+        # sums[m] = x(m) for the masks m of the first i coordinates
+        if i == n:
+            return int(spec.family != BASES_POLYTOPE
+                       or sums[-1] == k * spec.r)
+        bit = 1 << i
+        top = min(k * values[m | bit] - sums[m] for m in range(bit))
+        return sum(walk(i + 1, sums + [s + x for s in sums])
+                   for x in range(top + 1))
+
+    return walk(0, [0])
+
+
+def _small(specs):
+    return specs.filter(lambda spec: spec.n <= 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _small(truncated_sum_specs()),
+    _small(independence_specs()),
+    _small(independence_specs()).map(
+        lambda spec: PolytopeSpec(BASES_POLYTOPE, spec.f))),
+    st.integers(0, 3))
+def test_count_matches_nested_ranges(spec, k):
+    assert count_direct(spec, k) == _count_nested(spec, k)
 
 
 def _relabelled(spec, perm):

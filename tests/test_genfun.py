@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     contains_scaled, dilate, fraction_gauss_jordan, half_open_contains,
 )
+from strategies import independence_specs, truncated_sum_specs
 from test_cones import _working_tangent_cones, relabelling_specs
 
 import ehrmat
@@ -258,14 +259,41 @@ def _term_tuples(terms):
     return [(t.a, t.v, t.bs) for t in terms]
 
 
+def _basis_at_vertex_0(vs):
+    """The lattice basis `build_genfun` takes: from vertex 0 and its
+    neighbours, whose edges span the affine hull."""
+    near = [vs.vertices[j] for j in vs.adjacent_vertices(0)]
+    return affine_lattice_basis([vs.vertices[0]] + near)
+
+
+@pytest.mark.parametrize("family", [BASES_POLYTOPE, INDEPENDENCE_POLYTOPE,
+                                    POLYMATROID])
+def test_basis_at_vertex_0_equals_basis_of_all_vertices_corpus(family):
+    for name in corpus.names():
+        vs = enumerate_vertices(PolytopeSpec(family,
+                                             corpus.rank_function(name)))
+        assert _basis_at_vertex_0(vs) == affine_lattice_basis(vs.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(truncated_sum_specs(), independence_specs(),
+                 independence_specs().map(
+                     lambda spec: PolytopeSpec(BASES_POLYTOPE, spec.f))))
+def test_basis_at_vertex_0_equals_basis_of_all_vertices_random(spec):
+    vs = enumerate_vertices(spec)
+    assert _basis_at_vertex_0(vs) == affine_lattice_basis(vs.vertices)
+
+
 @pytest.mark.parametrize("name", sorted(relabelling_specs()))
 def test_reused_triangulations_give_the_uncached_terms(name):
-    # build_genfun, which triangulates each arc pattern once, against
-    # every vertex's cone triangulated on its own
+    # build_genfun, which triangulates each arc pattern once and reads
+    # each distinct ray once, against every vertex's cone triangulated
+    # and read on its own
     spec = relabelling_specs()[name]
     vs = enumerate_vertices(spec)
     chart = working_chart(affine_lattice_basis(vs.vertices))
-    want = [t for i in range(len(vs)) for t in _vertex_terms(vs, i, chart, {})]
+    want = [t for i in range(len(vs))
+            for t in _vertex_terms(vs, i, chart, {}, {})]
     assert _term_tuples(build_genfun(spec).terms) == _term_tuples(want)
 
 
@@ -344,10 +372,10 @@ def test_triangulate_only_patterns_beyond_dim_rays(monkeypatch):
     assert simplicial > 0
 
 
-def test_arcs_read_once_per_cone_ray(monkeypatch):
+def test_arcs_read_once_per_distinct_ray(monkeypatch):
     # the pattern key, every piece's certificate and the half-open flags
-    # share one reading of each cone's rays as arcs; every edge of the
-    # polytope is a ray of the cones at both of its ends
+    # share one reading of each cone's rays as arcs, and a ray that
+    # several cones share is read once per polytope
     calls = []
     real = cones._arc
 
@@ -360,9 +388,10 @@ def test_arcs_read_once_per_cone_ray(monkeypatch):
     spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
     build_genfun(spec)
     vs = enumerate_vertices(spec)
+    rays = {r for i in range(len(vs)) for r in cones.tangent_cone(vs, i)}
     edges = {frozenset((i, j)) for i in range(len(vs))
              for j in vs.adjacent_vertices(i)}
-    assert len(calls) == 2 * len(edges) > 0
+    assert len(calls) == len(rays) < 2 * len(edges)
 
 
 @pytest.mark.parametrize("name", sorted(relabelling_specs()))

@@ -209,6 +209,23 @@ def test_prefix_walk_on_merged_unit(by_size, x, y, edge):
     assert (i in vs.adjacency[j]) == edge
 
 
+@pytest.mark.parametrize("n, by_size", [
+    # the zero polymatroid: one vertex, largest coordinate 0, base 2
+    (3, (0, 0, 0)),
+    # one element: the segment [0, 2], with one direction key
+    (1, (2,)),
+    # f = 2, 4, 4 by size: (2, 2, 0) is a vertex on four edges, and its
+    # e_1 - e_2 key puts x_1 + x_2 = 4, twice the largest coordinate, on
+    # one digit
+    (3, (2, 4, 4)),
+], ids=["zero", "n1", "digit_sum_2max"])
+def test_integer_bucket_keys_edge_cases(n, by_size):
+    spec = PolytopeSpec(POLYMATROID, _table_by_size(n, by_size))
+    vs = enumerate_vertices(spec)
+    assert vs.adjacency == tight_lattice_adjacency_pairwise(spec,
+                                                            vs.vertices)
+
+
 def _graphic_sum(graphs):
     gs = [RankFunction.graphic(g) for g in graphs]
     return RankFunction(len(graphs[0]),
