@@ -15,6 +15,7 @@ verification mismatch, 2 validation error, 3 enumeration budget,
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -247,7 +248,11 @@ def cmd_scan_uniform(args):
     return EXIT_CONJECTURE if violation else EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process on first use
+    and shared by every later `main` call; parsing leaves it
+    unchanged, and each command looks its pipeline up when it runs."""
     parser = argparse.ArgumentParser(
         prog="ehrmat",
         description="Exact Ehrhart polynomials and h*-vectors of matroid"

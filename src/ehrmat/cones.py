@@ -60,7 +60,10 @@ from .exactmath import _integral_unimodular, vec_primitive, vec_sub
 def tangent_cone(vs, i):
     """Rays of the tangent cone of the polytope at vertex i, whose apex
     is that vertex: the primitive directions toward the adjacent
-    vertices."""
+    vertices, in `adjacent_vertices` order. This is the per-vertex
+    reference: `genfun.build_genfun` reads every cone off its edge
+    table instead, one primitive ray per undirected edge, and lists
+    each cone's rays in this same order."""
     v = vs.vertices[i]
     return [vec_primitive(vec_sub(vs.vertices[j], v))
             for j in vs.adjacent_vertices(i)]

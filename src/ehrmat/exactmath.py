@@ -34,9 +34,7 @@ def vec_dot(u, v):
 
 def vec_primitive(v):
     """Divide an integer vector by the gcd of its entries."""
-    g = 0
-    for a in v:
-        g = gcd(g, a)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(a // g for a in v)

@@ -23,31 +23,37 @@ the pivot columns and the basis entries in every other column, so that
 columns.
 
 In working coordinates every ray is an arc e_head - e_tail on the nodes
-{root, 1..dim}, e_root = 0, read by `to_working` and `cones._arc` once
-per distinct ray of the polytope, since many cones share a ray. The
-arcs give the cone's key, and a piece's arcs form the spanning tree
-that certifies it and whose cuts give its half-open flags. Many
-tangent cones of one polytope are the same directed graph up to
-relabelling its nodes. `build_genfun` keeps, for one call, the pieces
-and flags of each ordered arc pattern (`cones.arc_pattern`) it has
-triangulated, and a cone with a known pattern reuses them with its own
-rays. A relabelling is a unimodular linear map of the working lattice
-(lift to the sum-zero hyperplane of Z^(dim+1) and permute coordinates),
-under which the placing decisions, the tree cuts, `pick_generic_y`'s y
-and so every flag are invariant, so the terms, and the `genfun` dump,
-are those of triangulating every cone. A tangent cone is
+{root, 1..dim}, e_root = 0. Each tangent-cone ray is an edge direction,
+and an edge gives the same ray at both ends with opposite signs, so
+`build_genfun` walks each undirected edge once: it takes the edge's
+primitive ray, reads it by `to_working` and `cones._arc` once per
+distinct ray of the polytope up to sign, since many cones share a ray,
+and hands the ray and its arc to one end, and the negated ray and the
+reversed arc to the other. The walk lists every cone's rays in
+`adjacent_vertices` order, as `cones.tangent_cone` does, so the placing
+order and the `genfun` dump are those of reading each cone on its own.
+The arcs give the cone's key, and a piece's arcs form the spanning tree
+that certifies it and whose cuts give its half-open flags. Many tangent
+cones of one polytope are the same directed graph up to relabelling its
+nodes. `build_genfun` keeps, for one call, the pieces and flags of each
+ordered arc pattern (`cones.arc_pattern`) it has triangulated, and a
+cone with a known pattern reuses them with its own rays. A relabelling
+is a unimodular linear map of the working lattice (lift to the sum-zero
+hyperplane of Z^(dim+1) and permute coordinates), under which the
+placing decisions, the tree cuts, `pick_generic_y`'s y and so every
+flag are invariant, so the terms, and the `genfun` dump, are those of
+triangulating every cone. A tangent cone is
 full-dimensional, so one with exactly dim rays is simplicial: it is its
 own piece, the one `triangulate_cone` would return, and is not placed.
 Every piece of every cone is certified on that cone's own arcs.
 """
 
-from operator import mul
+from operator import mul, sub
 
 from .cones import (
-    _arc, arc_pattern, assert_unimodular, pick_generic_y, tangent_cone,
-    triangulate_cone,
+    _arc, arc_pattern, assert_unimodular, pick_generic_y, triangulate_cone,
 )
-from .exactmath import _gauss_jordan, vec_sub
+from .exactmath import _gauss_jordan, vec_primitive, vec_sub
 from .vertices import enumerate_vertices
 
 
@@ -130,43 +136,67 @@ def build_genfun(spec):
         # a single lattice point
         point = vs.vertices[0]
         return GenFun([GenFunTerm(point, point, [])], spec.n, 0)
-    chart = working_chart(basis)
-    patterns, arcs_of = {}, {}
+    patterns = {}
     terms = []
-    for i in range(len(vs)):
-        terms.extend(_vertex_terms(vs, i, chart, patterns, arcs_of))
+    for v, cone in zip(vs.vertices,
+                       _edge_cones(vs, working_chart(basis))):
+        terms.extend(_vertex_terms(v, cone, dim, patterns))
     return GenFun(terms, spec.n, dim)
 
 
-def _vertex_terms(vs, i, chart, patterns, arcs_of):
-    """The terms of vertex i's tangent cone: the cone is triangulated on
-    its rays' arcs in working coordinates, and each half-open piece is
-    the term with numerator exponent the vertex plus the piece's open
-    rays, and the piece's ambient rays as denominator exponents.
+def _edge_cones(vs, chart):
+    """Every vertex's tangent cone as its [(ray, arc)], read off each
+    undirected edge {i, j}, i < j, once: the primitive ray r from v_i
+    to v_j joins vertex i's cone with its arc (tail, head), and -r joins
+    vertex j's with (head, tail). A ray is read as an arc once per
+    polytope, up to sign. The walk takes i in ascending order and each
+    adjacency list is sorted, so every cone lists its rays in
+    `adjacent_vertices` order, as `cones.tangent_cone` does. A ray that
+    is no arc raises AssertionError naming vertex i."""
+    verts = vs.vertices
+    cones = [[] for _ in verts]
+    read = {}   # ray -> (arc, -ray, reversed arc), both orientations
+    for i, (v, near) in enumerate(zip(verts, vs.adjacency)):
+        for j in near:
+            if j < i:
+                continue
+            r = vec_primitive(tuple(map(sub, verts[j], v)))
+            entry = read.get(r)
+            if entry is None:
+                try:
+                    arc = _arc(to_working(chart, r))
+                except AssertionError as exc:
+                    raise AssertionError(f"cones: vertex {v}: {exc}") \
+                        from exc
+                back = (arc[1], arc[0])
+                neg = tuple([-x for x in r])
+                entry = read[r] = (arc, neg, back)
+                read[neg] = (back, r, arc)
+            arc, neg, back = entry
+            cones[i].append((r, arc))
+            cones[j].append((neg, back))
+    return cones
 
-    `arcs_of` maps each ray read so far in this polytope to its arc,
-    and `patterns` maps the `arc_pattern` of each cone triangulated so
-    far in it to its [(piece, flags)]; a cone whose pattern is there
-    reuses them, read against its own rays. A new pattern with exactly
-    dim rays is simplicial and is its own one piece, with no call to
-    `triangulate_cone`. Every piece, reused or not, must pass
-    `assert_unimodular` on this cone's arcs; a ray that is no arc, or a
-    piece that does not, raises AssertionError naming the vertex (and
-    the piece's ray indices)."""
-    v = vs.vertices[i]
-    rays = tangent_cone(vs, i)
-    arcs = []
-    for r in rays:
-        arc = arcs_of.get(r)
-        if arc is None:
-            try:
-                arc = arcs_of[r] = _arc(to_working(chart, r))
-            except AssertionError as exc:
-                raise AssertionError(f"cones: vertex {v}: {exc}") from exc
-        arcs.append(arc)
+
+def _vertex_terms(v, cone, dim, patterns):
+    """The terms of the tangent cone at vertex v, given as its
+    [(ray, arc)] (`_edge_cones`): the cone is triangulated on its arcs
+    in working coordinates, and each half-open piece is the term with
+    numerator exponent the vertex plus the piece's open rays, and the
+    piece's ambient rays as denominator exponents.
+
+    `patterns` maps the `arc_pattern` of each cone triangulated so far
+    in this polytope to its [(piece, flags)]; a cone whose pattern is
+    there reuses them, read against its own rays. A new pattern with
+    exactly dim rays is simplicial and is its own one piece, with no
+    call to `triangulate_cone`. Every piece, reused or not, must pass
+    `assert_unimodular` on this cone's arcs; a piece that does not
+    raises AssertionError naming the vertex and the piece's ray
+    indices."""
+    rays = [r for r, _ in cone]
+    arcs = [arc for _, arc in cone]
     key = arc_pattern(arcs)
     flagged = patterns.get(key)
-    dim = len(chart[0])
     if flagged is not None:
         pieces = [piece for piece, _ in flagged]
     elif len(rays) == dim:

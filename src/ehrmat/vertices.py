@@ -53,7 +53,11 @@ class PolytopeSpec:
 
 
 class VertexSet:
-    """Distinct vertices with symmetric adjacency lists."""
+    """Distinct vertices with symmetric adjacency lists, each sorted in
+    ascending vertex index. `genfun.build_genfun` relies on the order:
+    it walks the edges {i, j}, i < j, with i ascending, so every
+    tangent cone it reads lists its rays in `adjacent_vertices` order,
+    and that order fixes the placing order and the `genfun` dump."""
 
     def __init__(self, spec, vertices):
         self.spec = spec

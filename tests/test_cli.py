@@ -480,16 +480,18 @@ def test_piece_error_names_vertex_and_rays(capsys, monkeypatch):
 
 
 def test_non_arc_ray_error_names_vertex_and_ray(capsys, monkeypatch):
-    # a tangent-cone ray that is no arc fails where the cone's rays are
-    # read as arcs, before any piece: the error names the document, the
-    # stage, the vertex and the working ray
-    real = genfun.tangent_cone
+    # an edge ray that is no arc fails where the edge rays are read as
+    # arcs, before any piece: the error names the document, the stage,
+    # the vertex and the working ray
+    real = genfun.vec_primitive
+    calls = []
 
-    def doubled(vs, i):
-        rays = real(vs, i)
-        return [tuple(2 * x for x in rays[0])] + rays[1:]
+    def doubled(v):
+        ray = real(v)
+        calls.append(ray)
+        return tuple(2 * x for x in ray) if len(calls) == 1 else ray
 
-    monkeypatch.setattr(genfun, "tangent_cone", doubled)
+    monkeypatch.setattr(genfun, "vec_primitive", doubled)
     path = data_path("K4")
     code = cli.main(["ehrhart", path])
     captured = capsys.readouterr()
@@ -500,6 +502,41 @@ def test_non_arc_ray_error_names_vertex_and_ray(capsys, monkeypatch):
         r"internal error: .*: cones: vertex \([01, ]+\): ray \([-02, ]+\)"
         r" is no arc \+-e_a or \+-\(e_a - e_b\), expected a network"
         r" matrix\n", captured.err), captured.err
+
+
+def test_cached_parser_serves_every_command(capsys, monkeypatch):
+    # main reuses one parser per process: a run of commands, a bad argv
+    # and a good call after it print what each prints on a fresh parser,
+    # and a pipeline patched after the parser is cached still takes
+    # effect
+    k4 = data_path("K4")
+    argvs = [["ehrhart", k4], ["hstar", k4], ["verify", k4, "--kmax", "1"],
+             ["genfun", k4], ["scan-uniform", "--nmax", "5"],
+             ["ehrhart", k4, "--kmax", "1"], ["hstar", k4]]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert fresh[5][0] == ("exit", 2)
+    assert [code for code, _, _ in fresh[:5] + fresh[6:]] == [0] * 6
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    assert [call(argv) for argv in argvs] == fresh
+    assert cli.build_parser() is parser
+
+    monkeypatch.setattr(cli, "pipeline_ehrhart", lambda spec: [1, 1])
+    code, out, _ = call(["ehrhart", k4])
+    assert code == 0 and json.loads(out)["coefficients"] == ["1", "1"]
+    assert cli.build_parser() is parser
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{"])

@@ -284,17 +284,50 @@ def test_basis_at_vertex_0_equals_basis_of_all_vertices_random(spec):
     assert _basis_at_vertex_0(vs) == affine_lattice_basis(vs.vertices)
 
 
+def _vertex_cone(vs, chart, i):
+    # vertex i's tangent cone read on its own: its rays, each read as
+    # an arc, in tangent_cone's order
+    return [(r, cones._arc(to_working(chart, r)))
+            for r in cones.tangent_cone(vs, i)]
+
+
 @pytest.mark.parametrize("name", sorted(relabelling_specs()))
 def test_reused_triangulations_give_the_uncached_terms(name):
     # build_genfun, which triangulates each arc pattern once and reads
-    # each distinct ray once, against every vertex's cone triangulated
-    # and read on its own
+    # each edge's ray once, against every vertex's cone read,
+    # triangulated and flagged on its own
     spec = relabelling_specs()[name]
     vs = enumerate_vertices(spec)
     chart = working_chart(affine_lattice_basis(vs.vertices))
+    dim = len(chart[0])
     want = [t for i in range(len(vs))
-            for t in _vertex_terms(vs, i, chart, {}, {})]
+            for t in _vertex_terms(vs.vertices[i], _vertex_cone(vs, chart, i),
+                                   dim, {})]
     assert _term_tuples(build_genfun(spec).terms) == _term_tuples(want)
+
+
+def _assert_edge_cones_in_adjacency_order(spec):
+    vs = enumerate_vertices(spec)
+    if len(vs) < 2:
+        return
+    chart = working_chart(affine_lattice_basis(vs.vertices))
+    got = genfun._edge_cones(vs, chart)
+    assert len(got) == len(vs)
+    for i, cone in enumerate(got):
+        assert cone == _vertex_cone(vs, chart, i), i
+
+
+@pytest.mark.parametrize("name", sorted(relabelling_specs()))
+def test_edge_cones_list_rays_in_adjacency_order(name):
+    # the genfun dump follows each cone's ray order, which the edge walk
+    # must keep equal to tangent_cone's, i.e. to adjacent_vertices(i)
+    _assert_edge_cones_in_adjacency_order(relabelling_specs()[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(truncated_sum_specs(), independence_specs()))
+def test_edge_cones_list_rays_in_adjacency_order_random(spec):
+    _assert_edge_cones_in_adjacency_order(spec)
 
 
 @pytest.mark.parametrize("spec, vertices, calls", [
@@ -372,26 +405,39 @@ def test_triangulate_only_patterns_beyond_dim_rays(monkeypatch):
     assert simplicial > 0
 
 
-def test_arcs_read_once_per_distinct_ray(monkeypatch):
-    # the pattern key, every piece's certificate and the half-open flags
-    # share one reading of each cone's rays as arcs, and a ray that
-    # several cones share is read once per polytope
-    calls = []
-    real = cones._arc
+@pytest.mark.parametrize("name", sorted(relabelling_specs()))
+def test_rays_built_once_per_edge_and_read_once_per_ray(monkeypatch, name):
+    # each undirected edge gives its ray once, to both its ends, and a
+    # ray that several cones share, with either sign, is read as an arc
+    # once per polytope; the pattern key, every piece's certificate and
+    # the half-open flags share that reading
+    built, read = [], []
+    real_primitive, real_arc = genfun.vec_primitive, cones._arc
 
-    def counted(ray):
-        calls.append(ray)
-        return real(ray)
+    def primitive(v):
+        built.append(v)
+        return real_primitive(v)
 
-    monkeypatch.setattr(cones, "_arc", counted)
-    monkeypatch.setattr(genfun, "_arc", counted)
-    spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
+    def arc(ray):
+        read.append(ray)
+        return real_arc(ray)
+
+    monkeypatch.setattr(genfun, "vec_primitive", primitive)
+    monkeypatch.setattr(cones, "_arc", arc)
+    monkeypatch.setattr(genfun, "_arc", arc)
+    spec = relabelling_specs()[name]
     build_genfun(spec)
     vs = enumerate_vertices(spec)
-    rays = {r for i in range(len(vs)) for r in cones.tangent_cone(vs, i)}
     edges = {frozenset((i, j)) for i in range(len(vs))
              for j in vs.adjacent_vertices(i)}
-    assert len(calls) == len(rays) < 2 * len(edges)
+    rays = {r for i in range(len(vs)) for r in cones.tangent_cone(vs, i)}
+
+    def unsigned(r):
+        return max(r, tuple(-x for x in r))
+
+    assert len(built) == len(edges)
+    assert len({unsigned(r) for r in read}) == len(read)
+    assert len(read) == len({unsigned(r) for r in rays}) < len(rays)
 
 
 @pytest.mark.parametrize("name", sorted(relabelling_specs()))
