@@ -19,8 +19,11 @@ have a commit to record: it must be a git checkout with a clean src/
 whose top level is the side itself, so that a copy inside another
 repository does not record that repository's HEAD; the change side may
 instead be named by --change-commit. Otherwise the script exits before
-any run. With --trace-seconds, each side then makes one traced run
-(`--trace 1`) per workload, and the nonzero layers of both are kept.
+any run. With --trace-seconds, the sides then make TRACED_PAIRS
+alternating pairs of traced runs (`--trace 1`) per workload, in the
+same order, and each layer keeps its median per side, so that a host
+phase during one traced run does not shift every layer of one side;
+layers that read 0 on both sides are left out.
 
 The summary gives, per workload and metric (the end-to-end ones and
 raw_wall_s), the median and the inclusive quartiles of each side, the
@@ -43,6 +46,15 @@ from pathlib import Path
 # the bench's end-to-end metrics, and the median raw (not rescaled)
 # wall time of the untraced passes, from each run's detail file
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb", "raw_wall_s")
+
+# alternating pairs of traced runs per workload under --trace-seconds
+TRACED_PAIRS = 3
+
+
+def pair_order(pair):
+    """The sides in the order pair number `pair` (from 1) runs them:
+    odd pairs the parent first, even pairs the change first."""
+    return ("parent", "change") if pair % 2 else ("change", "parent")
 
 
 def src_digest(root):
@@ -173,8 +185,7 @@ def main(argv=None):
     runs, summary, traced = [], [], {}
     for workload, count in plan:
         for pair in range(1, count + 1):
-            order = ("parent", "change") if pair % 2 else ("change", "parent")
-            for side in order:
+            for side in pair_order(pair):
                 result = run_bench(sides[side], workload, args.seed,
                                    args.seconds, 0)
                 runs.append({"workload": workload, "seed": args.seed,
@@ -184,15 +195,19 @@ def main(argv=None):
                       result["metrics"]["wall_s"]["value"], flush=True)
         summary += summarize(runs, workload, args.seed)
         if args.trace_seconds:
-            layers = {side: run_bench(root, workload, args.seed,
-                                      args.trace_seconds, 1)["metrics"]
-                      for side, root in sides.items()}
-            traced[workload] = {
-                name: [round(layers[side][name]["value"], 4)
-                       for side in ("parent", "change")]
-                for name in layers["parent"]
-                if layers["parent"][name]["value"]
-                or layers["change"][name]["value"]}
+            layers = {"parent": [], "change": []}
+            for pair in range(1, TRACED_PAIRS + 1):
+                for side in pair_order(pair):
+                    layers[side].append(run_bench(
+                        sides[side], workload, args.seed,
+                        args.trace_seconds, 1)["metrics"])
+            medians = {name: [statistics.median(run[name]["value"]
+                                                for run in layers[side])
+                              for side in ("parent", "change")]
+                       for name in layers["parent"][0]}
+            traced[workload] = {name: [round(v, 4) for v in pair]
+                                for name, pair in medians.items()
+                                if any(pair)}
     doc = {
         "what": args.what,
         "command": (f"python3 bench/run.py --workload <workload> --seed"
@@ -224,10 +239,12 @@ def main(argv=None):
         doc[f"traced_seed_{args.seed}"] = {
             "command": (f"python3 bench/run.py --workload <workload> --seed"
                         f" {args.seed} --seconds {args.trace_seconds}"
-                        f" --trace 1, one run per side"),
+                        f" --trace 1, {TRACED_PAIRS} alternating pairs"
+                        f" of runs, ordered as the untraced pairs"),
             **traced,
-            "note": "each pair is [parent, change]; layers that read 0 on"
-                    " both sides are left out"}
+            "note": "each pair is [parent, change], the median of each"
+                    " side's traced runs; layers that read 0 on both"
+                    " sides are left out"}
     doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 

@@ -292,11 +292,9 @@ def main(argv=None):
     where = getattr(args, "file", args.command)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        # the document could not be read as JSON
+    except (ValidationError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
+        # an invalid document, or one that could not be read as JSON
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetExceeded as exc:

@@ -8,26 +8,30 @@ coordinates, with d = |det| > 0, so t = +-adj and the sign of a
 barycentric coordinate is the sign of its entry of u = t b. Coning a
 facet to a new point is a rank-one update of the owner's inverse and
 growing the affine hull is a bordered (Schur) update; both divide
-exactly, so no simplex is ever eliminated. Visibility signs, the hull
-test and the flat-facet drop of the cone stage are all read off these
-inverses. Where the new point's barycentric coordinate at a kept
-vertex is 0 and d does not change, either update copies that vertex's
-row, with no division. Each point is an arc (tail, head) standing for
+exactly, so no simplex is ever eliminated. Visibility signs and the
+flat-facet drop of the cone stage are read off these inverses. Where
+the new point's barycentric coordinate at a kept vertex is 0 and d
+does not change, either update copies that vertex's row, with no
+division. Each point is an arc (tail, head) standing for
 e_head - e_tail, the apex being (0, 0), so pairing it with a row reads
 the row at the homogenizing coordinate 0, the head and the tail (the
 root has none): at most three entries, not dim + 1.
 
-The boundary facets, each with its owner and the position of the
-vertex it omits, are kept from the first point on: a hull growth
-extends every facet and owner by the new point and adds each old
-simplex as a facet, and a point inside the hull only toggles the
-facets of its new simplices. So an insertion costs its visibility
-tests and its new simplices, each visible owner's barycentric vector
-is taken once, the hull test reads one row per coordinate outside the
-chart, and the cone's pieces are read off the final boundary. The new
-simplices still enter in the order a full boundary scan lists them,
-since the order of a set of tuples, and so of the pieces, follows its
-insertion history.
+The apex is placed first, so the affine hull of the points placed is
+the linear span of their arcs, and a point leaves it exactly when its
+arc joins two components of the arcs' undirected graph: the hull test
+is union-find, with no row read. The boundary facets, each with its
+owner and the position of the vertex it omits, are kept from the first
+point on, and every step toggles the facets of its new simplices: a
+hull growth cones every simplex to the new point and starts from an
+empty boundary, where the two copies of each old interior ridge
+cancel, and an insertion toggles the facets of the simplices it adds
+beyond its visible facets. So an insertion costs its visibility tests
+and its new simplices, each visible owner's barycentric vector is
+taken once, and the cone's pieces are read off the final boundary.
+The new simplices still enter in the order a full boundary scan lists
+them, since the order of a set of tuples, and so of the pieces,
+follows its insertion history.
 
 Each piece is then certified unimodular independently of that
 arithmetic. A working ray is +-e_a or +-(e_a - e_b), an arc of a graph
@@ -71,8 +75,8 @@ def tangent_cone(vs, i):
 
 def _pairing(arc, pos):
     """The pairing r -> r . b_chart of the homogenized point b of an arc
-    (tail, head) with a row r of a carried inverse or of the hull test,
-    which holds one entry per chart coordinate c, at position pos[c]:
+    (tail, head) with a row r of a carried inverse, which holds one
+    entry per chart coordinate c, at position pos[c]:
     r[0] + r[h] - r[t], leaving out an end that is the root or lies
     outside the chart."""
     tail, head = arc
@@ -143,34 +147,25 @@ def _entry(arc, c):
     return (c == arc[1]) - (c == arc[0])
 
 
-def _affine_rows(s, t, arcs, chart, dim):
-    """The hull test's rows of a simplex s carrying (t, d), one per
-    coordinate c of 1..dim outside the chart, ascending: (c, sum over
-    the vertices v of s of b_v[c] t_v), b_v the homogenized point of
-    arcs[v], so each t_v is added at v's head and taken off at its
-    tail. A point b of the affine hull has b[c] = row . b_chart / d, the
-    same map for every simplex of the hull, so the rows of one simplex
-    test every point until the hull grows."""
-    rows = {c: [0] * len(t) for c in range(1, dim + 1) if c not in chart}
-    for v, tv in zip(s, t):
-        for c, x in zip(arcs[v], (-1, 1)):
-            if c in rows:
-                rows[c] = [r + x * y for r, y in zip(rows[c], tv)]
-    return list(rows.items())
-
-
 def _place(arcs):
     """Incremental (placing) triangulation of the points of `arcs`, each
-    (tail, head) standing for e_head - e_tail, so (0, 0) is the origin,
-    with every simplex's carried inverse and the boundary.
+    (tail, head) standing for e_head - e_tail, the first being the apex
+    (0, 0), with every simplex's carried inverse and the boundary.
+    ValueError if the first point is not the apex.
 
-    Points, at least one, are inserted in the given order. A point
-    outside the current affine hull cones every maximal simplex to
-    itself; a point inside it is attached to every visible boundary
-    facet: one it lies strictly beyond, i.e. where its barycentric
-    coordinate at the owner's vertex opposite the facet is negative. A
-    repeated point lies in the hull and strictly beyond no boundary
-    facet, so it adds no simplex.
+    Points are inserted in the given order. A point outside the current
+    affine hull cones every maximal simplex to itself; a point inside it
+    is attached to every visible boundary facet: one it lies strictly
+    beyond, i.e. where its barycentric coordinate at the owner's vertex
+    opposite the facet is negative. A repeated point lies in the hull
+    and strictly beyond no boundary facet, so it adds no simplex.
+
+    With the apex placed first, the affine hull is the linear span of
+    the arcs placed so far, and an arc leaves it exactly when its two
+    ends lie in different components of their undirected graph, which
+    union-find decides. Each component is rooted at its largest node,
+    or at the root 0 when it holds it, and the coordinates outside the
+    chart are the roots other than 0.
 
     A simplex s (a tuple of point indices, sorted because each new point
     has the largest index placed) carries (t, d): d times the inverse of
@@ -178,76 +173,76 @@ def _place(arcs):
     order of s, with d = |det| > 0. The chart maps the coordinates of
     the homogenized points (0 is the homogenizing 1, c >= 1 is node c)
     on which the current affine hull projects bijectively to their row
-    positions; each hull growth adds the first coordinate where the new
-    point leaves the hull, at the next position. So u = t b is d times the
-    barycentric coordinates of a point b of the hull, its sign is
-    theirs, and no simplex is ever eliminated. The hull test reads one
-    row per coordinate outside the chart (`_affine_rows`), built once
-    per hull growth; once the chart holds every coordinate, there are
-    none and no point can leave the hull. Each point is paired with
-    rows by one `_pairing`, built when it is placed from its two ends:
-    the hull test, every visibility test and every u = t b use it.
+    positions; each hull growth adds, at the next position, the first
+    coordinate where the new point leaves the hull: the smaller of the
+    two roots it joins, or the other one when that is 0. So u = t b is d
+    times the barycentric coordinates of a point b of the hull, its sign
+    is theirs, and no simplex is ever eliminated. Each point is paired
+    with rows by one `_pairing`, built when it is placed from its two
+    ends: every visibility test and every u = t b use it.
 
     The boundary maps each facet of exactly one maximal simplex to (that
     owner, position of the vertex it omits), from the first point on,
-    whose one facet is (). A hull growth by p turns each boundary facet
-    F of owner s at j into F + (p,) of owner s + (p,) at j, and adds
-    each old simplex s as the facet of s + (p,) at position len(s). A
-    point inside the hull only toggles the facets of its new simplices,
-    so a facet already on the boundary becomes interior and any other
-    one joins it. An owner's u = t b is taken once, for all of its
-    visible facets.
+    whose one facet is (). Each step toggles the facets of its new
+    simplices, so a facet already on the boundary becomes interior and
+    any other one joins it. A hull growth by p cones every simplex to p
+    and starts from an empty boundary: each facet F + (p,) of an old
+    ridge F inside the hull comes from both simplices on F and cancels,
+    which leaves each old boundary facet F of owner s at j as F + (p,)
+    of owner s + (p,) at j, and each old simplex s as the facet of
+    s + (p,) at position len(s). An owner's u = t b is taken once, for
+    all of its visible facets.
     Returns (maximal simplices, inverses by simplex, boundary).
     """
-    dim = max(map(max, arcs))
+    if arcs[0] != (0, 0):
+        raise ValueError("cones: the first point placed must be the apex")
+    parent = list(range(max(map(max, arcs)) + 1))
     pos = {0: 0}
     simplices = {(0,)}
     inverse = {(0,): ([(1,)], 1)}
     boundary = {(): ((0,), 0)}
-    affine, d0 = _affine_rows((0,), [(1,)], arcs, pos, dim), 1
     for idx in range(1, len(arcs)):
-        arc = arcs[idx]
+        arc = a, b = arcs[idx]
         pair = _pairing(arc, pos)
-        off = next((c for c, row in affine
-                    if pair(row) != d0 * _entry(arc, c)), None)
-        if off is not None:
+        # the roots of both ends, halving the paths on the way
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            lo, hi = sorted((a, b))
+            off = lo or hi
+            parent[off] = lo + hi - off
             pos[off] = len(pos)
             for s in simplices:
                 t, d = inverse.pop(s)
                 inverse[s + (idx,)] = _bordered(
                     t, d, list(map(pair, t)),
                     [_entry(arcs[v], off) for v in s], _entry(arc, off))
-            grown = {fac + (idx,): (owner + (idx,), j)
-                     for fac, (owner, j) in boundary.items()}
-            for s in simplices:
-                grown[s] = (s + (idx,), len(s))
-            boundary = grown
-            simplices = {s + (idx,) for s in simplices}
-            hull = next(iter(simplices))
-            t, d0 = inverse[hull]
-            affine = _affine_rows(hull, t, arcs, pos, dim)
-            continue
-        visible = {}
-        for fac, (owner, j) in boundary.items():
-            # t_j b is d > 0 times b's barycentric coordinate at j
-            if pair(inverse[owner][0][j]) < 0:
-                visible.setdefault(owner, []).append((j, fac))
-        # a set of tuples iterates in an order that depends on its
-        # insertion history, and the pieces' order follows it, so the
-        # new simplices go in as a full boundary scan lists them:
-        # owners in the order `simplices` iterates, then the omitted
-        # position j descending
-        new = []
-        for owner in simplices:
-            if owner not in visible:
-                continue
-            t, d = inverse[owner]
-            u = list(map(pair, t))
-            for j, fac in sorted(visible[owner], reverse=True):
-                s = fac + (idx,)
-                new.append(s)
-                inverse[s] = _coned(t, d, j, u)
-        simplices.update(new)
+            simplices = new = {s + (idx,) for s in simplices}
+            boundary = {}
+        else:
+            visible = {}
+            for fac, (owner, j) in boundary.items():
+                # t_j b is d > 0 times b's barycentric coordinate at j
+                if pair(inverse[owner][0][j]) < 0:
+                    visible.setdefault(owner, []).append((j, fac))
+            # a set of tuples iterates in an order that depends on its
+            # insertion history, and the pieces' order follows it, so
+            # the new simplices go in as a full boundary scan lists
+            # them: owners in the order `simplices` iterates, then the
+            # omitted position j descending
+            new = []
+            for owner in simplices:
+                if owner not in visible:
+                    continue
+                t, d = inverse[owner]
+                u = list(map(pair, t))
+                for j, fac in sorted(visible[owner], reverse=True):
+                    s = fac + (idx,)
+                    new.append(s)
+                    inverse[s] = _coned(t, d, j, u)
+            simplices.update(new)
         for s in new:
             for j in range(len(s)):
                 fac = s[:j] + s[j + 1:]

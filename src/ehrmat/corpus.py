@@ -3,8 +3,8 @@ principles (graphs, finite-field and rational matrices, point
 configurations, and circuit-hyperplane relaxations), exported as
 explicit bases lists.
 
-Each entry is (n, r, construction); `bases(name)` returns the sorted
-list of bases and `rank_function(name)` the explicit-bases oracle. The
+Each entry is (n, r, bases); `rank_function(name)` returns the
+explicit-bases oracle and `document(name)` the CLI document. The
 constructions run through the library: a graph's bases are the
 subsets that its `RankFunction.graphic` table rates independent, and a
 matrix's are the column subsets whose `_gauss_jordan` elimination has a
@@ -145,25 +145,14 @@ def _build_all():
 
 REGISTRY = _build_all()
 
-# Rows defined only by figures in references we do not have; no basis
-# list can be reconstructed, so these names are declared unavailable
-# rather than approximated.
-SKIPPED = {
-    "BJR1": "defined only by a figure in an external reference",
-    "BJR2": "defined only by a figure in an external reference",
-    "BJR3": "defined only by a figure in an external reference",
-    "BJR4": "defined only by a figure in an external reference",
-    "Speyer1": "defined only by a figure in an external reference",
-    "Speyer2": "defined only by a figure in an external reference",
-}
+# Six rows of the paper's table are left out: BJR1-4 and Speyer1-2 are
+# defined only by figures in external references, so no basis list can
+# be reconstructed for them, and they are omitted rather than
+# approximated.
 
 
 def names():
     return sorted(REGISTRY)
-
-
-def bases(name):
-    return REGISTRY[name][2]
 
 
 def rank(name):

@@ -58,6 +58,42 @@ def test_writes_summary_for_two_pairs(bench_pairs, tmp_path):
         "sha-pa", "sha-ch")
 
 
+def test_traced_runs_alternate_in_pairs_and_keep_medians(monkeypatch,
+                                                         tmp_path):
+    # one unpaired traced run per side lets a host phase shift every
+    # layer of one side: the traced runs alternate like the untraced
+    # pairs, and each layer keeps its median per side
+    module = _load()
+    calls = []
+    # the traced runs' layer values, in call order: the parent reads
+    # 3, 1, 2 and the change 6, 5, 4 on cones.triangulate_s, and one
+    # layer reads 0 on both sides
+    layer = iter([3.0, 6.0, 5.0, 1.0, 2.0, 4.0])
+
+    def run_bench(root, workload, seed, seconds, trace):
+        calls.append((root.name, trace))
+        result = _fake_result(workload, 1.0)
+        if trace:
+            result["metrics"]["cones.triangulate_s"] = {"value": next(layer)}
+            result["metrics"]["hstar.katzman_s"] = {"value": 0.0}
+        return result
+
+    monkeypatch.setattr(module, "run_bench", run_bench)
+    monkeypatch.setattr(module, "commit", lambda root: f"sha-{root.name}")
+    out = tmp_path / "out.json"
+    module.main(_checkouts(tmp_path) + ["--pairs", "symmetric=2",
+                                        "--trace-seconds", "3",
+                                        "--out", str(out)])
+    assert module.TRACED_PAIRS == 3
+    assert calls == [("pa", 0), ("ch", 0), ("ch", 0), ("pa", 0),
+                     ("pa", 1), ("ch", 1), ("ch", 1), ("pa", 1),
+                     ("pa", 1), ("ch", 1)]
+    traced = json.loads(out.read_text())["traced_seed_1"]["symmetric"]
+    assert traced["cones.triangulate_s"] == [2.0, 5.0]
+    assert traced["wall_s"] == [1.0, 1.0]
+    assert "hstar.katzman_s" not in traced
+
+
 def test_run_bench_reads_raw_wall_from_detail_file(monkeypatch, tmp_path):
     module = _load()
     detail = tmp_path / "detail.json"

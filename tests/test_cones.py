@@ -120,13 +120,14 @@ def test_placing_skips_duplicates():
 
 def test_placing_interior_point_coverage():
     # rational points of the hexagon of the six arcs +-e1, +-e2 and
-    # +-(e1 - e2), with its centre 0 placed last, land in at least one
-    # simplex, and simplex interiors are disjoint
+    # +-(e1 - e2), with its centre 0 placed first as `triangulate_cone`
+    # places the apex, land in at least one simplex, and simplex
+    # interiors are disjoint
     from fractions import Fraction
     from math import lcm
 
     from ehrmat.exactmath import solve_linear
-    arcs = [(0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (1, 2), (0, 0)]
+    arcs = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (1, 2)]
     points = _rays(2, arcs)
     tri = placing_triangulation(arcs)
 
@@ -295,34 +296,36 @@ def _assert_carried_inverses(dim, arcs):
 @settings(max_examples=200, deadline=None)
 @given(arc_cones())
 def test_place_carries_scaled_inverses(cone):
-    # the arcs alone, whose first point is not the apex, and with the
-    # apex first, as `triangulate_cone` places them
+    # the apex first, as `triangulate_cone` places it
     dim, arcs = cone
-    _assert_carried_inverses(dim, arcs)
     _assert_carried_inverses(dim, [(0, 0)] + arcs)
 
 
-def _shortcut_copies(monkeypatch):
-    # the d > 1 at which `_coned` or `_bordered` copies a row, u_i = 0
-    # and d unchanged, appended as they are seen
+def _logged_updates(monkeypatch):
+    # every `_coned` and `_bordered` call as (name, d, d', u), in order
     seen = []
     coned, bordered = cones._coned, cones._bordered
 
-    def counted_coned(t, d, j, u):
+    def logged_coned(t, d, j, u):
         rows, d_new = coned(t, d, j, u)
-        if d > 1 and d_new == d and u.count(0):
-            seen.append(("coned", d))
+        seen.append(("coned", d, d_new, u))
         return rows, d_new
 
-    def counted_bordered(t, d, u, e, f):
+    def logged_bordered(t, d, u, e, f):
         rows, d_new = bordered(t, d, u, e, f)
-        if d > 1 and d_new == d and u.count(0):
-            seen.append(("bordered", d))
+        seen.append(("bordered", d, d_new, u))
         return rows, d_new
 
-    monkeypatch.setattr(cones, "_coned", counted_coned)
-    monkeypatch.setattr(cones, "_bordered", counted_bordered)
+    monkeypatch.setattr(cones, "_coned", logged_coned)
+    monkeypatch.setattr(cones, "_bordered", logged_bordered)
     return seen
+
+
+def _shortcut_copies(seen):
+    # the d > 1 at which `_coned` or `_bordered` copies a row, u_i = 0
+    # and d unchanged, in the order of the logged calls
+    return [(name, d) for name, d, d_new, u in seen
+            if d > 1 and d_new == d and u.count(0)]
 
 
 def test_place_carries_scaled_inverses_off_unit_determinant(monkeypatch):
@@ -331,15 +334,15 @@ def test_place_carries_scaled_inverses_off_unit_determinant(monkeypatch):
     # copied without division: in the rank-one update of a point beyond
     # a facet in the first cone, in the bordered update of a hull growth
     # in the second
-    seen = _shortcut_copies(monkeypatch)
+    seen = _logged_updates(monkeypatch)
     assert _assert_carried_inverses(4, [(0, 0), (4, 1), (0, 4), (1, 3),
                                         (0, 3), (1, 2), (0, 2)]) == {1, 2}
-    assert seen == [("coned", 2)]
+    assert _shortcut_copies(seen) == [("coned", 2)]
     seen.clear()
     assert _assert_carried_inverses(4, [(0, 0), (1, 3), (4, 1), (3, 2),
                                         (4, 2), (0, 1), (0, 1),
                                         (4, 3)]) == {1, 2}
-    assert seen == [("bordered", 2)]
+    assert _shortcut_copies(seen) == [("bordered", 2)]
 
 
 @st.composite
@@ -362,15 +365,60 @@ def test_place_arc_points_match_reference(cone):
     _assert_carried_inverses(dim, arcs)
 
 
-def test_place_arc_simplex_off_unit_determinant():
-    # the homogenized rows (1, e1), (1, e2 - e1), (1, -e2) have det 3:
-    # bordering -e2 onto the segment of d = 2 divides by 2, and e2 and
-    # -e1, each beyond one facet of that triangle, are coned on with
-    # d' = 1, dividing by 3
-    arcs = [(0, 1), (1, 2), (2, 0), (0, 2), (1, 0)]
+@settings(max_examples=200, deadline=None)
+@given(arc_point_sets())
+def test_place_grows_the_hull_exactly_where_the_rank_rises(cone):
+    # `_place` decides hull growth by union-find on the arcs placed so
+    # far; it borders the simplices exactly at the points that raise
+    # the Fraction rank of the homogenized points placed before them
+    dim, arcs = cone
+    placed, grown = [], set()
+    pairing, bordered = cones._pairing, cones._bordered
+
+    def counted_pairing(arc, pos):
+        # one pairing per point placed, the apex excepted
+        placed.append(arc)
+        return pairing(arc, pos)
+
+    def marked_bordered(t, d, u, e, f):
+        grown.add(len(placed))
+        return bordered(t, d, u, e, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_pairing", counted_pairing)
+        mp.setattr(cones, "_bordered", marked_bordered)
+        _place(arcs)
+    hom = [(1,) + r for r in _rays(dim, arcs)]
+    ranks = [fraction_mat_rank(hom[:k]) for k in range(1, len(hom) + 1)]
+    assert grown == {k for k in range(1, len(hom))
+                     if ranks[k] > ranks[k - 1]}
+
+
+def test_place_requires_the_apex_first():
+    # the hull test reads the span of the arcs placed after the apex
+    with pytest.raises(ValueError, match="apex"):
+        _place([(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="apex"):
+        _place([(0, 1), (0, 0), (0, 2)])
+    assert _place([(0, 0)]) == ({(0,)}, {(0,): ([(1,)], 1)},
+                                {(): ((0,), 0)})
+
+
+def test_place_arc_simplex_off_unit_determinant(monkeypatch):
+    # a simplex without the apex can have d > 1: after four hull
+    # growths and a repeat, e2 is coned onto a facet with d' = 3, the
+    # hull growth by e1 - e3 borders that simplex with d = 3, dividing
+    # by 3, and e2 - e3, beyond three of its facets, is coned onto each
+    # with d' = 1, dividing by 3
+    arcs = [(0, 0), (0, 4), (4, 5), (1, 2), (5, 1), (4, 5), (0, 2),
+            (3, 1), (3, 2)]
+    seen = _logged_updates(monkeypatch)
     assert (list(placing_triangulation(arcs))
-            == list(reference_placing_triangulation(_rays(2, arcs))))
-    assert _assert_carried_inverses(2, arcs) == {1, 3}
+            == list(reference_placing_triangulation(_rays(5, arcs))))
+    assert [x[:3] for x in seen if 3 in x[1:3]] == [
+        ("coned", 1, 3), ("bordered", 3, 3), ("coned", 3, 1),
+        ("coned", 3, 1), ("coned", 3, 1)]
+    assert _assert_carried_inverses(5, arcs) == {1, 3}
 
 
 @settings(max_examples=300, deadline=None)
@@ -404,7 +452,6 @@ def _assert_boundary_of_simplices(arcs):
 @given(arc_cones())
 def test_place_keeps_boundary_of_its_simplices(cone):
     _, arcs = cone
-    _assert_boundary_of_simplices(arcs)
     _assert_boundary_of_simplices([(0, 0)] + arcs)
 
 
