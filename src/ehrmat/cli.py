@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from itertools import zip_longest
 from math import factorial
 
@@ -131,22 +130,18 @@ def pipeline_ehrhart(spec):
     return specialize.ehrhart_polynomial(genfun.build_genfun(spec))
 
 
-def _frac_str(x):
-    return str(Fraction(x))
-
-
 def cmd_ehrhart(args):
     name, spec = load_document(args.file)
     poly = pipeline_ehrhart(spec)
     dim = len(poly) - 1
-    volume = factorial(dim) * Fraction(poly[-1])
+    volume = factorial(dim) * poly[-1]
     if volume.denominator != 1:
         raise AssertionError(f"cli: normalized volume {volume} is not"
                              " an integer")
     out = {
         "name": name,
-        "coefficients": [_frac_str(c) for c in poly],
-        "volumeNormalized": _frac_str(poly[-1]),
+        "coefficients": [str(c) for c in poly],
+        "volumeNormalized": str(poly[-1]),
         "normalizedVolume": volume.numerator,
         "dim": dim,
     }
@@ -193,8 +188,8 @@ def cmd_verify(args):
     out = {
         "name": name,
         "match": match,
-        "pipeline": [_frac_str(c) for c in poly],
-        "bruteforce": [_frac_str(c) for c in oracle],
+        "pipeline": [str(c) for c in poly],
+        "bruteforce": [str(c) for c in oracle],
         "firstDifferingCoefficient": first_diff,
         "counts": counts,
     }

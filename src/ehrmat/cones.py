@@ -289,11 +289,6 @@ def triangulate_cone(arcs):
     return pieces
 
 
-def cone_ray_matrix(rays):
-    """Matrix whose columns are the rays."""
-    return tuple(zip(*rays))
-
-
 def facet_normals_unimodular(rays):
     """Inward facet normals of a unimodular simplicial cone, one per
     ray: the normal opposite ray j pairs to -1 with ray j and to 0 with
@@ -304,7 +299,7 @@ def facet_normals_unimodular(rays):
     identity = [[int(i == j) for j in range(len(rays))]
                 for i in range(len(rays))]
     return [tuple(-x for x in row) for row in
-            _integral_unimodular(cone_ray_matrix(rays), identity)]
+            _integral_unimodular(tuple(zip(*rays)), identity)]
 
 
 def tree_cuts(tree, y):

@@ -54,6 +54,11 @@
 - The integer matrix product, used to check inverses, and the
   determinant by Bareiss elimination, the reference for the unimodular
   certificate in `cones` and for full rank in `exactmath`.
+- The 22 corpus rows built from first principles: graphs by the
+  union-find `graphic_rank`, GF(p) and rational matrices by that
+  determinant, lines and circuit-hyperplanes by their non-bases, and
+  relaxations; the reference that pins the shipped documents which
+  `corpus` reads.
 - Fraction polynomial sum, product and Lagrange interpolation, the
   references for `exactmath.poly_from_values` (Newton form on integers)
   and for the products the tests take of Ehrhart polynomials.
@@ -842,7 +847,127 @@ def enumerate_bases(f):
 
 def ground_size(name):
     """Ground-set size of a bundled corpus row."""
-    return corpus.REGISTRY[name][0]
+    return corpus.document(name)["n"]
+
+
+# ---------------------------------------------------------------------------
+# the corpus rows built from first principles
+
+# complete graph on 4 vertices; edge labels follow the classical
+# triangle structure: the non-bases are the four triangles
+# {1,2,4}, {1,3,5}, {2,3,6}, {4,5,6}
+K4_EDGES = [(1, 2), (2, 3), (2, 4), (1, 3), (1, 4), (3, 4)]
+
+# rank-4 wheel: rim edges 1-4 (cycle on vertices 1..4), spokes 5-8 to
+# the hub vertex 5
+W4_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1),
+            (1, 5), (2, 5), (3, 5), (4, 5)]
+
+FANO_LINES = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
+              (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+
+P7_LINES = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (3, 5, 7)]
+
+# Vamos: rank 4 on pairs {1,2},{3,4},{5,6},{7,8}; circuit-hyperplanes
+# are the pair unions except {5,6,7,8}
+VAMOS_CH = [(1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8),
+            (3, 4, 5, 6), (3, 4, 7, 8)]
+
+# binary affine cube: homogeneous coordinates (1, x, y, z) over GF(2),
+# points in binary order of (x, y, z)
+AG32_COLUMNS = [(1, x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+
+# real affine cube: same points read over the rationals
+S8_COLUMNS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+              (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 1)]
+
+P8_COLUMNS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+              (0, 1, 1, -1), (1, 0, 1, 1), (1, 1, 0, 1), (-1, 1, 1, 0)]
+
+J_COLUMNS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 1, 0)]
+
+
+def _graphic_bases(edges, rank):
+    """Spanning trees of a connected graph of the given rank, as 1-based
+    edge index sets, by the union-find `graphic_rank`."""
+    forest = graphic_rank(edges)
+    return [frozenset(c)
+            for c in combinations(range(1, len(edges) + 1), rank)
+            if forest(frozenset(c)) == rank]
+
+
+def _linear_bases(columns, p=0):
+    """Bases of the column matroid of a matrix over GF(p), or over Q
+    when p = 0: the square column subsets whose Bareiss determinant is
+    nonzero mod p. The columns are taken as rows, since
+    det(M^T) = det(M)."""
+    rank = len(columns[0])
+    out = []
+    for combo in combinations(range(1, len(columns) + 1), rank):
+        d = det([columns[i - 1] for i in combo])
+        if d and (p == 0 or d % p):
+            out.append(frozenset(combo))
+    return out
+
+
+def relaxation_bases(base_bases, r, circuit_hyperplanes):
+    """Relax the given circuit-hyperplanes: each becomes a new basis."""
+    out = set(base_bases)
+    for ch in circuit_hyperplanes:
+        ch = frozenset(ch)
+        if len(ch) != r or ch in out:
+            raise ValueError(f"corpus: not a circuit-hyperplane:"
+                             f" {sorted(ch)}")
+        out.add(ch)
+    return out
+
+
+def _sparse_paving_bases(n, r, non_bases):
+    nb = {frozenset(b) for b in non_bases}
+    return [frozenset(c) for c in combinations(range(1, n + 1), r)
+            if frozenset(c) not in nb]
+
+
+def corpus_documents():
+    """The bases document of each of the 22 corpus rows, built from its
+    graph, matrix, lines or relaxation, with the bases in lexicographic
+    order: the reference that the shipped documents must equal."""
+    k4 = _graphic_bases(K4_EDGES, 3)
+    ag = _linear_bases(AG32_COLUMNS, 2)
+    # the 14 non-bases (affine planes) of the binary affine cube
+    planes = [p for p in combinations(range(1, 9), 4)
+              if frozenset(p) not in ag]
+    w4 = _graphic_bases(W4_EDGES, 4)
+    rows = {
+        "K4": (6, k4),
+        # whirl: relax the rim triangle {2,3,6} of the wheel
+        "W3_whirl": (6, relaxation_bases(k4, 3, [(2, 3, 6)])),
+        "Q6": (6, _sparse_paving_bases(6, 3, [(1, 2, 3), (3, 4, 5)])),
+        "P6": (6, _sparse_paving_bases(6, 3, [(1, 2, 3)])),
+        "R6": (6, _sparse_paving_bases(6, 3, [(1, 2, 3), (4, 5, 6)])),
+        "F7": (7, _sparse_paving_bases(7, 3, FANO_LINES)),
+        "F7_minus": (7, _sparse_paving_bases(7, 3, FANO_LINES[:-1])),
+        "P7": (7, _sparse_paving_bases(7, 3, P7_LINES)),
+        "AG32": (8, ag),
+        "AG32_prime": (8, relaxation_bases(ag, 4, planes[:1])),
+        "R8": (8, _linear_bases(AG32_COLUMNS)),
+        "F8": (8, relaxation_bases(ag, 4, planes[:2])),
+        "Q8": (8, relaxation_bases(ag, 4, planes[:3])),
+        "T8": (8, relaxation_bases(ag, 4, planes[-3:])),
+        "L8": (8, relaxation_bases(ag, 4, planes[:6])),
+        "S8": (8, _linear_bases(S8_COLUMNS, 2)),
+        "V8": (8, _sparse_paving_bases(8, 4, VAMOS_CH)),
+        "V8_plus": (8, _sparse_paving_bases(8, 4, VAMOS_CH + [(5, 6, 7, 8)])),
+        "J": (8, _linear_bases(J_COLUMNS, 3)),
+        "P8": (8, _linear_bases(P8_COLUMNS, 3)),
+        "W4_wheel": (8, w4),
+        # rank-4 whirl: relax the rim cycle {1,2,3,4}
+        "W4_whirl": (8, relaxation_bases(w4, 4, [(1, 2, 3, 4)])),
+    }
+    return {name: {"name": name, "family": "bases", "kind": "bases", "n": n,
+                   "bases": sorted(map(sorted, bases))}
+            for name, (n, bases) in rows.items()}
 
 
 def count_by_scan(spec, k):

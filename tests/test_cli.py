@@ -10,6 +10,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from oracles import corpus_documents
 
 from ehrmat import bruteforce, cli, corpus, genfun, specialize
 
@@ -565,12 +566,51 @@ def test_all_bundled_documents_validate():
         assert spec.n >= 1
 
 
+def _unpinned(read):
+    """Corpus rows whose document, as `read` returns it, differs from
+    the row built from first principles in `oracles`."""
+    reference = corpus_documents()
+    assert sorted(reference) == corpus.names()
+    return [name for name in corpus.names() if read(name) != reference[name]]
+
+
 def test_bundled_corpus_documents_pin_corpus():
-    # each corpus row's basis list is frozen by its bundled document
+    # each shipped corpus document must equal an independent build of
+    # its row: graphs by union-find, matrices by Bareiss determinants
     assert len(corpus.names()) == 22
-    for name in corpus.names():
-        with open(data_path(name), encoding="utf-8") as fh:
-            assert json.load(fh) == corpus.document(name), name
+    assert _unpinned(corpus.document) == []
+
+
+@pytest.mark.parametrize("flip", ["drop_basis", "add_non_basis"])
+def test_corpus_pin_sees_one_flipped_basis(flip):
+    doc = corpus.document("AG32")
+    bases = doc["bases"]
+    if flip == "drop_basis":
+        bases.pop(len(bases) // 2)
+    else:
+        # an affine plane of the binary cube, a non-basis of AG32
+        plane = [1, 2, 3, 4]
+        assert plane not in bases
+        bases.append(plane)
+        bases.sort()
+    assert _unpinned(lambda name: doc if name == "AG32"
+                     else corpus.document(name)) == ["AG32"]
+
+
+def test_corpus_names_are_the_bundled_bases_documents():
+    # a data file added or dropped must show up in the corpus rows
+    data_dir = files("ehrmat").joinpath("data")
+    kinds = {p.name[:-5]: json.loads(p.read_text(encoding="utf-8"))["kind"]
+             for p in data_dir.iterdir() if p.name.endswith(".json")}
+    assert corpus.names() == sorted(k for k, v in kinds.items()
+                                    if v == "bases")
+
+
+def test_corpus_rejects_a_shipped_document_that_is_not_a_row():
+    assert (files("ehrmat") / "data" / "K4_graphic.json").is_file()
+    for read in (corpus.document, corpus.rank, corpus.rank_function):
+        with pytest.raises(KeyError):
+            read("K4_graphic")
 
 
 @pytest.mark.parametrize("doc", [

