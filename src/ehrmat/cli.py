@@ -42,8 +42,19 @@ SCAN_GUARD_NMAX = 100
 
 def load_document(path):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     return parse_document(doc)
+
+
+def _unique_keys(pairs):
+    # json keeps the last of a repeated key; a document that gives one
+    # field two values is rejected instead, in every object
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"document repeats key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _int(x, what):

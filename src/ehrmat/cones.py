@@ -64,13 +64,13 @@ from .exactmath import _integral_unimodular, vec_primitive, vec_sub
 def tangent_cone(vs, i):
     """Rays of the tangent cone of the polytope at vertex i, whose apex
     is that vertex: the primitive directions toward the adjacent
-    vertices, in `adjacent_vertices` order. This is the per-vertex
+    vertices, in `adjacency[i]` order. This is the per-vertex
     reference: `genfun.build_genfun` reads every cone off its edge
     table instead, one primitive ray per undirected edge, and lists
     each cone's rays in this same order."""
     v = vs.vertices[i]
     return [vec_primitive(vec_sub(vs.vertices[j], v))
-            for j in vs.adjacent_vertices(i)]
+            for j in vs.adjacency[i]]
 
 
 def _pairing(arc, pos):

@@ -30,7 +30,7 @@ primitive ray, reads it by `to_working` and `cones._arc` once per
 distinct ray of the polytope up to sign, since many cones share a ray,
 and hands the ray and its arc to one end, and the negated ray and the
 reversed arc to the other. The walk lists every cone's rays in
-`adjacent_vertices` order, as `cones.tangent_cone` does, so the placing
+`adjacency[i]` order, as `cones.tangent_cone` does, so the placing
 order and the `genfun` dump are those of reading each cone on its own.
 The arcs give the cone's key, and a piece's arcs form the spanning tree
 that certifies it and whose cuts give its half-open flags. Many tangent
@@ -129,7 +129,7 @@ def build_genfun(spec):
         raise ValueError("genfun: empty polytope")
     # the edges at a vertex span the affine hull, and the echelon rows
     # depend only on the span
-    near = [vs.vertices[j] for j in vs.adjacent_vertices(0)]
+    near = [vs.vertices[j] for j in vs.adjacency[0]]
     basis = affine_lattice_basis([vs.vertices[0]] + near)
     dim = len(basis)
     if dim == 0:
@@ -151,7 +151,7 @@ def _edge_cones(vs, chart):
     vertex j's with (head, tail). A ray is read as an arc once per
     polytope, up to sign. The walk takes i in ascending order and each
     adjacency list is sorted, so every cone lists its rays in
-    `adjacent_vertices` order, as `cones.tangent_cone` does. A ray that
+    `adjacency[i]` order, as `cones.tangent_cone` does. A ray that
     is no arc raises AssertionError naming vertex i."""
     verts = vs.vertices
     cones = [[] for _ in verts]

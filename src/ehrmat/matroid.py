@@ -8,6 +8,7 @@ constructor fills the table once; every consumer indexes it by mask.
 """
 
 import os
+import re
 
 TABLE_GUARD_N = 20
 
@@ -23,13 +24,17 @@ class BudgetExceeded(Exception):
 def guard_n(n, default_limit, what):
     """Raise BudgetExceeded when n exceeds the guard. EHRMAT_BUDGET, if
     set, overrides the default limit (it is the largest ground-set size
-    the enumeration guards accept); a value that is not an integer is a
-    ValidationError. A negative n is no ground-set size: ValueError,
-    before any caller shifts by it."""
+    the enumeration guards accept); a value that is not an optional
+    minus sign and ASCII digits is a ValidationError. A negative n is no
+    ground-set size: ValueError, before any caller shifts by it."""
     if n < 0:
         raise ValueError(f"matroid: ground-set size n = {n} is negative")
     override = os.environ.get("EHRMAT_BUDGET")
     try:
+        # int() alone would also take "1_0", " 3 ", "+3" and non-ASCII
+        # digits, and refuses more than 4300 digits
+        if override and not re.fullmatch("-?[0-9]+", override):
+            raise ValueError
         limit = int(override) if override else default_limit
     except ValueError:
         raise ValidationError(f"EHRMAT_BUDGET must be an integer,"

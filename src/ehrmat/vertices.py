@@ -56,25 +56,12 @@ class VertexSet:
     """Distinct vertices with symmetric adjacency lists, each sorted in
     ascending vertex index. `genfun.build_genfun` relies on the order:
     it walks the edges {i, j}, i < j, with i ascending, so every
-    tangent cone it reads lists its rays in `adjacent_vertices` order,
-    and that order fixes the placing order and the `genfun` dump."""
+    tangent cone it reads lists its rays in `adjacency[i]` order, and
+    that order fixes the placing order and the `genfun` dump."""
 
-    def __init__(self, spec, vertices):
-        self.spec = spec
+    def __init__(self, vertices, adjacency):
         self.vertices = vertices
-        self._adjacency = None
-
-    def __len__(self):
-        return len(self.vertices)
-
-    @property
-    def adjacency(self):
-        if self._adjacency is None:
-            self._adjacency = _compute_adjacency(self.spec, self.vertices)
-        return self._adjacency
-
-    def adjacent_vertices(self, i):
-        return self.adjacency[i]
+        self.adjacency = adjacency
 
 
 def _independent_masks(f, size):
@@ -91,21 +78,20 @@ def _indicator(mask, n):
 
 
 def enumerate_vertices(spec):
-    """Vertices of the polytope described by `spec`.
+    """Vertices of the polytope described by `spec`, with their edges.
 
-    Bases and independence families list incidence vectors directly;
-    the polymatroid family lists its greedy vectors in sorted order.
-    The rank table read here passed the n guard when it was built.
+    Bases and independence families list incidence vectors directly,
+    by size; the polymatroid family lists its greedy vectors in sorted
+    order. The rank table read here passed the n guard when it was
+    built.
     """
-    n = spec.n
-    if spec.family == BASES_POLYTOPE:
-        verts = [_indicator(m, n) for m in _independent_masks(spec.f, spec.r)]
-    elif spec.family == INDEPENDENCE_POLYTOPE:
-        verts = [_indicator(m, n) for size in range(spec.r + 1)
-                 for m in _independent_masks(spec.f, size)]
-    else:
+    if spec.family == POLYMATROID:
         verts = _greedy_vertices(spec.f)
-    return VertexSet(spec, verts)
+    else:
+        low = spec.r if spec.family == BASES_POLYTOPE else 0
+        verts = [_indicator(m, spec.n) for size in range(low, spec.r + 1)
+                 for m in _independent_masks(spec.f, size)]
+    return VertexSet(verts, _compute_adjacency(spec, verts))
 
 
 def _greedy_vertices(f):

@@ -408,12 +408,15 @@ def test_bases_budget_before_basis_masks(tmp_path, capsys, monkeypatch):
 
 
 def test_malformed_budget_is_a_validation_error(capsys, monkeypatch):
-    monkeypatch.setenv("EHRMAT_BUDGET", "abc")
-    code = cli.main(["ehrhart", data_path("K4")])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_VALIDATION == 2
-    assert captured.out == ""
-    assert captured.err.startswith("validation error: EHRMAT_BUDGET")
+    # int() would read "1_0" as 10 and the next three as 3, and refuses
+    # the last with a ValueError of its own
+    for value in ["abc", "1_0", "\u0663", " 3 ", "+3", "9" * 5000]:
+        monkeypatch.setenv("EHRMAT_BUDGET", value)
+        code = cli.main(["ehrhart", data_path("K4")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION == 2, value
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: EHRMAT_BUDGET")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -669,6 +672,23 @@ def test_validation_rejects_malformed_values(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "validation error" in captured.err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"family": "bases", "kind": "uniform", "n": 4, "r": 2, "r": 3}', "r"),
+    ('{"family": "polymatroid", "kind": "table", "n": 1,'
+     ' "values": [{"subset": [1], "value": 1, "value": 2}]}', "value"),
+], ids=["top_level", "table_entry"])
+def test_repeated_key_is_a_validation_error(tmp_path, capsys, text, key):
+    # json.load alone keeps the last value: the first document would
+    # run as U(4,3)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert cli.main(["ehrhart", str(path)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: document repeats key" \
+                           f" {key!r}\n"
 
 
 def test_verify_imports_no_numpy():

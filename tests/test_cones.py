@@ -65,7 +65,7 @@ def test_tangent_cone_rays_in_elementary_set():
     # with j in supp(v)
     spec = PolytopeSpec(INDEPENDENCE_POLYTOPE, RankFunction.uniform(4, 2))
     vs = enumerate_vertices(spec)
-    for i in range(len(vs)):
+    for i in range(len(vs.vertices)):
         support = {c + 1 for c, x in enumerate(vs.vertices[i]) if x}
         for ray in tangent_cone(vs, i):
             pos = [c + 1 for c, x in enumerate(ray) if x == 1]
@@ -191,7 +191,7 @@ def _working_tangent_cones(spec):
         return []
     chart = working_chart(basis)
     return [[to_working(chart, r) for r in tangent_cone(vs, i)]
-            for i in range(len(vs))]
+            for i in range(len(vs.vertices))]
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from strategies import independence_specs, truncated_sum_specs
 from test_cones import _working_tangent_cones, relabelling_specs
 
 import ehrmat
-from ehrmat import cones, corpus, genfun, specialize
+from ehrmat import cones, corpus, genfun, specialize, vertices
 from ehrmat.bruteforce import ehrhart_by_interpolation
 from ehrmat.exactmath import mat_rank, vec_sub
 from ehrmat.genfun import (
@@ -262,7 +262,7 @@ def _term_tuples(terms):
 def _basis_at_vertex_0(vs):
     """The lattice basis `build_genfun` takes: from vertex 0 and its
     neighbours, whose edges span the affine hull."""
-    near = [vs.vertices[j] for j in vs.adjacent_vertices(0)]
+    near = [vs.vertices[j] for j in vs.adjacency[0]]
     return affine_lattice_basis([vs.vertices[0]] + near)
 
 
@@ -300,7 +300,7 @@ def test_reused_triangulations_give_the_uncached_terms(name):
     vs = enumerate_vertices(spec)
     chart = working_chart(affine_lattice_basis(vs.vertices))
     dim = len(chart[0])
-    want = [t for i in range(len(vs))
+    want = [t for i in range(len(vs.vertices))
             for t in _vertex_terms(vs.vertices[i], _vertex_cone(vs, chart, i),
                                    dim, {})]
     assert _term_tuples(build_genfun(spec).terms) == _term_tuples(want)
@@ -308,11 +308,11 @@ def test_reused_triangulations_give_the_uncached_terms(name):
 
 def _assert_edge_cones_in_adjacency_order(spec):
     vs = enumerate_vertices(spec)
-    if len(vs) < 2:
+    if len(vs.vertices) < 2:
         return
     chart = working_chart(affine_lattice_basis(vs.vertices))
     got = genfun._edge_cones(vs, chart)
-    assert len(got) == len(vs)
+    assert len(got) == len(vs.vertices)
     for i, cone in enumerate(got):
         assert cone == _vertex_cone(vs, chart, i), i
 
@@ -320,7 +320,7 @@ def _assert_edge_cones_in_adjacency_order(spec):
 @pytest.mark.parametrize("name", sorted(relabelling_specs()))
 def test_edge_cones_list_rays_in_adjacency_order(name):
     # the genfun dump follows each cone's ray order, which the edge walk
-    # must keep equal to tangent_cone's, i.e. to adjacent_vertices(i)
+    # must keep equal to tangent_cone's, i.e. to adjacency[i]
     _assert_edge_cones_in_adjacency_order(relabelling_specs()[name])
 
 
@@ -428,9 +428,10 @@ def test_rays_built_once_per_edge_and_read_once_per_ray(monkeypatch, name):
     spec = relabelling_specs()[name]
     build_genfun(spec)
     vs = enumerate_vertices(spec)
-    edges = {frozenset((i, j)) for i in range(len(vs))
-             for j in vs.adjacent_vertices(i)}
-    rays = {r for i in range(len(vs)) for r in cones.tangent_cone(vs, i)}
+    edges = {frozenset((i, j)) for i in range(len(vs.vertices))
+             for j in vs.adjacency[i]}
+    rays = {r for i in range(len(vs.vertices))
+            for r in cones.tangent_cone(vs, i)}
 
     def unsigned(r):
         return max(r, tuple(-x for x in r))
@@ -438,6 +439,32 @@ def test_rays_built_once_per_edge_and_read_once_per_ray(monkeypatch, name):
     assert len(built) == len(edges)
     assert len({unsigned(r) for r in read}) == len(read)
     assert len(read) == len({unsigned(r) for r in rays}) < len(rays)
+
+
+@pytest.mark.parametrize("name", ["K4", "U73_independence",
+                                  "double_rank_table"])
+def test_edges_computed_once_per_polytope(monkeypatch, name):
+    # one row per family: enumerate_vertices computes the edges with
+    # the vertices, and the record build_genfun reads holds just the two
+    calls, records = [], []
+    real_adjacency = vertices._compute_adjacency
+    real_enumerate = genfun.enumerate_vertices
+
+    def adjacency(spec, verts):
+        calls.append(spec)
+        return real_adjacency(spec, verts)
+
+    def enumerate_(spec):
+        records.append(real_enumerate(spec))
+        return records[-1]
+
+    monkeypatch.setattr(vertices, "_compute_adjacency", adjacency)
+    monkeypatch.setattr(genfun, "enumerate_vertices", enumerate_)
+    spec = relabelling_specs()[name]
+    build_genfun(spec)
+    assert calls == [spec]
+    assert [sorted(vars(vs)) for vs in records] == [["adjacency",
+                                                     "vertices"]]
 
 
 @pytest.mark.parametrize("name", sorted(relabelling_specs()))

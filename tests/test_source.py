@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ehrmat
@@ -143,3 +144,92 @@ def test_import_work_check_sees_a_call():
                      "if __debug__:\n"
                      "    pass\n")
     assert _work_at_import(tree) == [5, 6, 9, 12]
+
+
+def _references(node):
+    """How often each name is read in `node`: as a variable, as an
+    attribute, or as a whole string constant, which is how the bench
+    tracer names the functions it wraps."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found[n.value] += 1
+    return found
+
+
+def _unreferenced_defs(trees):
+    """'module.function' or 'module.Class.method' for every module-level
+    function and every non-dunder method in `trees` (module name ->
+    tree) whose name nothing in `trees` reads outside its own body."""
+    read = sum((_references(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("__")]
+        for qualname, node in defs:
+            name = node.name
+            if read[name] == _references(node)[name]:
+                found.append(f"{module}.{qualname}")
+    return found
+
+
+def _trees(directory):
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"), str(p))
+            for p in sorted(directory.glob("*.py"))}
+
+
+# Functions the library never calls. The per-vertex and per-call
+# references are wrapped by name in bench/tracer.py, which waits for the
+# next change to the benchmark; the corpus readers are the public API
+# that bench/workloads.py and the tests read.
+LIBRARY_DEAD_ALLOWED = [
+    "cones.tangent_cone", "cones.facet_normals_unimodular",
+    "corpus.names", "corpus.rank", "corpus.rank_function",
+    "exactmath.mat_rank", "exactmath.solve_unimodular",
+    "exactmath.solve_linear", "matroid.RankFunction.rank",
+]
+
+
+def test_library_dead_code_is_only_the_listed_references():
+    # a function nothing in the library calls is either dead or kept
+    # for a reader outside it, and only the listed ones have such a
+    # reader; one that gains a library caller leaves the list
+    package = Path(ehrmat.__file__).resolve().parent
+    assert _unreferenced_defs(_trees(package)) == LIBRARY_DEAD_ALLOWED
+    root = Path(__file__).resolve().parents[1]
+    outside = sum((_references(tree) for d in ("bench", "tests")
+                   for tree in _trees(root / d).values()), Counter())
+    assert [q for q in LIBRARY_DEAD_ALLOWED
+            if not outside[q.rsplit(".", 1)[1]]] == []
+
+
+def test_dead_code_check_sees_an_unreferenced_def():
+    trees = {"a": ast.parse("def used():\n"
+                            "    return 1\n"
+                            "def recursive(n):\n"
+                            "    return recursive(n - 1)\n"
+                            "def unused():\n"
+                            "    return used()\n"
+                            "class C:\n"
+                            "    def __init__(self):\n"
+                            "        self.x = 'named'\n"
+                            "    def named(self):\n"
+                            "        return 0\n"
+                            "    def method(self):\n"
+                            "        return 0\n"),
+             "b": ast.parse("from a import C\n"
+                            "def top():\n"
+                            "    return C().x\n"
+                            "top()\n")}
+    assert _unreferenced_defs(trees) == ["a.recursive", "a.unused",
+                                         "a.C.method"]

@@ -53,14 +53,14 @@ def test_enumerate_bases_rejects_r_gt_n():
 def test_vertices_bases_k4():
     spec = PolytopeSpec(BASES_POLYTOPE, corpus.rank_function("K4"))
     vs = enumerate_vertices(spec)
-    assert len(vs) == 16
+    assert len(vs.vertices) == 16
     assert all(sum(v) == 3 and set(v) <= {0, 1} for v in vs.vertices)
 
 
 def test_vertices_independence_u23():
     spec = PolytopeSpec(INDEPENDENCE_POLYTOPE, RankFunction.uniform(3, 2))
     vs = enumerate_vertices(spec)
-    assert len(vs) == 7  # empty set, three singletons, three pairs
+    assert len(vs.vertices) == 7  # empty set, three singletons, three pairs
 
 
 def test_polymatroid_equals_independence_polytope():
@@ -73,7 +73,7 @@ def test_polymatroid_equals_independence_polytope():
 def test_polymatroid_vertex_count_bound():
     f = _table_of(RankFunction.uniform(4, 2))
     vs = enumerate_vertices(PolytopeSpec(POLYMATROID, f))
-    assert len(vs) <= binomial(4 + 2, 2)
+    assert len(vs.vertices) <= binomial(4 + 2, 2)
 
 
 def test_edmonds_generate_examples():
@@ -127,14 +127,14 @@ def test_adjacency_k4_at_123():
     expected = {idx[frozenset(b)] for b in
                 [{2, 3, 5}, {2, 3, 4}, {1, 3, 6}, {1, 3, 4},
                  {1, 2, 6}, {1, 2, 5}]}
-    assert set(vs.adjacent_vertices(i)) == expected
+    assert set(vs.adjacency[i]) == expected
 
 
 def test_adjacency_simplex_complete():
     spec = PolytopeSpec(BASES_POLYTOPE, RankFunction.uniform(4, 1))
     vs = enumerate_vertices(spec)
     for i in range(4):
-        assert set(vs.adjacent_vertices(i)) == set(range(4)) - {i}
+        assert set(vs.adjacency[i]) == set(range(4)) - {i}
 
 
 def test_bases_adjacency_matches_lp():
