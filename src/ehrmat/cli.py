@@ -121,9 +121,9 @@ def parse_document(doc):
             f = RankFunction.from_table(n, table)
         else:
             raise ValidationError(f"unknown kind {kind!r}")
-    except (ValidationError, BudgetExceeded):
-        raise
-    except Exception as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing field, a value of the wrong type, or one a
+        # constructor rejects; any other exception is an internal fault
         raise ValidationError(f"malformed document: {exc}") from exc
     if family == POLYMATROID or kind == "table":
         ok, why = check_polymatroid_axioms(f)
@@ -233,7 +233,8 @@ def cmd_scan_uniform(args):
         raise ValidationError(f"need --nmax >= 2 and --rmax >= 1, got"
                               f" --nmax {args.nmax} --rmax {args.rmax}")
     if args.nmax > SCAN_GUARD_NMAX:
-        raise BudgetExceeded(f"scan guard: nmax={args.nmax} exceeds 100")
+        raise BudgetExceeded(f"scan guard: nmax={args.nmax} exceeds"
+                             f" {SCAN_GUARD_NMAX}")
     rows = []
     violation = False
     for n in range(2, args.nmax + 1):

@@ -4,9 +4,10 @@ conjecture predicates (h*-unimodality, Ehrhart coefficient positivity).
 The Katzman coefficients A_i^{n,r} are the coefficients of
 (1 + T + ... + T^(r-1))^n. They are computed by the dimension
 recurrence, the polynomial identity A^{n} = A^{n-1} (1 - T^r) / (1 - T):
-one difference pass and one running sum per row. The cache keeps only
-the newest row per r. The rank recurrence and the multinomial formula
-live with the tests, as references.
+one difference pass and one running sum per row, over its first half
+only, since the row is palindromic; the rest is mirrored. The cache
+keeps only the newest full row per r. The rank recurrence and the
+multinomial formula live with the tests, as references.
 
 An h*-vector is (1 - x)^(d+1) sum_k L(k) x^k modulo x^(d+1), for the
 Ehrhart values L(0..d) of a d-dimensional polytope; `ehrhart_to_hstar`
@@ -14,8 +15,11 @@ and `uniform_hstar` share that one transform. The k-th dilate of the
 bases polytope of U(n, r) is {x in {0..k}^n : sum x = kr}, so its
 Ehrhart values L(k) = A_{kr}^{n,k+1} are read off Katzman rows, and
 the uniform h*-vector costs O(n^2) integer operations per (n, r) once
-the rows are built. Katzman's closed triple sum and its Horner
-evaluation live with the tests, as references.
+the rows are built. U(n, r) and its dual U(n, n-r) share it, so it is
+computed once per dual pair, and the vectors of the newest n are
+cached: a scan to n runs n // 2 transforms at n. Katzman's closed
+triple sum and its Horner evaluation live with the tests, as
+references.
 """
 
 from fractions import Fraction
@@ -64,18 +68,25 @@ def katzman(n, r):
 
     As polynomials in T this is A^{n} = A^{n-1} (1 - T^r) / (1 - T): each
     row is the running sum of the differences A_i^{n-1} - A_{i-r}^{n-1}.
-    The cache keeps the newest row per r, as r -> (n, row): a request at
-    or above the cached n extends it, one below restarts from n = 1. A
-    scan in increasing n so builds each row once and holds one n's rows.
+    A row of degree deg = n(r-1) is palindromic, A_i = A_{deg-i}, so a
+    step sums only the entries 0..deg//2 and mirrors the rest; those
+    entries read only the first deg//2 + 1 <= (n-1)(r-1) + 1 entries of
+    the row before, so a step costs about deg/2 + r additions. The
+    cache keeps the newest full row per r, as
+    r -> (n, row): a request at or above the cached n extends it, one
+    below restarts from n = 1. A scan in increasing n so builds each row
+    once and holds one n's rows.
     """
     if n < 1 or r < 1:
         raise ValueError("hstar: need n >= 1 and r >= 1")
     cached = _KATZMAN_CACHE.get(r)
     # n = 1: the coefficients of 1 + T + ... + T^(r-1)
     start, row = cached if cached and cached[0] <= n else (1, (1,) * r)
-    for _ in range(start, n):
-        padded = row + (0,) * (r - 1)
-        row = tuple(accumulate(map(sub, padded, (0,) * r + padded)))
+    for m in range(start + 1, n + 1):
+        deg = m * (r - 1)
+        head = row[:deg // 2 + 1]
+        half = tuple(accumulate(map(sub, head, (0,) * r + head)))
+        row = half + half[:deg - deg // 2][::-1]
     _KATZMAN_CACHE[r] = (n, row)
     return row
 
@@ -120,6 +131,9 @@ def uniform_ehrhart(n, r):
     return poly_trim(tuple(Fraction(c, scale) for c in total))
 
 
+_UNIFORM_HSTAR_CACHE = {}
+
+
 def uniform_hstar(n, r):
     """h*-vector of the uniform bases polytope, entries l = 0..n-1
     (dimension n-1), from its Ehrhart values.
@@ -127,15 +141,32 @@ def uniform_hstar(n, r):
     The k-th dilate has L(k) = #{x in {0..k}^n : sum x = kr} lattice
     points, the coefficient of T^(kr) in (1 + ... + T^k)^n, which is
     katzman(n, k+1)[k*r]. Then h*(x) = (1 - x)^n sum_{k<n} L(k) x^k
-    modulo x^n: O(n^2) integer operations per (n, r), after the rows
+    modulo x^n: O(n^2) integer operations per dual pair, after the rows
     katzman(n, 1..n). A scan in increasing n extends each of them by one
-    step per n, O(n^3) shared by the n - 1 values of r; a lone call at a
-    new n builds them from n = 1, O(n^4).
+    step per n, about n^3 / 4 operations shared by the n - 1 values of
+    r, since each step sums half a row; a lone call at a new n builds
+    them from n = 1, O(n^4).
+
+    U(n, r) and its dual U(n, n-r) have the same h*-vector: row
+    katzman(n, k+1) is palindromic of degree kn, so T^(kr) and
+    T^(k(n-r)) have the same coefficient (x -> 1 - x maps one polytope
+    onto the other). So for r < n the vector is computed at
+    r' = min(r, n-r) and cached as r' -> (n, h), the newest n per r' as
+    in `_KATZMAN_CACHE`: a scan in increasing n runs n // 2 transforms
+    per n and holds one n's vectors. The point r = n is not cached.
     """
     if not (1 <= r <= n):
         raise ValueError("hstar: need 1 <= r <= n")
+    if r < n:
+        r = min(r, n - r)
+        cached = _UNIFORM_HSTAR_CACHE.get(r)
+        if cached and cached[0] == n:
+            return cached[1]
     values = [katzman(n, k + 1)[k * r] for k in range(n)]
-    return tuple(_times_one_minus_x_power(values, n))
+    h = tuple(_times_one_minus_x_power(values, n))
+    if r < n:
+        _UNIFORM_HSTAR_CACHE[r] = (n, h)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,12 @@ def test_scan_uniform_output_pinned(fmt, capsys):
 
 
 def test_scan_guard(capsys):
-    code, _ = run(capsys, "scan-uniform", "--nmax", "101")
-    assert code == 3
+    nmax = cli.SCAN_GUARD_NMAX + 1
+    code = cli.main(["scan-uniform", "--nmax", str(nmax)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET == 3
+    assert captured.err == (f"budget exceeded: scan guard: nmax={nmax}"
+                            f" exceeds {cli.SCAN_GUARD_NMAX}\n")
 
 
 def test_budget_does_not_move_scan_guard(capsys, monkeypatch):
@@ -431,6 +435,31 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert captured.out == ""
     assert captured.err == f"internal error: {path}: constant term is not 1\n"
+
+
+def test_constructor_fault_is_internal_not_validation(tmp_path, capsys,
+                                                     monkeypatch):
+    # only a missing field, a wrong type or a rejected value is bad
+    # input; any other exception from a rank-function constructor is an
+    # internal fault that names the document
+    def broken(n, bases):
+        raise RuntimeError("rank table lost")
+
+    monkeypatch.setattr(cli.RankFunction, "from_bases", broken)
+    path = data_path("F7")
+    code = cli.main(["ehrhart", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err == (f"internal error: {path}: RuntimeError:"
+                            f" rank table lost\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "bad", "family": "bases",
+                               "kind": "bases", "n": 3}))
+    code = cli.main(["ehrhart", str(bad)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION == 2
+    assert captured.err == "validation error: malformed document: 'bases'\n"
 
 
 def test_specialize_error_names_stage(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -106,6 +107,23 @@ def test_katzman_cache_order_does_not_matter(monkeypatch, capsys):
         assert n == 20 and row == _geometric_power(n, r), r
 
 
+@pytest.mark.parametrize("n, r", [
+    pytest.param(5, 4, id="odd-degree-odd-n-odd-r-1"),
+    pytest.param(6, 4, id="even-degree-even-n-odd-r-1"),
+    pytest.param(5, 3, id="even-degree-odd-n-even-r-1"),
+    pytest.param(6, 3, id="even-degree-even-n-even-r-1"),
+])
+def test_katzman_half_row_parity(monkeypatch, n, r):
+    # each step sums entries 0..deg//2 of a row of degree deg = n(r-1)
+    # and mirrors the rest: an odd degree has no middle entry, an even
+    # one mirrors around it; the rows before have both parities too
+    monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
+    row = katzman(n, r)
+    assert len(row) == n * (r - 1) + 1
+    assert row == katzman_multinomial(n, r)
+    assert hstar._KATZMAN_CACHE == {r: (n, row)}
+
+
 def test_katzman_three_routes_agree_small():
     for n in range(1, 7):
         for r in range(1, 5):
@@ -170,6 +188,46 @@ def test_uniform_hstar_equals_horner_reference():
     for n in range(1, 31):
         for r in range(1, n + 1):
             assert uniform_hstar(n, r) == uniform_hstar_horner(n, r), (n, r)
+
+
+def test_scan_runs_one_transform_per_dual_pair(monkeypatch, capsys):
+    # U(n, r) and U(n, n - r) share one h*-vector, so a scan runs
+    # n // 2 transforms per n: 441 for n = 2..42, not one per row
+    monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
+    monkeypatch.setattr(hstar, "_UNIFORM_HSTAR_CACHE", {})
+    transform = hstar._times_one_minus_x_power
+    calls = Counter()
+
+    def counted(values, e):
+        calls[len(values)] += 1
+        return transform(values, e)
+
+    monkeypatch.setattr(hstar, "_times_one_minus_x_power", counted)
+    assert cli.main(["scan-uniform", "--nmax", "42"]) == 0
+    capsys.readouterr()
+    assert calls == {n: n // 2 for n in range(2, 43)}
+    assert sum(calls.values()) == 441
+
+
+def test_uniform_hstar_cache_never_serves_another_n(monkeypatch, capsys):
+    # descending n, r and n - r interleaved, r = n, and calls before and
+    # after a scan: the cached vector of the newest n is never returned
+    # for another n
+    monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
+    monkeypatch.setattr(hstar, "_UNIFORM_HSTAR_CACHE", {})
+    calls = [(n, r) for n in range(14, 0, -1)
+             for r in sorted({1, n, n // 2, n - n // 2, 2, n - 2})
+             if 1 <= r <= n]
+    calls += [(9, 4), (9, 5), (9, 9), (3, 1), (9, 4), (14, 13)]
+    for n, r in calls:
+        assert uniform_hstar(n, r) == uniform_hstar_horner(n, r), (n, r)
+    assert cli.main(["scan-uniform", "--nmax", "12"]) == 0
+    capsys.readouterr()
+    for n, r in calls + [(12, 5), (12, 7), (11, 4), (12, 12), (13, 6)]:
+        assert uniform_hstar(n, r) == uniform_hstar_horner(n, r), (n, r)
+    # the cache holds one vector per r' = min(r, n - r), never r = n
+    assert all(1 <= 2 * r <= n
+               for r, (n, _) in hstar._UNIFORM_HSTAR_CACHE.items())
 
 
 def test_uniform_ehrhart_equals_fraction_reference():
