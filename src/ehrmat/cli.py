@@ -116,8 +116,9 @@ def parse_document(doc):
                     raise ValidationError(f"table lists subset {sorted(a)}"
                                           f" twice")
                 table[a] = entry["value"]
-            # from_table guards n and checks the values, their range and
-            # completeness; the axiom check below rejects f(empty) != 0
+            # from_table guards n and checks the value types, the
+            # elements' range and completeness; a listed empty set keeps
+            # its value, which either family's check below rejects if != 0
             f = RankFunction.from_table(n, table)
         else:
             raise ValidationError(f"unknown kind {kind!r}")
@@ -125,16 +126,15 @@ def parse_document(doc):
         # a missing field, a value of the wrong type, or one a
         # constructor rejects; any other exception is an internal fault
         raise ValidationError(f"malformed document: {exc}") from exc
-    if family == POLYMATROID or kind == "table":
-        ok, why = check_polymatroid_axioms(f)
-    else:
-        ok, why = check_matroid_axioms(f)
-    if not ok:
-        raise ValidationError(f"axiom check failed for {name}: {why}")
-    try:
-        return name, PolytopeSpec(family, f)
-    except ValueError as exc:
-        raise ValidationError(f"{name}: {exc}") from exc
+    if kind in ("bases", "table"):
+        # uniform and graphic ranks are matroids by construction; listed
+        # bases or values can break the axioms of the family they feed
+        check = (check_polymatroid_axioms if family == POLYMATROID
+                 else check_matroid_axioms)
+        ok, why = check(f)
+        if not ok:
+            raise ValidationError(f"axiom check failed for {name}: {why}")
+    return name, PolytopeSpec(family, f)
 
 
 def pipeline_ehrhart(spec):

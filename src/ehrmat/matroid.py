@@ -1,5 +1,6 @@
-"""Rank-function oracles: uniform, graphic, explicit-bases, and
-tabulated polymatroid, plus axiom validation.
+"""Rank-function oracles: uniform, graphic, explicit-bases and
+tabulated, plus axiom validation. The axiom checks judge a table by
+its values alone: no constructor marks it a matroid's or a polymatroid's.
 
 Ground sets are [n] = {1, ..., n}. A rank function is held as the table
 `values` of its 2^n values, indexed by bitmask: bit i-1 of a mask stands
@@ -58,11 +59,10 @@ class RankFunction:
     is the rank of the subset with bitmask `mask`, computed at
     construction by `rank_of(mask)` for every mask."""
 
-    def __init__(self, n, rank_of, is_matroid):
+    def __init__(self, n, rank_of):
         guard_n(n, TABLE_GUARD_N, "rank table")
         self.n = n
         self.values = tuple(map(rank_of, range(1 << n)))
-        self.is_matroid = is_matroid
 
     # -- constructors -------------------------------------------------
 
@@ -70,7 +70,7 @@ class RankFunction:
     def uniform(n, r):
         if not (0 <= r <= n):
             raise ValueError("matroid: need 0 <= r <= n")
-        return RankFunction(n, lambda m: min(m.bit_count(), r), True)
+        return RankFunction(n, lambda m: min(m.bit_count(), r))
 
     @staticmethod
     def graphic(edges):
@@ -99,7 +99,7 @@ class RankFunction:
                         r += 1
             return r
 
-        return RankFunction(len(edges), forest_size, True)
+        return RankFunction(len(edges), forest_size)
 
     @staticmethod
     def from_bases(n, bases):
@@ -115,7 +115,7 @@ class RankFunction:
             raise ValueError("matroid: bases must share cardinality")
         masks = {_mask(b, n) for b in bases}
         return RankFunction(
-            n, lambda m: max((m & b).bit_count() for b in masks), True)
+            n, lambda m: max((m & b).bit_count() for b in masks))
 
     @staticmethod
     def from_table(n, table):
@@ -134,7 +134,7 @@ class RankFunction:
         if len(t) != 1 << n:
             raise ValueError("matroid: table must list every non-empty"
                              " subset")
-        return RankFunction(n, t.__getitem__, False)
+        return RankFunction(n, t.__getitem__)
 
     # -- evaluation ---------------------------------------------------
 

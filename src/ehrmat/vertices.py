@@ -39,13 +39,14 @@ POLYMATROID = "polymatroid"
 
 
 class PolytopeSpec:
-    """A polytope given by a rank function and a family tag."""
+    """A polytope given by a rank function and a family tag. The bases
+    and independence families read `f` as a matroid rank function; that
+    its values satisfy the matroid axioms is the caller's to ensure
+    (`cli.parse_document` checks every document that can break them)."""
 
     def __init__(self, family, f):
         if family not in (BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID):
             raise ValueError(f"vertices: unknown family {family!r}")
-        if family in (BASES_POLYTOPE, INDEPENDENCE_POLYTOPE) and not f.is_matroid:
-            raise ValueError("vertices: matroid rank function required")
         self.family = family
         self.f = f
         self.n = f.n

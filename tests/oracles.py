@@ -737,23 +737,24 @@ def is_independent(f, subset):
 def dual(f):
     """Dual matroid of a RankFunction table:
     rank*(A) = |A| + rank([n] - A) - rank([n])."""
-    if not f.is_matroid:
+    if not pairwise_matroid_axioms(f)[0]:
         raise ValueError("dual is defined for matroids only")
     v, full = f.values, (1 << f.n) - 1
     return RankFunction(
-        f.n, lambda m: m.bit_count() + v[full ^ m] - v[full], True)
+        f.n, lambda m: m.bit_count() + v[full ^ m] - v[full])
 
 
 def direct_sum(f1, f2):
     """Direct sum of two RankFunction tables on the concatenated ground
     set: the second summand's elements are shifted by f1.n, so a mask's
     low f1.n bits index the first table and its high bits the second."""
-    if not (f1.is_matroid and f2.is_matroid):
+    if not (pairwise_matroid_axioms(f1)[0]
+            and pairwise_matroid_axioms(f2)[0]):
         raise ValueError("direct_sum is defined for matroids only")
     v1, v2, n1 = f1.values, f2.values, f1.n
     low = (1 << n1) - 1
     return RankFunction(
-        n1 + f2.n, lambda m: v1[m & low] + v2[m >> n1], True)
+        n1 + f2.n, lambda m: v1[m & low] + v2[m >> n1])
 
 
 # ---------------------------------------------------------------------------

@@ -37,5 +37,5 @@ def independence_specs(draw):
     g = RankFunction.graphic(draw(st.lists(st.tuples(vertex, vertex),
                                            min_size=n, max_size=n)))
     t = draw(st.integers(0, n))
-    f = RankFunction(n, lambda m: min(g.values[m], t), True)
+    f = RankFunction(n, lambda m: min(g.values[m], t))
     return PolytopeSpec(INDEPENDENCE_POLYTOPE, f)

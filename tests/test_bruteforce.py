@@ -187,7 +187,7 @@ def _relabelled(spec, perm):
     def old_mask(mask):
         return sum(1 << perm[i] for i in range(spec.n) if mask >> i & 1)
 
-    f = RankFunction(spec.n, lambda m: values[old_mask(m)], spec.f.is_matroid)
+    f = RankFunction(spec.n, lambda m: values[old_mask(m)])
     return PolytopeSpec(spec.family, f)
 
 

@@ -1,18 +1,24 @@
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 from oracles import corpus_documents
+from strategies import independence_specs
 
 from ehrmat import bruteforce, cli, corpus, genfun, specialize
+from ehrmat.matroid import RankFunction
 
 
 def data_path(name):
@@ -320,20 +326,27 @@ def test_validation_incomplete_table(tmp_path, capsys):
 
 
 def test_validation_table_for_matroid_family(tmp_path, capsys):
-    # a rank table is a polymatroid oracle, which the bases family rejects
-    doc = {"name": "table_bases", "family": "bases", "kind": "table",
-           "n": 2, "values": [{"subset": [1], "value": 1},
-                              {"subset": [2], "value": 1},
-                              {"subset": [1, 2], "value": 1}]}
-    path = tmp_path / "table_bases.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["ehrhart", str(path)]) == 2
-    assert "matroid rank function required" in capsys.readouterr().err
+    # a table is a matroid by its values: U(2,1) as a table is accepted
+    # by the bases family and prints what its `uniform` document prints
+    docs = [{"name": "u21", "family": "bases", "kind": "table", "n": 2,
+             "values": [{"subset": [1], "value": 1},
+                        {"subset": [2], "value": 1},
+                        {"subset": [1, 2], "value": 1}]},
+            {"name": "u21", "family": "bases", "kind": "uniform", "n": 2,
+             "r": 1}]
+    outs = []
+    for doc in docs:
+        path = tmp_path / "u21.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["ehrhart", str(path)]) == cli.EXIT_OK
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[0].err == ""
 
 
 def test_validation_error_names_stage(tmp_path, capsys):
-    # a rank function the matroid stage rejects, and a polytope the
-    # vertex stage rejects: stderr names the stage that failed; a JSON
+    # a rank function its constructor rejects, and a table the family's
+    # axiom check rejects: stderr names the stage that failed; a JSON
     # value that is not an object is named as such, not as a missing
     # field
     for doc, want in [
@@ -348,8 +361,9 @@ def test_validation_error_names_stage(tmp_path, capsys):
               "bases": [[1, 2], [3]]},
              "validation error: malformed document: matroid: bases must"),
             ({"name": "table_bases", "family": "bases", "kind": "table",
-              "n": 1, "values": [{"subset": [1], "value": 1}]},
-             "validation error: table_bases: vertices: matroid rank"),
+              "n": 1, "values": [{"subset": [1], "value": 2}]},
+             "validation error: axiom check failed for table_bases:"
+             " cardinality axiom fails"),
     ]:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -357,6 +371,103 @@ def test_validation_error_names_stage(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(want), captured.err
+
+
+def _u32_documents(family):
+    """U(3,2), the triangle's cycle matroid, as each kind of document."""
+    subsets = [[i + 1 for i in range(3) if mask >> i & 1]
+               for mask in range(1, 8)]
+    return {
+        "uniform": {"family": family, "kind": "uniform", "n": 3, "r": 2},
+        "graphic": {"family": family, "kind": "graphic",
+                    "edges": [[1, 2], [2, 3], [1, 3]]},
+        "bases": {"family": family, "kind": "bases", "n": 3,
+                  "bases": [b for b in subsets if len(b) == 2]},
+        "table": {"family": family, "kind": "table", "n": 3,
+                  "values": [{"subset": a, "value": min(len(a), 2)}
+                             for a in subsets]},
+    }
+
+
+@pytest.mark.parametrize("family", ["bases", "independence",
+                                    "polymatroid"])
+def test_axiom_walk_runs_only_on_bases_and_table(monkeypatch, family):
+    # uniform and graphic ranks are matroids by construction; a bases or
+    # table document is walked once, by its family's axioms
+    calls = []
+
+    def counted(name, check):
+        def wrapper(f):
+            calls.append(name)
+            return check(f)
+        return wrapper
+
+    monkeypatch.setattr(cli, "check_matroid_axioms",
+                        counted("matroid", cli.check_matroid_axioms))
+    monkeypatch.setattr(cli, "check_polymatroid_axioms",
+                        counted("polymatroid",
+                                cli.check_polymatroid_axioms))
+    want = "polymatroid" if family == "polymatroid" else "matroid"
+    for kind, doc in _u32_documents(family).items():
+        calls.clear()
+        _, spec = cli.parse_document(doc)
+        assert spec.f.values == (0, 1, 1, 2, 1, 2, 2, 2), kind
+        assert calls == ([want] if kind in ("bases", "table") else []), kind
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _matroid_documents(f, family):
+    """The rank function f as a `table` document and as a `bases`
+    document, with one name."""
+    subsets = [(m, [i + 1 for i in range(f.n) if m >> i & 1])
+               for m in range(1 << f.n)]
+    r = f.values[-1]
+    table = {"name": "m", "family": family, "kind": "table", "n": f.n,
+             "values": [{"subset": a, "value": f.values[m]}
+                        for m, a in subsets if m]}
+    bases = {"name": "m", "family": family, "kind": "bases", "n": f.n,
+             "bases": [a for m, a in subsets
+                       if len(a) == r == f.values[m]]}
+    return table, bases
+
+
+@settings(max_examples=25, deadline=None)
+@given(independence_specs())
+def test_table_and_bases_documents_agree(spec):
+    # one matroid written both ways prints one ehrhart output under each
+    # family: a table is a matroid by its values, not by its kind
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        for family in ("bases", "independence", "polymatroid"):
+            outs = []
+            for doc in _matroid_documents(spec.f, family):
+                Path(path).write_text(json.dumps(doc))
+                outs.append(_main_output(["ehrhart", path]))
+            assert outs[0] == outs[1], family
+            assert outs[0][0] == cli.EXIT_OK and outs[0][2] == ""
+
+
+@settings(max_examples=20, deadline=None)
+@given(independence_specs().filter(lambda spec: spec.f.values[-1] > 0))
+def test_doubled_matroid_table_fails_matroid_axioms(spec):
+    # 2 f is a polymatroid whose rank rises by 2 at a non-loop: the
+    # bases family refuses it by the cardinality axiom
+    doubled = RankFunction(spec.f.n, lambda m: 2 * spec.f.values[m])
+    table, _ = _matroid_documents(doubled, "bases")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        Path(path).write_text(json.dumps(table))
+        code, out, err = _main_output(["ehrhart", path])
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("validation error: axiom check failed for m:"
+                          " cardinality axiom fails"), err
 
 
 def test_validation_malformed_json(tmp_path, capsys):

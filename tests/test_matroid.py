@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     K4_EDGES, bases_rank, direct_sum, direct_sum_rank, dual, dual_rank,
@@ -153,6 +153,26 @@ def test_local_axiom_checks_match_pairwise_reference(f):
             == pairwise_polymatroid_axioms(f)[0])
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_uniform_tables_are_matroids(n):
+    # a `uniform` document is parsed without an axiom walk, so the
+    # constructor's tables are checked here
+    for r in range(n + 1):
+        f = RankFunction.uniform(n, r)
+        assert check_matroid_axioms(f) == (True, None), (n, r)
+        assert pairwise_matroid_axioms(f) == (True, None), (n, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                max_size=8))
+def test_graphic_tables_are_matroids(edges):
+    # likewise for `graphic` documents: loops and parallel edges included
+    f = RankFunction.graphic(edges)
+    assert check_matroid_axioms(f) == (True, None)
+    assert pairwise_matroid_axioms(f) == (True, None)
+
+
 @settings(max_examples=30)
 @given(st.integers(1, 6), st.data())
 def test_rank_monotone_on_random_chains(n, data):
@@ -191,7 +211,9 @@ def test_dual_of_k4_has_rank_3():
 
 
 def test_dual_rejects_polymatroid():
-    f = RankFunction.from_table(1, {frozenset({1}): 1})
+    # f({1}) = 2 is a polymatroid that breaks rank(X) <= |X|; the table
+    # {1}: 1 would be U(1,1), a matroid whatever built it
+    f = RankFunction.from_table(1, {frozenset({1}): 2})
     with pytest.raises(ValueError):
         dual(f)
 
@@ -243,8 +265,9 @@ def test_negative_n_is_rejected_by_name():
 
 
 def _draw_matroid(draw, n_max):
-    """A matroid-flagged RankFunction from the uniform, graphic or bases
-    constructor, paired with its frozenset formula."""
+    """A RankFunction from the uniform, graphic or bases constructor,
+    paired with its frozenset formula. The drawn bases need not satisfy
+    basis exchange."""
     kind = draw(st.sampled_from(["uniform", "graphic", "bases"]))
     if kind == "uniform":
         n = draw(st.integers(0, n_max))
@@ -277,9 +300,11 @@ def rank_constructions(draw):
         return n, RankFunction.from_table(n, table), table_rank(table)
     if kind == "dual":
         n, f, ref = _draw_matroid(draw, 6)
+        assume(pairwise_matroid_axioms(f)[0])
         return n, dual(f), dual_rank(ref, n)
     n1, f1, ref1 = _draw_matroid(draw, 3)
     n2, f2, ref2 = _draw_matroid(draw, 3)
+    assume(pairwise_matroid_axioms(f1)[0] and pairwise_matroid_axioms(f2)[0])
     return n1 + n2, direct_sum(f1, f2), direct_sum_rank(ref1, n1, ref2)
 
 

@@ -186,7 +186,7 @@ def test_adjacency_matches_pairwise_lattice_rule(spec):
 
 def _table_by_size(n, by_size):
     """The polymatroid with f(A) = by_size[|A| - 1]."""
-    return RankFunction(n, lambda m: m and by_size[m.bit_count() - 1], False)
+    return RankFunction(n, lambda m: m and by_size[m.bit_count() - 1])
 
 
 @pytest.mark.parametrize("by_size, x, y, edge", [
@@ -229,13 +229,13 @@ def test_integer_bucket_keys_edge_cases(n, by_size):
 def _graphic_sum(graphs):
     gs = [RankFunction.graphic(g) for g in graphs]
     return RankFunction(len(graphs[0]),
-                        lambda m: sum(g.values[m] for g in gs), False)
+                        lambda m: sum(g.values[m] for g in gs))
 
 
 @pytest.mark.parametrize("f", [
     # the bench's min(w(A), c), weights in {1, 2, 3} sorted down
     RankFunction(7, lambda m: min(11, sum(
-        w for i, w in enumerate((3, 3, 2, 2, 1, 1, 1)) if m >> i & 1)), False),
+        w for i, w in enumerate((3, 3, 2, 2, 1, 1, 1)) if m >> i & 1))),
     # a sum of three graphic ranks, a loop included: 637 vertices
     _graphic_sum([
         [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4), (1, 1)],
@@ -302,7 +302,7 @@ def bases_specs(draw):
     g = RankFunction.graphic(draw(st.lists(st.tuples(vertex, vertex),
                                            min_size=n, max_size=n)))
     t = draw(st.integers(0, n))
-    f = RankFunction(n, lambda m: min(g.values[m], t), True)
+    f = RankFunction(n, lambda m: min(g.values[m], t))
     return PolytopeSpec(BASES_POLYTOPE, f)
 
 
