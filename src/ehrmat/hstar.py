@@ -16,10 +16,10 @@ bases polytope of U(n, r) is {x in {0..k}^n : sum x = kr}, so its
 Ehrhart values L(k) = A_{kr}^{n,k+1} are read off Katzman rows, and
 the uniform h*-vector costs O(n^2) integer operations per (n, r) once
 the rows are built. U(n, r) and its dual U(n, n-r) share it, so it is
-computed once per dual pair, and the vectors of the newest n are
-cached: a scan to n runs n // 2 transforms at n. Katzman's closed
-triple sum and its Horner evaluation live with the tests, as
-references.
+computed once per dual pair with its unimodality verdict, and the
+vectors of the newest n are cached: a scan to n runs n // 2 transforms
+and checks at n. Katzman's closed triple sum and its Horner evaluation
+live with the tests, as references.
 """
 
 from fractions import Fraction
@@ -107,13 +107,10 @@ def is_unimodal(v):
 # ---------------------------------------------------------------------------
 # uniform-matroid closed forms
 
-def uniform_ehrhart(n, r):
-    """Ehrhart polynomial of the bases polytope of the uniform matroid
-    with n elements and rank r:
-    sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1).
-
-    The sum is taken on integers, scaled by (n-1)!, and divided once per
-    coefficient at the end."""
+def _uniform_ehrhart_scaled(n, r):
+    """(n-1)! times the coefficients of `uniform_ehrhart(n, r)`, as
+    integers, trimmed: the terms of its sum scaled by (n-1)! and summed
+    on integers. Their signs are the coefficients' signs."""
     if not (1 <= r <= n):
         raise ValueError("hstar: need 1 <= r <= n")
     total = [0] * n
@@ -127,8 +124,19 @@ def uniform_ehrhart(n, r):
                     for a, b in zip(term + [0], [0] + term)]
         sign = (-1) ** s * binomial(n, s)
         total = [t + sign * c for t, c in zip(total, term)]
+    return poly_trim(total)
+
+
+def uniform_ehrhart(n, r):
+    """Ehrhart polynomial of the bases polytope of the uniform matroid
+    with n elements and rank r:
+    sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1).
+
+    The sum is taken on integers, scaled by (n-1)!, and divided once per
+    coefficient at the end."""
+    scaled = _uniform_ehrhart_scaled(n, r)
     scale = factorial(n - 1)
-    return poly_trim(tuple(Fraction(c, scale) for c in total))
+    return tuple(Fraction(c, scale) for c in scaled)
 
 
 _UNIFORM_HSTAR_CACHE = {}
@@ -145,15 +153,23 @@ def uniform_hstar(n, r):
     katzman(n, 1..n). A scan in increasing n extends each of them by one
     step per n, about n^3 / 4 operations shared by the n - 1 values of
     r, since each step sums half a row; a lone call at a new n builds
-    them from n = 1, O(n^4).
+    them from n = 1, O(n^4). The vector is cached as
+    `_uniform_hstar_entry` describes."""
+    return _uniform_hstar_entry(n, r)[0]
+
+
+def _uniform_hstar_entry(n, r):
+    """(h, unimodal): `uniform_hstar(n, r)` and whether it is unimodal,
+    trailing zeros trimmed.
 
     U(n, r) and its dual U(n, n-r) have the same h*-vector: row
     katzman(n, k+1) is palindromic of degree kn, so T^(kr) and
     T^(k(n-r)) have the same coefficient (x -> 1 - x maps one polytope
-    onto the other). So for r < n the vector is computed at
-    r' = min(r, n-r) and cached as r' -> (n, h), the newest n per r' as
-    in `_KATZMAN_CACHE`: a scan in increasing n runs n // 2 transforms
-    per n and holds one n's vectors. The point r = n is not cached.
+    onto the other). So for r < n the pair is computed at
+    r' = min(r, n-r) and cached as r' -> (n, (h, unimodal)), the newest
+    n per r' as in `_KATZMAN_CACHE`: a scan in increasing n runs n // 2
+    transforms and unimodality checks per n and holds one n's vectors.
+    The point r = n is not cached.
     """
     if not (1 <= r <= n):
         raise ValueError("hstar: need 1 <= r <= n")
@@ -164,9 +180,10 @@ def uniform_hstar(n, r):
             return cached[1]
     values = [katzman(n, k + 1)[k * r] for k in range(n)]
     h = tuple(_times_one_minus_x_power(values, n))
+    entry = h, is_unimodal(poly_trim(h))
     if r < n:
-        _UNIFORM_HSTAR_CACHE[r] = (n, h)
-    return h
+        _UNIFORM_HSTAR_CACHE[r] = (n, entry)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +191,12 @@ def uniform_hstar(n, r):
 
 def uniform_conjecture_report(n, r):
     """Conjecture verdicts for a uniform matroid from the closed forms
-    (no geometric pipeline involved)."""
-    h = poly_trim(uniform_hstar(n, r))
-    report = {"n": n, "r": r, "hstarUnimodal": is_unimodal(h)}
+    (no geometric pipeline involved): the unimodality verdict cached
+    with the h*-vector, and at r = 2 the signs of the Ehrhart
+    coefficients, read off their integer numerators."""
+    report = {"n": n, "r": r,
+              "hstarUnimodal": _uniform_hstar_entry(n, r)[1]}
     if r == 2:
         report["ehrhartCoeffsPositive"] = all(
-            c > 0 for c in uniform_ehrhart(n, 2))
+            c > 0 for c in _uniform_ehrhart_scaled(n, 2))
     return report
-

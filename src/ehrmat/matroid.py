@@ -105,7 +105,17 @@ class RankFunction:
     def from_bases(n, bases):
         """Matroid given by its bases: the rank of A is the largest
         |A & B| over the bases B, since an independent subset of A
-        extends to a basis."""
+        extends to a basis.
+
+        The table is filled by downward closure. The subsets of the
+        listed bases, the independent sets, are marked one size at a
+        time, from the bases down. Then r(A) = |A| for an independent A,
+        and r(A) = max r(A - e) over e in A otherwise: some e of A lies
+        outside the B that attains the largest |A & B|, and taking an
+        element away never raises |A & B|. So the table is the largest
+        |A & B| for any list of equal-size sets, a matroid's or not. The
+        scan over e stops at min(|A| - 1, rank), the largest value a
+        dependent A can take."""
         guard_n(n, TABLE_GUARD_N, "rank table")
         bases = [frozenset(b) for b in bases]
         if not bases:
@@ -113,9 +123,25 @@ class RankFunction:
         r = len(bases[0])
         if any(len(b) != r for b in bases):
             raise ValueError("matroid: bases must share cardinality")
-        masks = {_mask(b, n) for b in bases}
-        return RankFunction(
-            n, lambda m: max((m & b).bit_count() for b in masks))
+        level = {_mask(b, n) for b in bases}
+        independent = set(level)
+        while level:
+            level = {m ^ (1 << i) for m in level for i in range(n)
+                     if m >> i & 1}
+            independent |= level
+        values = [0] * (1 << n)
+        for a in range(1, 1 << n):
+            size = a.bit_count()
+            if a in independent:
+                values[a] = size
+                continue
+            best, cap, rest = 0, min(size - 1, r), a
+            while rest and best < cap:
+                low = rest & -rest
+                best = max(best, values[a ^ low])
+                rest ^= low
+            values[a] = best
+        return RankFunction(n, values.__getitem__)
 
     @staticmethod
     def from_table(n, table):

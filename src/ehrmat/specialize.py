@@ -11,28 +11,39 @@ Every exponent is paired with lambda = (1, 2, ..., n). A denominator
 exponent is a tangent-cone ray of a matroid or polymatroid polytope,
 +-(e_a - e_b) or +-e_a, so its pairing beta is a nonzero integer with
 |beta| <= n. Every term is a full-dimensional unimodular cone counted
-+1, with s = dim denominator pairings beta_1..beta_s; with numerator
-pairing x it contributes sum_l w_l x^l, where
++1, with s = dim denominator pairings beta_1..beta_s of sum sigma; with
+numerator pairing x it contributes
 
-    w_l = (-1)^s td_{s-l}(-beta_1, ..., -beta_s) / (l! beta_1 ... beta_s)
-        = W_l / D,   D = Q^s s! (-1)^s beta_1 ... beta_s,
+    sum_l (-1)^s td_{s-l}(-beta) x^l / (l! beta_1 ... beta_s)
+        = (-1)^s [t^s] exp(x t) prod_j h(-beta_j t) / (beta_1 ... beta_s).
 
-Q is the product of the primes <= s + 1 and the numerators W_l are
-integers: substituting x -> Q x in h clears the denominator of every
-b_n with n <= s (von Staudt-Clausen). With M the lcm of
-|beta_1 ... beta_s| over the tuples, each tuple's W scaled by
-M / (beta_1 ... beta_s) shares the one denominator Q^s s! (-1)^s M. So
-the scaled numerators of the terms with equal numerator pairing
-lav + lv k at dilation k are summed on integers, the sums are expanded
-in k together by one Kronecker substitution, and the result is divided
-once. The count of the k-th dilation is the polynomial's value at k.
+Since h(u) = exp(u/2) g(u) with g(u) = (u/2) / sinh(u/2) even (the Todd
+class as exp(c_1/2) times the A-hat class), the product is
+exp(-sigma t/2) G(t) with G(t) = prod_j g(|beta_j| t): its odd part is
+that one exponential, which moves into the pairing y = 2x - sigma, and
+G depends only on the multiset of |beta_j| and has only even powers.
+So the term contributes
+
+    sum_i V_i y^(s-2i) / D,   D = R^s s! (-1)^s beta_1 ... beta_s,
+    V_i = (s!/(s-2i)!) Q^(s-2i) R^2i G_2i,   i = 0..s//2,
+
+where Q is the product of the primes <= s + 1 and R = 2Q. The V_i are
+integers: R^n g_n = (2 - 2^n) Q^n b_n at even n, and b_n Q^n is an
+integer for n <= s (von Staudt-Clausen). With M the lcm of
+|beta_1 ... beta_s| over the tuples, each tuple's V scaled by
+M / (beta_1 ... beta_s) shares the one denominator R^s s! (-1)^s M. So
+the scaled numerators of the terms with equal pairing
+y = (2 lav - sigma) + 2 lv k at dilation k are summed on integers, the
+sums are expanded in k together by one Kronecker substitution, and the
+result is divided once. The count of the k-th dilation is the
+polynomial's value at k.
 
 A polytope has at most 2n^2 distinct rays, so lambda is checked and
-paired once per distinct ray. Each distinct sorted beta tuple's weights
-are computed once per polytope, from the tuple's power sums by
-Newton's identity for the logarithmic derivative of the Todd product:
-O(s^2) integer operations per tuple, with no product of series. No
-memo of tuples outlives the polytope.
+paired once per distinct ray. The numerators V of each distinct
+multiset of |beta| are computed once per polytope, from its even power
+sums by Newton's identity for the logarithmic derivative of G: O(s^2)
+integer operations per multiset, with no product of series. No memo of
+multisets outlives the polytope.
 """
 
 from fractions import Fraction
@@ -80,14 +91,6 @@ def _todd_scaled(m):
     return q, tuple(scaled)
 
 
-@cache
-def _weight_scale(s):
-    """The row (s!/l!) Q^l, l = 0..s, that scales the Todd product's
-    coefficient s - l into the weight numerator W_l of `weights`."""
-    q = _todd_scaled(s)[0]
-    return tuple(factorial(s) // factorial(l) * q ** l for l in range(s + 1))
-
-
 def find_lambda(bs, n):
     """lambda = (1, 2, ..., n), which pairs nonzero with every ray of a
     matroid or polymatroid tangent cone. ValueError if some exponent in
@@ -100,53 +103,56 @@ def find_lambda(bs, n):
     return lam
 
 
-def weights(betas):
-    """Integer weight numerators W_0..W_s of one term, from its tuple of
-    pairings beta_j = <lambda, b_j>: W_l = (s!/l!) Q^l f_{s-l}, where
-    f is the product of the factors h(-Q x beta_j) truncated at order
-    s, so that f_m = Q^m td_m(-beta) and W_l / D is w_l with
-    D = `_denominator(s, prod beta)`. The product is taken from power
-    sums: since x (log h)'(x) = x/2 - sum_{even k} b_k x^k,
-
-        m f_m = sum_{k in {1} and even k <= m} e_k p_k f_{m-k},
-
-    with e_1 = Q/2, p_1 = -sum beta, e_k = -b_k Q^k and p_k = sum
-    beta^k, each division by m exact (f_0 = 1). AssertionError on a
-    remainder, also under `python -O`."""
-    s = len(betas)
+@cache
+def _even_row(s):
+    """The integers `weights` needs at order s: the halved coefficients
+    a_i = -2^(2i-1) Q^2i b_2i, i = 1..s//2, of the logarithmic
+    derivative t (log g(Rt))' = -sum_{even k} b_k R^k t^k, and the scale
+    row (s!/(s-2i)!) Q^(s-2i), i = 0..s//2."""
     q, scaled = _todd_scaled(s)
-    # ep[k - 1] = e_k p_k, 0 at every odd k >= 3
-    ep = [0] * s
-    if s:
-        ep[0] = -(q // 2) * sum(betas)
-    squares = powers = [b * b for b in betas]
-    for k in range(2, s + 1, 2):
-        ep[k - 1] = -scaled[k] * sum(powers)
+    half = tuple(-scaled[2 * i] << (2 * i - 1) for i in range(1, s // 2 + 1))
+    scale = tuple(factorial(s) // factorial(s - 2 * i) * q ** (s - 2 * i)
+                  for i in range(s // 2 + 1))
+    return half, scale
+
+
+def weights(magnitudes):
+    """Integer numerators V_0..V_{s//2} of the terms whose pairings have
+    the sorted magnitudes |beta_1| <= ... <= |beta_s|: V_i is the
+    coefficient of y^(s-2i) in the module docstring's sum, so
+    V_i = (s!/(s-2i)!) Q^(s-2i) G_2i, where G is the product of the
+    factors g(R |beta_j| t) truncated at order s, R = 2Q. G has only
+    even powers, and is taken from the even power sums
+    p_2i = sum beta^2i: since t (log G)' = -sum_{even k} b_k R^k p_k t^k,
+
+        j G_2j = sum_{1 <= i <= j} a_i p_2i G_{2j-2i},
+
+    with a_i = -2^(2i-1) Q^2i b_2i, each division by j exact (G_0 = 1).
+    AssertionError on a remainder, also under `python -O`."""
+    half, scale = _even_row(len(magnitudes))
+    ap = []
+    squares = powers = [b * b for b in magnitudes]
+    for a in half:
+        ap.append(a * sum(powers))
         powers = list(map(mul, powers, squares))
-    # f_m, ..., f_0, newest first, so that ep pairs with it in order
+    # G_2(j-1), ..., G_0, newest first, so that ap pairs with it in order
     f = [1]
-    for m in range(1, s + 1):
-        fm, rem = divmod(sum(map(mul, ep, f)), m)
+    for j in range(1, len(half) + 1):
+        fj, rem = divmod(sum(map(mul, ap, f)), j)
         if rem:
-            raise AssertionError(f"specialize: Todd product coefficient"
-                                 f" {m} of {betas} is not an integer")
-        f.insert(0, fm)
-    return tuple(map(mul, _weight_scale(s), f))
-
-
-def _denominator(s, beta_prod):
-    """D = Q^s s! (-1)^s beta_prod: the denominator of the weights of a
-    tuple with product beta_prod, and, with beta_prod = M, the one
-    denominator of `ehrhart_polynomial`'s sum."""
-    return _todd_scaled(s)[0] ** s * factorial(s) * (-1) ** s * beta_prod
+            raise AssertionError(f"specialize: even Todd coefficient"
+                                 f" {2 * j} of {magnitudes} is not an"
+                                 f" integer")
+        f.insert(0, fj)
+    return tuple(map(mul, scale, reversed(f)))
 
 
 def count(p, k):
     """Exact number of lattice points of the k-th dilation of the
     polytope whose Ehrhart polynomial is p: p(k), checked to be a
     non-negative integer. p(k) is the specialization of the k-th dilated
-    generating function, whose terms have numerator pairing lav + lv k
-    and the weights of `ehrhart_polynomial`."""
+    generating function, whose terms have the pairings
+    y = (2 lav - sigma) + 2 lv k of `ehrhart_polynomial`."""
     total = poly_eval(p, k)
     if total.denominator != 1 or total < 0:
         raise AssertionError(f"specialize: count {total} is not a"
@@ -161,21 +167,23 @@ def ehrhart_polynomial(g):
     `genfun.build_genfun` builds them: a term with other than g.dim rays
     raises AssertionError, also under `python -O`.
 
-    The terms are first collected per sorted beta tuple, and M, the lcm
-    of |prod beta| over the tuples, is taken. Then each tuple's weights
-    are scaled once by M / prod beta, and each of its terms adds them to
-    the sum of its group (lv, lav), where lv = <lambda, v> and
-    lav = <lambda, a> - lv make up its numerator pairing lav + lv k at
-    dilation k.
+    The terms are first collected per sorted beta tuple, the tuples per
+    sorted multiset of |beta|, and M, the lcm of prod |beta| over the
+    multisets, is taken. Then each multiset's `weights` are scaled once
+    by M / prod |beta|, and each tuple's terms add them, negated if
+    prod beta < 0, to the sum of their group (lv, 2 lav - sigma), where
+    lv = <lambda, v>, lav = <lambda, a> - lv and sigma = sum beta make
+    up the pairing y = (2 lav - sigma) + 2 lv k at dilation k.
 
-    The groups' P(lav + lv k), P(x) = sum_l W_l x^l, are then summed by
-    Kronecker substitution: P is evaluated by Horner's rule at the
-    integer lav + lv 2^bits, so the sum is the integer whose
-    base-2^bits digits, each in [-2^(bits-1), 2^(bits-1)), are the
-    coefficients of k^0..k^dim. Every such coefficient is below (sum of
-    |W_l| over the groups) times (max |lv| + |lav|)^dim in size, and
-    bits is one more bit than that bound needs. The digits are read off
-    once and divided by `_denominator(dim, M)`."""
+    The groups' P(y), P(y) = sum_i V_i y^(dim-2i), are then summed by
+    Kronecker substitution: P is evaluated by Horner's rule in y^2,
+    times y when dim is odd, at the integer y = (2 lav - sigma)
+    + 2 lv 2^bits, so the sum is the integer whose base-2^bits digits,
+    each in [-2^(bits-1), 2^(bits-1)), are the coefficients of
+    k^0..k^dim. Every such coefficient is below (sum of |V_i| over the
+    groups) times (max 2|lv| + |2 lav - sigma|)^dim in size, and bits is
+    one more bit than that bound needs. The digits are read off once
+    and divided by R^dim dim! (-1)^dim M."""
     dim = g.dim
     rays = dict.fromkeys(chain.from_iterable(t.bs for t in g.terms))
     lam = find_lambda(rays, g.n)
@@ -187,30 +195,38 @@ def ehrhart_polynomial(g):
                                  f" in dimension {dim}")
         runs.setdefault(tuple(sorted(map(pairing.__getitem__, t.bs))),
                         []).append(t)
-    m = lcm(*map(prod, runs))
+    classes = {}
+    for key in runs:
+        classes.setdefault(tuple(sorted(map(abs, key))), []).append(key)
+    m = lcm(*map(prod, classes))
     groups = {}
-    for key, terms in runs.items():
-        f = m // prod(key)
-        w = [f * x for x in weights(key)]
-        for t in terms:
-            lv = sum(map(mul, lam, t.v))
-            lav = sum(map(mul, lam, t.a)) - lv
-            acc = groups.get((lv, lav))
-            # no list is changed in place, so groups may share w
-            groups[lv, lav] = w if acc is None else list(map(add, acc, w))
+    for mags, keys in classes.items():
+        f = m // prod(mags)
+        scaled = [f * x for x in weights(mags)]
+        for key in keys:
+            w = [-x for x in scaled] if prod(key) < 0 else scaled
+            sigma = sum(key)
+            # each run is dropped once summed, as the groups grow
+            for t in runs.pop(key):
+                lv = sum(map(mul, lam, t.v))
+                y0 = 2 * (sum(map(mul, lam, t.a)) - lv) - sigma
+                acc = groups.get((lv, y0))
+                # no list is changed in place, so groups may share w
+                groups[lv, y0] = w if acc is None else list(map(add, acc, w))
     total = reach = 1
-    for (lv, lav), w in groups.items():
+    for (lv, y0), w in groups.items():
         total += sum(map(abs, w))
-        reach = max(reach, abs(lv) + abs(lav))
+        reach = max(reach, 2 * abs(lv) + abs(y0))
     bits = (total * reach ** dim).bit_length() + 1
     packed = 0
-    for (lv, lav), w in groups.items():
-        x = lav + (lv << bits)
+    for (lv, y0), w in groups.items():
+        y = y0 + (lv << (bits + 1))
+        y2 = y * y
         p = 0
-        for wl in reversed(w):
-            p = p * x + wl
-        packed += p
-    d = _denominator(dim, m)
+        for v in w:
+            p = p * y2 + v
+        packed += p * y if dim % 2 else p
+    d = (2 * _todd_scaled(dim)[0]) ** dim * factorial(dim) * (-1) ** dim * m
     coeffs = []
     for _ in range(dim + 1):
         c = packed & ((1 << bits) - 1)

@@ -64,9 +64,11 @@
   and for the products the tests take of Ehrhart polynomials.
 - The Fraction specialization: lambda on the moment curve, the Todd
   series as the truncated product of its factors and per-term Fraction
-  weights (that product on integers is the reference for the power-sum
-  recurrence of `specialize.weights`), and per-term Fraction sums for
-  counts and Ehrhart polynomials, the reference for the integer
+  weights, the reference for the full weights that the tests rebuild
+  from `specialize.weights`; the series of g(u) = (u/2) / sinh(u/2),
+  whose scaled product on integers is the reference for the even
+  power-sum recurrence of `specialize.weights`; per-term Fraction sums
+  for counts and Ehrhart polynomials, the reference for the integer
   per-class sums along lambda = (1, ..., n) in `specialize`; a single
   Todd coefficient read off that series; the generating function of a
   dilation, whose count the reference takes term by term, against the
@@ -1076,6 +1078,18 @@ def todd_series(xis, m):
         acc = series_mul_trunc(
             acc, tuple(bn * xi ** n for n, bn in enumerate(b)), m)
     return list(acc) + [Fraction(0)] * (m + 1 - len(acc))
+
+
+def even_todd_series(m):
+    """Taylor coefficients g_0..g_m of g(u) = (u/2) / sinh(u/2), the
+    even factor of h(u) = exp(u/2) g(u), as the series reciprocal of
+    sinh(u/2) / (u/2) = sum_n (u/2)^2n / (2n+1)!."""
+    d = [Fraction(1, 2 ** n * factorial(n + 1)) if n % 2 == 0
+         else Fraction(0) for n in range(m + 1)]
+    g = [Fraction(1)]
+    for k in range(1, m + 1):
+        g.append(-sum(d[j] * g[k - j] for j in range(1, k + 1)))
+    return g
 
 
 def todd_eval(xis, m):

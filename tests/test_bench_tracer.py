@@ -1,7 +1,8 @@
 """The benchmark's span tracer (`bench/tracer.py`) wraps library
 functions by module and attribute name, and reads the pairings from the
-first argument of `specialize.weights`. These tests pin the names and
-that argument, so that `bench/run.py --trace 1` keeps working."""
+first argument of `specialize.weights`, the sorted magnitudes |beta|
+of one multiset. These tests pin the names and that argument, so that
+`bench/run.py --trace 1` keeps working."""
 
 import importlib
 import importlib.util
@@ -44,8 +45,8 @@ def test_traced_run_counts_pairings(capsys):
     assert code == 0
     assert specialize.weights is original
     layers = tracer.summary()["layers"]
-    # one weights call per distinct sorted beta tuple; K4 has 6
-    # elements, so |beta| <= 6
+    # one weights call per distinct multiset of |beta|, which the
+    # tracer counts as its classes; K4 has 6 elements, so |beta| <= 6
     assert layers["specialize.weights_calls"] == layers[
         "specialize.beta_classes"] > 0
     assert 1 <= layers["specialize.max_beta"] <= 6

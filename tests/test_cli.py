@@ -106,7 +106,8 @@ def test_verify_builds_genfun_once(capsys, monkeypatch):
 
 def test_verify_plans_weights_once(capsys, monkeypatch):
     # the dilation counts are read off the Ehrhart polynomial, so verify
-    # asks for each distinct beta tuple's weights once, as ehrhart does
+    # asks for the weights of each distinct multiset of |beta| once, as
+    # ehrhart does
     real = specialize.weights
     calls = []
 

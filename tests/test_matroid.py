@@ -264,6 +264,29 @@ def test_negative_n_is_rejected_by_name():
             make()
 
 
+@st.composite
+def equal_size_lists(draw):
+    """(n, a list of r-subsets of {1, ..., n}) for n <= 9: random sets,
+    so basis exchange mostly fails, repeats allowed."""
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(0, n))
+    subset = st.permutations(range(1, n + 1)).map(lambda p: frozenset(p[:r]))
+    return n, draw(st.lists(subset, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(equal_size_lists())
+def test_from_bases_table_is_largest_intersection(case):
+    # the downward closure against max_B |A & B| taken for every A,
+    # matroid bases or not
+    n, bases = case
+    f = RankFunction.from_bases(n, bases)
+    ref = bases_rank(bases)
+    for mask in range(1 << n):
+        a = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        assert f.values[mask] == ref(a)
+
+
 def _draw_matroid(draw, n_max):
     """A RankFunction from the uniform, graphic or bases constructor,
     paired with its frozenset formula. The drawn bases need not satisfy

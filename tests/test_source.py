@@ -190,13 +190,15 @@ def _trees(directory):
 
 # Functions the library never calls. The per-vertex and per-call
 # references are wrapped by name in bench/tracer.py, which waits for the
-# next change to the benchmark; the corpus readers are the public API
-# that bench/workloads.py and the tests read.
+# next change to the benchmark; the corpus readers and the uniform
+# closed forms are the public API that bench/workloads.py and the tests
+# read (the scan reads both closed forms through shared helpers).
 LIBRARY_DEAD_ALLOWED = [
     "cones.tangent_cone", "cones.facet_normals_unimodular",
     "corpus.names", "corpus.rank", "corpus.rank_function",
     "exactmath.mat_rank", "exactmath.solve_unimodular",
-    "exactmath.solve_linear", "matroid.RankFunction.rank",
+    "exactmath.solve_linear", "hstar.uniform_ehrhart",
+    "hstar.uniform_hstar", "matroid.RankFunction.rank",
 ]
 
 

@@ -2,15 +2,15 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    dilate, fraction_weights, reference_count, reference_ehrhart_polynomial,
-    series_mul_trunc, todd_eval, todd_series,
+    dilate, even_todd_series, fraction_weights, reference_count,
+    reference_ehrhart_polynomial, series_mul_trunc, todd_eval, todd_series,
 )
 from test_bruteforce import matroid_specs, polymatroid_specs
 
@@ -18,8 +18,8 @@ import ehrmat
 from ehrmat.genfun import GenFun, GenFunTerm, build_genfun
 from ehrmat.matroid import RankFunction
 from ehrmat.specialize import (
-    _denominator, _todd_scaled, _weight_scale, count, ehrhart_polynomial,
-    find_lambda, todd_c, weights,
+    _even_row, _todd_scaled, count, ehrhart_polynomial, find_lambda, todd_c,
+    weights,
 )
 from ehrmat.vertices import BASES_POLYTOPE, PolytopeSpec
 
@@ -127,11 +127,29 @@ def test_find_lambda_rejects_zero_pairing_under_optimize():
     assert "pairs to zero" in proc.stdout
 
 
+def _primes_upto(m):
+    return [p for p in range(2, m + 1)
+            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
 def _fractions(betas):
-    # the weights w_l = W_l / D of one term
-    w = weights(tuple(sorted(betas)))
-    d = _denominator(len(betas), prod(betas))
-    return [Fraction(x, d) for x in w]
+    # the weights w_l of one term, the coefficients of x^l, rebuilt from
+    # the even numerators of its |beta| multiset and sigma = sum beta:
+    # sum_i V_i (2x - sigma)^(s-2i) / D, D = R^s s! (-1)^s prod beta,
+    # R = 2Q, Q the product of the primes <= s + 1
+    s = len(betas)
+    v = weights(tuple(sorted(map(abs, betas))))
+    assert len(v) == s // 2 + 1 and all(type(x) is int for x in v)
+    sigma = sum(betas)
+    d = ((2 * prod(_primes_upto(s + 1))) ** s * factorial(s) * (-1) ** s
+         * prod(betas))
+    w = [Fraction(0)] * (s + 1)
+    for i, vi in enumerate(v):
+        e = s - 2 * i
+        for l in range(e + 1):
+            w[l] += Fraction(vi * comb(e, l) * 2 ** l * (-sigma) ** (e - l),
+                             d)
+    return w
 
 
 def test_weights_empty_denominator():
@@ -140,15 +158,21 @@ def test_weights_empty_denominator():
 
 
 def test_weights_one_dimensional():
+    # s = 1: one numerator V_0 = Q = 2, over R s! (-1) beta = -4 beta
+    assert weights((3,)) == (2,)
     w = _fractions([3])
     assert w == fraction_weights([3])
     assert w[1] == Fraction(-1, 3)
     assert w[0] == Fraction(1, 2)
+    assert _fractions([-3]) == fraction_weights([-3]) \
+        == [Fraction(1, 2), Fraction(1, 3)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(-8, 8).filter(bool), max_size=8))
 def test_weights_match_fraction_reference(betas):
+    # signed pairings: the full weights rebuilt from weights(sorted
+    # |beta|) and sigma against the Todd series of the factors
     assert _fractions(betas) == fraction_weights(betas)
 
 
@@ -159,31 +183,28 @@ def test_long_weights_match_fraction_reference(betas):
     assert _fractions(betas) == fraction_weights(betas)
 
 
-def _product_form_weights(betas):
-    # the Todd product as the truncated product of its factors
-    # h(-Q x beta) = sum_n b_n Q^n (-beta)^n x^n, one series product per
-    # beta, scaled into W_l as `weights` documents
-    s = len(betas)
-    scaled = _todd_scaled(s)[1]
+def _product_form_weights(magnitudes):
+    # the even part as the truncated product of its factors
+    # g(R beta t) = sum_n R^n g_n beta^n t^n, one series product per
+    # beta, scaled into V_i as `weights` documents
+    s = len(magnitudes)
+    q = prod(_primes_upto(s + 1))
+    g = even_todd_series(s)
     acc = (1,)
-    for beta in betas:
+    for beta in magnitudes:
         acc = series_mul_trunc(
-            tuple(bq * (-beta) ** n for n, bq in enumerate(scaled)), acc, s)
+            tuple((2 * q * beta) ** n * gn for n, gn in enumerate(g)), acc, s)
     acc += (0,) * (s + 1 - len(acc))
-    return tuple(w * f for w, f in zip(_weight_scale(s), reversed(acc)))
+    return tuple(factorial(s) // factorial(s - 2 * i) * q ** (s - 2 * i)
+                 * acc[2 * i] for i in range(s // 2 + 1))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-20, 20).filter(bool), max_size=12))
-def test_weights_match_product_form(betas):
-    # the power-sum recurrence against the product of the factors
-    betas = tuple(sorted(betas))
-    assert weights(betas) == _product_form_weights(betas)
-
-
-def _primes_upto(m):
-    return [p for p in range(2, m + 1)
-            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+@given(st.lists(st.integers(1, 20), max_size=12))
+def test_weights_match_product_form(magnitudes):
+    # the even power-sum recurrence against the product of the factors
+    magnitudes = tuple(sorted(magnitudes))
+    assert weights(magnitudes) == _product_form_weights(magnitudes)
 
 
 def test_todd_scaled_is_integral_up_to_order_40():
@@ -202,16 +223,43 @@ def test_todd_scaled_is_integral_up_to_order_40():
                 * q ** n == b[n] * q ** n
 
 
+def test_even_part_is_integral_up_to_order_40():
+    # g(u) = (u/2) / sinh(u/2) from its own series reciprocal: g is
+    # even, R^n g_n is an integer for R = 2Q and n <= m, equal to
+    # (2 - 2^n) Q^n b_n, and the halved log-derivative coefficients of
+    # g(Rt), read off its series by Newton's identity, are the a_i of
+    # `_even_row`; so every product of the factors g(R |beta| t), and
+    # every numerator of `weights`, is an integer up to order 40
+    g = even_todd_series(40)
+    b = _h_oracle(Fraction(1), 40)
+    assert g[:3] == [1, 0, Fraction(-1, 24)]
+    for m in range(41):
+        q, scaled = _todd_scaled(m)
+        r = 2 * q
+        gr = [r ** n * gn for n, gn in enumerate(g[:m + 1])]
+        log_derivative = [Fraction(0)]
+        for n in range(1, m + 1):
+            log_derivative.append(n * gr[n] - sum(
+                log_derivative[k] * gr[n - k] for k in range(1, n)))
+        for n in range(m + 1):
+            assert gr[n].denominator == 1
+            assert gr[n] == (0 if n % 2 else (2 - 2 ** n) * scaled[n])
+            if n:
+                assert log_derivative[n] == (0 if n % 2 else -r ** n * b[n])
+        half, scale = _even_row(m)
+        assert list(half) == [log_derivative[2 * i] / 2
+                              for i in range(1, m // 2 + 1)]
+        assert all(type(a) is int for a in half + scale)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-8, 8).filter(bool), max_size=7)
                 .map(lambda b: tuple(sorted(b))), max_size=20))
 def test_weights_do_not_depend_on_call_order(tuples):
-    # weights reads its Todd row and weight scale off caches kept per s;
+    # weights reads its Todd row and scale row off caches kept per s;
     # tuples of mixed s in any order must still give the reference weights
     for betas in tuples:
-        w = weights(betas)
-        d = _denominator(len(betas), prod(betas))
-        assert [Fraction(x, d) for x in w] == fraction_weights(betas)
+        assert _fractions(betas) == fraction_weights(betas)
 
 
 @settings(max_examples=100, deadline=None)
