@@ -27,11 +27,13 @@ layers that read 0 on both sides are left out.
 
 The summary gives, per workload and metric (the end-to-end ones and
 raw_wall_s), the median and the inclusive quartiles of each side, the
-number of pairs in which the change read lower, and `claim_met`: whether
-a gain may be claimed, i.e. at least ten pairs ran, the change read
-lower in at least nine tenths of them (ties count for neither side),
-and its median is below the parent's by more than the parent's
-inter-quartile distance.
+number of pairs in which the change read lower and the number in which
+it read higher, `claim_met`: whether a gain may be claimed, i.e. at
+least ten pairs ran, the change read lower in at least nine tenths of
+them (ties count for neither side), and its median is below the
+parent's by more than the parent's inter-quartile distance, and
+`regressed`: whether the change's median is above the parent's upper
+quartile, so that a rise in a metric no gain was claimed for shows.
 """
 
 import argparse
@@ -120,17 +122,22 @@ def summarize(runs, workload, seed):
         parent = [p["parent"] for p in pairs.values()]
         change = [p["change"] for p in pairs.values()]
         better = sum(p["change"] < p["parent"] for p in pairs.values())
+        worse = sum(p["change"] > p["parent"] for p in pairs.values())
+        parent_quartiles = quartiles(parent)
         out.append({
             "workload": workload,
             "seed": seed,
             "metric": metric,
             "pairs": len(pairs),
             "parent_median": round(statistics.median(parent), 4),
-            "parent_quartiles": quartiles(parent),
+            "parent_quartiles": parent_quartiles,
             "change_median": round(statistics.median(change), 4),
             "change_quartiles": quartiles(change),
             "change_better_in": better,
+            "change_worse_in": worse,
             "claim_met": claim_met(better, parent, change),
+            "regressed": (round(statistics.median(change), 4)
+                          > parent_quartiles[1]),
         })
     return out
 
@@ -228,11 +235,14 @@ def main(argv=None):
                    "src_sha256": src_digest(sides["change"])},
         "summary_fields": "median and [lower, upper] quartile of each side;"
                           " change_better_in counts the pairs where the"
-                          " change read lower; claim_met is true when at"
+                          " change read lower, change_worse_in those where"
+                          " it read higher; claim_met is true when at"
                           " least 10 pairs ran, the change read lower in"
                           " at least 9 of every 10 (ties count for"
                           " neither) and the medians differ by more than"
-                          " the parent's inter-quartile distance",
+                          " the parent's inter-quartile distance;"
+                          " regressed is true when the change's median is"
+                          " above the parent's upper quartile",
         "summary": summary,
     }
     if traced:

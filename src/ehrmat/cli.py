@@ -238,6 +238,9 @@ def cmd_scan_uniform(args):
     rows = []
     violation = False
     for n in range(2, args.nmax + 1):
+        # the rows below read the dual pairs r' = min(r, n - r) up to
+        # this bound: one packed transform computes them all
+        hstar.cache_uniform_hstar(n, range(1, min(args.rmax, n // 2) + 1))
         for r in range(1, min(args.rmax, n - 1) + 1):
             rep = hstar.uniform_conjecture_report(n, r)
             if not rep["hstarUnimodal"]:

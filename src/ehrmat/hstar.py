@@ -13,19 +13,25 @@ An h*-vector is (1 - x)^(d+1) sum_k L(k) x^k modulo x^(d+1), for the
 Ehrhart values L(0..d) of a d-dimensional polytope; `ehrhart_to_hstar`
 and `uniform_hstar` share that one transform. The k-th dilate of the
 bases polytope of U(n, r) is {x in {0..k}^n : sum x = kr}, so its
-Ehrhart values L(k) = A_{kr}^{n,k+1} are read off Katzman rows, and
-the uniform h*-vector costs O(n^2) integer operations per (n, r) once
-the rows are built. U(n, r) and its dual U(n, n-r) share it, so it is
-computed once per dual pair with its unimodality verdict, and the
-vectors of the newest n are cached: a scan to n runs n // 2 transforms
-and checks at n. Katzman's closed triple sum and its Horner evaluation
-live with the tests, as references.
+Ehrhart values L(k) = A_{kr}^{n,k+1} are read off Katzman rows. U(n, r)
+and its dual U(n, n-r) share the h*-vector, so it is computed once per
+dual pair with its unimodality verdict, and the vectors of the newest n
+are cached. The transform is linear with integer coefficients, so the
+pairs of one n share it by Kronecker substitution: each Ehrhart value
+is one digit of a packed integer, one digit per rank, and the
+h*-vectors are the signed digits of one transform of n packed integers.
+A scan to n runs one transform per n, O(n^2) big-integer operations,
+and checks unimodality once per pair. The integer numerators of the
+uniform Ehrhart polynomial are packed the same way, one integer product
+per term of their closed-form sum. Katzman's closed triple sum, its
+Horner evaluation and the numerators expanded as coefficient lists live
+with the tests, as references.
 """
 
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
-from operator import sub
+from math import factorial, prod
+from operator import lshift, sub
 
 from .exactmath import binomial, poly_eval, poly_trim
 
@@ -75,7 +81,8 @@ def katzman(n, r):
     cache keeps the newest full row per r, as
     r -> (n, row): a request at or above the cached n extends it, one
     below restarts from n = 1. A scan in increasing n so builds each row
-    once and holds one n's rows.
+    once and holds one n's rows; its packed h* transform reads each row
+    katzman(n, 1..n) once per n, at every rank it packs.
     """
     if n < 1 or r < 1:
         raise ValueError("hstar: need n >= 1 and r >= 1")
@@ -107,24 +114,65 @@ def is_unimodal(v):
 # ---------------------------------------------------------------------------
 # uniform-matroid closed forms
 
+def _digit_bytes(bound):
+    """Bytes per digit in a Kronecker packing whose digits are read back
+    as integers of absolute value at most `bound`: bit_length(bound) + 2
+    bits, one for the sign and one to spare, rounded up to whole bytes
+    so that each digit is one slice of a byte buffer."""
+    return (bound.bit_length() + 9) // 8
+
+
+def _signed_digits(packed, count, width):
+    """For each integer p in `packed`, its `count` signed digits in base
+    2^(8 width), lowest first: p = sum_j d_j 2^(8 width j), each d_j in
+    [-2^(8 width - 1), 2^(8 width - 1)).
+
+    They are read in one pass per p: adding the bias
+    sum_j 2^(8 width - 1) 2^(8 width j) makes every digit non-negative,
+    so the biased digits are the slices of one byte buffer. The biased p
+    lies in [0, 2^(8 width count)) exactly when the digits add up to p;
+    anything left above the last digit raises AssertionError."""
+    size = count * width
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    out = []
+    for p in packed:
+        p += bias
+        if p < 0 or p.bit_length() > 8 * size:
+            raise AssertionError(f"hstar: a packed value has digits beyond"
+                                 f" the {count} read, {8 * width} bits each")
+        buf = memoryview(p.to_bytes(size, "little"))
+        out.append([int.from_bytes(buf[i:i + width], "little") - half
+                    for i in range(0, size, width)])
+    return out
+
+
 def _uniform_ehrhart_scaled(n, r):
     """(n-1)! times the coefficients of `uniform_ehrhart(n, r)`, as
-    integers, trimmed: the terms of its sum scaled by (n-1)! and summed
-    on integers. Their signs are the coefficients' signs."""
+    integers, trimmed. Their signs are the coefficients' signs.
+
+    Term s of the sum, scaled by (n-1)!, is (-1)^s C(n, s) times the
+    product of the n - 1 factors (n - 1 - j - s) + (r - s) k, j < n - 1.
+    The sum is taken by Kronecker substitution: each product is one
+    integer product at k = 2^(8 width), and the coefficients of
+    k^0..k^(n-1) are the signed digits of the summed terms. No
+    coefficient exceeds sum_s C(n, s) prod_j (|n - 1 - j - s| + r - s)
+    in size, the sum at k = 1 with every coefficient made positive, and
+    the width holds that bound."""
     if not (1 <= r <= n):
         raise ValueError("hstar: need 1 <= r <= n")
-    total = [0] * n
+    bound = sum(binomial(n, s) * prod(abs(n - 1 - j - s) + r - s
+                                      for j in range(n - 1))
+                for s in range(r))
+    width = _digit_bytes(bound)
+    k = 1 << (8 * width)
+    total = 0
     for s in range(r):
-        # (n-1)! C(k(r-s) - s + n - 1, n-1) as a polynomial in k
-        term = [1]
-        for j in range(n - 1):
-            # times the factor (n - 1 - j - s) + (r - s) k
-            c0, c1 = n - 1 - j - s, r - s
-            term = [c0 * a + c1 * b
-                    for a, b in zip(term + [0], [0] + term)]
-        sign = (-1) ** s * binomial(n, s)
-        total = [t + sign * c for t, c in zip(total, term)]
-    return poly_trim(total)
+        # the factors, from j = 0 down: (n - 1 - s + (r - s) k) - j
+        top = n - 1 - s + (r - s) * k
+        term = binomial(n, s) * prod(range(top, top - (n - 1), -1))
+        total += -term if s % 2 else term
+    return poly_trim(_signed_digits([total], n, width)[0])
 
 
 def uniform_ehrhart(n, r):
@@ -132,11 +180,32 @@ def uniform_ehrhart(n, r):
     with n elements and rank r:
     sum_{s=0}^{r-1} (-1)^s C(n,s) C(k(r-s) - s + n - 1, n - 1).
 
-    The sum is taken on integers, scaled by (n-1)!, and divided once per
-    coefficient at the end."""
+    The sum is taken on integers, scaled by (n-1)!, by one packed product
+    per term, and divided once per coefficient at the end."""
     scaled = _uniform_ehrhart_scaled(n, r)
     scale = factorial(n - 1)
     return tuple(Fraction(c, scale) for c in scaled)
+
+
+def _uniform_hstars(n, ranks):
+    """`uniform_hstar(n, r)` for each r in `ranks`, from one transform.
+
+    Each Ehrhart value L_r(k) = katzman(n, k+1)[k*r] is one base
+    2^(8 width) digit of an integer P_k, digit j for the j-th rank, and
+    (1 - x)^n sum_k P_k x^k is taken once, on the n integers P_k. The
+    transform is linear with integer coefficients, so its outputs are
+    the packed h*-vectors, whatever the digits carried in between: only
+    the final entries must fit a digit. They are non-negative and sum to
+    the normalized volume, at most (n-1)!, and the width holds that."""
+    width = _digit_bytes(factorial(n - 1))
+    shifts = range(0, 8 * width * len(ranks), 8 * width)
+    packed = []
+    for k in range(n):
+        row = katzman(n, k + 1)
+        packed.append(sum(map(lshift, [row[k * r] for r in ranks], shifts)))
+    digits = _signed_digits(_times_one_minus_x_power(packed, n),
+                            len(ranks), width)
+    return list(zip(*digits))
 
 
 _UNIFORM_HSTAR_CACHE = {}
@@ -149,41 +218,50 @@ def uniform_hstar(n, r):
     The k-th dilate has L(k) = #{x in {0..k}^n : sum x = kr} lattice
     points, the coefficient of T^(kr) in (1 + ... + T^k)^n, which is
     katzman(n, k+1)[k*r]. Then h*(x) = (1 - x)^n sum_{k<n} L(k) x^k
-    modulo x^n: O(n^2) integer operations per dual pair, after the rows
+    modulo x^n: one transform of n packed integers per n serves every
+    dual pair that `cache_uniform_hstar` asks for, after the rows
     katzman(n, 1..n). A scan in increasing n extends each of them by one
     step per n, about n^3 / 4 operations shared by the n - 1 values of
     r, since each step sums half a row; a lone call at a new n builds
     them from n = 1, O(n^4). The vector is cached as
-    `_uniform_hstar_entry` describes."""
+    `cache_uniform_hstar` describes."""
     return _uniform_hstar_entry(n, r)[0]
 
 
-def _uniform_hstar_entry(n, r):
-    """(h, unimodal): `uniform_hstar(n, r)` and whether it is unimodal,
-    trailing zeros trimmed.
+def cache_uniform_hstar(n, ranks):
+    """The cached (h, unimodal) of U(n, r) per r in `ranks`, each with
+    1 <= 2r <= n, as r -> (h, unimodal): `uniform_hstar(n, r)` and
+    whether it is unimodal, trailing zeros trimmed.
 
     U(n, r) and its dual U(n, n-r) have the same h*-vector: row
     katzman(n, k+1) is palindromic of degree kn, so T^(kr) and
     T^(k(n-r)) have the same coefficient (x -> 1 - x maps one polytope
-    onto the other). So for r < n the pair is computed at
-    r' = min(r, n-r) and cached as r' -> (n, (h, unimodal)), the newest
-    n per r' as in `_KATZMAN_CACHE`: a scan in increasing n runs n // 2
-    transforms and unimodality checks per n and holds one n's vectors.
-    The point r = n is not cached.
-    """
+    onto the other), so r <= n/2 names the pair. The cache holds the
+    pairs of one n, the newest, as n -> {r: (h, unimodal)}; the ranks
+    it lacks at n are computed by one packed transform. A scan asks for
+    every rank it reads once per n, so it runs one transform per n and
+    holds one n's vectors."""
+    entries = _UNIFORM_HSTAR_CACHE.get(n)
+    if entries is None:
+        _UNIFORM_HSTAR_CACHE.clear()
+        entries = _UNIFORM_HSTAR_CACHE[n] = {}
+    missing = [r for r in ranks if r not in entries]
+    if missing:
+        for r, h in zip(missing, _uniform_hstars(n, missing)):
+            entries[r] = h, is_unimodal(poly_trim(h))
+    return entries
+
+
+def _uniform_hstar_entry(n, r):
+    """(h, unimodal) for U(n, r), from `cache_uniform_hstar` at
+    r' = min(r, n-r); the point r = n is computed alone, not cached."""
     if not (1 <= r <= n):
         raise ValueError("hstar: need 1 <= r <= n")
-    if r < n:
-        r = min(r, n - r)
-        cached = _UNIFORM_HSTAR_CACHE.get(r)
-        if cached and cached[0] == n:
-            return cached[1]
-    values = [katzman(n, k + 1)[k * r] for k in range(n)]
-    h = tuple(_times_one_minus_x_power(values, n))
-    entry = h, is_unimodal(poly_trim(h))
-    if r < n:
-        _UNIFORM_HSTAR_CACHE[r] = (n, entry)
-    return entry
+    if r == n:
+        h, = _uniform_hstars(n, (n,))
+        return h, is_unimodal(poly_trim(h))
+    r = min(r, n - r)
+    return cache_uniform_hstar(n, (r,))[r]
 
 
 # ---------------------------------------------------------------------------

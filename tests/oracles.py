@@ -35,10 +35,11 @@
   and the uniform Ehrhart values as the closed-form sum of binomials,
   the references for the Ehrhart values that `hstar.uniform_hstar`
   reads off Katzman rows and for the integer sum in
-  `hstar.uniform_ehrhart`; Ferroni's closed form for the minimal
-  matroids, which with the uniform one gives every sparse paving
-  corpus row by the relaxation identity; the h* sum identity and the
-  symmetry test.
+  `hstar.uniform_ehrhart`; that sum's terms expanded as coefficient
+  lists, the reference for its packed products; Ferroni's closed form
+  for the minimal matroids, which with the uniform one gives every
+  sparse paving corpus row by the relaxation identity; the h* sum
+  identity and the symmetry test.
 - Rank functions as formulas on frozensets (uniform, graphic, bases,
   table, dual, direct sum), the references for the bitmask tables that
   `matroid.RankFunction` builds; the independence test, the dual and the
@@ -642,6 +643,27 @@ def uniform_ehrhart_value(n, r, k):
         raise ValueError("need 1 <= r <= n")
     return sum((-1) ** s * comb(n, s) * comb(k * (r - s) - s + n - 1, n - 1)
                for s in range(r))
+
+
+def uniform_ehrhart_scaled_lists(n, r):
+    """(n-1)! times the coefficients of the uniform Ehrhart polynomial,
+    as integers, trimmed: each term of the closed-form sum expanded as a
+    coefficient list, one factor (n - 1 - j - s) + (r - s) k at a time,
+    and the lists summed. The reference for the packed products in
+    `hstar._uniform_ehrhart_scaled`."""
+    if not (1 <= r <= n):
+        raise ValueError("need 1 <= r <= n")
+    total = [0] * n
+    for s in range(r):
+        # (n-1)! C(k(r-s) - s + n - 1, n-1) as a polynomial in k
+        term = [1]
+        for j in range(n - 1):
+            c0, c1 = n - 1 - j - s, r - s
+            term = [c0 * a + c1 * b
+                    for a, b in zip(term + [0], [0] + term)]
+        sign = (-1) ** s * binomial(n, s)
+        total = [t + sign * c for t, c in zip(total, term)]
+    return poly_trim(total)
 
 
 def _binomial_poly(a, m):

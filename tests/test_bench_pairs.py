@@ -251,3 +251,27 @@ def test_claim_met_needs_ten_pairs():
     parent = _PARENT[:9]
     assert not module.claim_met(9, parent, [p - 0.5 for p in parent])
     assert module.claim_met(10, _PARENT, [p - 0.5 for p in _PARENT])
+
+
+@pytest.mark.parametrize("change, better, worse, regressed", [
+    # higher in all 10, median 1.095 above the parent's upper quartile
+    # 1.0675
+    ([p + 0.05 for p in _PARENT], 0, 10, True),
+    # higher in all 10, but the median 1.055 stays inside the quartiles
+    ([p + 0.01 for p in _PARENT], 0, 10, False),
+    # higher in 6, lower in 3, one tie, median 1.07
+    ([p + 0.05 for p in _PARENT[:6]] + [p - 0.01 for p in _PARENT[6:9]]
+     + _PARENT[9:], 3, 6, True),
+], ids=["all_higher", "higher_inside_spread", "mixed_with_tie"])
+def test_rows_count_worse_pairs_and_flag_a_rise(change, better, worse,
+                                                regressed):
+    # a rise in a metric no gain was claimed for shows in its row
+    module = _load()
+    runs = [{"workload": "uniform_scan", "pair": pair, "side": side,
+             "result": _fake_result("uniform_scan", value)}
+            for pair, values in enumerate(zip(_PARENT, change), 1)
+            for side, value in zip(("parent", "change"), values)]
+    for row in module.summarize(runs, "uniform_scan", 1):
+        assert (row["change_better_in"], row["change_worse_in"],
+                row["regressed"]) == (better, worse, regressed)
+        assert not row["claim_met"]

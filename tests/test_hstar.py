@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,8 @@ from oracles import (
     conjecture_report, hstar_rank2, hstar_rank3, hstar_sum_identity,
     is_symmetric, katzman_multinomial, katzman_rankrel,
     minimal_ehrhart, partial_unimodality_scan, poly_mul,
-    uniform_ehrhart_value, uniform_hstar_horner, uniform_hstar_triple_sum,
+    uniform_ehrhart_scaled_lists, uniform_ehrhart_value, uniform_hstar_horner,
+    uniform_hstar_triple_sum,
 )
 
 K4_EHRHART = tuple(Fraction(x) for x in
@@ -184,15 +189,55 @@ def test_uniform_hstar_equals_literal_triple_sum():
             assert uniform_hstar(n, r) == uniform_hstar_triple_sum(n, r), (n, r)
 
 
-def test_uniform_hstar_equals_horner_reference():
-    for n in range(1, 31):
+@pytest.fixture(scope="module")
+def horner_60():
+    # the reference h*-vectors for every 1 <= r <= n <= 60, r = n
+    # included, each from the Horner oracle itself, not from a dual
+    return {(n, r): uniform_hstar_horner(n, r)
+            for n in range(1, 61) for r in range(1, n + 1)}
+
+
+def test_uniform_hstar_equals_horner_reference(monkeypatch, capsys,
+                                               horner_60):
+    # in scan order: every dual pair of one n from one packed transform
+    monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
+    monkeypatch.setattr(hstar, "_UNIFORM_HSTAR_CACHE", {})
+    for n in range(1, 61):
+        hstar.cache_uniform_hstar(n, range(1, n // 2 + 1))
         for r in range(1, n + 1):
-            assert uniform_hstar(n, r) == uniform_hstar_horner(n, r), (n, r)
+            assert uniform_hstar(n, r) == horner_60[n, r], (n, r)
+    # as lone calls, descending n, from cold caches: one rank per transform
+    hstar._KATZMAN_CACHE.clear()
+    hstar._UNIFORM_HSTAR_CACHE.clear()
+    for n in range(60, 0, -1):
+        for r in range(1, n + 1):
+            assert uniform_hstar(n, r) == horner_60[n, r], (n, r)
+    # in scans, each transform packing the ranks its --rmax reads
+    packed = hstar._uniform_hstars
+    for rmax in (1, 2, 5):
+        hstar._KATZMAN_CACHE.clear()
+        hstar._UNIFORM_HSTAR_CACHE.clear()
+        seen = []
+
+        def recorded(n, ranks):
+            out = packed(n, ranks)
+            seen.append(n)
+            assert list(ranks) == list(range(1, min(rmax, n // 2) + 1))
+            for r, h in zip(ranks, out):
+                assert h == horner_60[n, r] == horner_60[n, n - r], (n, r)
+            return out
+
+        monkeypatch.setattr(hstar, "_uniform_hstars", recorded)
+        assert cli.main(["scan-uniform", "--nmax", "60",
+                         "--rmax", str(rmax)]) == 0
+        capsys.readouterr()
+        assert seen == list(range(2, 61)), rmax
 
 
 def test_scan_runs_one_transform_per_dual_pair(monkeypatch, capsys):
-    # U(n, r) and U(n, n - r) share one h*-vector, so a scan runs
-    # n // 2 transforms per n: 441 for n = 2..42, not one per row
+    # U(n, r) and U(n, n - r) share one h*-vector, and one transform of
+    # n packed integers serves every pair of one n: 41 transforms for
+    # n = 2..42, not one per pair or per row
     monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
     monkeypatch.setattr(hstar, "_UNIFORM_HSTAR_CACHE", {})
     transform = hstar._times_one_minus_x_power
@@ -205,8 +250,53 @@ def test_scan_runs_one_transform_per_dual_pair(monkeypatch, capsys):
     monkeypatch.setattr(hstar, "_times_one_minus_x_power", counted)
     assert cli.main(["scan-uniform", "--nmax", "42"]) == 0
     capsys.readouterr()
-    assert calls == {n: n // 2 for n in range(2, 43)}
-    assert sum(calls.values()) == 441
+    assert calls == {n: 1 for n in range(2, 43)}
+    assert sum(calls.values()) == 41
+
+
+def test_packed_ehrhart_numerators_equal_list_expansion():
+    for n in range(1, 45):
+        for r in range(1, n + 1):
+            assert hstar._uniform_ehrhart_scaled(n, r) == (
+                uniform_ehrhart_scaled_lists(n, r)), (n, r)
+    for r in (2, 3):
+        assert hstar._uniform_ehrhart_scaled(100, r) == (
+            uniform_ehrhart_scaled_lists(100, r)), r
+
+
+def test_undersized_digits_raise_under_optimize():
+    # a digit width too small for the entries leaves digits above the
+    # last one read: a broken invariant, raised as AssertionError even
+    # under -O, which the CLI reports as an internal error
+    code = (
+        "import contextlib, io, sys\n"
+        "from ehrmat import cli, hstar\n"
+        "if __debug__:\n"
+        "    sys.exit(2)\n"
+        "hstar._digit_bytes = lambda bound: 1\n"
+        "for call in (lambda: hstar.uniform_hstar(20, 10),\n"
+        "             lambda: hstar.uniform_ehrhart(20, 2)):\n"
+        "    try:\n"
+        "        call()\n"
+        "        sys.exit(1)\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(['scan-uniform', '--nmax', '20'])\n"
+        "print(code, err.getvalue().strip())\n")
+    src = str(Path(hstar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    beyond = "hstar: a packed value has digits beyond the"
+    lone, numerators, scan = proc.stdout.splitlines()
+    assert lone == f"{beyond} 1 read, 8 bits each"
+    assert numerators == f"{beyond} 20 read, 8 bits each"
+    assert scan.startswith(f"{cli.EXIT_INTERNAL} internal error:"
+                           f" scan-uniform: {beyond}")
 
 
 def test_uniform_hstar_cache_never_serves_another_n(monkeypatch, capsys):
@@ -225,9 +315,10 @@ def test_uniform_hstar_cache_never_serves_another_n(monkeypatch, capsys):
     capsys.readouterr()
     for n, r in calls + [(12, 5), (12, 7), (11, 4), (12, 12), (13, 6)]:
         assert uniform_hstar(n, r) == uniform_hstar_horner(n, r), (n, r)
-    # the cache holds one vector per r' = min(r, n - r), never r = n
-    assert all(1 <= 2 * r <= n
-               for r, (n, _) in hstar._UNIFORM_HSTAR_CACHE.items())
+    # the cache holds the vectors of one n, one per r' = min(r, n - r),
+    # never r = n
+    ((n, entries),) = hstar._UNIFORM_HSTAR_CACHE.items()
+    assert entries and all(1 <= 2 * r <= n for r in entries)
 
 
 def test_uniform_ehrhart_equals_fraction_reference():
