@@ -236,18 +236,11 @@ def cmd_scan_uniform(args):
         raise BudgetExceeded(f"scan guard: nmax={args.nmax} exceeds"
                              f" {SCAN_GUARD_NMAX}")
     rows = []
-    violation = False
     for n in range(2, args.nmax + 1):
-        # the rows below read the dual pairs r' = min(r, n - r) up to
-        # this bound: one packed transform computes them all
-        hstar.cache_uniform_hstar(n, range(1, min(args.rmax, n // 2) + 1))
-        for r in range(1, min(args.rmax, n - 1) + 1):
-            rep = hstar.uniform_conjecture_report(n, r)
-            if not rep["hstarUnimodal"]:
-                violation = True
-            if rep.get("ehrhartCoeffsPositive") is False:
-                violation = True
-            rows.append(rep)
+        rows += hstar.uniform_conjecture_rows(n, args.rmax)
+    violation = any(not rep["hstarUnimodal"]
+                    or rep.get("ehrhartCoeffsPositive") is False
+                    for rep in rows)
     if args.csv:
         print("n,r,hstarUnimodal,ehrhartCoeffsPositive")
         for rep in rows:

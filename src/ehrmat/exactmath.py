@@ -11,6 +11,14 @@ through given values are built in Newton form on integers.
 fractions.Fraction appears only in results (solutions of linear
 systems, polynomial coefficients). Vectors and matrices are tuples, so
 all values are immutable and safe to share.
+
+A whole integer polynomial or vector is often carried as one big
+integer, its entries the digits (Kronecker substitution): the Ehrhart
+sum of `specialize` and the uniform h*-vectors and Ehrhart numerators
+of `hstar` are packed this way. `digit_bytes` and `signed_digits` are
+the one codec for that: a digit width in whole bytes from a bound on
+the entries, and the signed digits read back, with AssertionError when
+the packed value does not fit the digits read.
 """
 
 from fractions import Fraction
@@ -162,3 +170,41 @@ def binomial(n, k):
     if k < 0 or k > n or n < 0:
         return 0
     return comb(n, k)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: signed digits of packed integers
+
+def digit_bytes(bound):
+    """Bytes per digit in a Kronecker packing whose digits are read back
+    as integers of absolute value at most `bound`: bit_length(bound) + 2
+    bits, one for the sign and one to spare, rounded up to whole bytes
+    so that each digit is one slice of a byte buffer."""
+    return (bound.bit_length() + 9) // 8
+
+
+def signed_digits(packed, count, width):
+    """For each integer p in `packed`, its `count` signed digits in base
+    2^(8 width), lowest first: p = sum_j d_j 2^(8 width j), each d_j in
+    [-2^(8 width - 1), 2^(8 width - 1)).
+
+    They are read in one pass per p: adding the bias
+    sum_j 2^(8 width - 1) 2^(8 width j) makes every digit non-negative,
+    so the biased digits are the slices of one byte buffer. The biased p
+    lies in [0, 2^(8 width count)) exactly when the digits add up to p;
+    anything left above the last digit raises AssertionError, also
+    under `python -O`."""
+    size = count * width
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    out = []
+    for p in packed:
+        p += bias
+        if p < 0 or p.bit_length() > 8 * size:
+            raise AssertionError(f"exactmath: a packed value has digits"
+                                 f" beyond the {count} read, {8 * width}"
+                                 f" bits each")
+        buf = memoryview(p.to_bytes(size, "little"))
+        out.append([int.from_bytes(buf[i:i + width], "little") - half
+                    for i in range(0, size, width)])
+    return out

@@ -14,12 +14,13 @@ Ehrhart values L(0..d) of a d-dimensional polytope; `ehrhart_to_hstar`
 and `uniform_hstar` share that one transform. The k-th dilate of the
 bases polytope of U(n, r) is {x in {0..k}^n : sum x = kr}, so its
 Ehrhart values L(k) = A_{kr}^{n,k+1} are read off Katzman rows. U(n, r)
-and its dual U(n, n-r) share the h*-vector, so it is computed once per
-dual pair with its unimodality verdict, and the vectors of the newest n
-are cached. The transform is linear with integer coefficients, so the
-pairs of one n share it by Kronecker substitution: each Ehrhart value
-is one digit of a packed integer, one digit per rank, and the
-h*-vectors are the signed digits of one transform of n packed integers.
+and its dual U(n, n-r) share the h*-vector, so `uniform_conjecture_rows`
+computes it once per dual pair, with its unimodality verdict, and
+builds the scan's rows of one n from them. The transform is linear with
+integer coefficients, so the pairs of one n share it by Kronecker
+substitution: each Ehrhart value is one digit of a packed integer, one
+digit per rank, and the h*-vectors are the signed digits of one
+transform of n packed integers, read back by `exactmath.signed_digits`.
 A scan to n runs one transform per n, O(n^2) big-integer operations,
 and checks unimodality once per pair. The integer numerators of the
 uniform Ehrhart polynomial are packed the same way, one integer product
@@ -33,7 +34,9 @@ from itertools import accumulate
 from math import factorial, prod
 from operator import lshift, sub
 
-from .exactmath import binomial, poly_eval, poly_trim
+from .exactmath import (
+    binomial, digit_bytes, poly_eval, poly_trim, signed_digits,
+)
 
 
 def _times_one_minus_x_power(values, e):
@@ -114,39 +117,6 @@ def is_unimodal(v):
 # ---------------------------------------------------------------------------
 # uniform-matroid closed forms
 
-def _digit_bytes(bound):
-    """Bytes per digit in a Kronecker packing whose digits are read back
-    as integers of absolute value at most `bound`: bit_length(bound) + 2
-    bits, one for the sign and one to spare, rounded up to whole bytes
-    so that each digit is one slice of a byte buffer."""
-    return (bound.bit_length() + 9) // 8
-
-
-def _signed_digits(packed, count, width):
-    """For each integer p in `packed`, its `count` signed digits in base
-    2^(8 width), lowest first: p = sum_j d_j 2^(8 width j), each d_j in
-    [-2^(8 width - 1), 2^(8 width - 1)).
-
-    They are read in one pass per p: adding the bias
-    sum_j 2^(8 width - 1) 2^(8 width j) makes every digit non-negative,
-    so the biased digits are the slices of one byte buffer. The biased p
-    lies in [0, 2^(8 width count)) exactly when the digits add up to p;
-    anything left above the last digit raises AssertionError."""
-    size = count * width
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    out = []
-    for p in packed:
-        p += bias
-        if p < 0 or p.bit_length() > 8 * size:
-            raise AssertionError(f"hstar: a packed value has digits beyond"
-                                 f" the {count} read, {8 * width} bits each")
-        buf = memoryview(p.to_bytes(size, "little"))
-        out.append([int.from_bytes(buf[i:i + width], "little") - half
-                    for i in range(0, size, width)])
-    return out
-
-
 def _uniform_ehrhart_scaled(n, r):
     """(n-1)! times the coefficients of `uniform_ehrhart(n, r)`, as
     integers, trimmed. Their signs are the coefficients' signs.
@@ -164,7 +134,7 @@ def _uniform_ehrhart_scaled(n, r):
     bound = sum(binomial(n, s) * prod(abs(n - 1 - j - s) + r - s
                                       for j in range(n - 1))
                 for s in range(r))
-    width = _digit_bytes(bound)
+    width = digit_bytes(bound)
     k = 1 << (8 * width)
     total = 0
     for s in range(r):
@@ -172,7 +142,7 @@ def _uniform_ehrhart_scaled(n, r):
         top = n - 1 - s + (r - s) * k
         term = binomial(n, s) * prod(range(top, top - (n - 1), -1))
         total += -term if s % 2 else term
-    return poly_trim(_signed_digits([total], n, width)[0])
+    return poly_trim(signed_digits([total], n, width)[0])
 
 
 def uniform_ehrhart(n, r):
@@ -197,18 +167,15 @@ def _uniform_hstars(n, ranks):
     the packed h*-vectors, whatever the digits carried in between: only
     the final entries must fit a digit. They are non-negative and sum to
     the normalized volume, at most (n-1)!, and the width holds that."""
-    width = _digit_bytes(factorial(n - 1))
+    width = digit_bytes(factorial(n - 1))
     shifts = range(0, 8 * width * len(ranks), 8 * width)
     packed = []
     for k in range(n):
         row = katzman(n, k + 1)
         packed.append(sum(map(lshift, [row[k * r] for r in ranks], shifts)))
-    digits = _signed_digits(_times_one_minus_x_power(packed, n),
-                            len(ranks), width)
+    digits = signed_digits(_times_one_minus_x_power(packed, n),
+                           len(ranks), width)
     return list(zip(*digits))
-
-
-_UNIFORM_HSTAR_CACHE = {}
 
 
 def uniform_hstar(n, r):
@@ -218,62 +185,43 @@ def uniform_hstar(n, r):
     The k-th dilate has L(k) = #{x in {0..k}^n : sum x = kr} lattice
     points, the coefficient of T^(kr) in (1 + ... + T^k)^n, which is
     katzman(n, k+1)[k*r]. Then h*(x) = (1 - x)^n sum_{k<n} L(k) x^k
-    modulo x^n: one transform of n packed integers per n serves every
-    dual pair that `cache_uniform_hstar` asks for, after the rows
-    katzman(n, 1..n). A scan in increasing n extends each of them by one
-    step per n, about n^3 / 4 operations shared by the n - 1 values of
-    r, since each step sums half a row; a lone call at a new n builds
-    them from n = 1, O(n^4). The vector is cached as
-    `cache_uniform_hstar` describes."""
-    return _uniform_hstar_entry(n, r)[0]
-
-
-def cache_uniform_hstar(n, ranks):
-    """The cached (h, unimodal) of U(n, r) per r in `ranks`, each with
-    1 <= 2r <= n, as r -> (h, unimodal): `uniform_hstar(n, r)` and
-    whether it is unimodal, trailing zeros trimmed.
-
-    U(n, r) and its dual U(n, n-r) have the same h*-vector: row
-    katzman(n, k+1) is palindromic of degree kn, so T^(kr) and
-    T^(k(n-r)) have the same coefficient (x -> 1 - x maps one polytope
-    onto the other), so r <= n/2 names the pair. The cache holds the
-    pairs of one n, the newest, as n -> {r: (h, unimodal)}; the ranks
-    it lacks at n are computed by one packed transform. A scan asks for
-    every rank it reads once per n, so it runs one transform per n and
-    holds one n's vectors."""
-    entries = _UNIFORM_HSTAR_CACHE.get(n)
-    if entries is None:
-        _UNIFORM_HSTAR_CACHE.clear()
-        entries = _UNIFORM_HSTAR_CACHE[n] = {}
-    missing = [r for r in ranks if r not in entries]
-    if missing:
-        for r, h in zip(missing, _uniform_hstars(n, missing)):
-            entries[r] = h, is_unimodal(poly_trim(h))
-    return entries
-
-
-def _uniform_hstar_entry(n, r):
-    """(h, unimodal) for U(n, r), from `cache_uniform_hstar` at
-    r' = min(r, n-r); the point r = n is computed alone, not cached."""
+    modulo x^n, one transform of n packed integers by `_uniform_hstars`
+    at r' = min(r, n-r), the rank that names the dual pair; the point
+    r = n is computed at r' = n. It reads the rows katzman(n, 1..n):
+    calls in increasing n extend each of them by one step per n, about
+    n^3 / 4 operations, since each step sums half a row; a call below
+    the newest n builds them from n = 1, O(n^4)."""
     if not (1 <= r <= n):
         raise ValueError("hstar: need 1 <= r <= n")
-    if r == n:
-        h, = _uniform_hstars(n, (n,))
-        return h, is_unimodal(poly_trim(h))
-    r = min(r, n - r)
-    return cache_uniform_hstar(n, (r,))[r]
+    return _uniform_hstars(n, (min(r, n - r) or n,))[0]
 
 
 # ---------------------------------------------------------------------------
 # conjecture predicates
 
-def uniform_conjecture_report(n, r):
+def uniform_conjecture_rows(n, rmax):
+    """The conjecture rows of U(n, r) for r = 1..min(rmax, n-1), in
+    order, each by `uniform_conjecture_report`.
+
+    U(n, r) and its dual U(n, n-r) have the same h*-vector: row
+    katzman(n, k+1) is palindromic of degree kn, so T^(kr) and
+    T^(k(n-r)) have the same coefficient (x -> 1 - x maps one polytope
+    onto the other), so r' = min(r, n-r) names the pair. The rows read
+    the pairs r' = 1..min(rmax, n//2): one packed transform computes
+    them all, and each pair's vector is trimmed and checked for
+    unimodality once."""
+    ranks = range(1, min(rmax, n // 2) + 1)
+    unimodal = [is_unimodal(poly_trim(h)) for h in _uniform_hstars(n, ranks)]
+    return [uniform_conjecture_report(n, r, unimodal[min(r, n - r) - 1])
+            for r in range(1, min(rmax, n - 1) + 1)]
+
+
+def uniform_conjecture_report(n, r, unimodal):
     """Conjecture verdicts for a uniform matroid from the closed forms
-    (no geometric pipeline involved): the unimodality verdict cached
-    with the h*-vector, and at r = 2 the signs of the Ehrhart
-    coefficients, read off their integer numerators."""
-    report = {"n": n, "r": r,
-              "hstarUnimodal": _uniform_hstar_entry(n, r)[1]}
+    (no geometric pipeline involved): the given unimodality verdict of
+    its h*-vector, and at r = 2 the signs of the Ehrhart coefficients,
+    read off their integer numerators."""
+    report = {"n": n, "r": r, "hstarUnimodal": unimodal}
     if r == 2:
         report["ehrhartCoeffsPositive"] = all(
             c > 0 for c in _uniform_ehrhart_scaled(n, 2))

@@ -34,8 +34,9 @@ integer for n <= s (von Staudt-Clausen). With M the lcm of
 M / (beta_1 ... beta_s) shares the one denominator R^s s! (-1)^s M. So
 the scaled numerators of the terms with equal pairing
 y = (2 lav - sigma) + 2 lv k at dilation k are summed on integers, the
-sums are expanded in k together by one Kronecker substitution, and the
-result is divided once. The count of the k-th dilation is the
+sums are expanded in k together by one Kronecker substitution, whose
+coefficients of k are read back as byte digits by `exactmath`'s codec,
+and the result is divided once. The count of the k-th dilation is the
 polynomial's value at k.
 
 A polytope has at most 2n^2 distinct rays, so lambda is checked and
@@ -53,7 +54,7 @@ from math import factorial, lcm, prod
 from operator import add, mul
 
 from .exactmath import (
-    binomial, poly_eval, poly_trim, vec_dot,
+    binomial, digit_bytes, poly_eval, poly_trim, signed_digits, vec_dot,
 )
 
 
@@ -178,12 +179,14 @@ def ehrhart_polynomial(g):
     The groups' P(y), P(y) = sum_i V_i y^(dim-2i), are then summed by
     Kronecker substitution: P is evaluated by Horner's rule in y^2,
     times y when dim is odd, at the integer y = (2 lav - sigma)
-    + 2 lv 2^bits, so the sum is the integer whose base-2^bits digits,
-    each in [-2^(bits-1), 2^(bits-1)), are the coefficients of
+    + 2 lv 2^(8 width), so the sum is the integer whose signed digits
+    in base 2^(8 width), each `width` bytes, are the coefficients of
     k^0..k^dim. Every such coefficient is below (sum of |V_i| over the
-    groups) times (max 2|lv| + |2 lav - sigma|)^dim in size, and bits is
-    one more bit than that bound needs. The digits are read off once
-    and divided by R^dim dim! (-1)^dim M."""
+    groups) times (max 2|lv| + |2 lav - sigma|)^dim in size, and
+    `exactmath.digit_bytes` picks the width from that bound. The digits
+    are read off once by `exactmath.signed_digits`, which raises
+    AssertionError if the sum does not fit them, and divided by
+    R^dim dim! (-1)^dim M."""
     dim = g.dim
     rays = dict.fromkeys(chain.from_iterable(t.bs for t in g.terms))
     lam = find_lambda(rays, g.n)
@@ -217,24 +220,15 @@ def ehrhart_polynomial(g):
     for (lv, y0), w in groups.items():
         total += sum(map(abs, w))
         reach = max(reach, 2 * abs(lv) + abs(y0))
-    bits = (total * reach ** dim).bit_length() + 1
+    width = digit_bytes(total * reach ** dim)
     packed = 0
     for (lv, y0), w in groups.items():
-        y = y0 + (lv << (bits + 1))
+        y = y0 + (lv << (8 * width + 1))
         y2 = y * y
         p = 0
         for v in w:
             p = p * y2 + v
         packed += p * y if dim % 2 else p
     d = (2 * _todd_scaled(dim)[0]) ** dim * factorial(dim) * (-1) ** dim * m
-    coeffs = []
-    for _ in range(dim + 1):
-        c = packed & ((1 << bits) - 1)
-        if c >> (bits - 1):
-            c -= 1 << bits
-        coeffs.append(Fraction(c, d))
-        packed = (packed - c) >> bits
-    if packed:
-        raise AssertionError(f"specialize: the sum has digits beyond"
-                             f" k^{dim}")
-    return poly_trim(tuple(coeffs))
+    coeffs = signed_digits([packed], dim + 1, width)[0]
+    return poly_trim(tuple(Fraction(c, d) for c in coeffs))

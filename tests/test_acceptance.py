@@ -172,9 +172,12 @@ def test_criterion_5_conjecture_scan():
     # up to the CLI's scan guard, cli.SCAN_GUARD_NMAX = 100
     t0 = time.monotonic()
     for n in range(2, 101):
-        for r in range(1, n):
-            h = poly_trim(hstar.uniform_hstar(n, r))
-            assert hstar.is_unimodal(h), (n, r)
+        # the scan's rows: one verdict per dual pair, from one transform
+        rows = hstar.uniform_conjecture_rows(n, n - 1)
+        assert [rep["r"] for rep in rows] == list(range(1, n)), n
+        for rep in rows:
+            assert rep["hstarUnimodal"], (n, rep["r"])
+            assert rep.get("ehrhartCoeffsPositive", True), n
     elapsed = time.monotonic() - t0
     assert elapsed < 300, elapsed
     for n in range(2, 101):

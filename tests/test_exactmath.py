@@ -10,8 +10,8 @@ from oracles import (
 )
 
 from ehrmat.exactmath import (
-    binomial, mat_rank, poly_eval, poly_from_values, poly_trim,
-    solve_linear, vec_dot,
+    binomial, digit_bytes, mat_rank, poly_eval, poly_from_values,
+    poly_trim, signed_digits, solve_linear, vec_dot,
 )
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -222,3 +222,38 @@ def test_kernel_rejects_non_integer_entries():
         mat_rank([[1, Fraction(1, 2)], [0, 1]])
     with pytest.raises(TypeError):
         solve_linear([[1, 0], [0, 1]], [2.0, 1])
+
+
+@st.composite
+def packed_digit_rows(draw):
+    """(width, rows): 1-3 rows of the same 1-40 signed digits, each in
+    the range of a width of 1-4 bytes, so that the packed totals take
+    every sign."""
+    width = draw(st.integers(1, 4))
+    half = 1 << (8 * width - 1)
+    count = draw(st.integers(1, 40))
+    digit = st.integers(-half, half - 1)
+    rows = draw(st.lists(st.lists(digit, min_size=count, max_size=count),
+                         min_size=1, max_size=3))
+    return width, rows
+
+
+@settings(max_examples=200)
+@given(packed_digit_rows(), st.integers(-3, 3).filter(bool))
+def test_signed_digits_read_back_what_was_packed(case, above):
+    width, rows = case
+    count = len(rows[0])
+    base = 1 << (8 * width)
+    packed = [sum(d * base ** j for j, d in enumerate(row)) for row in rows]
+    assert signed_digits(packed, count, width) == rows
+    # a digit above the last one read, positive or negative, leaves the
+    # packed value outside the range of the digits read
+    for p in packed:
+        with pytest.raises(AssertionError, match="^exactmath: "):
+            signed_digits([p + above * base ** count], count, width)
+
+
+@given(st.integers(0, 1 << 300))
+def test_digit_bytes_hold_the_bound_with_either_sign(bound):
+    assert signed_digits([bound, -bound], 1, digit_bytes(bound)) == [
+        [bound], [-bound]]

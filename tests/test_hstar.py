@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from ehrmat import cli, corpus, hstar
 from ehrmat.exactmath import binomial, poly_eval, poly_trim
 from ehrmat.hstar import (
-    ehrhart_to_hstar, is_unimodal, katzman, uniform_conjecture_report,
+    ehrhart_to_hstar, is_unimodal, katzman, uniform_conjecture_rows,
     uniform_ehrhart, uniform_hstar,
 )
 from oracles import (
@@ -201,14 +202,13 @@ def test_uniform_hstar_equals_horner_reference(monkeypatch, capsys,
                                                horner_60):
     # in scan order: every dual pair of one n from one packed transform
     monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
-    monkeypatch.setattr(hstar, "_UNIFORM_HSTAR_CACHE", {})
     for n in range(1, 61):
-        hstar.cache_uniform_hstar(n, range(1, n // 2 + 1))
-        for r in range(1, n + 1):
-            assert uniform_hstar(n, r) == horner_60[n, r], (n, r)
-    # as lone calls, descending n, from cold caches: one rank per transform
+        ranks = range(1, n // 2 + 1)
+        for r, h in zip(ranks, hstar._uniform_hstars(n, ranks)):
+            assert h == horner_60[n, r] == horner_60[n, n - r], (n, r)
+    # as lone calls, descending n, from a cold cache: one rank per
+    # transform
     hstar._KATZMAN_CACHE.clear()
-    hstar._UNIFORM_HSTAR_CACHE.clear()
     for n in range(60, 0, -1):
         for r in range(1, n + 1):
             assert uniform_hstar(n, r) == horner_60[n, r], (n, r)
@@ -216,7 +216,6 @@ def test_uniform_hstar_equals_horner_reference(monkeypatch, capsys,
     packed = hstar._uniform_hstars
     for rmax in (1, 2, 5):
         hstar._KATZMAN_CACHE.clear()
-        hstar._UNIFORM_HSTAR_CACHE.clear()
         seen = []
 
         def recorded(n, ranks):
@@ -239,7 +238,6 @@ def test_scan_runs_one_transform_per_dual_pair(monkeypatch, capsys):
     # n packed integers serves every pair of one n: 41 transforms for
     # n = 2..42, not one per pair or per row
     monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
-    monkeypatch.setattr(hstar, "_UNIFORM_HSTAR_CACHE", {})
     transform = hstar._times_one_minus_x_power
     calls = Counter()
 
@@ -264,47 +262,58 @@ def test_packed_ehrhart_numerators_equal_list_expansion():
             uniform_ehrhart_scaled_lists(100, r)), r
 
 
-def test_undersized_digits_raise_under_optimize():
+def test_undersized_digits_raise_under_optimize(tmp_path):
     # a digit width too small for the entries leaves digits above the
-    # last one read: a broken invariant, raised as AssertionError even
-    # under -O, which the CLI reports as an internal error
+    # last one read: a broken invariant of the one codec, raised as
+    # AssertionError even under -O, which the CLI reports as an
+    # internal error
+    doc = tmp_path / "u42.json"
+    doc.write_text(json.dumps({"name": "U42", "family": "bases",
+                               "kind": "uniform", "n": 4, "r": 2}))
     code = (
         "import contextlib, io, sys\n"
-        "from ehrmat import cli, hstar\n"
+        "from ehrmat import cli, genfun, hstar, specialize\n"
         "if __debug__:\n"
         "    sys.exit(2)\n"
-        "hstar._digit_bytes = lambda bound: 1\n"
+        "hstar.digit_bytes = specialize.digit_bytes = lambda bound: 1\n"
+        "doc = sys.argv[1]\n"
+        "spec = cli.load_document(doc)[1]\n"
         "for call in (lambda: hstar.uniform_hstar(20, 10),\n"
-        "             lambda: hstar.uniform_ehrhart(20, 2)):\n"
+        "             lambda: hstar.uniform_ehrhart(20, 2),\n"
+        "             lambda: specialize.ehrhart_polynomial(\n"
+        "                 genfun.build_genfun(spec))):\n"
         "    try:\n"
         "        call()\n"
         "        sys.exit(1)\n"
         "    except AssertionError as exc:\n"
         "        print(exc)\n"
-        "err = io.StringIO()\n"
-        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
-        "        contextlib.redirect_stderr(err):\n"
-        "    code = cli.main(['scan-uniform', '--nmax', '20'])\n"
-        "print(code, err.getvalue().strip())\n")
+        "for argv in (['ehrhart', doc], ['scan-uniform', '--nmax', '20']):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, err.getvalue().strip())\n")
     src = str(Path(hstar.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(doc)],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    beyond = "hstar: a packed value has digits beyond the"
-    lone, numerators, scan = proc.stdout.splitlines()
+    beyond = "exactmath: a packed value has digits beyond the"
+    lone, numerators, polytope, ehrhart, scan = proc.stdout.splitlines()
     assert lone == f"{beyond} 1 read, 8 bits each"
     assert numerators == f"{beyond} 20 read, 8 bits each"
+    assert polytope == f"{beyond} 4 read, 8 bits each"
+    assert ehrhart.startswith(f"{cli.EXIT_INTERNAL} internal error:"
+                              f" {doc}: {beyond}")
     assert scan.startswith(f"{cli.EXIT_INTERNAL} internal error:"
                            f" scan-uniform: {beyond}")
 
 
-def test_uniform_hstar_cache_never_serves_another_n(monkeypatch, capsys):
+def test_uniform_hstar_interleaved_calls_equal_horner(monkeypatch, capsys):
     # descending n, r and n - r interleaved, r = n, and calls before and
-    # after a scan: the cached vector of the newest n is never returned
-    # for another n
+    # after a scan: the Katzman rows of the newest n, extended or
+    # restarted from n = 1, always give the vector of the n asked for
     monkeypatch.setattr(hstar, "_KATZMAN_CACHE", {})
-    monkeypatch.setattr(hstar, "_UNIFORM_HSTAR_CACHE", {})
     calls = [(n, r) for n in range(14, 0, -1)
              for r in sorted({1, n, n // 2, n - n // 2, 2, n - 2})
              if 1 <= r <= n]
@@ -315,10 +324,6 @@ def test_uniform_hstar_cache_never_serves_another_n(monkeypatch, capsys):
     capsys.readouterr()
     for n, r in calls + [(12, 5), (12, 7), (11, 4), (12, 12), (13, 6)]:
         assert uniform_hstar(n, r) == uniform_hstar_horner(n, r), (n, r)
-    # the cache holds the vectors of one n, one per r' = min(r, n - r),
-    # never r = n
-    ((n, entries),) = hstar._UNIFORM_HSTAR_CACHE.items()
-    assert entries and all(1 <= 2 * r <= n for r in entries)
 
 
 def test_uniform_ehrhart_equals_fraction_reference():
@@ -359,9 +364,8 @@ def test_conjecture_report_witnesses():
 
 
 def test_uniform_conjecture_report_rank2_positivity():
-    rep = uniform_conjecture_report(8, 2)
-    assert rep["hstarUnimodal"]
-    assert rep["ehrhartCoeffsPositive"]
+    assert uniform_conjecture_rows(8, 2)[1] == {
+        "n": 8, "r": 2, "hstarUnimodal": True, "ehrhartCoeffsPositive": True}
 
 
 def test_partial_unimodality_scan():

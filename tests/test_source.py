@@ -146,6 +146,64 @@ def test_import_work_check_sees_a_call():
     assert _work_at_import(tree) == [5, 6, 9, 12]
 
 
+def _module_level_containers(module, tree):
+    """'module.name' for every name that a module-level statement of
+    `tree` binds to a mutable container: a dict, list or set display or
+    comprehension, or a call of `dict`, `list` or `set`."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, ast.Call):
+            mutable = (isinstance(value.func, ast.Name)
+                       and value.func.id in ("dict", "list", "set"))
+        else:
+            mutable = isinstance(value, (ast.Dict, ast.List, ast.Set,
+                                         ast.DictComp, ast.ListComp,
+                                         ast.SetComp))
+        if mutable:
+            found += [f"{module}.{n.id}" for t in targets
+                      for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return found
+
+
+# The one module-level state of the library: the Katzman rows of the
+# newest n, which a scan in increasing n extends by one step per n.
+MODULE_STATE_ALLOWED = ["hstar._KATZMAN_CACHE"]
+
+
+def test_library_holds_no_other_module_level_container():
+    # a container bound at module level is state every caller in the
+    # process shares, so one call, or one test, can change what the next
+    # one computes from
+    package = Path(ehrmat.__file__).resolve().parent
+    found = [name for module, tree in _trees(package).items()
+             for name in _module_level_containers(module, tree)]
+    assert found == MODULE_STATE_ALLOWED
+
+
+def test_module_container_check_sees_each_container():
+    tree = ast.parse("A = {}\n"
+                     "B: list = []\n"
+                     "C = D = set()\n"
+                     "E = dict(a=1)\n"
+                     "F = list(range(3))\n"
+                     "G = {1, 2}\n"
+                     "H = [i for i in range(3)]\n"
+                     "T = ()\n"
+                     "N = 3\n"
+                     "S = frozenset()\n"
+                     "def f():\n"
+                     "    x = []\n"
+                     "    return x\n")
+    assert _module_level_containers("m", tree) == [
+        "m.A", "m.B", "m.C", "m.D", "m.E", "m.F", "m.G", "m.H"]
+
+
 def _references(node):
     """How often each name is read in `node`: as a variable, as an
     attribute, or as a whole string constant, which is how the bench
