@@ -24,8 +24,8 @@ from math import factorial
 from . import bruteforce, genfun, hstar, specialize
 from .exactmath import poly_eval
 from .matroid import (
-    BudgetExceeded, RankFunction, ValidationError, check_matroid_axioms,
-    check_polymatroid_axioms,
+    BudgetExceeded, RankFunction, check_matroid_axioms,
+    check_polymatroid_axioms, guard_n,
 )
 from .vertices import (
     BASES_POLYTOPE, INDEPENDENCE_POLYTOPE, POLYMATROID, PolytopeSpec,
@@ -38,6 +38,10 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 SCAN_GUARD_NMAX = 100
+
+
+class ValidationError(Exception):
+    """Input from outside the program is malformed."""
 
 
 def load_document(path):
@@ -232,9 +236,7 @@ def cmd_scan_uniform(args):
     if args.nmax < 2 or args.rmax < 1:
         raise ValidationError(f"need --nmax >= 2 and --rmax >= 1, got"
                               f" --nmax {args.nmax} --rmax {args.rmax}")
-    if args.nmax > SCAN_GUARD_NMAX:
-        raise BudgetExceeded(f"scan guard: nmax={args.nmax} exceeds"
-                             f" {SCAN_GUARD_NMAX}")
+    guard_n(args.nmax, SCAN_GUARD_NMAX, "scan")
     rows = []
     for n in range(2, args.nmax + 1):
         rows += hstar.uniform_conjecture_rows(n, args.rmax)

@@ -8,38 +8,19 @@ for element i, so values[0] is f(empty) and values[-1] is f([n]). Each
 constructor fills the table once; every consumer indexes it by mask.
 """
 
-import os
-import re
-
 TABLE_GUARD_N = 20
-
-
-class ValidationError(Exception):
-    """Input from outside the program is malformed."""
 
 
 class BudgetExceeded(Exception):
     """An exhaustive enumeration guard was hit."""
 
 
-def guard_n(n, default_limit, what):
-    """Raise BudgetExceeded when n exceeds the guard. EHRMAT_BUDGET, if
-    set, overrides the default limit (it is the largest ground-set size
-    the enumeration guards accept); a value that is not an optional
-    minus sign and ASCII digits is a ValidationError. A negative n is no
+def guard_n(n, limit, what):
+    """Raise BudgetExceeded when n exceeds `limit`, the largest
+    ground-set size the `what` guard accepts. A negative n is no
     ground-set size: ValueError, before any caller shifts by it."""
     if n < 0:
         raise ValueError(f"matroid: ground-set size n = {n} is negative")
-    override = os.environ.get("EHRMAT_BUDGET")
-    try:
-        # int() alone would also take "1_0", " 3 ", "+3" and non-ASCII
-        # digits, and refuses more than 4300 digits
-        if override and not re.fullmatch("-?[0-9]+", override):
-            raise ValueError
-        limit = int(override) if override else default_limit
-    except ValueError:
-        raise ValidationError(f"EHRMAT_BUDGET must be an integer,"
-                              f" got {override!r}") from None
     if n > limit:
         raise BudgetExceeded(f"{what} guard: n={n} exceeds limit {limit}")
 

@@ -244,8 +244,7 @@ def test_interpolation_polymatroid_matches_lagrange():
     assert p == _lagrange_over_counts(spec, 4)
 
 
-def test_budget_guard(monkeypatch):
-    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
+def test_budget_guard():
     spec = PolytopeSpec(BASES_POLYTOPE, RankFunction.uniform(13, 2))
     with pytest.raises(BudgetExceeded):
         count_direct(spec, 1)

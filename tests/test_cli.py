@@ -150,7 +150,6 @@ def test_verify_guard_fires_before_pipeline(tmp_path, capsys, monkeypatch):
     def fail(spec):
         raise AssertionError("build_genfun called")
 
-    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
     monkeypatch.setattr(genfun, "build_genfun", fail)
     path = tmp_path / "u13.json"
     path.write_text(json.dumps({"name": "U13", "family": "bases",
@@ -289,16 +288,8 @@ def test_scan_guard(capsys):
     code = cli.main(["scan-uniform", "--nmax", str(nmax)])
     captured = capsys.readouterr()
     assert code == cli.EXIT_BUDGET == 3
-    assert captured.err == (f"budget exceeded: scan guard: nmax={nmax}"
-                            f" exceeds {cli.SCAN_GUARD_NMAX}\n")
-
-
-def test_budget_does_not_move_scan_guard(capsys, monkeypatch):
-    # EHRMAT_BUDGET replaces the rank-table and brute-force limits only;
-    # scan-uniform's --nmax <= 100 stays fixed
-    monkeypatch.setenv("EHRMAT_BUDGET", "200")
-    code, _ = run(capsys, "scan-uniform", "--nmax", "101")
-    assert code == cli.EXIT_BUDGET == 3
+    assert captured.err == (f"budget exceeded: scan guard: n={nmax}"
+                            f" exceeds limit {cli.SCAN_GUARD_NMAX}\n")
 
 
 def test_validation_missing_file(capsys):
@@ -478,8 +469,7 @@ def test_validation_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
-def test_budget_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
+def test_budget_exit_code(tmp_path, capsys):
     doc = {"name": "big", "family": "bases", "kind": "uniform",
            "n": 21, "r": 2}
     path = tmp_path / "big.json"
@@ -489,10 +479,9 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [21, 64])
-def test_table_budget_before_table_size(tmp_path, capsys, monkeypatch, n):
+def test_table_budget_before_table_size(tmp_path, capsys, n):
     # the guard runs before anything of size 1 << n is built, so an
     # outsized n in a short document exits 3 at once
-    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
     doc = {"name": "big", "family": "polymatroid", "kind": "table", "n": n,
            "values": [{"subset": [1], "value": 1}]}
     path = tmp_path / "big.json"
@@ -503,10 +492,9 @@ def test_table_budget_before_table_size(tmp_path, capsys, monkeypatch, n):
     assert captured.err.startswith("budget exceeded: rank table guard")
 
 
-def test_bases_budget_before_basis_masks(tmp_path, capsys, monkeypatch):
+def test_bases_budget_before_basis_masks(tmp_path, capsys):
     # the guard runs before a basis's bitmask is built, so a 50-byte
     # document naming element 10^8 exits 3 without the 2^(10^8)-bit int
-    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
     doc = {"family": "bases", "kind": "bases", "n": 100000000,
            "bases": [[100000000]]}
     path = tmp_path / "big.json"
@@ -523,16 +511,24 @@ def test_bases_budget_before_basis_masks(tmp_path, capsys, monkeypatch):
     assert peak < 1 << 20
 
 
-def test_malformed_budget_is_a_validation_error(capsys, monkeypatch):
-    # int() would read "1_0" as 10 and the next three as 3, and refuses
-    # the last with a ValueError of its own
-    for value in ["abc", "1_0", "\u0663", " 3 ", "+3", "9" * 5000]:
+def test_environment_does_not_move_size_guards(tmp_path, capsys,
+                                               monkeypatch):
+    # the guards are constants, so a value left in the shell can neither
+    # lower, raise nor fail them
+    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
+    k4 = data_path("K4")
+    unset = run(capsys, "ehrhart", k4)
+    assert unset[0] == 0
+    path = tmp_path / "u21.json"
+    path.write_text(json.dumps({"name": "U21", "family": "bases",
+                                "kind": "uniform", "n": 21, "r": 2}))
+    for value in ["1", "200", "abc"]:
         monkeypatch.setenv("EHRMAT_BUDGET", value)
-        code = cli.main(["ehrhart", data_path("K4")])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_VALIDATION == 2, value
-        assert captured.out == ""
-        assert captured.err.startswith("validation error: EHRMAT_BUDGET")
+        assert run(capsys, "ehrhart", k4) == unset, value
+        code, _ = run(capsys, "ehrhart", str(path))
+        assert code == cli.EXIT_BUDGET, value
+        code, _ = run(capsys, "scan-uniform", "--nmax", "101")
+        assert code == cli.EXIT_BUDGET, value
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

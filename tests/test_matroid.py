@@ -7,9 +7,9 @@ from oracles import (
     pairwise_polymatroid_axioms, relaxation_bases, table_rank, uniform_rank,
 )
 
-from ehrmat import corpus
+from ehrmat import bruteforce, cli, corpus
 from ehrmat.matroid import (
-    BudgetExceeded, RankFunction, check_matroid_axioms,
+    TABLE_GUARD_N, BudgetExceeded, RankFunction, check_matroid_axioms,
     check_polymatroid_axioms, guard_n,
 )
 
@@ -235,18 +235,16 @@ def test_direct_sum_bases_count_multiplies():
         len(enumerate_bases(f1)) * len(enumerate_bases(f2)))
 
 
-def test_budget_guard(monkeypatch):
-    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
-    with pytest.raises(BudgetExceeded):
-        guard_n(25, 20, "test")
-    monkeypatch.setenv("EHRMAT_BUDGET", "30")
-    guard_n(25, 20, "test")  # override lifts the limit
-    with pytest.raises(BudgetExceeded):
-        guard_n(31, 20, "test")
+def test_budget_guard():
+    # each guard accepts its limit and refuses one more
+    for limit in [TABLE_GUARD_N, bruteforce.DIRECT_GUARD_N,
+                  cli.SCAN_GUARD_NMAX]:
+        guard_n(limit, limit, "test")
+        with pytest.raises(BudgetExceeded):
+            guard_n(limit + 1, limit, "test")
 
 
-def test_rank_table_guard(monkeypatch):
-    monkeypatch.delenv("EHRMAT_BUDGET", raising=False)
+def test_rank_table_guard():
     with pytest.raises(BudgetExceeded):
         RankFunction.uniform(21, 2)
     # a table's size check would build 1 << n first

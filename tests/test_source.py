@@ -87,6 +87,49 @@ def test_unread_import_check_sees_an_unread_import():
     assert _unread_imports(tree) == ["js", "times", "comb"]
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """Line numbers in `tree` of every `os.environ`, `os.environb`,
+    `os.getenv` or `os.getenvb`, and of every `from os import` of one
+    of them."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if (node.attr in _ENVIRONMENT and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(a.name in _ENVIRONMENT for a in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_library_reads_no_environment():
+    # the library's results depend on its arguments alone: a setting
+    # read from the environment would change them in one shell and not
+    # in another, with nothing on the command line to show it
+    found = []
+    for path in sorted(Path(ehrmat.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{line}" for line in _environment_reads(tree)]
+    assert found == []
+
+
+def test_environment_check_sees_each_read():
+    tree = ast.parse("import os\n"
+                     "from os import environ, path\n"
+                     "from os import getenv as ge\n"
+                     "a = os.environ.get('X')\n"
+                     "b = os.getenv('X')\n"
+                     "c = os.environb\n"
+                     "d = os.getenvb(b'X')\n"
+                     "e = os.path.join('a', 'b')\n"
+                     "f = config.environ\n")
+    assert _environment_reads(tree) == [2, 3, 4, 5, 6, 7]
+
+
 _MAIN_GUARD = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
 
 
