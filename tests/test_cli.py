@@ -292,6 +292,14 @@ def test_scan_guard(capsys):
                             f" exceeds limit {cli.SCAN_GUARD_NMAX}\n")
 
 
+def test_budget_does_not_move_scan_guard(capsys, monkeypatch):
+    # scan-uniform's --nmax <= 100 is a constant, whatever the shell holds
+    for value in ["1", "200", "abc"]:
+        monkeypatch.setenv("EHRMAT_BUDGET", value)
+        code, _ = run(capsys, "scan-uniform", "--nmax", "101")
+        assert code == cli.EXIT_BUDGET == 3, value
+
+
 def test_validation_missing_file(capsys):
     code, _ = run(capsys, "ehrhart", "/nonexistent/file.json")
     assert code == 2
@@ -526,8 +534,6 @@ def test_environment_does_not_move_size_guards(tmp_path, capsys,
         monkeypatch.setenv("EHRMAT_BUDGET", value)
         assert run(capsys, "ehrhart", k4) == unset, value
         code, _ = run(capsys, "ehrhart", str(path))
-        assert code == cli.EXIT_BUDGET, value
-        code, _ = run(capsys, "scan-uniform", "--nmax", "101")
         assert code == cli.EXIT_BUDGET, value
 
 
